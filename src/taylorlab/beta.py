@@ -239,7 +239,7 @@ def _fire_head(hf: HeadForm) -> Term:
     return t
 
 
-def _head_redex_position(hf: HeadForm) -> Position:
+def head_redex_position(hf: HeadForm) -> Position:
     return ("body",) * len(hf.binders) + ("fun",) * (len(hf.spine) - 1)
 
 
@@ -362,7 +362,7 @@ def head_normalize(
         if k >= fuel:
             return HeadRun(cur, Verdict.unknown(k, "fuel"), tuple(pre_steps), tuple(positions))
         pre_steps.append(cur)
-        positions.append(_head_redex_position(hf))
+        positions.append(head_redex_position(hf))
         nxt = _fire_head(hf)
         if system is not None:
             nxt = _resolve_at_head(nxt, system, stack)

@@ -71,6 +71,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(3)
 
 
+def _non_negative(text: str) -> int:
+    """Type of the budget and bound flags; argparse reports a rejection
+    through ``parser.error``, so a negative value exits 3."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {value}")
+    return value
+
+
 def _read_term_arg(text: str) -> str:
     if text == "-":
         return sys.stdin.read()
@@ -374,15 +383,15 @@ def _cmd_selftest(args) -> int:
 def _add_common(p: argparse.ArgumentParser, *, fuel=True, size=False, depth=False, dmax=False, backstop=False):
     p.add_argument("--json", action="store_true", help="emit machine-readable JSON")
     if fuel:
-        p.add_argument("--fuel", type=int, default=1000, help="head-step budget per node")
+        p.add_argument("--fuel", type=_non_negative, default=1000, help="head-step budget per node")
     if size:
-        p.add_argument("--size", type=int, default=10, help="approximant size bound")
+        p.add_argument("--size", type=_non_negative, default=10, help="approximant size bound")
     if depth:
-        p.add_argument("--depth", type=int, default=None, help="height bound on approximants")
+        p.add_argument("--depth", type=_non_negative, default=None, help="height bound on approximants")
     if dmax:
-        p.add_argument("--dmax", type=int, default=5, help="maximum tested depth")
+        p.add_argument("--dmax", type=_non_negative, default=5, help="maximum tested depth")
     if backstop:
-        p.add_argument("--backstop", type=int, default=None, help="fallback search size bound")
+        p.add_argument("--backstop", type=_non_negative, default=None, help="fallback search size bound")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -397,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reduce", help="beta-reduce (one position or normal order) with a trace")
     p.add_argument("term")
     p.add_argument("--at", default=None, help="dotted position of one step (e.g. body.arg)")
-    p.add_argument("--max-steps", type=int, default=100)
+    p.add_argument("--max-steps", type=_non_negative, default=100)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_reduce)
 
@@ -408,10 +417,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bohm", help="depth-bounded Boehm tree")
     p.add_argument("term")
-    p.add_argument("--depth", type=int, default=5)
+    p.add_argument("--depth", type=_non_negative, default=5)
     p.add_argument("--dot", action="store_true", help="emit graphviz instead of text")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--fuel", type=int, default=1000)
+    p.add_argument("--fuel", type=_non_negative, default=1000)
     p.set_defaults(fn=_cmd_bohm)
 
     p = sub.add_parser("taylor", help="enumerate the approximant slice")
@@ -438,8 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stratify", help="depth-ordered reduction stages")
     p.add_argument("term")
-    p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--fuel", type=int, default=1000)
+    p.add_argument("--depth", type=_non_negative, default=3)
+    p.add_argument("--fuel", type=_non_negative, default=1000)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_stratify)
 

@@ -11,8 +11,20 @@ onto ``t``. Searching size-bounded slices for it is hopeless beyond toy
 cases (the least such ancestor grows quadratically in the depth of ``t``),
 so the primary mechanism is constructive: walk the recorded head-reduction
 trace backwards, inverting one step at a time by un-substituting through
-the approximant (``_anti_subst``). The construction is self-checking: a
-candidate only counts once ``t`` is re-derived from it by normalization.
+the approximant (``_anti_subst``).
+
+A candidate ancestor ``s`` only counts once ``t`` is shown to be in its
+normal form. The construction records each inverted step as a link
+``(before, after)`` and the check replays the links: the head redex of
+``before`` must fire to a sum containing ``after``, which is a structural
+match against one linear substitution (``hr_fires_to``), with nothing
+enumerated. That suffices because resource reduction is confluent and
+terminating, so normal forms do not depend on the strategy: each link gives
+``nf(before) ⊇ nf(after)``, the head-normal node at the bottom of each
+level of the construction has ``t``'s part in its normal form by induction
+over the monomial elements, and the links chain that up to ``nf(s)``. When
+a link does not replay, the check falls back to normalizing ``s`` in full,
+so the accepted set is exactly that of the normalizing check.
 """
 
 from __future__ import annotations
@@ -53,7 +65,7 @@ from .resource import (
     rlam,
     rvar,
 )
-from .resource_reduction import hr_step, r_normalize
+from .resource_reduction import hr_fires_to, hr_step, r_normalize
 from .syntax import (
     App,
     Bottom,
@@ -312,13 +324,19 @@ def _lift_one_step(
 
 
 def lift_to_source(
-    t: ResourceTerm, target: TermLike, fuel: int
+    t: ResourceTerm,
+    target: TermLike,
+    fuel: int,
+    links: Optional[list[tuple[ResourceTerm, ResourceTerm]]] = None,
 ) -> Optional[ResourceTerm]:
     """Construct an approximant of ``target`` whose normal form contains
     ``t``, given that ``t`` approximates the target's Boehm tree.
 
     Callers must verify the result (approximation plus membership in the
-    normal form); this function only builds the candidate.
+    normal form); this function only builds the candidate. Each inverted
+    head step is appended to ``links`` as a ``(before, after)`` pair whose
+    head redex should fire ``before`` to a sum containing ``after``, at
+    every level of the construction, monomial elements included.
     """
     if isinstance(target, RationalSystem):
         system: Optional[RationalSystem] = target
@@ -365,25 +383,37 @@ def lift_to_source(
         for _ in hf.binders:
             node = rlam(node)
         for before in reversed(run.trace):
-            node = _lift_one_step(node, before, stack, system)
-            if node is None:
+            lifted = _lift_one_step(node, before, stack, system)
+            if lifted is None:
                 return None
+            if links is not None:
+                links.append((lifted, node))
+            node = lifted
         return node
 
     return rec(t, term, ())
 
 
 def _verified_ancestor(
-    t: ResourceTerm, target: TermLike, fuel: int
+    t: ResourceTerm, target: TermLike, fuel: int, counts: Optional[dict[str, int]] = None
 ) -> Optional[ResourceTerm]:
-    s = lift_to_source(t, target, fuel)
+    """A constructed approximant of ``target`` whose normal form contains
+    ``t``, or None. ``counts`` tallies how membership was settled:
+    ``replayed_ancestors`` by replaying the construction's head steps,
+    ``verify_fallbacks`` by normalizing the candidate."""
+    links: list[tuple[ResourceTerm, ResourceTerm]] = []
+    s = lift_to_source(t, target, fuel, links)
     if s is None:
         return None
     if not approximates(s, target):
         return None
-    if t not in r_normalize(s):
-        return None
-    return s
+    replayed = all(hr_fires_to(before, after) for before, after in links)
+    if counts is not None:
+        key = "replayed_ancestors" if replayed else "verify_fallbacks"
+        counts[key] = counts.get(key, 0) + 1
+    if replayed or t in r_normalize(s):
+        return s
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -432,13 +462,14 @@ def check_commutation(
     prefix = bohm_tree(target, size_bound + 1, fuel)
     targets = enumerate_taylor(prefix, size_bound, hole_mode="cut")
     constructed = 0
+    verify = {"replayed_ancestors": 0, "verify_fallbacks": 0}
     searched = 0
     search_nfs: Optional[set[ResourceTerm]] = None
     unwitnessed: list[ResourceTerm] = []
     for t in targets:
         if t in nf_union:
             continue
-        if _verified_ancestor(t, target, fuel) is not None:
+        if _verified_ancestor(t, target, fuel, verify) is not None:
             constructed += 1
             continue
         if search_nfs is None:
@@ -456,6 +487,7 @@ def check_commutation(
         "normal_addends": len(nf_union),
         "tree_targets": len(targets),
         "constructed_ancestors": constructed,
+        **verify,
         "widened_slice": searched,
     }
     if forward_unknown:

@@ -23,6 +23,7 @@ from .resource import (
     RLam,
     monomial,
     open_binder,
+    opens_to,
     rapp,
     rlam,
     union_all,
@@ -286,6 +287,23 @@ def hr_step(x: ResourceTerm | FiniteSum) -> FiniteSum:
         return union_all(hr_step(t) for t in x)
     fired = _hr_term(x)
     return FiniteSum((x,)) if fired is None else fired
+
+
+def hr_fires_to(before: ResourceTerm, after: ResourceTerm) -> bool:
+    """Whether ``before`` has a head redex and ``after`` is an addend of
+    ``hr_step(before)``, decided by matching instead of firing."""
+    binders, head, monos = head_split(before)
+    if not (isinstance(head, RLam) and monos):
+        return False
+    for _ in range(binders):
+        if not isinstance(after, RLam):
+            return False
+        after = after.body
+    for m in reversed(monos[1:]):
+        if not (isinstance(after, RApp) and after.mono is m):
+            return False
+        after = after.fn
+    return opens_to(head.body, monos[0], after)
 
 
 def hr_to_hnf(x: ResourceTerm | FiniteSum) -> tuple[FiniteSum, int]:

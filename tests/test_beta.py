@@ -14,6 +14,7 @@ from taylorlab.beta import (
     depth_positions,
     head_form,
     head_normalize,
+    head_redex_position,
     head_step,
     is_bohm_normal,
     loop_certified_oracle,
@@ -88,11 +89,18 @@ def test_head_step():
     assert alpha_eq(head_step(Y), parse_term("\\f. f ((\\x. f (x x)) (\\x. f (x x)))"))
 
 
-def test_head_fixed_point_iff_head_variable():
-    rng = random.Random(19)
-    for _ in range(400):
-        t = random_lambda_term(rng, 12)
-        assert (head_step(t) == t) == head_form(t).is_head_normal
+def test_head_step_is_beta_step_at_the_head_redex():
+    # a fixed point need not be head normal
+    assert head_step(OMEGA) == OMEGA and not head_form(OMEGA).is_head_normal
+    for seed in (19, 107):
+        rng = random.Random(seed)
+        for _ in range(400):
+            t = random_lambda_term(rng, 12)
+            hf = head_form(t)
+            if hf.has_head_redex:
+                assert head_step(t) == beta_step(t, head_redex_position(hf))
+            else:
+                assert hf.is_head_normal and head_step(t) == t
 
 
 def test_head_normalize_two_steps():

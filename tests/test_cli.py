@@ -138,3 +138,41 @@ def test_selftest_quick_deterministic(capsys):
     assert out1 == out2
     payload = json.loads(out1)
     assert payload["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("seed", ["107", "124"])
+def test_selftest_passes_on_seeds_with_head_fixed_points(capsys, seed):
+    code, out, _ = run(capsys, "selftest", "--seed", seed, "--json")
+    assert code == 0 and json.loads(out)["verdict"] == "pass"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["head", "x", "--fuel", "-5"],
+        ["check", "commutation", "x", "--size", "-3"],
+        ["taylor", "x", "--depth", "-1"],
+        ["bohm", "x", "--depth", "-1"],
+        ["check", "norm", "x", "--dmax", "-2"],
+        ["check", "commutation", "x", "--backstop", "-1"],
+        ["reduce", "x", "--max-steps", "-1"],
+    ],
+)
+def test_negative_budget_exit_3(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 3
+    assert "must not be negative" in capsys.readouterr().err
+
+
+def test_zero_budget_accepted(capsys):
+    code, out, _ = run(capsys, "head", "x", "--fuel", "0")
+    assert code == 0
+
+
+def test_commutation_json_counts_verification(capsys):
+    code, out, _ = run(capsys, "check", "commutation", "\\f. (\\x. f (x x)) (\\x. f (x x))", "--size", "12", "--json")
+    stats = json.loads(out)["stats"]
+    assert code == 0
+    assert stats["replayed_ancestors"] == stats["constructed_ancestors"] == 15
+    assert stats["verify_fallbacks"] == 0
