@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success / pass, 1 check failed, 2 check inconclusive,
-3 usage or input error. All output is deterministic for a fixed input and
-configuration; ``--json`` emits sorted-key JSON.
+3 usage or input error, 4 internal error. All output is deterministic for
+a fixed input and configuration; ``--json`` emits sorted-key JSON.
 """
 
 from __future__ import annotations
@@ -478,6 +478,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except LambdaError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
+    except Exception as err:  # e.g. RecursionError; a traceback would exit 1, "check failed"
+        detail = " ".join(str(err).split())
+        print(f"internal error: {type(err).__name__}: {detail}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from random import Random
 
-from .resource import Monomial, ResourceTerm, monomial, rapp, rfvar, rlam, rvar
+from .resource import ResourceTerm, monomial, rapp, rfvar, rlam, rvar
 from .syntax import App, FreeVar, Lam, Term, Var
 
 _FREE = ("x", "y", "z")
@@ -44,19 +44,6 @@ def random_resource_term(rng: Random, max_size: int, depth: int = 0) -> Resource
     if depth > 0 and rng.random() < 0.7:
         return rvar(rng.randrange(depth))
     return rfvar(rng.choice(_FREE))
-
-
-def random_monomial(rng: Random, max_size: int, count_max: int = 3) -> Monomial:
-    elems = []
-    left = max_size
-    for _ in range(rng.randrange(0, count_max + 1)):
-        if left <= 0:
-            break
-        b = rng.randint(1, left)
-        e = random_resource_term(rng, b)
-        left -= e.size
-        elems.append(e)
-    return monomial(elems)
 
 
 def random_lambda_term(rng: Random, max_size: int, depth: int = 0) -> Term:

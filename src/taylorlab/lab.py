@@ -14,17 +14,24 @@ trace backwards, inverting one step at a time by un-substituting through
 the approximant (``_anti_subst``).
 
 A candidate ancestor ``s`` only counts once ``t`` is shown to be in its
-normal form. The construction records each inverted step as a link
-``(before, after)`` and the check replays the links: the head redex of
-``before`` must fire to a sum containing ``after``, which is a structural
-match against one linear substitution (``hr_fires_to``), with nothing
-enumerated. That suffices because resource reduction is confluent and
-terminating, so normal forms do not depend on the strategy: each link gives
-``nf(before) ⊇ nf(after)``, the head-normal node at the bottom of each
-level of the construction has ``t``'s part in its normal form by induction
-over the monomial elements, and the links chain that up to ``nf(s)``. When
-a link does not replay, the check falls back to normalizing ``s`` in full,
-so the accepted set is exactly that of the normalizing check.
+normal form. Each inverted step is a link ``(before, after, elems)``
+checked once, when it is built: ``elems`` lists the grafted monomial
+elements in the order of the bound occurrences they fill, and opening the
+head binder of ``before`` along that order must rebuild exactly ``after``
+(``hr_step_along``). The rebuilt term is by definition one addend of the
+linear substitution, so nothing is searched or enumerated. That suffices
+because resource reduction is confluent and terminating, so normal forms do
+not depend on the strategy: each link gives ``nf(before) ⊇ nf(after)``,
+the head-normal node at the bottom of each level of the construction has
+``t``'s part in its normal form by induction over the monomial elements,
+and the links chain that up to ``nf(s)``. When a link fails, the check
+falls back to normalizing ``s`` in full, so the accepted set is exactly
+that of the normalizing check.
+
+The tree targets of one commutation check share a ``LiftSession``: a
+head-normalization run per (subterm, stack) and a sub-lift, with whether
+its links held, per (approximant, subterm, stack). A failed link below a
+shared sub-lift sends every ancestor that reuses it to the fallback.
 """
 
 from __future__ import annotations
@@ -65,7 +72,7 @@ from .resource import (
     rlam,
     rvar,
 )
-from .resource_reduction import hr_fires_to, hr_step, r_normalize
+from .resource_reduction import hr_step, hr_step_along, r_normalize
 from .syntax import (
     App,
     Bottom,
@@ -240,9 +247,10 @@ def _anti_subst(
     system: Optional[RationalSystem],
 ) -> Optional[tuple[ResourceTerm, list[ResourceTerm]]]:
     """Un-substitute: ``u`` approximates the opening of ``\\z. p`` on some
-    argument; recover an approximant of ``p`` (with the bound variable at
-    index ``c``) plus the multiset elements that were grafted in. Returns
-    None when ``u`` cannot be read back against ``p``.
+    argument; recover an approximant ``w`` of ``p`` (with the bound variable
+    at index ``c``) plus the multiset elements that were grafted in, listed
+    in the order ``open_along`` meets the occurrences of ``c`` in ``w``.
+    Returns None when ``u`` cannot be read back against ``p``.
     """
     while isinstance(p, RecRef):
         if system is None:
@@ -275,15 +283,18 @@ def _anti_subst(
         if got is None:
             return None
         wf, es = got
-        elems = []
+        parts = []
         for e in u.mono:
             sub = _anti_subst(e, p.arg, c, stack, system)
             if sub is None:
                 return None
-            we, more = sub
-            elems.append(we)
-            es = es + more
-        return (rapp(wf, monomial(elems)), es)
+            parts.append(sub)
+        # the monomial stores its elements in skey order, and so will the
+        # traversal of the recovered term: graft lists follow that order
+        parts.sort(key=lambda part: part[0].skey)
+        for _, more in parts:
+            es.extend(more)
+        return (rapp(wf, monomial(we for we, _ in parts)), es)
     return None
 
 
@@ -292,9 +303,11 @@ def _lift_one_step(
     before: Term,
     stack: tuple[str, ...],
     system: Optional[RationalSystem],
-) -> Optional[ResourceTerm]:
+) -> Optional[tuple[ResourceTerm, list[ResourceTerm]]]:
     """Turn an approximant of the head reduct of ``before`` into an
-    approximant of ``before`` itself that head-reduces onto it."""
+    approximant of ``before`` itself that head-reduces onto it, paired with
+    the step's certificate: the head redex's monomial elements in the order
+    that rebuilds ``t`` (``hr_step_along``)."""
     hf = head_form(before)
     if not hf.has_head_redex:
         return None
@@ -320,94 +333,153 @@ def _lift_one_step(
         node = rapp(node, mono)
     for _ in hf.binders:
         node = rlam(node)
-    return node
+    return node, es
+
+
+def _link_holds(before: ResourceTerm, after: ResourceTerm, elems: list[ResourceTerm]) -> bool:
+    """A link of the construction: ``after`` is the addend of
+    ``hr_step(before)`` that its certificate ``elems`` rebuilds."""
+    return hr_step_along(before, elems) is after
+
+
+class LiftSession:
+    """Lifting work shared by the tree targets of one commutation check.
+
+    ``runs`` keeps head-normalization runs by ``(m.fkey, stack)`` and
+    ``lifts`` keeps sub-lifts by ``(u, m.fkey, stack)`` as ``(node,
+    verified)``, where ``verified`` says that every link built below the
+    node held. A session serves a single target at a single fuel, so
+    neither is part of a key. ``shared`` counts the sub-lifts served from
+    the session instead of being built.
+    """
+
+    __slots__ = ("runs", "lifts", "shared")
+
+    def __init__(self) -> None:
+        self.runs: dict = {}
+        self.lifts: dict = {}
+        self.shared = 0
+
+
+_NO_LIFT: tuple[Optional[ResourceTerm], bool] = (None, False)
+
+
+def _source(target: TermLike) -> tuple[Optional[RationalSystem], Term]:
+    if isinstance(target, RationalSystem):
+        return target, target.root_term()
+    return None, target
 
 
 def lift_to_source(
     t: ResourceTerm,
     target: TermLike,
     fuel: int,
-    links: Optional[list[tuple[ResourceTerm, ResourceTerm]]] = None,
+    session: Optional[LiftSession] = None,
 ) -> Optional[ResourceTerm]:
     """Construct an approximant of ``target`` whose normal form contains
     ``t``, given that ``t`` approximates the target's Boehm tree.
 
-    Callers must verify the result (approximation plus membership in the
-    normal form); this function only builds the candidate. Each inverted
-    head step is appended to ``links`` as a ``(before, after)`` pair whose
-    head redex should fire ``before`` to a sum containing ``after``, at
-    every level of the construction, monomial elements included.
+    Every inverted head step is checked once, when it is built, against
+    its certificate (``_link_holds``), at every level of the construction,
+    monomial elements included; the outcome is recorded in ``session``.
+    Callers must still check approximation, and membership in the normal
+    form when a link failed. Without a session nothing is shared.
     """
-    if isinstance(target, RationalSystem):
-        system: Optional[RationalSystem] = target
-        term: Term = target.root_term()
-    else:
-        system = None
-        term = target
+    system, term = _source(target)
+    if session is None:
+        session = LiftSession()
+    runs, lifts = session.runs, session.lifts
 
-    def rec(u: ResourceTerm, m: Term, stack: tuple[str, ...]) -> Optional[ResourceTerm]:
-        run = head_normalize(m, fuel, system, stack)
-        if not run.verdict.is_solvable:
-            return None
-        hf = head_form(run.term)
+    def head_run(m: Term, stack: tuple[str, ...]):
+        key = (m.fkey, stack)
+        if key not in runs:
+            run = head_normalize(m, fuel, system, stack)
+            runs[key] = (run.trace, head_form(run.term)) if run.verdict.is_solvable else None
+        return runs[key]
+
+    def rec(u: ResourceTerm, m: Term, stack: tuple[str, ...]) -> tuple[Optional[ResourceTerm], bool]:
+        key = (u, m.fkey, stack)
+        got = lifts.get(key)
+        if got is None:
+            got = lifts[key] = build(u, m, stack)
+        else:
+            session.shared += 1
+        return got
+
+    def build(u: ResourceTerm, m: Term, stack: tuple[str, ...]) -> tuple[Optional[ResourceTerm], bool]:
+        run = head_run(m, stack)
+        if run is None:
+            return _NO_LIFT
+        trace, hf = run
         body = u
         for _ in hf.binders:
             if not isinstance(body, RLam):
-                return None
+                return _NO_LIFT
             body = body.body
         monos: list[Monomial] = []
         for _ in hf.spine:
             if not isinstance(body, RApp):
-                return None
+                return _NO_LIFT
             monos.append(body.mono)
             body = body.fn
         monos.reverse()
         if isinstance(hf.head, Var):
             if not (isinstance(body, RVar) and body.index == hf.head.index):
-                return None
+                return _NO_LIFT
         elif isinstance(hf.head, FreeVar):
             if not (isinstance(body, RFreeVar) and body.name == hf.head.name):
-                return None
+                return _NO_LIFT
         else:
-            return None
+            return _NO_LIFT
         inner = tuple(reversed(hf.binders)) + stack
         node: ResourceTerm = body
+        verified = True
         for j, mono in enumerate(monos):
             elems = []
             for e in mono:
-                lifted = rec(e, hf.spine[j], inner)
+                lifted, ok = rec(e, hf.spine[j], inner)
                 if lifted is None:
-                    return None
+                    return _NO_LIFT
+                verified = verified and ok
                 elems.append(lifted)
             node = rapp(node, monomial(elems))
         for _ in hf.binders:
             node = rlam(node)
-        for before in reversed(run.trace):
-            lifted = _lift_one_step(node, before, stack, system)
-            if lifted is None:
-                return None
-            if links is not None:
-                links.append((lifted, node))
+        for before in reversed(trace):
+            step = _lift_one_step(node, before, stack, system)
+            if step is None:
+                return _NO_LIFT
+            lifted, grafted = step
+            verified = verified and _link_holds(lifted, node, grafted)
             node = lifted
-        return node
+        return node, verified
 
-    return rec(t, term, ())
+    return rec(t, term, ())[0]
 
 
 def _verified_ancestor(
-    t: ResourceTerm, target: TermLike, fuel: int, counts: Optional[dict[str, int]] = None
+    t: ResourceTerm,
+    target: TermLike,
+    fuel: int,
+    counts: Optional[dict[str, int]] = None,
+    session: Optional[LiftSession] = None,
 ) -> Optional[ResourceTerm]:
     """A constructed approximant of ``target`` whose normal form contains
     ``t``, or None. ``counts`` tallies how membership was settled:
-    ``replayed_ancestors`` by replaying the construction's head steps,
-    ``verify_fallbacks`` by normalizing the candidate."""
-    links: list[tuple[ResourceTerm, ResourceTerm]] = []
-    s = lift_to_source(t, target, fuel, links)
+    ``replayed_ancestors`` by the links checked during the construction,
+    ``verify_fallbacks`` by normalizing the candidate. A ``session`` shares
+    the lifting work between calls for the same target and fuel."""
+    if session is None:
+        session = LiftSession()
+    s = lift_to_source(t, target, fuel, session)
     if s is None:
         return None
     if not approximates(s, target):
         return None
-    replayed = all(hr_fires_to(before, after) for before, after in links)
+    # the certificate belongs to the lift of ``t`` itself: a candidate
+    # built for anything else is normalized
+    node, verified = session.lifts.get((t, _source(target)[1].fkey, ()), _NO_LIFT)
+    replayed = verified and node is s
     if counts is not None:
         key = "replayed_ancestors" if replayed else "verify_fallbacks"
         counts[key] = counts.get(key, 0) + 1
@@ -463,13 +535,14 @@ def check_commutation(
     targets = enumerate_taylor(prefix, size_bound, hole_mode="cut")
     constructed = 0
     verify = {"replayed_ancestors": 0, "verify_fallbacks": 0}
+    session = LiftSession()
     searched = 0
     search_nfs: Optional[set[ResourceTerm]] = None
     unwitnessed: list[ResourceTerm] = []
     for t in targets:
         if t in nf_union:
             continue
-        if _verified_ancestor(t, target, fuel, verify) is not None:
+        if _verified_ancestor(t, target, fuel, verify, session) is not None:
             constructed += 1
             continue
         if search_nfs is None:
@@ -488,6 +561,7 @@ def check_commutation(
         "tree_targets": len(targets),
         "constructed_ancestors": constructed,
         **verify,
+        "shared_lifts": session.shared,
         "widened_slice": searched,
     }
     if forward_unknown:

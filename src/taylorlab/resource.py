@@ -10,7 +10,7 @@ printing deterministic. Sums are qualitative: a finite *set* of terms,
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .syntax import LambdaError, ParseError
 
@@ -228,10 +228,6 @@ class FiniteSum:
 ZERO = FiniteSum()
 
 
-def sum_of(terms: Iterable[ResourceTerm]) -> FiniteSum:
-    return FiniteSum(terms)
-
-
 def union_all(sums: Iterable[FiniteSum]) -> FiniteSum:
     acc: set[ResourceTerm] = set()
     for s in sums:
@@ -419,125 +415,35 @@ def open_binder(body: ResourceTerm, mono: Monomial) -> FiniteSum:
     )
 
 
-def _sub_multisets(
-    elems: tuple[ResourceTerm, ...], k: int
-) -> Iterator[tuple[tuple[ResourceTerm, ...], tuple[ResourceTerm, ...]]]:
-    """Each distinct sub-multiset of size ``k`` of the sorted ``elems``, once,
-    paired with its complement; both stay sorted."""
-    if k == 0:
-        yield (), elems
-        return
-    if k == len(elems):
-        yield elems, ()
-        return
-    groups: list[list] = []
-    for e in elems:
-        if groups and groups[-1][0] is e:
-            groups[-1][1] += 1
-        else:
-            groups.append([e, 1])
+def open_along(body: ResourceTerm, elems: Sequence[ResourceTerm]) -> Optional[ResourceTerm]:
+    """The addend of ``open_binder(body, monomial(elems))`` that puts
+    ``elems[k]`` at the k-th occurrence of the bound variable, in the
+    occurrence traversal order; None when the counts differ.
 
-    def go(i: int, need: int):
-        if i == len(groups):
-            if need == 0:
-                yield (), ()
-            return
-        e, n = groups[i]
-        for take in range(min(n, need), -1, -1):
-            for part, rest in go(i + 1, need - take):
-                yield (e,) * take + part, (e,) * (n - take) + rest
-
-    yield from go(0, k)
-
-
-def opens_to(body: ResourceTerm, mono: Monomial, target: ResourceTerm) -> bool:
-    """Whether ``target`` is an addend of ``open_binder(body, mono)``.
-
-    Decided by walking ``body`` alongside ``target`` instead of enumerating
-    the sum: a subtree without occurrences of the bound variable must equal
-    its index-decremented copy, each occurrence takes one shifted element,
-    and an application splits the elements it still owns between its
-    function and a bijection onto the target's monomial, each distinct
-    split tried once. The target's size fixes the total size of the
-    elements a subtree takes, which prunes most splits.
+    One walk, shifting like ``_linear_replace`` does, nothing enumerated.
     """
-    occ_memo: dict[tuple, int] = {}
-    drop_memo: dict[tuple, ResourceTerm] = {}
-    memo: dict[tuple, bool] = {}
+    k = 0
 
-    def occ(u: ResourceTerm, c: int) -> int:
-        key = (u, c)
-        n = occ_memo.get(key)
-        if n is None:
-            if isinstance(u, RVar):
-                n = 1 if u.index == c else 0
-            elif isinstance(u, RLam):
-                n = occ(u.body, c + 1)
-            elif isinstance(u, RApp):
-                n = occ(u.fn, c) + sum(occ(e, c) for e in u.mono)
-            else:
-                n = 0
-            occ_memo[key] = n
-        return n
-
-    def drop(u: ResourceTerm, c: int) -> ResourceTerm:
-        key = (u, c)
-        out = drop_memo.get(key)
-        if out is None:
-            if isinstance(u, RVar):
-                out = rvar(u.index - 1) if u.index > c else u
-            elif isinstance(u, RLam):
-                out = rlam(drop(u.body, c + 1))
-            elif isinstance(u, RApp):
-                out = rapp(drop(u.fn, c), monomial(drop(e, c) for e in u.mono))
-            else:
-                out = u
-            drop_memo[key] = out
-        return out
-
-    def match(u: ResourceTerm, c: int, avail: tuple, v: ResourceTerm) -> bool:
-        # ``avail`` always holds exactly ``occ(u, c)`` elements
-        if v.size != u.size - len(avail) + sum(e.size for e in avail):
-            return False
-        if not avail:
-            return drop(u, c) is v
+    def go(u: ResourceTerm, c: int) -> ResourceTerm:
+        nonlocal k
         if isinstance(u, RVar):
-            return _rshift(avail[0], c) is v
+            if u.index == c:
+                e = elems[k]
+                k += 1
+                return _rshift(e, c)
+            return rvar(u.index - 1) if u.index > c else u
         if isinstance(u, RLam):
-            return isinstance(v, RLam) and match(u.body, c + 1, avail, v.body)
-        if not (isinstance(u, RApp) and isinstance(v, RApp) and len(u.mono) == len(v.mono)):
-            return False
-        key = (u, c, avail, v)
-        got = memo.get(key)
-        if got is None:
-            got = any(
-                match(u.fn, c, part, v.fn) and match_elems(u.mono.elems, c, rest, v.mono.elems)
-                for part, rest in _sub_multisets(avail, occ(u.fn, c))
-            )
-            memo[key] = got
-        return got
+            return rlam(go(u.body, c + 1))
+        if isinstance(u, RApp):
+            fn = go(u.fn, c)
+            return rapp(fn, monomial(go(e, c) for e in u.mono))
+        return u
 
-    def match_elems(us: tuple, c: int, avail: tuple, vs: tuple) -> bool:
-        """A bijection from ``us`` onto ``vs`` opening each pair on its own
-        share of ``avail``."""
-        if not us:
-            return True
-        key = (us, c, avail, vs)
-        got = memo.get(key)
-        if got is None:
-            u, k = us[0], occ(us[0], c)
-            got = any(
-                match(u, c, part, v) and match_elems(us[1:], c, rest, vs[:j] + vs[j + 1 :])
-                for j, v in enumerate(vs)
-                if not (j and vs[j - 1] is v)
-                for part, rest in _sub_multisets(avail, k)
-            )
-            memo[key] = got
-        return got
-
-    if occ(body, 0) != len(mono):
-        return False
-    return match(body, 0, mono.elems, target)
+    try:
+        out = go(body, 0)
+    except IndexError:  # more occurrences than elements
+        return None
+    return out if k == len(elems) else None
 
 
 def is_d_positive(t: ResourceTerm, d: int) -> bool:

@@ -12,8 +12,9 @@ exercised by the test suite rather than assumed.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Iterator, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
+from .beta import DepthTooShallowError, NotARedexError
 from .resource import (
     ZERO,
     FiniteSum,
@@ -22,21 +23,13 @@ from .resource import (
     RApp,
     RLam,
     monomial,
+    open_along,
     open_binder,
-    opens_to,
     rapp,
     rlam,
     union_all,
 )
 from .syntax import LambdaError
-
-
-class NotARedexError(LambdaError):
-    pass
-
-
-class DepthTooShallowError(LambdaError):
-    pass
 
 
 class EmptyChoiceError(LambdaError):
@@ -265,20 +258,21 @@ def is_head_normal(t: ResourceTerm) -> bool:
     return not (isinstance(head, RLam) and monos)
 
 
+def _rewrap(u: ResourceTerm, binders: int, rest: tuple[Monomial, ...]) -> ResourceTerm:
+    """Put back what ``head_split`` peeled around the head redex."""
+    for m in rest:
+        u = rapp(u, m)
+    for _ in range(binders):
+        u = rlam(u)
+    return u
+
+
 def _hr_term(t: ResourceTerm) -> Optional[FiniteSum]:
     binders, head, monos = head_split(t)
     if not (isinstance(head, RLam) and monos):
         return None
     opened = open_binder(head.body, monos[0])
-
-    def rebuild(u: ResourceTerm) -> ResourceTerm:
-        for m in monos[1:]:
-            u = rapp(u, m)
-        for _ in range(binders):
-            u = rlam(u)
-        return u
-
-    return opened.map(rebuild)
+    return opened.map(lambda u: _rewrap(u, binders, monos[1:]))
 
 
 def hr_step(x: ResourceTerm | FiniteSum) -> FiniteSum:
@@ -289,21 +283,17 @@ def hr_step(x: ResourceTerm | FiniteSum) -> FiniteSum:
     return FiniteSum((x,)) if fired is None else fired
 
 
-def hr_fires_to(before: ResourceTerm, after: ResourceTerm) -> bool:
-    """Whether ``before`` has a head redex and ``after`` is an addend of
-    ``hr_step(before)``, decided by matching instead of firing."""
-    binders, head, monos = head_split(before)
+def hr_step_along(t: ResourceTerm, elems: Sequence[ResourceTerm]) -> Optional[ResourceTerm]:
+    """The addend of ``hr_step(t)`` whose head binder is opened along
+    ``elems`` (see ``open_along``); None when ``t`` has no head redex or
+    ``elems`` is not an ordering of the head redex's monomial."""
+    binders, head, monos = head_split(t)
     if not (isinstance(head, RLam) and monos):
-        return False
-    for _ in range(binders):
-        if not isinstance(after, RLam):
-            return False
-        after = after.body
-    for m in reversed(monos[1:]):
-        if not (isinstance(after, RApp) and after.mono is m):
-            return False
-        after = after.fn
-    return opens_to(head.body, monos[0], after)
+        return None
+    if sorted(elems, key=lambda e: e.skey) != list(monos[0].elems):
+        return None
+    opened = open_along(head.body, elems)
+    return None if opened is None else _rewrap(opened, binders, monos[1:])
 
 
 def hr_to_hnf(x: ResourceTerm | FiniteSum) -> tuple[FiniteSum, int]:

@@ -176,3 +176,12 @@ def test_commutation_json_counts_verification(capsys):
     assert code == 0
     assert stats["replayed_ancestors"] == stats["constructed_ancestors"] == 15
     assert stats["verify_fallbacks"] == 0
+
+
+def test_internal_error_exit_4(capsys):
+    """A term nested deeper than the recursive engines reach is an internal
+    error: one line on stderr and exit 4, never a traceback with exit 1."""
+    deep = "f (" * 1500 + "x" + ")" * 1500
+    code, out, err = run(capsys, "check", "commutation", deep, "--size", "4")
+    assert code == 4 and out == ""
+    assert err.startswith("internal error: RecursionError") and err.count("\n") == 1

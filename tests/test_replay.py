@@ -1,7 +1,9 @@
-"""Ancestor verification by replaying head steps, cross-checked against the
+"""Ancestor verification by certificate, cross-checked against the
 enumerating engines it replaces: ``open_binder`` and ``hr_step`` list every
-addend, ``r_normalize`` computes the whole normal form."""
+addend, ``r_normalize`` computes the whole normal form, and unshared lifts
+are the reference for the lifts a commutation check shares."""
 
+from itertools import permutations
 from random import Random
 
 import pytest
@@ -9,14 +11,14 @@ import pytest
 import taylorlab.lab as lab
 from taylorlab.beta import bohm_tree
 from taylorlab.gen import random_resource_term
-from taylorlab.lab import _verified_ancestor, check_commutation, lift_to_source
+from taylorlab.lab import LiftSession, _verified_ancestor, check_commutation, lift_to_source
 from taylorlab.resource import (
     RApp,
     RLam,
     RVar,
     monomial,
+    open_along,
     open_binder,
-    opens_to,
     parse_resource_monomial,
     parse_resource_term,
     rapp,
@@ -24,7 +26,7 @@ from taylorlab.resource import (
     rlam,
     rvar,
 )
-from taylorlab.resource_reduction import hr_fires_to, hr_step, is_head_normal, r_normalize
+from taylorlab.resource_reduction import head_split, hr_step, hr_step_along, is_head_normal, r_normalize
 from taylorlab.selftest import _CORPUS
 from taylorlab.syntax import parse_term
 from taylorlab.taylor import enumerate_taylor
@@ -60,62 +62,69 @@ def _padding(size):
     return t
 
 
-def test_opens_to_examples():
-    # \a. <a>[a] opened on [y, z]: both ways round
+def test_open_along_examples():
+    # \a. <a>[a] opened on [y, z]: each order gives one way round
     body = rp("\\a. <a>[a]").body
-    mono = parse_resource_monomial("[y, z]")
-    assert set(open_binder(body, mono)) == {rp("<y>[z]"), rp("<z>[y]")}
-    assert opens_to(body, mono, rp("<y>[z]")) and opens_to(body, mono, rp("<z>[y]"))
-    assert not opens_to(body, mono, rp("<y>[y]"))
-    assert not opens_to(body, parse_resource_monomial("[y]"), rp("<y>[y]"))
+    y, z = rp("y"), rp("z")
+    assert set(open_binder(body, parse_resource_monomial("[y, z]"))) == {rp("<y>[z]"), rp("<z>[y]")}
+    assert open_along(body, [y, z]) is rp("<y>[z]")
+    assert open_along(body, [z, y]) is rp("<z>[y]")
+    assert open_along(body, [y]) is None
+    assert open_along(body, [y, z, z]) is None
     # under one more binder the grafted #0 becomes #1, and the escaping #2
     # loses the opened binder
     body = rlam(rapp(rvar(0), monomial([rvar(1), rvar(2)])))
     opened = rlam(rapp(rvar(0), monomial([rvar(1), rvar(1)])))
     assert set(open_binder(body, monomial([rvar(0)]))) == {opened}
-    assert opens_to(body, monomial([rvar(0)]), opened)
-    assert not opens_to(body, monomial([rvar(0)]), rlam(rapp(rvar(0), monomial([rvar(0), rvar(1)]))))
+    assert open_along(body, [rvar(0)]) is opened
 
 
-def test_opens_to_agrees_with_enumeration():
+def test_open_along_rebuilds_exactly_the_addends():
+    """Every ordering of the multiset rebuilds an addend of ``open_binder``,
+    and the orderings together rebuild the whole sum."""
     rng = Random(2024)
-    positive = negative = 0
-    while positive < 1500:
+    distinct_orders = 0
+    while distinct_orders < 400:
         body = random_resource_term(rng, rng.randint(2, 14), depth=1)
         k = _bound_occurrences(body)
         if k > 4:
             continue
         mono = _random_monomial(rng, k)
-        addends = open_binder(body, mono)
-        for v in addends:
-            assert opens_to(body, mono, v)
-            positive += 1
-        # unrelated terms: openings on other monomials, of other arities,
-        # random terms and equal-size padding
-        others = list(open_binder(body, _random_monomial(rng, k)))
-        others += open_binder(body, _random_monomial(rng, k + 1)) if k < 4 else []
-        others += [random_resource_term(rng, rng.randint(1, 14)) for _ in range(2)]
-        others += [_padding(v.size) for v in addends]
-        for v in others:
-            assert opens_to(body, mono, v) == (v in addends)
-            negative += v not in addends
-        assert not opens_to(body, _random_monomial(rng, k + 1), next(iter(addends), body))
-    assert negative > 1000
+        rebuilt = {open_along(body, order) for order in permutations(mono.elems)}
+        assert rebuilt == set(open_binder(body, mono))
+        wrong_arity = _random_monomial(rng, k + 1).elems
+        assert open_along(body, wrong_arity) is None
+        if k:
+            assert open_along(body, mono.elems[1:]) is None
+        distinct_orders += len(set(mono.elems)) > 1
 
 
-def test_hr_fires_to_agrees_with_hr_step():
+def test_certificate_check_agrees_with_hr_step():
+    """A link holds exactly for the addends of ``hr_step``, each rebuilt
+    from an ordering of the head redex's monomial; anything that is not
+    such an ordering is refused."""
     rng = Random(7)
     checked = 0
     while checked < 500:
         t = random_resource_term(rng, rng.randint(4, 16))
         if is_head_normal(t):
-            assert not hr_fires_to(t, t)
+            assert hr_step_along(t, ()) is None
             continue
         fired = hr_step(t)
+        _, head, monos = head_split(t)
+        elems = monos[0].elems
+        orders = set(permutations(elems))
+        rebuilt = {order: hr_step_along(t, order) for order in orders}
+        assert {u for u in rebuilt.values() if u is not None} == set(fired)
         candidates = list(fired) + [random_resource_term(rng, 10) for _ in range(2)]
         candidates += [_padding(u.size) for u in fired] + [t]
-        for u in candidates:
-            assert hr_fires_to(t, u) == (u in fired)
+        for order, u in rebuilt.items():
+            for v in candidates:
+                assert lab._link_holds(t, v, list(order)) == (v is u)
+        stranger = random_resource_term(rng, 3, depth=1)
+        for bad in (elems[1:], elems + (stranger,), (stranger,) + elems[1:]):
+            if sorted(bad, key=lambda e: e.skey) != list(elems):
+                assert hr_step_along(t, bad) is None
         checked += 1
 
 
@@ -123,71 +132,146 @@ def _corpus_targets(size=10):
     for src in _CORPUS.values():
         term = parse_term(src)
         prefix = bohm_tree(term, size + 1, FUEL)
-        for t in enumerate_taylor(prefix, size, hole_mode="cut"):
-            yield term, t
+        yield term, list(enumerate_taylor(prefix, size, hole_mode="cut"))
 
 
 def test_replay_implies_membership_in_the_normal_form():
-    """Every ancestor that replay accepts also passes the slow check."""
+    """Every sub-lift whose links all held has its own target in the
+    normal form of what it built, the top-level ancestors included."""
     replayed = 0
-    for term, t in _corpus_targets():
-        links = []
-        s = lift_to_source(t, term, FUEL, links)
-        if s is None:
-            continue
-        if all(hr_fires_to(before, after) for before, after in links):
-            replayed += 1
-            assert t in r_normalize(s)
+    for term, targets in _corpus_targets():
+        session = LiftSession()
+        for t in targets:
+            s = lift_to_source(t, term, FUEL, session)
+            if s is not None and session.lifts[(t, term.fkey, ())] == (s, True):
+                replayed += 1
+        for (u, _, _), (node, verified) in session.lifts.items():
+            if verified:
+                assert u in r_normalize(node)
     assert replayed >= 40
+
+
+C2 = "(\\f. \\x. f (f x))"
+
+
+@pytest.mark.parametrize(
+    "src,size",
+    [(src, 10) for src in _CORPUS.values()]
+    + [(_CORPUS["Y"], 14), (_CORPUS["Yg"], 14), (f"{C2} {C2}", 14)],
+)
+def test_shared_session_accepts_what_unshared_lifts_accept(src, size, monkeypatch):
+    """Slow reference: a fresh, unshared lift per target. The shared
+    session must accept the same ancestors, settled the same way, while
+    head-normalizing each (subterm, stack) once."""
+    term = parse_term(src)
+    targets = enumerate_taylor(bohm_tree(term, size + 1, FUEL), size, hole_mode="cut")
+    reference, reference_counts = [], {}
+    for t in targets:
+        reference.append(_verified_ancestor(t, term, FUEL, reference_counts))
+
+    runs = []
+    original = lab.head_normalize
+
+    def counting(m, fuel, system=None, stack=()):
+        runs.append((m.fkey, stack))
+        return original(m, fuel, system, stack)
+
+    monkeypatch.setattr(lab, "head_normalize", counting)
+    session, counts = LiftSession(), {}
+    shared = [_verified_ancestor(t, term, FUEL, counts, session) for t in targets]
+    assert all(a is b for a, b in zip(shared, reference))
+    assert counts == reference_counts
+    assert len(runs) == len(set(runs)) == len(session.runs)
+
+
+def _inside_elements(t, out=None, below=False):
+    """Every subterm of ``t`` that lies inside some monomial element."""
+    out = set() if out is None else out
+    if below:
+        out.add(t)
+    if isinstance(t, RLam):
+        _inside_elements(t.body, out, below)
+    elif isinstance(t, RApp):
+        _inside_elements(t.fn, out, below)
+        for e in t.mono:
+            _inside_elements(e, out, True)
+    return out
+
+
+def _lift_of(t, term):
+    session = LiftSession()
+    s = lift_to_source(t, term, FUEL, session)
+    return s, session
 
 
 def test_corrupted_link_falls_back_to_normalization(monkeypatch):
     y = parse_term(_CORPUS["Y"])
     t = rp("\\a. <a>[<a>[<a>1]]")
-    links = []
-    s = lift_to_source(t, y, FUEL, links)
-    assert s is not None and links
-    before, after = links[0]
-    assert hr_fires_to(before, after)
-    bogus = _padding(after.size)
-    assert not hr_fires_to(before, bogus)
+    s, session = _lift_of(t, y)
+    assert s is not None and session.lifts[(t, y.fkey, ())] == (s, True)
 
-    original = lab.lift_to_source
-
-    def corrupting(t, target, fuel, links=None):
-        out = original(t, target, fuel, links)
-        links[0] = (links[0][0], bogus)
-        return out
-
-    clean, broken = {}, {}
+    clean = {}
     assert _verified_ancestor(t, y, FUEL, clean) is s
-    monkeypatch.setattr(lab, "lift_to_source", corrupting)
-    assert _verified_ancestor(t, y, FUEL, broken) is s
     assert clean == {"replayed_ancestors": 1}
+
+    # links are checked children first: corrupting only the first one
+    # breaks a monomial element's lift, which the ancestor must inherit
+    original = lab._link_holds
+    checked = []
+
+    def corrupting(before, after, elems):
+        checked.append(after)
+        return original(before, _padding(after.size) if len(checked) == 1 else after, elems)
+
+    monkeypatch.setattr(lab, "_link_holds", corrupting)
+    broken = {}
+    assert _verified_ancestor(t, y, FUEL, broken) is s
     assert broken == {"verify_fallbacks": 1}
+    assert checked[0] in _inside_elements(s)
+
+
+def test_corrupted_certificate_falls_back_to_normalization(monkeypatch):
+    y = parse_term(_CORPUS["Y"])
+    t = rp("\\a. <a>[<a>[<a>1]]")
+    s, _ = _lift_of(t, y)
+    original = lab._lift_one_step
+    wrong = []
+
+    def reversing(node, before, stack, system):
+        lifted, grafted = original(node, before, stack, system)
+        bad = grafted[::-1]
+        if not lab._link_holds(lifted, node, bad):
+            wrong.append(bad)
+        return lifted, bad
+
+    monkeypatch.setattr(lab, "_lift_one_step", reversing)
+    broken = {}
+    assert _verified_ancestor(t, y, FUEL, broken) is s
+    assert wrong and broken == {"verify_fallbacks": 1}
 
 
 def test_fallback_rejects_what_normalization_rejects(monkeypatch):
-    """With a broken link, the verdict is normalization's: a lifted
-    candidate whose normal form misses ``t`` is refused."""
+    """A candidate lifted for another target is not covered by ``t``'s
+    certificate, even one held in the same session, so the verdict is
+    normalization's, and its normal form misses ``t``."""
     y = parse_term(_CORPUS["Y"])
     t = rp("\\a. <a>[<a>1]")
     wrong = rp("\\a. <a>[<a>[<a>1]]")
-
-    def lift_for_another_target(_t, target, fuel, links=None):
-        out = lift_to_source(wrong, target, fuel, links)
-        links.append((links[0][0], _padding(links[0][1].size)))
-        return out
-
-    monkeypatch.setattr(lab, "lift_to_source", lift_for_another_target)
-    counts = {}
     s = lift_to_source(wrong, y, FUEL)
     assert t not in r_normalize(s)
-    assert _verified_ancestor(t, y, FUEL, counts) is None
-    assert counts == {"verify_fallbacks": 1}
 
+    def lift_for_another_target(_t, target, fuel, session=None):
+        return lift_to_source(wrong, target, fuel, session)
 
-C2 = "(\\f. \\x. f (f x))"
+    for warm in (False, True):
+        session = LiftSession()
+        if warm:
+            assert lift_to_source(t, y, FUEL, session) is not None
+        with monkeypatch.context() as patch:
+            patch.setattr(lab, "lift_to_source", lift_for_another_target)
+            counts = {}
+            assert _verified_ancestor(t, y, FUEL, counts, session) is None
+        assert counts == {"verify_fallbacks": 1}
 
 
 @pytest.mark.parametrize(
@@ -200,3 +284,4 @@ def test_commutation_reports_where_verification_went(src, size):
     assert report.verdict == "pass"
     assert stats["verify_fallbacks"] == 0
     assert stats["replayed_ancestors"] == stats["constructed_ancestors"] > 0
+    assert stats["shared_lifts"] > 0
