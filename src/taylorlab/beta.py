@@ -393,6 +393,7 @@ def bohm_tree(target: TermLike, depth: int, fuel: int) -> Term:
     contributes its head form with the spine arguments expanded one
     applicative level deeper, certified divergence contributes bottom, and
     anything inconclusive (or past the depth budget) contributes a cut.
+    A (subterm, stack) met again at another level is head-normalized once.
     """
     if isinstance(target, RationalSystem):
         system: Optional[RationalSystem] = target
@@ -400,11 +401,15 @@ def bohm_tree(target: TermLike, depth: int, fuel: int) -> Term:
     else:
         system = None
         term = target
+    runs: dict = {}
 
     def rec(t: Term, budget: int, stack: tuple[str, ...]) -> Term:
         if budget <= 0:
             return HOLE
-        run = head_normalize(t, fuel, system, stack)
+        key = (t.fkey, stack)
+        run = runs.get(key)
+        if run is None:
+            run = runs[key] = head_normalize(t, fuel, system, stack)
         v = run.verdict
         if v.certified_unsolvable:
             return BOTTOM

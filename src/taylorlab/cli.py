@@ -30,6 +30,7 @@ from .lab import (
     terms_equal_via_taylor,
 )
 from .resource import (
+    FiniteSum,
     parse_resource_monomial,
     parse_resource_sum,
     parse_resource_term,
@@ -290,8 +291,7 @@ def _cmd_rnf(args) -> int:
             }
         )
         work.extend(out)
-    result = r_normalize(s)
-    payload = {"input": pretty_sum(s), "normal_form": pretty_sum(result), "trace": trace}
+    payload = {"input": pretty_sum(s), "normal_form": pretty_sum(FiniteSum(normal)), "trace": trace}
     lines = [f"[{e['site']}] {e['addend']} -> {' + '.join(e['reducts']) or '0'}" for e in trace]
     lines.append(f"normal form: {payload['normal_form']}")
     _emit(payload, args.json, lines)

@@ -31,7 +31,10 @@ that of the normalizing check.
 The tree targets of one commutation check share a ``LiftSession``: a
 head-normalization run per (subterm, stack) and a sub-lift, with whether
 its links held, per (approximant, subterm, stack). A failed link below a
-shared sub-lift sends every ancestor that reuses it to the fallback.
+shared sub-lift sends every ancestor that reuses it to the fallback. The
+top-level chain of each target is built and checked from the same session:
+un-substitution, certificate rebuild and approximation test are memoized
+per subterm, so every link is still checked but no subterm twice.
 """
 
 from __future__ import annotations
@@ -245,13 +248,37 @@ def _anti_subst(
     c: int,
     stack: tuple[str, ...],
     system: Optional[RationalSystem],
-) -> Optional[tuple[ResourceTerm, list[ResourceTerm]]]:
+    memo: Optional[dict] = None,
+) -> Optional[tuple[ResourceTerm, tuple[ResourceTerm, ...]]]:
     """Un-substitute: ``u`` approximates the opening of ``\\z. p`` on some
     argument; recover an approximant ``w`` of ``p`` (with the bound variable
     at index ``c``) plus the multiset elements that were grafted in, listed
     in the order ``open_along`` meets the occurrences of ``c`` in ``w``.
     Returns None when ``u`` cannot be read back against ``p``.
+
+    ``memo`` may be shared between calls with the same ``system``. It is
+    keyed by ``(u, id(p), c, stack)`` and each entry holds ``p``, so the id
+    of a transient term (``resolve_ref`` builds a fresh one per call)
+    cannot be reused while the entry lives. ``p`` is not keyed by ``==``:
+    alpha-equal terms with other hints resolve references differently.
     """
+    if memo is None:
+        memo = {}
+    key = (u, id(p), c, stack)
+    got = memo.get(key)
+    if got is None:
+        got = memo[key] = (p, _un_substitute(u, p, c, stack, system, memo))
+    return got[1]
+
+
+def _un_substitute(
+    u: ResourceTerm,
+    p: Term,
+    c: int,
+    stack: tuple[str, ...],
+    system: Optional[RationalSystem],
+    memo: dict,
+) -> Optional[tuple[ResourceTerm, tuple[ResourceTerm, ...]]]:
     while isinstance(p, RecRef):
         if system is None:
             return None
@@ -259,33 +286,32 @@ def _anti_subst(
     if isinstance(p, Var):
         if p.index == c:
             e = _unshift(u, c)
-            return None if e is None else (rvar(c), [e])
+            return None if e is None else (rvar(c), (e,))
         expect = p.index - 1 if p.index > c else p.index
         if isinstance(u, RVar) and u.index == expect:
-            return (rvar(p.index), [])
+            return (rvar(p.index), ())
         return None
     if isinstance(p, FreeVar):
         if isinstance(u, RFreeVar) and u.name == p.name:
-            return (u, [])
+            return (u, ())
         return None
     if isinstance(p, Lam):
         if not isinstance(u, RLam):
             return None
-        got = _anti_subst(u.body, p.body, c + 1, (p.hint,) + stack, system)
+        got = _anti_subst(u.body, p.body, c + 1, (p.hint,) + stack, system, memo)
         if got is None:
             return None
-        w, es = got
-        return (rlam(w), es)
+        return (rlam(got[0]), got[1])
     if isinstance(p, App):
         if not isinstance(u, RApp):
             return None
-        got = _anti_subst(u.fn, p.fn, c, stack, system)
+        got = _anti_subst(u.fn, p.fn, c, stack, system, memo)
         if got is None:
             return None
         wf, es = got
         parts = []
         for e in u.mono:
-            sub = _anti_subst(e, p.arg, c, stack, system)
+            sub = _anti_subst(e, p.arg, c, stack, system, memo)
             if sub is None:
                 return None
             parts.append(sub)
@@ -293,7 +319,7 @@ def _anti_subst(
         # traversal of the recovered term: graft lists follow that order
         parts.sort(key=lambda part: part[0].skey)
         for _, more in parts:
-            es.extend(more)
+            es += more
         return (rapp(wf, monomial(we for we, _ in parts)), es)
     return None
 
@@ -303,11 +329,12 @@ def _lift_one_step(
     before: Term,
     stack: tuple[str, ...],
     system: Optional[RationalSystem],
-) -> Optional[tuple[ResourceTerm, list[ResourceTerm]]]:
+    memo: Optional[dict] = None,
+) -> Optional[tuple[ResourceTerm, tuple[ResourceTerm, ...]]]:
     """Turn an approximant of the head reduct of ``before`` into an
     approximant of ``before`` itself that head-reduces onto it, paired with
     the step's certificate: the head redex's monomial elements in the order
-    that rebuilds ``t`` (``hr_step_along``)."""
+    that rebuilds ``t`` (``hr_step_along``). ``memo`` is ``_anti_subst``'s."""
     hf = head_form(before)
     if not hf.has_head_redex:
         return None
@@ -324,7 +351,7 @@ def _lift_one_step(
         u = u.fn
     inner = tuple(reversed(hf.binders)) + stack
     assert isinstance(hf.head, Lam)
-    got = _anti_subst(u, hf.head.body, 0, inner, system)
+    got = _anti_subst(u, hf.head.body, 0, inner, system, memo)
     if got is None:
         return None
     w, es = got
@@ -336,10 +363,16 @@ def _lift_one_step(
     return node, es
 
 
-def _link_holds(before: ResourceTerm, after: ResourceTerm, elems: list[ResourceTerm]) -> bool:
+def _link_holds(
+    before: ResourceTerm,
+    after: ResourceTerm,
+    elems: Sequence[ResourceTerm],
+    memo: Optional[dict] = None,
+) -> bool:
     """A link of the construction: ``after`` is the addend of
-    ``hr_step(before)`` that its certificate ``elems`` rebuilds."""
-    return hr_step_along(before, elems) is after
+    ``hr_step(before)`` that its certificate ``elems`` rebuilds. ``memo`` is
+    ``open_along``'s."""
+    return hr_step_along(before, elems, memo) is after
 
 
 class LiftSession:
@@ -348,17 +381,24 @@ class LiftSession:
     ``runs`` keeps head-normalization runs by ``(m.fkey, stack)`` and
     ``lifts`` keeps sub-lifts by ``(u, m.fkey, stack)`` as ``(node,
     verified)``, where ``verified`` says that every link built below the
-    node held. A session serves a single target at a single fuel, so
-    neither is part of a key. ``shared`` counts the sub-lifts served from
+    node held. The top-level chain of each target is a walk over shared
+    subterms through three more memos: ``unsubst`` for ``_anti_subst``,
+    ``rebuilt`` for the certificate rebuild (``open_along``) and ``approx``
+    for ``approximates``; their keys are given there. A session serves a
+    single target at a single fuel, so neither is part of a key, and it
+    lives as long as one check. ``shared`` counts the sub-lifts served from
     the session instead of being built.
     """
 
-    __slots__ = ("runs", "lifts", "shared")
+    __slots__ = ("runs", "lifts", "shared", "unsubst", "rebuilt", "approx")
 
     def __init__(self) -> None:
         self.runs: dict = {}
         self.lifts: dict = {}
         self.shared = 0
+        self.unsubst: dict = {}
+        self.rebuilt: dict = {}
+        self.approx: dict = {}
 
 
 _NO_LIFT: tuple[Optional[ResourceTerm], bool] = (None, False)
@@ -389,6 +429,7 @@ def lift_to_source(
     if session is None:
         session = LiftSession()
     runs, lifts = session.runs, session.lifts
+    unsubst, rebuilt = session.unsubst, session.rebuilt
 
     def head_run(m: Term, stack: tuple[str, ...]):
         key = (m.fkey, stack)
@@ -446,11 +487,11 @@ def lift_to_source(
         for _ in hf.binders:
             node = rlam(node)
         for before in reversed(trace):
-            step = _lift_one_step(node, before, stack, system)
+            step = _lift_one_step(node, before, stack, system, unsubst)
             if step is None:
                 return _NO_LIFT
             lifted, grafted = step
-            verified = verified and _link_holds(lifted, node, grafted)
+            verified = verified and _link_holds(lifted, node, grafted, rebuilt)
             node = lifted
         return node, verified
 
@@ -474,7 +515,7 @@ def _verified_ancestor(
     s = lift_to_source(t, target, fuel, session)
     if s is None:
         return None
-    if not approximates(s, target):
+    if not approximates(s, target, session.approx):
         return None
     # the certificate belongs to the lift of ``t`` itself: a candidate
     # built for anything else is normalized
@@ -517,10 +558,11 @@ def check_commutation(
     sl = enumerate_taylor(target, size_bound)
     nf_union: set[ResourceTerm] = set()
     forward_unknown: list[ResourceTerm] = []
+    prefixes: dict[int, Term] = {}
     for s in sl:
         for t in r_normalize(s):
             nf_union.add(t)
-            verdict = member_of_bohm(t, target, fuel)
+            verdict = member_of_bohm(t, target, fuel, prefixes)
             if verdict is False:
                 return CheckReport(
                     "commutation",
@@ -531,7 +573,7 @@ def check_commutation(
             if verdict is None:
                 forward_unknown.append(t)
 
-    prefix = bohm_tree(target, size_bound + 1, fuel)
+    prefix = prefixes.get(size_bound + 1) or bohm_tree(target, size_bound + 1, fuel)
     targets = enumerate_taylor(prefix, size_bound, hole_mode="cut")
     constructed = 0
     verify = {"replayed_ancestors": 0, "verify_fallbacks": 0}

@@ -415,35 +415,71 @@ def open_binder(body: ResourceTerm, mono: Monomial) -> FiniteSum:
     )
 
 
-def open_along(body: ResourceTerm, elems: Sequence[ResourceTerm]) -> Optional[ResourceTerm]:
+def open_along(
+    body: ResourceTerm, elems: Sequence[ResourceTerm], memo: Optional[dict] = None
+) -> Optional[ResourceTerm]:
     """The addend of ``open_binder(body, monomial(elems))`` that puts
     ``elems[k]`` at the k-th occurrence of the bound variable, in the
     occurrence traversal order; None when the counts differ.
 
-    One walk, shifting like ``_linear_replace`` does, nothing enumerated.
+    One compositional walk, shifting like ``_linear_replace`` does, nothing
+    enumerated: each subterm takes the next run of elements, as many as it
+    has occurrences. ``memo`` may be shared between calls; it keeps
+    occurrence counts by ``(u, c)`` and rebuilt subterms by ``(u, c,
+    elems)``, all interned nodes, so identity keys are stable.
     """
-    k = 0
+    if memo is None:
+        memo = {}
+    elems = tuple(elems)
+    if _occurrences(body, 0, memo) != len(elems):
+        return None
+    return _open_run(body, 0, elems, memo)
 
-    def go(u: ResourceTerm, c: int) -> ResourceTerm:
-        nonlocal k
+
+def _occurrences(u: ResourceTerm, c: int, memo: dict) -> int:
+    key = (u, c)
+    n = memo.get(key)
+    if n is None:
+        if isinstance(u, RVar):
+            n = int(u.index == c)
+        elif isinstance(u, RLam):
+            n = _occurrences(u.body, c + 1, memo)
+        elif isinstance(u, RApp):
+            n = _occurrences(u.fn, c, memo)
+            for e in u.mono:
+                n += _occurrences(e, c, memo)
+        else:
+            n = 0
+        memo[key] = n
+    return n
+
+
+def _open_run(u: ResourceTerm, c: int, elems: tuple[ResourceTerm, ...], memo: dict) -> ResourceTerm:
+    """``u`` with its occurrences of ``c`` filled by ``elems``, whose length
+    is their number."""
+    key = (u, c, elems)
+    out = memo.get(key)
+    if out is None:
         if isinstance(u, RVar):
             if u.index == c:
-                e = elems[k]
-                k += 1
-                return _rshift(e, c)
-            return rvar(u.index - 1) if u.index > c else u
-        if isinstance(u, RLam):
-            return rlam(go(u.body, c + 1))
-        if isinstance(u, RApp):
-            fn = go(u.fn, c)
-            return rapp(fn, monomial(go(e, c) for e in u.mono))
-        return u
-
-    try:
-        out = go(body, 0)
-    except IndexError:  # more occurrences than elements
-        return None
-    return out if k == len(elems) else None
+                out = _rshift(elems[0], c)
+            else:
+                out = rvar(u.index - 1) if u.index > c else u
+        elif isinstance(u, RLam):
+            out = rlam(_open_run(u.body, c + 1, elems, memo))
+        elif isinstance(u, RApp):
+            k = _occurrences(u.fn, c, memo)
+            fn = _open_run(u.fn, c, elems[:k], memo)
+            opened = []
+            for e in u.mono:
+                n = _occurrences(e, c, memo)
+                opened.append(_open_run(e, c, elems[k : k + n], memo))
+                k += n
+            out = rapp(fn, monomial(opened))
+        else:
+            out = u
+        memo[key] = out
+    return out
 
 
 def is_d_positive(t: ResourceTerm, d: int) -> bool:

@@ -283,16 +283,19 @@ def hr_step(x: ResourceTerm | FiniteSum) -> FiniteSum:
     return FiniteSum((x,)) if fired is None else fired
 
 
-def hr_step_along(t: ResourceTerm, elems: Sequence[ResourceTerm]) -> Optional[ResourceTerm]:
+def hr_step_along(
+    t: ResourceTerm, elems: Sequence[ResourceTerm], memo: Optional[dict] = None
+) -> Optional[ResourceTerm]:
     """The addend of ``hr_step(t)`` whose head binder is opened along
-    ``elems`` (see ``open_along``); None when ``t`` has no head redex or
-    ``elems`` is not an ordering of the head redex's monomial."""
+    ``elems`` (see ``open_along``, which shares ``memo``); None when ``t``
+    has no head redex or ``elems`` is not an ordering of the head redex's
+    monomial."""
     binders, head, monos = head_split(t)
     if not (isinstance(head, RLam) and monos):
         return None
     if sorted(elems, key=lambda e: e.skey) != list(monos[0].elems):
         return None
-    opened = open_along(head.body, elems)
+    opened = open_along(head.body, elems, memo)
     return None if opened is None else _rewrap(opened, binders, monos[1:])
 
 

@@ -67,12 +67,26 @@ def _resolve(m: RecRef, system: Optional[RationalSystem], stack: tuple[str, ...]
     return resolve_ref(m, system, stack)
 
 
-def approximates(s: ResourceTerm, target: TermLike) -> bool:
+def approximates(s: ResourceTerm, target: TermLike, memo: Optional[dict] = None) -> bool:
     """Decide the approximation relation between ``s`` and a (possibly
-    recursive) term."""
+    recursive) term.
+
+    ``memo`` may be shared between calls for the same target. It is keyed
+    by ``(u, id(t), stack)`` and each entry holds ``t``, so the id of a
+    term that ``resolve_ref`` built cannot be reused while the entry lives.
+    """
     m, system = _split(target)
+    if memo is None:
+        memo = {}
 
     def rec(u: ResourceTerm, t: Term, stack: tuple[str, ...]) -> bool:
+        key = (u, id(t), stack)
+        got = memo.get(key)
+        if got is None:
+            got = memo[key] = (t, holds(u, t, stack))
+        return got[1]
+
+    def holds(u: ResourceTerm, t: Term, stack: tuple[str, ...]) -> bool:
         while isinstance(t, RecRef):
             t = _resolve(t, system, stack)
         if isinstance(u, RVar):
@@ -241,15 +255,23 @@ def taylor_zero(target: TermLike) -> bool:
     return rec(m)
 
 
-def member_of_bohm(t: ResourceTerm, target: TermLike, fuel: int) -> Optional[bool]:
+def member_of_bohm(
+    t: ResourceTerm, target: TermLike, fuel: int, prefixes: Optional[dict[int, Term]] = None
+) -> Optional[bool]:
     """Three-valued: does ``t`` approximate the Boehm tree of the target?
 
     A prefix of depth ``height(t) + 1`` decides the question unless the
     prefix itself is fuel-truncated where structure is needed, in which
     case the answer is ``None`` (unknown). Bottom nodes refute: nothing
-    approximates bottom.
+    approximates bottom. ``prefixes`` keeps the prefixes by depth between
+    calls for the same target and fuel.
     """
-    prefix = bohm_tree(target, t.height + 1, fuel)
+    if prefixes is None:
+        prefixes = {}
+    depth = t.height + 1
+    prefix = prefixes.get(depth)
+    if prefix is None:
+        prefix = prefixes[depth] = bohm_tree(target, depth, fuel)
 
     def rec(u: ResourceTerm, b: Term) -> Optional[bool]:
         if isinstance(b, Hole):

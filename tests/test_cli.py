@@ -1,8 +1,12 @@
 import json
+from random import Random
 
 import pytest
 
 from taylorlab.cli import main
+from taylorlab.gen import random_resource_term
+from taylorlab.resource import FiniteSum, pretty_sum
+from taylorlab.resource_reduction import r_normalize
 
 YSRC = "let rec F = f F in \\f. F"
 
@@ -91,6 +95,99 @@ def test_rnf(capsys):
     payload = json.loads(out)
     assert code == 0 and payload["normal_form"] == "z"
     assert len(payload["trace"]) == 2
+
+
+# rnf --json as printed before its normal form was read off its own trace
+RNF_PAYLOADS = [
+    (
+        "<\\a. a>[<\\b. b>[z]]",
+        "<\\a. a>[<\\a. a>[z]]",
+        "z",
+        [
+            ("<\\a. a>[<\\a. a>[z]]", "root", ["<\\a. a>[z]"]),
+            ("<\\a. a>[z]", "root", ["z"]),
+        ],
+    ),
+    (
+        "<\\a. <a>[a]>[y, z]",
+        "<\\a. <a>[a]>[y, z]",
+        "<y>[z] + <z>[y]",
+        [
+            ("<\\a. <a>[a]>[y, z]", "root", ["<y>[z]", "<z>[y]"]),
+        ],
+    ),
+    (
+        "<\\a. a>1",
+        "<\\a. a>1",
+        "0",
+        [
+            ("<\\a. a>1", "root", []),
+        ],
+    ),
+    (
+        "<\\a. <a>[a]>[y, z] + <\\a. a>[<\\b. b>[z]]",
+        "<\\a. a>[<\\a. a>[z]] + <\\a. <a>[a]>[y, z]",
+        "z + <y>[z] + <z>[y]",
+        [
+            ("<\\a. a>[<\\a. a>[z]]", "root", ["<\\a. a>[z]"]),
+            ("<\\a. <a>[a]>[y, z]", "root", ["<y>[z]", "<z>[y]"]),
+            ("<\\a. a>[z]", "root", ["z"]),
+        ],
+    ),
+    (
+        "<\\a. \\b. <a>[<b>[a]]>[x, <\\c. c>[y]]",
+        "<\\a. \\b. <a>[<b>[a]]>[x, <\\a. a>[y]]",
+        "\\a. <x>[<a>[y]] + \\a. <y>[<a>[x]]",
+        [
+            ("<\\a. \\b. <a>[<b>[a]]>[x, <\\a. a>[y]]", "root", ["\\a. <x>[<a>[<\\b. b>[y]]]", "\\a. <<\\b. b>[y]>[<a>[x]]"]),
+            ("\\a. <x>[<a>[<\\b. b>[y]]]", "body.arg[0].arg[0]", ["\\a. <x>[<a>[y]]"]),
+            ("\\a. <<\\b. b>[y]>[<a>[x]]", "body.fun", ["\\a. <y>[<a>[x]]"]),
+        ],
+    ),
+    (
+        "<<\\a. \\b. <b>[a]>[<\\c. <c>[c]>[u, v]]>[\\d. d]",
+        "<<\\a. \\b. <b>[a]>[<\\a. <a>[a]>[u, v]]>[\\a. a]",
+        "<u>[v] + <v>[u]",
+        [
+            ("<<\\a. \\b. <b>[a]>[<\\a. <a>[a]>[u, v]]>[\\a. a]", "fun", ["<\\a. <a>[<\\b. <b>[b]>[u, v]]>[\\a. a]"]),
+            ("<\\a. <a>[<\\b. <b>[b]>[u, v]]>[\\a. a]", "root", ["<\\a. a>[<\\a. <a>[a]>[u, v]]"]),
+            ("<\\a. a>[<\\a. <a>[a]>[u, v]]", "root", ["<\\a. <a>[a]>[u, v]"]),
+            ("<\\a. <a>[a]>[u, v]", "root", ["<u>[v]", "<v>[u]"]),
+        ],
+    ),
+    (
+        "0",
+        "0",
+        "0",
+        [
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize("src,shown,normal_form,trace", RNF_PAYLOADS)
+def test_rnf_json_is_unchanged(capsys, src, shown, normal_form, trace):
+    code, out, _ = run(capsys, "rnf", src, "--json")
+    assert code == 0
+    assert json.loads(out) == {
+        "input": shown,
+        "normal_form": normal_form,
+        "trace": [{"addend": a, "site": site, "reducts": r} for a, site, r in trace],
+    }
+
+
+def test_rnf_normal_form_is_r_normalize(capsys):
+    """The normal addends collected along the trace are the normal form."""
+    rng = Random(5)
+    stepped = 0
+    for _ in range(150):
+        s = FiniteSum(random_resource_term(rng, rng.randint(3, 14)) for _ in range(rng.randint(1, 3)))
+        code, out, _ = run(capsys, "rnf", pretty_sum(s), "--json")
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["normal_form"] == pretty_sum(r_normalize(s))
+        stepped += bool(payload["trace"])
+    assert stepped >= 30
 
 
 def test_stratify(capsys):

@@ -3,6 +3,7 @@ enumerating engines it replaces: ``open_binder`` and ``hr_step`` list every
 addend, ``r_normalize`` computes the whole normal form, and unshared lifts
 are the reference for the lifts a commutation check shares."""
 
+import gc
 from itertools import permutations
 from random import Random
 
@@ -16,6 +17,7 @@ from taylorlab.resource import (
     RApp,
     RLam,
     RVar,
+    _rshift,
     monomial,
     open_along,
     open_binder,
@@ -28,8 +30,8 @@ from taylorlab.resource import (
 )
 from taylorlab.resource_reduction import head_split, hr_step, hr_step_along, is_head_normal, r_normalize
 from taylorlab.selftest import _CORPUS
-from taylorlab.syntax import parse_term
-from taylorlab.taylor import enumerate_taylor
+from taylorlab.syntax import RationalSystem, parse_term
+from taylorlab.taylor import approximates, enumerate_taylor
 
 rp = parse_resource_term
 FUEL = 1000
@@ -62,6 +64,32 @@ def _padding(size):
     return t
 
 
+def _open_along_reference(body, elems, c=0):
+    """The sequential walk that ``open_along`` replaced: one counter over
+    the occurrences of ``c`` in traversal order, nothing memoized."""
+    k = 0
+
+    def go(u, d):
+        nonlocal k
+        if isinstance(u, RVar):
+            if u.index == d:
+                k += 1
+                return _rshift(elems[k - 1], d)
+            return rvar(u.index - 1) if u.index > d else u
+        if isinstance(u, RLam):
+            return rlam(go(u.body, d + 1))
+        if isinstance(u, RApp):
+            fn = go(u.fn, d)
+            return rapp(fn, monomial(go(e, d) for e in u.mono))
+        return u
+
+    try:
+        out = go(body, c)
+    except IndexError:
+        return None
+    return out if k == len(elems) else None
+
+
 def test_open_along_examples():
     # \a. <a>[a] opened on [y, z]: each order gives one way round
     body = rp("\\a. <a>[a]").body
@@ -83,6 +111,7 @@ def test_open_along_rebuilds_exactly_the_addends():
     """Every ordering of the multiset rebuilds an addend of ``open_binder``,
     and the orderings together rebuild the whole sum."""
     rng = Random(2024)
+    memo = {}  # shared by every rebuild below, as a session shares it
     distinct_orders = 0
     while distinct_orders < 400:
         body = random_resource_term(rng, rng.randint(2, 14), depth=1)
@@ -90,12 +119,18 @@ def test_open_along_rebuilds_exactly_the_addends():
         if k > 4:
             continue
         mono = _random_monomial(rng, k)
-        rebuilt = {open_along(body, order) for order in permutations(mono.elems)}
+        orders = list(permutations(mono.elems))
+        rebuilt = {open_along(body, order) for order in orders}
         assert rebuilt == set(open_binder(body, mono))
+        for order in orders:
+            expected = _open_along_reference(body, order)
+            assert open_along(body, order, memo) is expected
         wrong_arity = _random_monomial(rng, k + 1).elems
         assert open_along(body, wrong_arity) is None
+        assert open_along(body, wrong_arity, memo) is None
         if k:
             assert open_along(body, mono.elems[1:]) is None
+            assert open_along(body, mono.elems[1:], memo) is None
         distinct_orders += len(set(mono.elems)) > 1
 
 
@@ -152,13 +187,16 @@ def test_replay_implies_membership_in_the_normal_form():
 
 
 C2 = "(\\f. \\x. f (f x))"
-
-
-@pytest.mark.parametrize(
-    "src,size",
+# recursive targets that lift: their references resolve to fresh terms
+LETREC = ["let rec F = (\\x. f x) F in F", "let rec F = (\\x. \\y. y (x y)) F in F"]
+SESSION_CASES = (
     [(src, 10) for src in _CORPUS.values()]
-    + [(_CORPUS["Y"], 14), (_CORPUS["Yg"], 14), (f"{C2} {C2}", 14)],
+    + [(_CORPUS["Y"], 14), (_CORPUS["Yg"], 14), (f"{C2} {C2}", 14)]
+    + [(src, 14) for src in LETREC]
 )
+
+
+@pytest.mark.parametrize("src,size", SESSION_CASES)
 def test_shared_session_accepts_what_unshared_lifts_accept(src, size, monkeypatch):
     """Slow reference: a fresh, unshared lift per target. The shared
     session must accept the same ancestors, settled the same way, while
@@ -182,6 +220,66 @@ def test_shared_session_accepts_what_unshared_lifts_accept(src, size, monkeypatc
     assert all(a is b for a, b in zip(shared, reference))
     assert counts == reference_counts
     assert len(runs) == len(set(runs)) == len(session.runs)
+
+
+def _shared_run(src, size):
+    """Every tree target of one commutation check, lifted through one
+    session; returns the session's memos with what went through them."""
+    term = parse_term(src)
+    targets = list(enumerate_taylor(bohm_tree(term, size + 1, FUEL), size, hole_mode="cut"))
+    session = LiftSession()
+    ancestors = [_verified_ancestor(t, term, FUEL, None, session) for t in targets]
+    return term, targets, session, [s for s in ancestors if s is not None]
+
+
+def _inverts_steps(session):
+    """Whether some head step was there to invert (a term already in head
+    normal form lifts without one)."""
+    return any(run is not None and run[0] for run in session.runs.values())
+
+
+@pytest.mark.parametrize("src,size", SESSION_CASES)
+def test_memoized_anti_subst_agrees_with_a_fresh_call(src, size):
+    term, _, session, _ = _shared_run(src, size)
+    system = term if isinstance(term, RationalSystem) else None
+    assert bool(session.unsubst) == _inverts_steps(session)
+    for (u, pid, c, stack), (p, got) in session.unsubst.items():
+        assert id(p) == pid
+        assert lab._anti_subst(u, p, c, stack, system) == got
+
+
+@pytest.mark.parametrize("src,size", SESSION_CASES)
+def test_memoized_rebuild_agrees_with_open_along(src, size):
+    """Every subterm rebuilt through the session is what a fresh
+    ``open_along`` and the sequential walk it replaced rebuild."""
+    _, _, session, ancestors = _shared_run(src, size)
+    rebuilds = 0
+    for key, got in session.rebuilt.items():
+        if len(key) == 2:  # an occurrence count
+            u, c = key
+            assert got == _bound_occurrences(u, c)
+            continue
+        u, c, elems = key
+        assert got is _open_along_reference(u, elems, c)
+        if c == 0:
+            assert open_along(u, elems) is got
+        rebuilds += 1
+    assert bool(rebuilds) == _inverts_steps(session)
+
+
+@pytest.mark.parametrize("src,size", SESSION_CASES)
+def test_memoized_approximation_agrees_with_a_fresh_test(src, size):
+    """The session's memo decides what a fresh ``approximates`` decides, on
+    the ancestors, on the slice and on the tree targets (which mostly do
+    not approximate the term itself)."""
+    term, targets, session, ancestors = _shared_run(src, size)
+    assert session.approx or not ancestors
+    verdicts = set()
+    for s in ancestors + list(enumerate_taylor(term, size)) + targets:
+        verdict = approximates(s, term, session.approx)
+        assert verdict == approximates(s, term)
+        verdicts.add(verdict)
+    assert True in verdicts
 
 
 def _inside_elements(t, out=None, below=False):
@@ -219,15 +317,40 @@ def test_corrupted_link_falls_back_to_normalization(monkeypatch):
     original = lab._link_holds
     checked = []
 
-    def corrupting(before, after, elems):
+    def corrupting(before, after, elems, memo=None):
         checked.append(after)
-        return original(before, _padding(after.size) if len(checked) == 1 else after, elems)
+        return original(before, _padding(after.size) if len(checked) == 1 else after, elems, memo)
 
     monkeypatch.setattr(lab, "_link_holds", corrupting)
     broken = {}
     assert _verified_ancestor(t, y, FUEL, broken) is s
     assert broken == {"verify_fallbacks": 1}
     assert checked[0] in _inside_elements(s)
+
+
+def test_corrupted_shared_sub_lift_sends_every_reuser_to_the_fallback(monkeypatch):
+    """Targets that reuse a sub-lift whose link failed inherit the failure
+    from the session, although their own links hold, and the fallback
+    accepts the same ancestors."""
+    y = parse_term(_CORPUS["Y"])
+    targets = [rp(src) for src in ("\\a. <a>[<a>[<a>1]]", "\\a. <a>[<a>[<a>[<a>1]]]", "\\a. <a>[<a>[<a>1], <a>[<a>1]]")]
+    clean_session, clean = LiftSession(), {}
+    reference = [_verified_ancestor(t, y, FUEL, clean, clean_session) for t in targets]
+    assert clean == {"replayed_ancestors": 3} and clean_session.shared > 0
+
+    original = lab._link_holds
+    checked = []
+
+    def corrupting(before, after, elems, memo=None):
+        checked.append(after)
+        return len(checked) > 1 and original(before, after, elems, memo)
+
+    monkeypatch.setattr(lab, "_link_holds", corrupting)
+    session, broken = LiftSession(), {}
+    assert [_verified_ancestor(t, y, FUEL, broken, session) for t in targets] == reference
+    assert broken == {"verify_fallbacks": 3}
+    assert session.shared == clean_session.shared
+    assert all(checked[0] in _inside_elements(s) for s in reference)
 
 
 def test_corrupted_certificate_falls_back_to_normalization(monkeypatch):
@@ -237,8 +360,8 @@ def test_corrupted_certificate_falls_back_to_normalization(monkeypatch):
     original = lab._lift_one_step
     wrong = []
 
-    def reversing(node, before, stack, system):
-        lifted, grafted = original(node, before, stack, system)
+    def reversing(node, before, stack, system, memo=None):
+        lifted, grafted = original(node, before, stack, system, memo)
         bad = grafted[::-1]
         if not lab._link_holds(lifted, node, bad):
             wrong.append(bad)
@@ -285,3 +408,39 @@ def test_commutation_reports_where_verification_went(src, size):
     assert stats["verify_fallbacks"] == 0
     assert stats["replayed_ancestors"] == stats["constructed_ancestors"] > 0
     assert stats["shared_lifts"] > 0
+
+
+# the checks of the commute-cold benchmark workload, with their pinned sizes
+COMMUTE_COLD = [
+    (_CORPUS["Y"], 18, 351, 4, 200),
+    (_CORPUS["Yg"], 17, 424, 2, 200),
+    ("(\\x. \\y. y (x x y)) (\\x. \\y. y (x x y))", 16, 166, 2, 85),
+    (f"{C2} {C2}", 18, 235, 1, 248),
+    (f"(\\m. \\n. \\f. m (n f)) {C2} {C2}", 18, 163, 1, 248),
+]
+
+
+@pytest.mark.parametrize("src,size,approximants,normal_addends,tree_targets", COMMUTE_COLD)
+def test_commute_cold_instances(src, size, approximants, normal_addends, tree_targets):
+    report = check_commutation(parse_term(src), size, FUEL)
+    stats = report.stats
+    assert report.verdict == "pass"
+    assert (stats["approximants"], stats["normal_addends"], stats["tree_targets"]) == (
+        approximants,
+        normal_addends,
+        tree_targets,
+    )
+    assert stats["constructed_ancestors"] == stats["replayed_ancestors"]
+    assert stats["verify_fallbacks"] == 0
+
+
+def _live_sessions():
+    gc.collect()
+    return sum(isinstance(o, LiftSession) for o in gc.get_objects())
+
+
+def test_check_drops_its_session_and_memos():
+    before = _live_sessions()
+    report = check_commutation(parse_term(_CORPUS["Yg"]), 14, FUEL)
+    assert report.stats["shared_lifts"] > 0
+    assert _live_sessions() <= before
