@@ -67,7 +67,7 @@ from .resource import (
     deg_hole,
     is_d_positive,
     monomial,
-    open_binder,
+    open_redex,
     pretty_resource,
     r_context_fill,
     rapp,
@@ -159,7 +159,7 @@ def push_forward(s: ResourceTerm, m: Term, at: Position) -> FiniteSum:
                 raise NotARedexError(f"no beta redex at {position_to_str(at)}")
             if not (isinstance(u, RApp) and isinstance(u.fn, RLam)):
                 raise ApproximantMismatchError(f"{u} does not cover the redex shape")
-            return open_binder(u.fn.body, u.mono)
+            return open_redex(u)
         c, rest = pos[0], pos[1:]
         if c == "body" and isinstance(t, Lam) and isinstance(u, RLam):
             return go(u.body, t.body, rest).map(rlam)
@@ -224,17 +224,15 @@ def _unshift(u: ResourceTerm, c: int) -> Optional[ResourceTerm]:
         return u
 
     def go(t: ResourceTerm, depth: int) -> ResourceTerm:
-        if isinstance(t, RVar):
-            if t.index >= depth:
-                if t.index - c < depth:
-                    raise ApproximantMismatchError("dangling index too small to unshift")
-                return rvar(t.index - c)
+        if t.loose <= depth:
             return t
+        if isinstance(t, RVar):
+            if t.index - c < depth:
+                raise ApproximantMismatchError("dangling index too small to unshift")
+            return rvar(t.index - c)
         if isinstance(t, RLam):
             return rlam(go(t.body, depth + 1))
-        if isinstance(t, RApp):
-            return rapp(go(t.fn, depth), monomial(go(e, depth) for e in t.mono))
-        return t
+        return rapp(go(t.fn, depth), monomial(go(e, depth) for e in t.mono))
 
     try:
         return go(u, 0)
@@ -326,16 +324,16 @@ def _un_substitute(
 
 def _lift_one_step(
     t: ResourceTerm,
-    before: Term,
+    hf: HeadForm,
     stack: tuple[str, ...],
     system: Optional[RationalSystem],
     memo: Optional[dict] = None,
 ) -> Optional[tuple[ResourceTerm, tuple[ResourceTerm, ...]]]:
-    """Turn an approximant of the head reduct of ``before`` into an
+    """Turn an approximant of the head reduct of a term ``before`` into an
     approximant of ``before`` itself that head-reduces onto it, paired with
     the step's certificate: the head redex's monomial elements in the order
-    that rebuilds ``t`` (``hr_step_along``). ``memo`` is ``_anti_subst``'s."""
-    hf = head_form(before)
+    that rebuilds ``t`` (``hr_step_along``). ``hf`` is ``head_form(before)``
+    and ``memo`` is ``_anti_subst``'s."""
     if not hf.has_head_redex:
         return None
     u: ResourceTerm = t
@@ -378,7 +376,8 @@ def _link_holds(
 class LiftSession:
     """Lifting work shared by the tree targets of one commutation check.
 
-    ``runs`` keeps head-normalization runs by ``(m.fkey, stack)`` and
+    ``runs`` keeps head-normalization runs by ``(m.fkey, stack)``, as the
+    head forms of the run's steps and of its result, and
     ``lifts`` keeps sub-lifts by ``(u, m.fkey, stack)`` as ``(node,
     verified)``, where ``verified`` says that every link built below the
     node held. The top-level chain of each target is a walk over shared
@@ -435,7 +434,11 @@ def lift_to_source(
         key = (m.fkey, stack)
         if key not in runs:
             run = head_normalize(m, fuel, system, stack)
-            runs[key] = (run.trace, head_form(run.term)) if run.verdict.is_solvable else None
+            runs[key] = (
+                (tuple(head_form(before) for before in run.trace), head_form(run.term))
+                if run.verdict.is_solvable
+                else None
+            )
         return runs[key]
 
     def rec(u: ResourceTerm, m: Term, stack: tuple[str, ...]) -> tuple[Optional[ResourceTerm], bool]:
@@ -451,7 +454,7 @@ def lift_to_source(
         run = head_run(m, stack)
         if run is None:
             return _NO_LIFT
-        trace, hf = run
+        steps, hf = run
         body = u
         for _ in hf.binders:
             if not isinstance(body, RLam):
@@ -486,8 +489,8 @@ def lift_to_source(
             node = rapp(node, monomial(elems))
         for _ in hf.binders:
             node = rlam(node)
-        for before in reversed(trace):
-            step = _lift_one_step(node, before, stack, system, unsubst)
+        for step_hf in reversed(steps):
+            step = _lift_one_step(node, step_hf, stack, system, unsubst)
             if step is None:
                 return _NO_LIFT
             lifted, grafted = step

@@ -10,6 +10,7 @@ printing deterministic. Sums are qualitative: a finite *set* of terms,
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .syntax import LambdaError, ParseError
@@ -19,16 +20,21 @@ class ResourceError(LambdaError):
     pass
 
 
+_skey = attrgetter("skey")
+
+
 # ---------------------------------------------------------------------------
 # Interned nodes
 
 
 class ResourceTerm:
-    __slots__ = ("skey", "size", "height", "_hash")
+    """Interned node. Besides the measures, every node carries summaries
+    computed once, when it is interned: ``loose`` bounds its loose de Bruijn
+    indices (each is below it) and ``redex`` says whether it contains a
+    redex. Identity ``__eq__``/``__hash__`` are correct thanks to interning.
+    """
 
-    # identity-based __eq__/__hash__ are correct thanks to interning
-    def __hash__(self) -> int:
-        return self._hash
+    __slots__ = ("skey", "size", "height", "loose", "redex")
 
     def __str__(self) -> str:
         return pretty_resource(self)
@@ -53,7 +59,9 @@ class RLam(ResourceTerm):
 
 
 class RApp(ResourceTerm):
-    __slots__ = ("fn", "mono")
+    """``fired`` caches ``open_redex``: None until a redex is first opened."""
+
+    __slots__ = ("fn", "mono", "fired")
 
 
 class RHole(ResourceTerm):
@@ -63,7 +71,7 @@ class RHole(ResourceTerm):
 class Monomial:
     """Finite multiset of resource terms, kept sorted; ``1`` is the empty one."""
 
-    __slots__ = ("elems", "skey", "size", "height", "_hash")
+    __slots__ = ("elems", "skey", "size", "height", "loose", "redex")
 
     def __iter__(self) -> Iterator[ResourceTerm]:
         return iter(self.elems)
@@ -73,9 +81,6 @@ class Monomial:
 
     def __getitem__(self, i: int) -> ResourceTerm:
         return self.elems[i]
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __lt__(self, other: "Monomial") -> bool:
         return self.skey < other.skey
@@ -90,17 +95,21 @@ class Monomial:
 _INTERN: dict[tuple, object] = {}
 
 
+def _leaf(node, skey: tuple, loose: int):
+    node.skey = skey
+    node.size = 1
+    node.height = 0
+    node.loose = loose
+    node.redex = False
+    return node
+
+
 def rvar(index: int) -> RVar:
     key = ("v", index)
     node = _INTERN.get(key)
     if node is None:
-        node = RVar()
+        node = _INTERN[key] = _leaf(RVar(), (0, index), index + 1)
         node.index = index
-        node.skey = (0, index)
-        node.size = 1
-        node.height = 0
-        node._hash = hash(key)
-        _INTERN[key] = node
     return node  # type: ignore[return-value]
 
 
@@ -108,13 +117,8 @@ def rfvar(name: str) -> RFreeVar:
     key = ("f", name)
     node = _INTERN.get(key)
     if node is None:
-        node = RFreeVar()
+        node = _INTERN[key] = _leaf(RFreeVar(), (1, name), 0)
         node.name = name
-        node.skey = (1, name)
-        node.size = 1
-        node.height = 0
-        node._hash = hash(key)
-        _INTERN[key] = node
     return node  # type: ignore[return-value]
 
 
@@ -127,7 +131,8 @@ def rlam(body: ResourceTerm) -> RLam:
         node.skey = (2, body.skey)
         node.size = 1 + body.size
         node.height = body.height
-        node._hash = hash(key)
+        node.loose = body.loose - 1 if body.loose else 0
+        node.redex = body.redex
         _INTERN[key] = node
     return node  # type: ignore[return-value]
 
@@ -142,25 +147,18 @@ def rapp(fn: ResourceTerm, mono: Monomial) -> RApp:
         node.skey = (3, fn.skey, mono.skey)
         node.size = fn.size + mono.size
         node.height = max(fn.height, mono.height)
-        node._hash = hash(key)
+        node.loose = max(fn.loose, mono.loose)
+        node.redex = fn.redex or mono.redex or isinstance(fn, RLam)
+        node.fired = None
         _INTERN[key] = node
     return node  # type: ignore[return-value]
 
 
-def _mk_hole() -> RHole:
-    node = RHole()
-    node.skey = (4,)
-    node.size = 1
-    node.height = 0
-    node._hash = hash(("h",))
-    return node
-
-
-HOLE_R = _mk_hole()
+HOLE_R = _leaf(RHole(), (4,), 0)
 
 
 def monomial(elems: Iterable[ResourceTerm]) -> Monomial:
-    sorted_elems = tuple(sorted(elems, key=lambda t: t.skey))
+    sorted_elems = tuple(sorted(elems, key=_skey))
     key = ("m", sorted_elems)
     node = _INTERN.get(key)
     if node is None:
@@ -169,7 +167,8 @@ def monomial(elems: Iterable[ResourceTerm]) -> Monomial:
         node.skey = tuple(t.skey for t in sorted_elems)
         node.size = 1 + sum(t.size for t in sorted_elems)
         node.height = 1 + max((t.height for t in sorted_elems), default=0)
-        node._hash = hash(key)
+        node.loose = max((t.loose for t in sorted_elems), default=0)
+        node.redex = any(t.redex for t in sorted_elems)
         _INTERN[key] = node
     return node  # type: ignore[return-value]
 
@@ -182,14 +181,15 @@ ONE = monomial(())
 
 
 class FiniteSum:
-    """Deduplicated finite set of resource terms (sum over the booleans)."""
+    """Deduplicated finite set of resource terms (sum over the booleans),
+    kept as a tuple sorted by ``skey``; the membership set is built on the
+    first ``in`` test."""
 
     __slots__ = ("terms", "_set")
 
     def __init__(self, terms: Iterable[ResourceTerm] = ()):
-        uniq = set(terms)
-        self.terms = tuple(sorted(uniq, key=lambda t: t.skey))
-        self._set = frozenset(uniq)
+        self.terms = tuple(sorted(set(terms), key=_skey))
+        self._set: Optional[frozenset] = None
 
     def __iter__(self) -> Iterator[ResourceTerm]:
         return iter(self.terms)
@@ -201,19 +201,18 @@ class FiniteSum:
         return bool(self.terms)
 
     def __contains__(self, t: ResourceTerm) -> bool:
+        if self._set is None:
+            self._set = frozenset(self.terms)
         return t in self._set
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, FiniteSum) and self._set == other._set
+        return isinstance(other, FiniteSum) and self.terms == other.terms
 
     def __hash__(self) -> int:
-        return hash(self._set)
+        return hash(self.terms)
 
     def union(self, *others: "FiniteSum") -> "FiniteSum":
-        acc = set(self._set)
-        for o in others:
-            acc |= o._set
-        return FiniteSum(acc)
+        return union_all((self,) + others)
 
     def map(self, f) -> "FiniteSum":
         return FiniteSum(f(t) for t in self.terms)
@@ -231,7 +230,7 @@ ZERO = FiniteSum()
 def union_all(sums: Iterable[FiniteSum]) -> FiniteSum:
     acc: set[ResourceTerm] = set()
     for s in sums:
-        acc |= s._set
+        acc.update(s.terms)
     return FiniteSum(acc)
 
 
@@ -326,15 +325,17 @@ def _distinct_assignments(elems: tuple[ResourceTerm, ...]) -> Iterator[tuple[Res
     return place(0)
 
 
-def _count_marks(t: ResourceTerm, match, c: int) -> int:
+def _count_marks(t: ResourceTerm, match, c: int, bound: bool) -> int:
+    if bound and t.loose <= c:
+        return 0
     if match(t, c):
         return 1
     if isinstance(t, RLam):
-        return _count_marks(t.body, match, c + 1)
+        return _count_marks(t.body, match, c + 1, bound)
     if isinstance(t, RApp):
-        n = _count_marks(t.fn, match, c)
+        n = _count_marks(t.fn, match, c, bound)
         for e in t.mono:
-            n += _count_marks(e, match, c)
+            n += _count_marks(e, match, c, bound)
         return n
     return 0
 
@@ -346,10 +347,11 @@ def _linear_replace(
 
     Returns 0 when the occurrence count differs from the cardinality. With
     ``adjust_bound`` the matched occurrences are a bound variable being
-    opened: grafted elements are shifted to the local binder depth and the
-    remaining indices above it are decremented.
+    opened: grafted elements are shifted to the local binder depth, the
+    remaining indices above it are decremented, and a subterm with no loose
+    index at or above the local depth is shared unchanged, not rebuilt.
     """
-    n = _count_marks(t, match, 0)
+    n = _count_marks(t, match, 0, adjust_bound)
     if n != len(mono):
         return ZERO
 
@@ -358,14 +360,14 @@ def _linear_replace(
     counter = [0]
 
     def rebuild(u: ResourceTerm, c: int) -> ResourceTerm:
+        if adjust_bound and u.loose <= c:
+            return u
         if match(u, c):
             e = assigned[counter[0]]
             counter[0] += 1
             return _rshift(e, c) if adjust_bound else e
-        if isinstance(u, RVar):
-            if adjust_bound and u.index > c:
-                return rvar(u.index - 1)
-            return u
+        if isinstance(u, RVar):  # when opening, an index left here is above c
+            return rvar(u.index - 1) if adjust_bound else u
         if isinstance(u, RLam):
             return rlam(rebuild(u.body, c + 1))
         if isinstance(u, RApp):
@@ -382,15 +384,14 @@ def _linear_replace(
 
 def _rshift(t: ResourceTerm, d: int, cutoff: int = 0) -> ResourceTerm:
     """Shift indices escaping ``t`` up by ``d`` (grafting under binders)."""
-    if d == 0:
+    if d == 0 or t.loose <= cutoff:
         return t
     if isinstance(t, RVar):
-        return rvar(t.index + d) if t.index >= cutoff else t
+        return rvar(t.index + d)
     if isinstance(t, RLam):
         return rlam(_rshift(t.body, d, cutoff + 1))
-    if isinstance(t, RApp):
-        return rapp(_rshift(t.fn, d, cutoff), monomial(_rshift(e, d, cutoff) for e in t.mono))
-    return t
+    # a loose index at or above the cutoff makes t a variable, an abstraction or an application
+    return rapp(_rshift(t.fn, d, cutoff), monomial(_rshift(e, d, cutoff) for e in t.mono))
 
 
 def r_subst(s: ResourceTerm, name: str, mono: Monomial) -> FiniteSum:
@@ -415,6 +416,15 @@ def open_binder(body: ResourceTerm, mono: Monomial) -> FiniteSum:
     )
 
 
+def open_redex(r: RApp) -> FiniteSum:
+    """Fire the redex ``r``: ``open_binder`` of its binder's body and its
+    monomial, computed once per node and kept in ``r.fired``."""
+    out = r.fired
+    if out is None:
+        out = r.fired = open_binder(r.fn.body, r.mono)
+    return out
+
+
 def open_along(
     body: ResourceTerm, elems: Sequence[ResourceTerm], memo: Optional[dict] = None
 ) -> Optional[ResourceTerm]:
@@ -437,19 +447,20 @@ def open_along(
 
 
 def _occurrences(u: ResourceTerm, c: int, memo: dict) -> int:
+    if u.loose <= c:
+        return 0
     key = (u, c)
     n = memo.get(key)
     if n is None:
+        # a loose index at or above c makes u a variable, an abstraction or an application
         if isinstance(u, RVar):
             n = int(u.index == c)
         elif isinstance(u, RLam):
             n = _occurrences(u.body, c + 1, memo)
-        elif isinstance(u, RApp):
+        else:
             n = _occurrences(u.fn, c, memo)
             for e in u.mono:
                 n += _occurrences(e, c, memo)
-        else:
-            n = 0
         memo[key] = n
     return n
 
@@ -457,17 +468,16 @@ def _occurrences(u: ResourceTerm, c: int, memo: dict) -> int:
 def _open_run(u: ResourceTerm, c: int, elems: tuple[ResourceTerm, ...], memo: dict) -> ResourceTerm:
     """``u`` with its occurrences of ``c`` filled by ``elems``, whose length
     is their number."""
+    if u.loose <= c:
+        return u
     key = (u, c, elems)
     out = memo.get(key)
     if out is None:
         if isinstance(u, RVar):
-            if u.index == c:
-                out = _rshift(elems[0], c)
-            else:
-                out = rvar(u.index - 1) if u.index > c else u
+            out = _rshift(elems[0], c) if u.index == c else rvar(u.index - 1)
         elif isinstance(u, RLam):
             out = rlam(_open_run(u.body, c + 1, elems, memo))
-        elif isinstance(u, RApp):
+        else:
             k = _occurrences(u.fn, c, memo)
             fn = _open_run(u.fn, c, elems[:k], memo)
             opened = []
@@ -476,8 +486,6 @@ def _open_run(u: ResourceTerm, c: int, elems: tuple[ResourceTerm, ...], memo: di
                 opened.append(_open_run(e, c, elems[k : k + n], memo))
                 k += n
             out = rapp(fn, monomial(opened))
-        else:
-            out = u
         memo[key] = out
     return out
 

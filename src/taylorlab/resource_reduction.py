@@ -24,7 +24,7 @@ from .resource import (
     RLam,
     monomial,
     open_along,
-    open_binder,
+    open_redex,
     rapp,
     rlam,
     union_all,
@@ -66,20 +66,24 @@ def site_from_str(text: str) -> RedexSite:
 
 
 def redex_sites(t: ResourceTerm) -> list[RedexSite]:
-    """All redex positions, outermost first, function before arguments."""
+    """All redex positions, outermost first, function before arguments.
+    Redex-free subterms are not entered."""
     out: list[RedexSite] = []
 
     def walk(u: ResourceTerm, path: tuple) -> None:
         if isinstance(u, RApp):
             if isinstance(u.fn, RLam):
                 out.append(path)
-            walk(u.fn, path + ("fun",))
+            if u.fn.redex:
+                walk(u.fn, path + ("fun",))
             for i, e in enumerate(u.mono):
-                walk(e, path + (("arg", i),))
-        elif isinstance(u, RLam):
+                if e.redex:
+                    walk(e, path + (("arg", i),))
+        elif isinstance(u, RLam) and u.body.redex:
             walk(u.body, path + ("body",))
 
-    walk(t, ())
+    if t.redex:
+        walk(t, ())
     return out
 
 
@@ -89,7 +93,7 @@ def r_step(t: ResourceTerm, site: RedexSite) -> FiniteSum:
     if not site:
         if not (isinstance(t, RApp) and isinstance(t.fn, RLam)):
             raise NotARedexError(f"no redex at site: {t}")
-        return open_binder(t.fn.body, t.mono)
+        return open_redex(t)
     head, rest = site[0], site[1:]
     if head == "body" and isinstance(t, RLam):
         return r_step(t.body, rest).map(rlam)
@@ -153,21 +157,23 @@ _NF_CACHE: dict[ResourceTerm, FiniteSum] = {}
 
 
 def first_redex_site(t: ResourceTerm) -> Optional[RedexSite]:
-    if isinstance(t, RApp):
-        if isinstance(t.fn, RLam):
-            return ()
-        sub = first_redex_site(t.fn)
-        if sub is not None:
-            return ("fun",) + sub
-        for i, e in enumerate(t.mono):
-            sub = first_redex_site(e)
-            if sub is not None:
-                return (("arg", i),) + sub
-        return None
-    if isinstance(t, RLam):
-        sub = first_redex_site(t.body)
-        if sub is not None:
-            return ("body",) + sub
+    """The leftmost-outermost redex position, found without backtracking:
+    the walk enters only subterms that contain a redex."""
+    path: list = []
+    while t.redex:
+        if isinstance(t, RLam):
+            path.append("body")
+            t = t.body
+        elif isinstance(t, RApp):
+            if isinstance(t.fn, RLam):
+                return tuple(path)
+            if t.fn.redex:
+                path.append("fun")
+                t = t.fn
+            else:
+                i = next(i for i, e in enumerate(t.mono) if e.redex)
+                path.append(("arg", i))
+                t = t.mono[i]
     return None
 
 
@@ -271,7 +277,7 @@ def _hr_term(t: ResourceTerm) -> Optional[FiniteSum]:
     binders, head, monos = head_split(t)
     if not (isinstance(head, RLam) and monos):
         return None
-    opened = open_binder(head.body, monos[0])
+    opened = open_redex(rapp(head, monos[0]))
     return opened.map(lambda u: _rewrap(u, binders, monos[1:]))
 
 

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from random import Random
 
 import pytest
 
+import taylorlab
 from taylorlab.cli import main
 from taylorlab.gen import random_resource_term
 from taylorlab.resource import FiniteSum, pretty_sum
@@ -282,3 +287,39 @@ def test_internal_error_exit_4(capsys):
     code, out, err = run(capsys, "check", "commutation", deep, "--size", "4")
     assert code == 4 and out == ""
     assert err.startswith("internal error: RecursionError") and err.count("\n") == 1
+
+
+# Runs the CLI after allocating, and partly freeing, ``argv[1]`` junk lists,
+# so that interned nodes land at other addresses than in a clean run.
+_RUN_AFTER_JUNK = """
+import sys
+junk = [[i] * (i % 5) for i in range(int(sys.argv[1]))]
+del junk[::3]
+from taylorlab.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "commutation", "\\f. (\\x. f (x x)) (\\x. f (x x))", "--size", "14", "--json"],
+        ["check", "commutation", "(\\f. \\x. f (f x)) (\\f. \\x. f (f x))", "--size", "14", "--json"],
+        ["rnf", "<\\a. <a>[a, a]>[<\\b. b>[x], y, <\\c. <c>[c]>[z, w]] + <\\a. \\b. <b>[a]>[<x>1]", "--json"],
+    ],
+)
+def test_json_output_does_not_depend_on_addresses(argv):
+    """Nodes hash by identity, so set order follows memory addresses; every
+    output must still come out in the same bytes, whatever the hash seed
+    and the addresses."""
+    src = str(Path(taylorlab.__file__).resolve().parents[1])
+    outputs = []
+    for junk, seed in ((0, "0"), (200_000, "12345")):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        done = subprocess.run(
+            [sys.executable, "-c", _RUN_AFTER_JUNK, str(junk), *argv],
+            env=env, capture_output=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1] and b'"' in outputs[0]
