@@ -264,27 +264,11 @@ def r_height(x: Summable) -> int:
 
 def deg(t: ResourceTerm | Monomial, name: str) -> int:
     """Number of free occurrences of ``name``."""
-    if isinstance(t, Monomial):
-        return sum(deg(e, name) for e in t)
-    if isinstance(t, RFreeVar):
-        return 1 if t.name == name else 0
-    if isinstance(t, RLam):
-        return deg(t.body, name)
-    if isinstance(t, RApp):
-        return deg(t.fn, name) + deg(t.mono, name)
-    return 0
+    return _count_marks(t, lambda u: isinstance(u, RFreeVar) and u.name == name)
 
 
 def deg_hole(t: ResourceTerm | Monomial) -> int:
-    if isinstance(t, Monomial):
-        return sum(deg_hole(e) for e in t)
-    if isinstance(t, RHole):
-        return 1
-    if isinstance(t, RLam):
-        return deg_hole(t.body)
-    if isinstance(t, RApp):
-        return deg_hole(t.fn) + deg_hole(t.mono)
-    return 0
+    return _count_marks(t, lambda u: isinstance(u, RHole))
 
 
 # ---------------------------------------------------------------------------
@@ -325,60 +309,41 @@ def _distinct_assignments(elems: tuple[ResourceTerm, ...]) -> Iterator[tuple[Res
     return place(0)
 
 
-def _count_marks(t: ResourceTerm, match, c: int, bound: bool) -> int:
-    if bound and t.loose <= c:
-        return 0
-    if match(t, c):
-        return 1
-    if isinstance(t, RLam):
-        return _count_marks(t.body, match, c + 1, bound)
-    if isinstance(t, RApp):
-        n = _count_marks(t.fn, match, c, bound)
-        for e in t.mono:
-            n += _count_marks(e, match, c, bound)
-        return n
-    return 0
+def _count_marks(x: ResourceTerm | Monomial, match) -> int:
+    """Number of leaves of ``x`` that satisfy ``match``."""
+    if isinstance(x, Monomial):
+        children = x.elems
+    elif isinstance(x, RLam):
+        children = (x.body,)
+    elif isinstance(x, RApp):
+        children = (x.fn,) + x.mono.elems
+    else:
+        return int(match(x))
+    n = 0
+    for u in children:
+        n += _count_marks(u, match)
+    return n
 
 
-def _linear_replace(
-    t: ResourceTerm, match, mono: Monomial, *, adjust_bound: bool
-) -> FiniteSum:
-    """Replace the matched occurrences bijectively by the monomial elements.
-
-    Returns 0 when the occurrence count differs from the cardinality. With
-    ``adjust_bound`` the matched occurrences are a bound variable being
-    opened: grafted elements are shifted to the local binder depth, the
-    remaining indices above it are decremented, and a subterm with no loose
-    index at or above the local depth is shared unchanged, not rebuilt.
-    """
-    n = _count_marks(t, match, 0, adjust_bound)
-    if n != len(mono):
+def _linear_replace(t: ResourceTerm, match, mono: Monomial) -> FiniteSum:
+    """Replace the matched leaves bijectively by the monomial elements,
+    unshifted: a leaf under a binder captures. Returns 0 when the number of
+    matched leaves differs from the cardinality."""
+    if _count_marks(t, match) != len(mono):
         return ZERO
 
-    results: set[ResourceTerm] = set()
-    assigned: tuple[ResourceTerm, ...] = ()
-    counter = [0]
-
-    def rebuild(u: ResourceTerm, c: int) -> ResourceTerm:
-        if adjust_bound and u.loose <= c:
-            return u
-        if match(u, c):
-            e = assigned[counter[0]]
-            counter[0] += 1
-            return _rshift(e, c) if adjust_bound else e
-        if isinstance(u, RVar):  # when opening, an index left here is above c
-            return rvar(u.index - 1) if adjust_bound else u
+    def rebuild(u: ResourceTerm) -> ResourceTerm:
         if isinstance(u, RLam):
-            return rlam(rebuild(u.body, c + 1))
+            return rlam(rebuild(u.body))
         if isinstance(u, RApp):
-            fn = rebuild(u.fn, c)
-            elems = tuple(rebuild(e, c) for e in u.mono)
-            return rapp(fn, monomial(elems))
-        return u
+            fn = rebuild(u.fn)
+            return rapp(fn, monomial([rebuild(e) for e in u.mono.elems]))
+        return next(it) if match(u) else u
 
+    results: set[ResourceTerm] = set()
     for assigned in _distinct_assignments(mono.elems):
-        counter[0] = 0
-        results.add(rebuild(t, 0))
+        it = iter(assigned)
+        results.add(rebuild(t))
     return FiniteSum(results)
 
 
@@ -398,22 +363,54 @@ def r_subst(s: ResourceTerm, name: str, mono: Monomial) -> FiniteSum:
     """Linear substitution: the elements of ``mono`` are distributed
     bijectively over the free occurrences of ``name``; 0 on arity mismatch.
     """
-    return _linear_replace(
-        s, lambda u, c: isinstance(u, RFreeVar) and u.name == name, mono, adjust_bound=False
-    )
+    return _linear_replace(s, lambda u: isinstance(u, RFreeVar) and u.name == name, mono)
 
 
 def r_context_fill(c: ResourceTerm, mono: Monomial) -> FiniteSum:
     """Linear substitution of the holes of ``c`` by ``mono`` (0 on mismatch)."""
-    return _linear_replace(c, lambda u, _c: isinstance(u, RHole), mono, adjust_bound=False)
+    return _linear_replace(c, lambda u: isinstance(u, RHole), mono)
 
 
 def open_binder(body: ResourceTerm, mono: Monomial) -> FiniteSum:
     """Open the binder a redex just peeled: distribute ``mono`` over the
-    occurrences of the bound variable, 0 on arity mismatch."""
-    return _linear_replace(
-        body, lambda u, c: isinstance(u, RVar) and u.index == c, mono, adjust_bound=True
-    )
+    occurrences of the bound variable, 0 on arity mismatch. Grafted elements
+    are shifted to the local binder depth, the other loose indices drop by
+    one, and subterms with no loose index at or above it are shared."""
+    elems = mono.elems
+    if _bound_count(body, 0) != len(elems):
+        return ZERO
+    if len(elems) <= 1:
+        return FiniteSum((_fill_bound(body, 0, iter(elems)),))
+    return FiniteSum({_fill_bound(body, 0, iter(a)) for a in _distinct_assignments(elems)})
+
+
+def _bound_count(u: ResourceTerm, c: int) -> int:
+    """Occurrences of the index ``c`` in ``u``."""
+    if u.loose <= c:
+        return 0
+    # a loose index at or above c makes u a variable, an abstraction or an application
+    if isinstance(u, RVar):
+        return int(u.index == c)
+    if isinstance(u, RLam):
+        return _bound_count(u.body, c + 1)
+    n = _bound_count(u.fn, c)
+    for e in u.mono.elems:
+        n += _bound_count(e, c)
+    return n
+
+
+def _fill_bound(u: ResourceTerm, c: int, it: Iterator[ResourceTerm]) -> ResourceTerm:
+    """``u`` with the occurrences of ``c`` taking the next elements of ``it``
+    in the occurrence traversal order."""
+    if u.loose <= c:
+        return u
+    if isinstance(u, RVar):
+        i = u.index
+        return _rshift(next(it), c) if i == c else rvar(i - 1)
+    if isinstance(u, RLam):
+        return rlam(_fill_bound(u.body, c + 1, it))
+    fn = _fill_bound(u.fn, c, it)
+    return rapp(fn, monomial([_fill_bound(e, c, it) for e in u.mono.elems]))
 
 
 def open_redex(r: RApp) -> FiniteSum:
@@ -432,7 +429,7 @@ def open_along(
     ``elems[k]`` at the k-th occurrence of the bound variable, in the
     occurrence traversal order; None when the counts differ.
 
-    One compositional walk, shifting like ``_linear_replace`` does, nothing
+    One compositional walk, shifting like ``open_binder`` does, nothing
     enumerated: each subterm takes the next run of elements, as many as it
     has occurrences. ``memo`` may be shared between calls; it keeps
     occurrence counts by ``(u, c)`` and rebuilt subterms by ``(u, c,

@@ -6,7 +6,9 @@ through the surrounding (linear) context; an arity mismatch annihilates
 the whole addend. Every addend of a step result is strictly smaller than
 the source, so normalization terminates, and the relation satisfies a
 one-step diamond, so normal forms are strategy-independent; both facts are
-exercised by the test suite rather than assumed.
+exercised by the test suite rather than assumed. ``r_normalize`` relies on
+the second: it normalizes each addend by structural recursion, not by
+repeated steps from the root.
 """
 
 from __future__ import annotations
@@ -89,24 +91,39 @@ def redex_sites(t: ResourceTerm) -> list[RedexSite]:
 
 def r_step(t: ResourceTerm, site: RedexSite) -> FiniteSum:
     """Fire the redex at ``site``; the surrounding context maps linearly, so
-    an empty substitution result wipes out everything."""
-    if not site:
-        if not (isinstance(t, RApp) and isinstance(t.fn, RLam)):
-            raise NotARedexError(f"no redex at site: {t}")
-        return open_redex(t)
-    head, rest = site[0], site[1:]
-    if head == "body" and isinstance(t, RLam):
-        return r_step(t.body, rest).map(rlam)
-    if head == "fun" and isinstance(t, RApp):
-        mono = t.mono
-        return r_step(t.fn, rest).map(lambda u: rapp(u, mono))
-    if isinstance(head, tuple) and isinstance(t, RApp) and head[1] < len(t.mono):
-        i = head[1]
-        elems = t.mono.elems
-        fn = t.fn
-        inner = r_step(elems[i], rest)
-        return inner.map(lambda u: rapp(fn, monomial(elems[:i] + (u,) + elems[i + 1 :])))
-    raise NotARedexError(f"site {site_to_str(site)} does not resolve in {t}")
+    an empty substitution result wipes out everything. The site is walked
+    once, and each addend is plugged back through the frames it crossed."""
+    frames: list = []  # (node, None) for 'body' and 'fun', (node, i) for ('arg', i)
+    u = t
+    for k, head in enumerate(site):
+        if head == "body" and isinstance(u, RLam):
+            frames.append((u, None))
+            u = u.body
+        elif head == "fun" and isinstance(u, RApp):
+            frames.append((u, None))
+            u = u.fn
+        elif isinstance(head, tuple) and isinstance(u, RApp) and head[1] < len(u.mono):
+            frames.append((u, head[1]))
+            u = u.mono.elems[head[1]]
+        else:
+            raise NotARedexError(f"site {site_to_str(site[k:])} does not resolve in {u}")
+    if not (isinstance(u, RApp) and isinstance(u.fn, RLam)):
+        raise NotARedexError(f"no redex at site: {u}")
+    fired = open_redex(u)
+    return FiniteSum([_plug(v, frames) for v in fired]) if frames else fired
+
+
+def _plug(u: ResourceTerm, frames: list) -> ResourceTerm:
+    """Put ``u`` back into the context that ``frames`` describe."""
+    for node, i in reversed(frames):
+        if i is not None:
+            elems = node.mono.elems
+            u = rapp(node.fn, monomial(elems[:i] + (u,) + elems[i + 1 :]))
+        elif isinstance(node, RLam):
+            u = rlam(u)
+        else:
+            u = rapp(u, node.mono)
+    return u
 
 
 def r_min_depth_step(t: ResourceTerm, d: int, site: RedexSite) -> FiniteSum:
@@ -178,20 +195,37 @@ def first_redex_site(t: ResourceTerm) -> Optional[RedexSite]:
 
 
 def _nf(t: ResourceTerm) -> FiniteSum:
+    if not t.redex:
+        return FiniteSum((t,))
     cached = _NF_CACHE.get(t)
     if cached is not None:
         return cached
-    site = first_redex_site(t)
-    if site is None:
-        out = FiniteSum((t,))
+    acc: set[ResourceTerm] = set()
+    if isinstance(t, RLam):
+        acc.update(map(rlam, _nf(t.body).terms))
+    elif isinstance(t.fn, RLam):
+        for u in open_redex(t):
+            acc.update(_nf(u).terms)
     else:
-        out = union_all(_nf(u) for u in r_step(t, site))
-    _NF_CACHE[t] = out
+        args = None  # the elements' normal forms multiplied out, once needed
+        for f in _nf(t.fn).terms:
+            if isinstance(f, RLam):
+                acc.update(_nf(rapp(f, t.mono)).terms)
+                continue
+            if args is None:
+                args = list(itertools.product(*map(_nf, t.mono.elems)))
+            acc.update(rapp(f, monomial(a)) for a in args)
+    out = _NF_CACHE[t] = FiniteSum(acc)
     return out
 
 
 def r_normalize(x: ResourceTerm | FiniteSum) -> FiniteSum:
-    """Unique normal form (leftmost-outermost per addend, memoized)."""
+    """Unique normal form, memoized for terms holding a redex. Each addend
+    is normalized structurally: under its binder, by firing a root redex, or
+    by normalizing the function, then firing the redex each abstraction
+    forms with the monomial and multiplying out the elements' normal forms
+    otherwise. Confluence makes the result the one any strategy reaches
+    (``normalize_with`` cross-checks this)."""
     if isinstance(x, FiniteSum):
         return union_all(_nf(t) for t in x)
     return _nf(x)

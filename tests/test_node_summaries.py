@@ -1,14 +1,18 @@
-"""Node summaries and the opening cache, cross-checked against slow
-references: ``_reference_replace`` is the linear substitution as it was
-before nodes carried summaries (every subterm rebuilt once per distinct
-ordering, no pruning, no cache), and ``_summary`` recomputes a node's
-``loose`` and ``redex`` from scratch."""
+"""Node summaries, the opening cache and the lean reduction path,
+cross-checked against slow references: ``_reference_replace`` is the linear
+substitution as it was before nodes carried summaries (every subterm
+rebuilt once per distinct ordering, no pruning, no cache), ``_summary``
+recomputes a node's ``loose`` and ``redex`` from scratch, and
+``_recursive_step`` and ``_leftmost_outermost_nf`` are the step (one sum
+per context level) and the normalizer (every step from the root) that
+``r_step`` and ``r_normalize`` replaced."""
 
 from itertools import permutations
 from random import Random
 
 import pytest
 
+from taylorlab.beta import NotARedexError
 from taylorlab.resource import (
     HOLE_R,
     ZERO,
@@ -20,9 +24,12 @@ from taylorlab.resource import (
     RLam,
     RVar,
     _rshift,
+    deg,
+    deg_hole,
     monomial,
     open_binder,
     open_redex,
+    parse_resource_sum,
     parse_resource_term,
     pretty_resource,
     r_context_fill,
@@ -34,6 +41,7 @@ from taylorlab.resource import (
     union_all,
 )
 from taylorlab.resource_reduction import (
+    _NF_CACHE,
     first_redex_site,
     head_split,
     hr_step,
@@ -41,6 +49,8 @@ from taylorlab.resource_reduction import (
     r_normalize,
     r_step,
     redex_sites,
+    site_from_str,
+    site_to_str,
 )
 
 # ---------------------------------------------------------------------------
@@ -149,6 +159,40 @@ def _reference_normalize(t, memo):
             got = FiniteSum((t,))
         else:
             got = union_all(_reference_normalize(u, memo) for u in _reference_step(t, sites[0]))
+        memo[t] = got
+    return got
+
+
+def _recursive_step(t, site):
+    """One ``FiniteSum`` per context level; the redex is opened uncached."""
+    if not site:
+        if not (isinstance(t, RApp) and isinstance(t.fn, RLam)):
+            raise NotARedexError(f"no redex at site: {t}")
+        return open_binder(t.fn.body, t.mono)
+    head, rest = site[0], site[1:]
+    if head == "body" and isinstance(t, RLam):
+        return _recursive_step(t.body, rest).map(rlam)
+    if head == "fun" and isinstance(t, RApp):
+        mono = t.mono
+        return _recursive_step(t.fn, rest).map(lambda u: rapp(u, mono))
+    if isinstance(head, tuple) and isinstance(t, RApp) and head[1] < len(t.mono):
+        i = head[1]
+        elems = t.mono.elems
+        fn = t.fn
+        inner = _recursive_step(elems[i], rest)
+        return inner.map(lambda u: rapp(fn, monomial(elems[:i] + (u,) + elems[i + 1 :])))
+    raise NotARedexError(f"site {site_to_str(site)} does not resolve in {t}")
+
+
+def _leftmost_outermost_nf(t, memo):
+    """Every step fired at the leftmost-outermost redex, from the root."""
+    got = memo.get(t)
+    if got is None:
+        site = first_redex_site(t)
+        if site is None:
+            got = FiniteSum((t,))
+        else:
+            got = union_all(_leftmost_outermost_nf(u, memo) for u in _recursive_step(t, site))
         memo[t] = got
     return got
 
@@ -310,3 +354,106 @@ def test_summaries_of_parsed_and_shifted_terms():
             assert parse_resource_term(pretty_resource(t)) is t
     for text in ("\\a. \\b. <a>[b, <\\c. c>1]", "<\\a. <a>1>[<\\b. b>[x]]", "*", "<*>[x, x, y]"):
         _assert_summaries(parse_resource_term(text))
+
+
+
+def test_occurrence_counters_agree_with_the_reference_count():
+    def marks(x, match):
+        return sum(_count(e, match) for e in x) if isinstance(x, Monomial) else _count(x, match)
+
+    for rng, t in _random_terms(11, 300):
+        mono = _mono(rng, rng.randint(0, 3), 1)
+        for x in (t, mono, rapp(t, mono)):
+            for name in "xyz":
+                assert deg(x, name) == marks(x, lambda u, c: u is rfvar(name))
+            assert deg_hole(x) == marks(x, lambda u, c: u is HOLE_R)
+
+
+# Function positions normalizing to an abstraction (also next to other
+# addends), elements normalizing to 0 or to several addends, and repeated
+# elements.
+_SHAPES = [
+    "<<\\x. \\y. x>[a]>[b]",
+    "<<\\x. \\y. <x>[y]>[a]>[b]",
+    "<<\\x. x>[\\y. y]>[b]",
+    "<<\\x. x>[\\y. <y>[y]]>[a, b]",
+    "<<\\x. <x>[x]>[\\z. \\w. <z>[w], k]>[<\\v. v>[c]]",
+    "<f>[<\\x. x>1, y]",
+    "<f>[<\\x. x>[a, b]]",
+    "<f>[<\\x. x>[a], <\\x. x>[a]]",
+    "<\\x. <x>[x]>[<\\y. y>[a], <\\y. y>[a]]",
+    "<f>[<\\x. <x>[x]>[a, b], <\\x. <x>[x]>[c, d], <\\x. <x>[x]>[c, d]]",
+    "\\q. <<\\x. \\y. <y>[x, x]>[q, <\\v. v>[q]]>[<\\x. \\y. y>[<g>1]]",
+    "<<<\\x. \\y. \\z. <z>[x, y]>[a]>[<\\v. v>[b]]>[\\u. u]",
+]
+
+
+def _check_against_the_replaced_path(t):
+    sites = redex_sites(t)
+    for site in sites:
+        expected = _recursive_step(t, site)
+        _cool(t)
+        assert r_step(t, site) == expected and r_step(t, site) == expected, site_to_str(site)
+    expected = _leftmost_outermost_nf(t, {})
+    _NF_CACHE.clear()
+    _cool(t)
+    assert r_normalize(t) == expected, pretty_resource(t)
+    assert r_normalize(t) == expected
+    assert all(u.redex for u in _NF_CACHE)  # a redex-free term is its own normal form, not cached
+    return expected
+
+
+def test_shapes_step_and_normalize_like_the_replaced_path():
+    normal = {text: _check_against_the_replaced_path(parse_resource_term(text)) for text in _SHAPES}
+    assert normal["<<\\x. \\y. x>[a]>[b]"] == ZERO
+    assert normal["<<\\x. \\y. <x>[y]>[a]>[b]"] == parse_resource_sum("<a>[b]")
+    assert normal["<<\\x. x>[\\y. y]>[b]"] == parse_resource_sum("b")
+    assert normal["<<\\x. x>[\\y. <y>[y]]>[a, b]"] == parse_resource_sum("<a>[b] + <b>[a]")
+    assert normal["<<\\x. <x>[x]>[\\z. \\w. <z>[w], k]>[<\\v. v>[c]]"] == parse_resource_sum(
+        "<k>[c] + <<k>[\\z. \\w. <z>[w]]>[c]"
+    )
+    assert normal["<f>[<\\x. x>1, y]"] == ZERO and normal["<f>[<\\x. x>[a, b]]"] == ZERO
+    assert normal["<f>[<\\x. x>[a], <\\x. x>[a]]"] == parse_resource_sum("<f>[a, a]")
+    assert len(normal["<f>[<\\x. <x>[x]>[a, b], <\\x. <x>[x]>[c, d], <\\x. <x>[x]>[c, d]]"]) == 6
+
+
+@pytest.mark.parametrize("seed", [12, 13, 14])
+def test_steps_and_normal_forms_agree_with_the_replaced_path(seed):
+    for _, t in _random_terms(seed, 250):
+        _check_against_the_replaced_path(t)
+        _check_against_the_replaced_path(rapp(rlam(rvar(0)), monomial([t])))
+
+
+def test_unresolvable_and_redex_free_sites_keep_their_messages():
+    cases = [
+        ("x", "fun", "site fun does not resolve in x"),
+        ("<x>[y]", "fun.fun", "site fun does not resolve in x"),
+        ("<x>[y, z]", "arg[3]", "site arg[3] does not resolve in <x>[y, z]"),
+        ("<x>[y]", "arg[0]", "no redex at site: y"),
+        ("\\a. <a>[<\\b. b>[y]]", "body.arg[0].body", "site body does not resolve in <\\a. a>[y]"),
+        ("\\a. a", "fun", "site fun does not resolve in \\a. a"),
+        ("<x>[y]", "root", "no redex at site: <x>[y]"),
+        ("<\\a. a>[<f>[y]]", "arg[0].arg[0]", "no redex at site: y"),
+        ("<<\\a. a>[y]>[z]", "fun.body", "site body does not resolve in <\\a. a>[y]"),
+        ("\\a. <a>1", "body", "no redex at site: <#0>1"),
+        ("<f>[<g>[x, <\\a. a>[y]]]", "arg[0].arg[5]", "site arg[5] does not resolve in <g>[x, <\\a. a>[y]]"),
+        ("<f>[<g>[x]]", "arg[0].fun.fun", "site fun does not resolve in g"),
+    ]
+    for text, site, message in cases:
+        t, site = parse_resource_term(text), site_from_str(site)
+        for step in (r_step, _recursive_step):
+            with pytest.raises(NotARedexError) as err:
+                step(t, site)
+            assert str(err.value) == message
+
+
+def test_deep_chains_still_normalize():
+    identity, a, f = rlam(rvar(0)), rfvar("a"), rfvar("f")
+    t = a
+    for _ in range(300):
+        t = rapp(identity, monomial([t]))
+    assert r_normalize(t) == FiniteSum((a,))
+    t, want = rapp(identity, monomial([a])), a
+    for _ in range(400):
+        t, want = rapp(f, monomial([t])), rapp(f, monomial([want]))
+    assert r_normalize(t) == FiniteSum((want,))
