@@ -231,12 +231,7 @@ def head_form(m: Term) -> HeadForm:
 
 def _fire_head(hf: HeadForm) -> Term:
     assert isinstance(hf.head, Lam)
-    t = open_bound(hf.head.body, hf.spine[0])
-    for q in hf.spine[1:]:
-        t = App(t, q)
-    for hint in reversed(hf.binders):
-        t = Lam(hint, t)
-    return t
+    return HeadForm(hf.binders, open_bound(hf.head.body, hf.spine[0]), hf.spine[1:]).rebuild()
 
 
 def head_redex_position(hf: HeadForm) -> Position:
@@ -417,13 +412,8 @@ def bohm_tree(target: TermLike, depth: int, fuel: int) -> Term:
             return HOLE
         hf = head_form(run.term)
         inner = tuple(reversed(hf.binders)) + stack
-        children = [rec(q, budget - 1, inner) for q in hf.spine]
-        out = hf.head
-        for c in children:
-            out = App(out, c)
-        for hint in reversed(hf.binders):
-            out = Lam(hint, out)
-        return out
+        children = tuple(rec(q, budget - 1, inner) for q in hf.spine)
+        return HeadForm(hf.binders, hf.head, children).rebuild()
 
     return rec(term, depth, ())
 

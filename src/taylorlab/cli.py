@@ -227,16 +227,15 @@ def _cmd_taylor(args) -> int:
 
     target = parse_term(_read_term_arg(args.term))
     if not isinstance(target, RationalSystem) and contains_hole(target):
-        terms = list(enumerate_taylor_context(target, args.size))
-        payload = {
-            "source": pretty(target),
-            "size_bound": args.size,
-            "depth_bound": None,
-            "approximants": [pretty_resource(t) for t in terms],
-        }
+        depth, terms = None, enumerate_taylor_context(target, args.size)
     else:
-        sl = enumerate_taylor(target, args.size, args.depth)
-        payload = sl.to_dict()
+        depth, terms = args.depth, enumerate_taylor(target, args.size, args.depth)
+    payload = {
+        "source": _print_target(target),
+        "size_bound": args.size,
+        "depth_bound": depth,
+        "approximants": [pretty_resource(t) for t in terms],
+    }
     _emit(payload, args.json, payload["approximants"] or ["0"])
     return 0
 
@@ -246,7 +245,7 @@ def _cmd_nf_taylor(args) -> int:
 
     target = parse_term(_read_term_arg(args.term))
     sl = enumerate_taylor(target, args.size, args.depth)
-    normal = r_normalize(sl.terms)
+    normal = r_normalize(sl)
     payload = {
         "source": _print_target(target),
         "size_bound": args.size,
@@ -258,7 +257,7 @@ def _cmd_nf_taylor(args) -> int:
 
 
 def _cmd_rsubst(args) -> int:
-    s = parse_resource_term(args.term)
+    s = parse_resource_term(_read_term_arg(args.term))
     mono = parse_resource_monomial(args.monomial)
     out = r_subst(s, args.var, mono)
     payload = {
@@ -331,17 +330,14 @@ def _report_out(report, as_json: bool) -> int:
 
 def _cmd_check(args) -> int:
     kind = args.kind
+    target = parse_term(_read_term_arg(args.terms[0]))
     if kind == "commutation":
-        target = parse_term(_read_term_arg(args.terms[0]))
         report = check_commutation(target, args.size, args.fuel, args.backstop)
     elif kind == "head":
-        target = parse_term(_read_term_arg(args.terms[0]))
         report = check_head_charac(target, args.size, args.fuel)
     elif kind == "norm":
-        target = parse_term(_read_term_arg(args.terms[0]))
         report = check_norm_charac(target, args.dmax, args.size, args.fuel)
     elif kind == "simulation":
-        target = parse_term(_read_term_arg(args.terms[0]))
         if isinstance(target, RationalSystem):
             raise LambdaError("simulation expects a finite term")
         steps = [position_from_str(p) for p in (args.steps.split(",") if args.steps else [])]
@@ -349,18 +345,15 @@ def _cmd_check(args) -> int:
     elif kind == "genericity":
         if len(args.terms) < 2:
             raise LambdaError("genericity needs CONTEXT UNSOLVABLE [REPLACEMENT...]")
-        ctx = parse_term(args.terms[0])
         hole_filler = parse_term(args.terms[1])
         repl = [parse_term(t) for t in args.terms[2:]]
-        if isinstance(ctx, RationalSystem) or isinstance(hole_filler, RationalSystem):
+        if isinstance(target, RationalSystem) or isinstance(hole_filler, RationalSystem):
             raise LambdaError("genericity expects finite terms")
-        report = check_genericity(ctx, hole_filler, repl, args.size, args.fuel, depth=args.dmax)
+        report = check_genericity(target, hole_filler, repl, args.size, args.fuel, depth=args.dmax)
     elif kind == "equal":
         if len(args.terms) != 2:
             raise LambdaError("equal needs exactly two terms")
-        left = parse_term(args.terms[0])
-        right = parse_term(args.terms[1])
-        report = terms_equal_via_taylor(left, right, args.dmax, args.size)
+        report = terms_equal_via_taylor(target, parse_term(args.terms[1]), args.dmax, args.size)
     else:  # pragma: no cover - argparse restricts choices
         raise LambdaError(f"unknown check {kind!r}")
     return _report_out(report, args.json)

@@ -956,7 +956,7 @@ def hr_commutation_stats(m: Term, size_bound: int) -> dict:
     """
     sl = enumerate_taylor(m, size_bound)
     reduct = head_step(m)
-    fired = hr_step(FiniteSum(iter(sl)))
+    fired = hr_step(sl)
     ok = all(approximates(t, reduct) for t in fired)
     reduct_slice = set(enumerate_taylor(reduct, size_bound))
     covered = len(reduct_slice & set(fired))

@@ -13,11 +13,7 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .syntax import LambdaError, ParseError
-
-
-class ResourceError(LambdaError):
-    pass
+from .syntax import ParseError, Tokens
 
 
 _skey = attrgetter("skey")
@@ -592,61 +588,14 @@ _R_PUNCT = {
 }
 
 
-def _rlex(text: str) -> list[tuple[str, str, int]]:
-    toks = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        kind = _R_PUNCT.get(ch)
-        if kind is not None:
-            toks.append((kind, ch, i))
-            i += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] in "_'"):
-                j += 1
-            toks.append(("IDENT", text[i:j], i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i, text)
-    toks.append(("EOF", "", n))
-    return toks
-
-
-class _RParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.toks = _rlex(text)
-        self.i = 0
-
-    def peek(self):
-        return self.toks[self.i]
-
-    def next(self):
-        tok = self.toks[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, kind: str):
-        tok = self.next()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind}, found {tok[1] or 'end of input'!r}", tok[2], self.text)
-        return tok
+class _RParser(Tokens):
+    """The resource grammar, read from the shared token cursor."""
 
     def term(self, env: tuple[str, ...]) -> ResourceTerm:
         kind, value, pos = self.peek()
         if kind == "LAM":
-            self.next()
-            names = [self.expect("IDENT")[1]]
-            while self.peek()[0] == "IDENT":
-                names.append(self.next()[1])
-            self.expect("DOT")
-            body = self.term(tuple(reversed(names)) + env)
+            names = self.binders()
+            body = self.term(names + env)
             for _ in names:
                 body = rlam(body)
             return body
@@ -690,32 +639,22 @@ class _RParser:
 
 
 def parse_resource_term(text: str) -> ResourceTerm:
-    p = _RParser(text)
-    t = p.term(())
-    if p.peek()[0] != "EOF":
-        raise ParseError(f"unexpected trailing input {p.peek()[1]!r}", p.peek()[2], text)
-    return t
+    p = _RParser(text, _R_PUNCT)
+    return p.end(p.term(()))
 
 
 def parse_resource_monomial(text: str) -> Monomial:
-    p = _RParser(text)
-    m = p.mono(())
-    if p.peek()[0] != "EOF":
-        raise ParseError(f"unexpected trailing input {p.peek()[1]!r}", p.peek()[2], text)
-    return m
+    p = _RParser(text, _R_PUNCT)
+    return p.end(p.mono(()))
 
 
 def parse_resource_sum(text: str) -> FiniteSum:
-    p = _RParser(text)
+    p = _RParser(text, _R_PUNCT)
     if p.peek()[0] == "NIL":
         p.next()
-        if p.peek()[0] != "EOF":
-            raise ParseError("unexpected input after 0", p.peek()[2], text)
-        return ZERO
+        return p.end(ZERO)
     terms = [p.term(())]
     while p.peek()[0] == "PLUS":
         p.next()
         terms.append(p.term(()))
-    if p.peek()[0] != "EOF":
-        raise ParseError(f"unexpected trailing input {p.peek()[1]!r}", p.peek()[2], text)
-    return FiniteSum(terms)
+    return p.end(FiniteSum(terms))

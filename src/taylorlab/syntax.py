@@ -17,7 +17,7 @@ their binders changes how they fill), while plain terms are an alpha-class.
 
 from __future__ import annotations
 
-from typing import Iterator, Union
+from typing import Iterator, TypeVar, Union
 
 
 class LambdaError(Exception):
@@ -537,64 +537,59 @@ def pretty_system(system: RationalSystem, cut: str = "*") -> str:
 
 
 # ---------------------------------------------------------------------------
-# Parsing
-
-_KEYWORDS = {"let", "rec", "and", "in"}
+# Lexing and parsing (the resource calculus reuses ``lex`` and ``Tokens``)
 
 
-class _Tokens:
-    def __init__(self, text: str):
+def lex(text: str, punct: dict[str, str], keywords: frozenset[str] = frozenset()) -> list[tuple[str, str, int]]:
+    """Split ``text`` into ``(kind, text, offset)`` tokens, ending with ``EOF``.
+
+    ``punct`` maps each punctuation token to its kind. A character is looked
+    up alone first; a longer entry is tried only where its first character
+    stands. Identifiers start with a letter or ``_`` and go on with letters,
+    digits, ``_`` and ``'``; those in ``keywords`` get their upper-cased
+    spelling as kind.
+    """
+    long = {word[0]: word for word in punct if len(word) > 1}
+    toks = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        kind = punct.get(ch)
+        if kind is not None:
+            toks.append((kind, ch, i))
+            i += 1
+            continue
+        word = long.get(ch)
+        if word is not None and text.startswith(word, i):
+            toks.append((punct[word], word, i))
+            i += len(word)
+        elif ch.isalpha() or ch == "_":
+            j = i + 1
+            while j < n and (text[j].isalnum() or text[j] in "_'"):
+                j += 1
+            word = text[i:j]
+            toks.append((word.upper() if word in keywords else "IDENT", word, i))
+            i = j
+        else:
+            raise ParseError(f"unexpected character {ch!r}", i, text)
+    toks.append(("EOF", "", n))
+    return toks
+
+
+_T = TypeVar("_T")
+
+
+class Tokens:
+    """A cursor over ``lex(text, punct, keywords)``."""
+
+    def __init__(self, text: str, punct: dict[str, str], keywords: frozenset[str] = frozenset()):
         self.text = text
-        self.toks: list[tuple[str, str, int]] = []
-        self._lex()
+        self.toks = lex(text, punct, keywords)
         self.i = 0
-
-    def _lex(self) -> None:
-        text = self.text
-        i = 0
-        n = len(text)
-        while i < n:
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if ch in "\\λ":
-                self.toks.append(("LAM", ch, i))
-                i += 1
-            elif ch == ".":
-                self.toks.append(("DOT", ch, i))
-                i += 1
-            elif ch == "(":
-                self.toks.append(("LP", ch, i))
-                i += 1
-            elif ch == ")":
-                self.toks.append(("RP", ch, i))
-                i += 1
-            elif ch == "=":
-                self.toks.append(("EQ", ch, i))
-                i += 1
-            elif ch in "*◻?":
-                self.toks.append(("HOLE", ch, i))
-                i += 1
-            elif ch == "⊥":
-                self.toks.append(("BOT", ch, i))
-                i += 1
-            elif text.startswith("_|_", i):
-                self.toks.append(("BOT", "_|_", i))
-                i += 3
-            elif ch.isalpha() or ch == "_":
-                j = i + 1
-                while j < n and (text[j].isalnum() or text[j] in "_'"):
-                    j += 1
-                word = text[i:j]
-                if word in _KEYWORDS:
-                    self.toks.append((word.upper(), word, i))
-                else:
-                    self.toks.append(("IDENT", word, i))
-                i = j
-            else:
-                raise ParseError(f"unexpected character {ch!r}", i, text)
-        self.toks.append(("EOF", "", n))
 
     def peek(self) -> tuple[str, str, int]:
         return self.toks[self.i]
@@ -610,6 +605,38 @@ class _Tokens:
             raise ParseError(f"expected {kind}, found {tok[1] or 'end of input'!r}", tok[2], self.text)
         return tok
 
+    def binders(self) -> tuple[str, ...]:
+        """Read the binder list ``\\x y.`` and return its names innermost first."""
+        self.next()
+        names = [self.expect("IDENT")[1]]
+        while self.peek()[0] == "IDENT":
+            names.append(self.next()[1])
+        self.expect("DOT")
+        return tuple(reversed(names))
+
+    def end(self, result: _T) -> _T:
+        """Return ``result`` once every token is read; reject trailing input."""
+        kind, value, pos = self.toks[self.i]
+        if kind != "EOF":
+            raise ParseError(f"unexpected trailing input {value!r}", pos, self.text)
+        return result
+
+
+_PUNCT = {
+    "\\": "LAM",
+    "λ": "LAM",
+    ".": "DOT",
+    "(": "LP",
+    ")": "RP",
+    "=": "EQ",
+    "*": "HOLE",
+    "◻": "HOLE",
+    "?": "HOLE",
+    "⊥": "BOT",
+    "_|_": "BOT",
+}
+_KEYWORDS = frozenset({"let", "rec", "and", "in"})
+
 
 def parse_term(text: str) -> Term | RationalSystem:
     """Parse the surface grammar; ``let rec`` blocks yield a system.
@@ -619,57 +646,31 @@ def parse_term(text: str) -> Term | RationalSystem:
     ``_|_``/``⊥``; ``*``/``◻``/``?`` for a hole;
     ``let rec X = B and Y = B in M``.
     """
-    toks = _Tokens(text)
+    toks = Tokens(text, _PUNCT, _KEYWORDS)
     if toks.peek()[0] == "LET":
-        result: Term | RationalSystem = _parse_letrec(toks)
-    else:
-        result = _parse_lam(toks, (), frozenset())
-    tok = toks.peek()
-    if tok[0] != "EOF":
-        raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2], text)
-    return result
+        return _parse_letrec(toks)
+    return toks.end(_parse_lam(toks, (), frozenset()))
 
 
-def _parse_letrec(toks: _Tokens) -> RationalSystem:
+def _parse_letrec(toks: Tokens) -> RationalSystem:
+    # ``=`` only ever follows an equation's symbol, so the symbols are read
+    # off the tokens up front and every body is parsed in place. Trailing
+    # input is rejected before the system is validated.
+    rec = frozenset(prev[1] for prev, tok in zip(toks.toks, toks.toks[1:]) if tok[0] == "EQ")
     toks.expect("LET")
     toks.expect("REC")
     equations: dict[str, Term] = {}
-    recnames: set[str] = set()
-    raw: list[tuple[str, int, int]] = []  # (symbol, start token index, end token index)
     while True:
-        sym_tok = toks.expect("IDENT")
+        sym = toks.expect("IDENT")[1]
         toks.expect("EQ")
-        start = toks.i
-        depth = 0
-        while True:
-            kind = toks.peek()[0]
-            if kind == "LP":
-                depth += 1
-            elif kind == "RP":
-                depth -= 1
-            elif depth == 0 and kind in ("AND", "IN"):
-                break
-            elif kind == "EOF":
-                raise ParseError("unterminated let rec", toks.peek()[2], toks.text)
-            toks.next()
-        raw.append((sym_tok[1], start, toks.i))
-        recnames.add(sym_tok[1])
-        if toks.peek()[0] == "AND":
-            toks.next()
-            continue
-        toks.expect("IN")
-        break
-    rec = frozenset(recnames)
-    for sym, start, end in raw:
         if sym in equations:
-            raise ParseError(f"duplicate equation for {sym}", toks.toks[start][2], toks.text)
-        sub = _Tokens("")
-        sub.text = toks.text
-        sub.toks = toks.toks[start:end] + [("EOF", "", toks.toks[end][2])]
-        equations[sym] = _parse_lam(sub, (), rec)
-        if sub.peek()[0] != "EOF":
-            raise ParseError("unexpected input in equation", sub.peek()[2], toks.text)
-    root_body = _parse_lam(toks, (), rec)
+            raise ParseError(f"duplicate equation for {sym}", toks.peek()[2], toks.text)
+        equations[sym] = _parse_lam(toks, (), rec)
+        if toks.peek()[0] != "AND":
+            break
+        toks.next()
+    toks.expect("IN")
+    root_body = toks.end(_parse_lam(toks, (), rec))
     if isinstance(root_body, RecRef):
         return RationalSystem(equations, root_body.symbol)
     root = "it"
@@ -679,15 +680,11 @@ def _parse_letrec(toks: _Tokens) -> RationalSystem:
     return RationalSystem(equations, root, _synthetic_root=True)
 
 
-def _parse_lam(toks: _Tokens, env: tuple[str, ...], rec: frozenset[str]) -> Term:
+def _parse_lam(toks: Tokens, env: tuple[str, ...], rec: frozenset[str]) -> Term:
     if toks.peek()[0] == "LAM":
-        toks.next()
-        names = [toks.expect("IDENT")[1]]
-        while toks.peek()[0] == "IDENT":
-            names.append(toks.next()[1])
-        toks.expect("DOT")
-        body = _parse_lam(toks, tuple(reversed(names)) + env, rec)
-        for name in reversed(names):
+        names = toks.binders()
+        body = _parse_lam(toks, names + env, rec)
+        for name in names:
             body = Lam(name, body)
         return body
     return _parse_app(toks, env, rec)
@@ -696,14 +693,14 @@ def _parse_lam(toks: _Tokens, env: tuple[str, ...], rec: frozenset[str]) -> Term
 _ATOM_STARTS = ("IDENT", "LP", "BOT", "HOLE", "LAM")
 
 
-def _parse_app(toks: _Tokens, env: tuple[str, ...], rec: frozenset[str]) -> Term:
+def _parse_app(toks: Tokens, env: tuple[str, ...], rec: frozenset[str]) -> Term:
     out = _parse_atom(toks, env, rec)
     while toks.peek()[0] in _ATOM_STARTS:
         out = App(out, _parse_atom(toks, env, rec))
     return out
 
 
-def _parse_atom(toks: _Tokens, env: tuple[str, ...], rec: frozenset[str]) -> Term:
+def _parse_atom(toks: Tokens, env: tuple[str, ...], rec: frozenset[str]) -> Term:
     kind, value, pos = toks.peek()
     if kind == "LAM":
         return _parse_lam(toks, env, rec)

@@ -17,7 +17,6 @@ below one).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Literal, Optional
 
 from .resource import (
@@ -108,38 +107,6 @@ def approximates(s: ResourceTerm, target: TermLike, memo: Optional[dict] = None)
     return rec(s, m, ())
 
 
-@dataclass(frozen=True)
-class TaylorSlice:
-    """All approximants of ``source`` with size <= ``size_bound`` and, when
-    ``depth_bound`` is set, height strictly below it."""
-
-    source: TermLike
-    size_bound: int
-    depth_bound: Optional[int]
-    terms: FiniteSum
-
-    def __iter__(self):
-        return iter(self.terms)
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def __contains__(self, t: ResourceTerm) -> bool:
-        return t in self.terms
-
-    def to_dict(self) -> dict:
-        from .resource import pretty_resource
-        from .syntax import pretty, pretty_system
-
-        src = pretty_system(self.source) if isinstance(self.source, RationalSystem) else pretty(self.source)
-        return {
-            "source": src,
-            "size_bound": self.size_bound,
-            "depth_bound": self.depth_bound,
-            "approximants": [pretty_resource(t) for t in self.terms],
-        }
-
-
 class _Enumerator:
     def __init__(self, system: Optional[RationalSystem], hole_mode: HoleMode):
         self.system = system
@@ -215,12 +182,12 @@ def enumerate_taylor(
     size_bound: int,
     depth_bound: Optional[int] = None,
     hole_mode: HoleMode = "cut",
-) -> TaylorSlice:
-    """Materialize the slice of approximants within the bounds."""
+) -> FiniteSum:
+    """Materialize the slice of approximants within the bounds: those of size
+    <= ``size_bound`` and, when ``depth_bound`` is set, of height below it."""
     m, system = _split(target)
     enum = _Enumerator(system, hole_mode)
-    terms = enum.terms(m, size_bound, depth_bound, ())
-    return TaylorSlice(target, size_bound, depth_bound, FiniteSum(terms))
+    return FiniteSum(enum.terms(m, size_bound, depth_bound, ()))
 
 
 def enumerate_taylor_context(c: Term, size_bound: int) -> FiniteSum:

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 
 import time
+from pathlib import Path
 from random import Random
 
 from taylorlab.beta import bohm_tree, stratify
@@ -176,5 +177,7 @@ def test_criterion_10_selftest_determinism(capsys):
     assert code1 == code2 == 0
     assert out1 == out2
     assert out1.encode() == out2.encode()
+    # the determinism canary is also pinned: same bytes as the committed golden run
+    assert out1 == (Path(__file__).parent / "golden" / "selftest_seed42.json").read_text(encoding="utf-8")
     with capsys.disabled():
-        _report(10, "selftest-determinism", "two byte-identical runs", started, 300)
+        _report(10, "selftest-determinism", "two byte-identical runs, equal to the golden file", started, 300)

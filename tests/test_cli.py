@@ -14,6 +14,7 @@ from taylorlab.resource import FiniteSum, pretty_sum
 from taylorlab.resource_reduction import r_normalize
 
 YSRC = "let rec F = f F in \\f. F"
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -231,6 +232,38 @@ def test_stdin_input(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("\\x. x"))
     code, out, _ = run(capsys, "parse", "-")
     assert code == 0 and "\\x. x" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rsubst", "<x>[x]", "x", "[\\y. y, z]"],
+        ["check", "genericity", "*", "(\\x. x x) (\\x. x x)", "\\x. x"],
+        ["check", "equal", "\\x. x", "\\x. \\y. y", "--size", "6"],
+    ],
+    ids=["rsubst", "genericity", "equal"],
+)
+def test_first_term_from_stdin(capsys, monkeypatch, argv):
+    import io
+
+    expected = run(capsys, *argv, "--json")
+    term = argv.pop(2 if argv[0] == "check" else 1)
+    argv.insert(2 if argv[0] == "check" else 1, "-")
+    monkeypatch.setattr("sys.stdin", io.StringIO(term))
+    assert run(capsys, *argv, "--json") == expected
+
+
+@pytest.mark.parametrize(
+    "golden, argv",
+    [
+        ("taylor_term.json", ["(\\x. x) (\\y. y)", "--size", "6"]),
+        ("taylor_system.json", [YSRC, "--size", "9", "--depth", "3"]),
+        ("taylor_context.json", ["\\x. * x", "--size", "6"]),
+    ],
+)
+def test_taylor_json_golden(capsys, golden, argv):
+    code, out, _ = run(capsys, "taylor", *argv, "--json")
+    assert code == 0 and out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
 def test_selftest_quick_deterministic(capsys):

@@ -1,0 +1,97 @@
+"""The shared lexer and the one-pass ``let rec`` parser against frozen copies
+of the code they replaced (``parse_oracles``), on seeded random input."""
+
+import random
+from collections import Counter
+
+from taylorlab.resource import _R_PUNCT
+from taylorlab.syntax import _KEYWORDS, _PUNCT, LambdaError, ParseError, RationalSystem, lex, parse_term
+
+from parse_oracles import OldTokens, old_parse_term, old_rlex
+
+LEX_PIECES = (
+    "\\ λ . ( ) = * ◻ ? ⊥ _|_ < > ⟨ ⟩ [ ] , + 1 0 let rec and in "
+    "x y F f' _ | _| |_ é Ω ² x² Ωé a1 - # ;"
+).split() + [" ", "  ", "\t", "\n"]
+
+
+def _outcome(lexer, text):
+    try:
+        return lexer(text)
+    except ParseError as err:
+        return ("error", str(err), err.pos)
+
+
+def test_lexers_match_the_old_lexers():
+    rng = random.Random(2024)
+    for _ in range(100_000):
+        text = "".join(rng.choice(LEX_PIECES) for _ in range(rng.randint(0, 10)))
+        assert _outcome(lambda s: lex(s, _PUNCT, _KEYWORDS), text) == _outcome(lambda s: OldTokens(s).toks, text), text
+        assert _outcome(lambda s: lex(s, _R_PUNCT), text) == _outcome(old_rlex, text), text
+
+
+SYMBOLS = ("F", "G", "H")
+NAMES = ("x", "y", "f")
+
+
+def _body(rng, depth):
+    roll = rng.random()
+    if depth <= 0 or roll < 0.3:
+        return [rng.choice(SYMBOLS + NAMES + ("_|_", "*"))]
+    if roll < 0.5:
+        return ["\\"] + rng.sample(NAMES, rng.randint(1, 2)) + ["."] + _body(rng, depth - 1)
+    if roll < 0.65:
+        return ["("] + _body(rng, depth - 1) + [")"]
+    return _body(rng, depth - 1) + ["("] + _body(rng, depth - 1) + [")"]
+
+
+def _letrec(rng):
+    toks = ["let", "rec"]
+    for k in range(rng.randint(1, 3)):
+        toks += (["and"] if k else []) + [rng.choice(SYMBOLS), "="] + _body(rng, 2)
+    return toks + ["in"] + _body(rng, 1)
+
+
+MUTATIONS = ("let", "rec", "and", "in", "=", "(", ")", "\\", ".", "F", "x", "_|_")
+
+
+def _letrec_input(rng):
+    toks = _letrec(rng) if rng.random() < 0.9 else _body(rng, 2)
+    for _ in range(rng.choice((0, 0, 1, 1, 2, 3))):
+        k = rng.randrange(len(toks) + 1)
+        roll = rng.random()
+        if roll < 0.4 and k < len(toks):
+            del toks[k]
+        elif roll < 0.7 and k < len(toks):
+            toks[k] = rng.choice(MUTATIONS)
+        else:
+            toks.insert(k, rng.choice(MUTATIONS))
+    return " ".join(toks)
+
+
+def _shape(result):
+    if isinstance(result, RationalSystem):
+        return result.root, result._synthetic_root, {s: b.fkey for s, b in result.equations.items()}
+    return result.fkey
+
+
+def test_one_pass_letrec_matches_the_old_parser():
+    rng = random.Random(7)
+    seen = Counter()
+    for _ in range(100_000):
+        text = _letrec_input(rng)
+        try:
+            expected = _shape(old_parse_term(text))
+        except LambdaError:
+            expected = None
+        if expected is None:
+            try:
+                parse_term(text)
+            except LambdaError:
+                seen["rejected"] += 1
+                continue
+            raise AssertionError(f"accepted what the old parser rejects: {text!r}")
+        assert _shape(parse_term(text)) == expected, text
+        seen["accepted"] += 1
+    # both outcomes are exercised in bulk
+    assert min(seen.values()) > 10_000, seen

@@ -161,12 +161,6 @@ def test_member_of_bohm_fuel_unknown():
     assert member_of_bohm(rp("x"), grower, 3) is None
 
 
-def test_slice_to_dict():
-    d = enumerate_taylor(II, 6).to_dict()
-    assert d["approximants"] == ["<\\a. a>1", "<\\a. a>[\\a. a]"]
-    assert d["size_bound"] == 6 and d["depth_bound"] is None
-
-
 def test_context_fill_compatibility_exhaustive_small():
     # slice of c<m> == all addends of hole fillings of context approximants
     from taylorlab.resource import r_context_fill
