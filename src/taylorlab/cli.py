@@ -227,13 +227,13 @@ def _cmd_taylor(args) -> int:
 
     target = parse_term(_read_term_arg(args.term))
     if not isinstance(target, RationalSystem) and contains_hole(target):
-        depth, terms = None, enumerate_taylor_context(target, args.size)
+        terms = enumerate_taylor_context(target, args.size, args.depth)
     else:
-        depth, terms = args.depth, enumerate_taylor(target, args.size, args.depth)
+        terms = enumerate_taylor(target, args.size, args.depth)
     payload = {
         "source": _print_target(target),
         "size_bound": args.size,
-        "depth_bound": depth,
+        "depth_bound": args.depth,
         "approximants": [pretty_resource(t) for t in terms],
     }
     _emit(payload, args.json, payload["approximants"] or ["0"])

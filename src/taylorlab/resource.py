@@ -13,10 +13,10 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .syntax import ParseError, Tokens
+from .syntax import Tokens, token_pattern
 
 
-_skey = attrgetter("skey")
+_skey, _size, _height, _loose, _redex = map(attrgetter, ("skey", "size", "height", "loose", "redex"))
 
 
 # ---------------------------------------------------------------------------
@@ -28,6 +28,8 @@ class ResourceTerm:
     computed once, when it is interned: ``loose`` bounds its loose de Bruijn
     indices (each is below it) and ``redex`` says whether it contains a
     redex. Identity ``__eq__``/``__hash__`` are correct thanks to interning.
+    Abstractions and applications also keep their normal form in ``nf``
+    (None until ``resource_reduction.r_normalize`` first needs it).
     """
 
     __slots__ = ("skey", "size", "height", "loose", "redex")
@@ -51,13 +53,13 @@ class RFreeVar(ResourceTerm):
 
 
 class RLam(ResourceTerm):
-    __slots__ = ("body",)
+    __slots__ = ("body", "nf")
 
 
 class RApp(ResourceTerm):
     """``fired`` caches ``open_redex``: None until a redex is first opened."""
 
-    __slots__ = ("fn", "mono", "fired")
+    __slots__ = ("fn", "mono", "fired", "nf")
 
 
 class RHole(ResourceTerm):
@@ -88,7 +90,14 @@ class Monomial:
         return f"Monomial({pretty_monomial(self)!r})"
 
 
-_INTERN: dict[tuple, object] = {}
+# One intern table per kind, keyed by the children themselves. A node is
+# built outside the table and inserted with ``setdefault``, which is atomic,
+# so threads racing on the same key all return the node that got in first.
+_VARS: dict[int, "RVar"] = {}
+_FREE: dict[str, "RFreeVar"] = {}
+_LAMS: dict[ResourceTerm, "RLam"] = {}
+_APPS: dict[tuple, "RApp"] = {}
+_MONOS: dict[tuple, Monomial] = {}
 
 
 def _leaf(node, skey: tuple, loose: int):
@@ -101,26 +110,25 @@ def _leaf(node, skey: tuple, loose: int):
 
 
 def rvar(index: int) -> RVar:
-    key = ("v", index)
-    node = _INTERN.get(key)
+    node = _VARS.get(index)
     if node is None:
-        node = _INTERN[key] = _leaf(RVar(), (0, index), index + 1)
+        node = _leaf(RVar(), (0, index), index + 1)
         node.index = index
-    return node  # type: ignore[return-value]
+        node = _VARS.setdefault(index, node)
+    return node
 
 
 def rfvar(name: str) -> RFreeVar:
-    key = ("f", name)
-    node = _INTERN.get(key)
+    node = _FREE.get(name)
     if node is None:
-        node = _INTERN[key] = _leaf(RFreeVar(), (1, name), 0)
+        node = _leaf(RFreeVar(), (1, name), 0)
         node.name = name
-    return node  # type: ignore[return-value]
+        node = _FREE.setdefault(name, node)
+    return node
 
 
 def rlam(body: ResourceTerm) -> RLam:
-    key = ("l", body)
-    node = _INTERN.get(key)
+    node = _LAMS.get(body)
     if node is None:
         node = RLam()
         node.body = body
@@ -129,44 +137,46 @@ def rlam(body: ResourceTerm) -> RLam:
         node.height = body.height
         node.loose = body.loose - 1 if body.loose else 0
         node.redex = body.redex
-        _INTERN[key] = node
-    return node  # type: ignore[return-value]
+        node.nf = None
+        node = _LAMS.setdefault(body, node)
+    return node
 
 
 def rapp(fn: ResourceTerm, mono: Monomial) -> RApp:
-    key = ("a", fn, mono)
-    node = _INTERN.get(key)
+    key = (fn, mono)
+    node = _APPS.get(key)
     if node is None:
         node = RApp()
         node.fn = fn
         node.mono = mono
         node.skey = (3, fn.skey, mono.skey)
         node.size = fn.size + mono.size
-        node.height = max(fn.height, mono.height)
-        node.loose = max(fn.loose, mono.loose)
+        node.height = fn.height if fn.height > mono.height else mono.height
+        node.loose = fn.loose if fn.loose > mono.loose else mono.loose
         node.redex = fn.redex or mono.redex or isinstance(fn, RLam)
-        node.fired = None
-        _INTERN[key] = node
-    return node  # type: ignore[return-value]
+        node.fired = node.nf = None
+        node = _APPS.setdefault(key, node)
+    return node
 
 
 HOLE_R = _leaf(RHole(), (4,), 0)
 
 
 def monomial(elems: Iterable[ResourceTerm]) -> Monomial:
-    sorted_elems = tuple(sorted(elems, key=_skey))
-    key = ("m", sorted_elems)
-    node = _INTERN.get(key)
+    elems = tuple(elems)
+    if len(elems) > 1:
+        elems = tuple(sorted(elems, key=_skey))
+    node = _MONOS.get(elems)
     if node is None:
         node = Monomial()
-        node.elems = sorted_elems
-        node.skey = tuple(t.skey for t in sorted_elems)
-        node.size = 1 + sum(t.size for t in sorted_elems)
-        node.height = 1 + max((t.height for t in sorted_elems), default=0)
-        node.loose = max((t.loose for t in sorted_elems), default=0)
-        node.redex = any(t.redex for t in sorted_elems)
-        _INTERN[key] = node
-    return node  # type: ignore[return-value]
+        node.elems = elems
+        node.skey = tuple(map(_skey, elems))
+        node.size = 1 + sum(map(_size, elems))
+        node.height = 1 + max(map(_height, elems), default=0)
+        node.loose = max(map(_loose, elems), default=0)
+        node.redex = any(map(_redex, elems))
+        node = _MONOS.setdefault(elems, node)
+    return node
 
 
 ONE = monomial(())
@@ -184,7 +194,8 @@ class FiniteSum:
     __slots__ = ("terms", "_set")
 
     def __init__(self, terms: Iterable[ResourceTerm] = ()):
-        self.terms = tuple(sorted(set(terms), key=_skey))
+        terms = set(terms)
+        self.terms = tuple(sorted(terms, key=_skey)) if len(terms) > 1 else tuple(terms)
         self._set: Optional[frozenset] = None
 
     def __iter__(self) -> Iterator[ResourceTerm]:
@@ -276,33 +287,31 @@ def deg_hole(t: ResourceTerm | Monomial) -> int:
 
 
 def _distinct_assignments(elems: tuple[ResourceTerm, ...]) -> Iterator[tuple[ResourceTerm, ...]]:
-    """All distinct sequences drawing each multiset element exactly once.
+    """All distinct sequences drawing each multiset element exactly once, in
+    lexicographic order: the multinomial coefficient of them, not n!.
 
-    Equal elements are grouped, so the number of sequences is the
-    multinomial coefficient rather than n!.
+    ``elems`` is sorted, so equal elements are adjacent; each ordering after
+    the first is the next permutation of their group numbers.
     """
-    groups: list[list] = []
+    groups: list[ResourceTerm] = []
+    order: list[int] = []
     for e in elems:
-        if groups and groups[-1][0] is e:
-            groups[-1][1] += 1
-        else:
-            groups.append([e, 1])
-    n = len(elems)
-    out: list[ResourceTerm | None] = [None] * n
-
-    def place(pos: int) -> Iterator[tuple[ResourceTerm, ...]]:
-        if pos == n:
-            yield tuple(out)  # type: ignore[arg-type]
+        if not groups or groups[-1] is not e:
+            groups.append(e)
+        order.append(len(groups) - 1)
+    pick = groups.__getitem__
+    while True:
+        yield tuple(map(pick, order))
+        i = len(order) - 2
+        while i >= 0 and order[i] >= order[i + 1]:
+            i -= 1
+        if i < 0:
             return
-        for g in groups:
-            if g[1] == 0:
-                continue
-            g[1] -= 1
-            out[pos] = g[0]
-            yield from place(pos + 1)
-            g[1] += 1
-
-    return place(0)
+        j = len(order) - 1
+        while order[j] <= order[i]:
+            j -= 1
+        order[i], order[j] = order[j], order[i]
+        order[i + 1 :] = order[:i:-1]
 
 
 def _count_marks(x: ResourceTerm | Monomial, match) -> int:
@@ -352,7 +361,7 @@ def _rshift(t: ResourceTerm, d: int, cutoff: int = 0) -> ResourceTerm:
     if isinstance(t, RLam):
         return rlam(_rshift(t.body, d, cutoff + 1))
     # a loose index at or above the cutoff makes t a variable, an abstraction or an application
-    return rapp(_rshift(t.fn, d, cutoff), monomial(_rshift(e, d, cutoff) for e in t.mono))
+    return rapp(_rshift(t.fn, d, cutoff), monomial([_rshift(e, d, cutoff) for e in t.mono.elems]))
 
 
 def r_subst(s: ResourceTerm, name: str, mono: Monomial) -> FiniteSum:
@@ -588,73 +597,73 @@ _R_PUNCT = {
 }
 
 
-class _RParser(Tokens):
-    """The resource grammar, read from the shared token cursor."""
+_R_PATTERN = token_pattern(_R_PUNCT)
 
-    def term(self, env: tuple[str, ...]) -> ResourceTerm:
-        kind, value, pos = self.peek()
-        if kind == "LAM":
+
+class _RParser(Tokens):
+    """The resource grammar, read from the shared token cursor. Each method
+    gets the first token of what it reads already taken."""
+
+    def term(self, tok: str, env: tuple[str, ...]) -> ResourceTerm:
+        take = self.take
+        if tok == "<" or tok == "⟨":
+            fn = self.term(take(), env)
+            tok = take()
+            if tok != ">":
+                self.check(tok, "GT")
+            return rapp(fn, self.mono(take(), env))
+        if tok not in _R_PUNCT and tok:
+            return rvar(env.index(tok)) if tok in env else rfvar(tok)
+        if tok == "\\" or tok == "λ":
             names = self.binders()
-            body = self.term(names + env)
+            body = self.term(take(), names + env)
             for _ in names:
                 body = rlam(body)
             return body
-        if kind == "LT":
-            self.next()
-            fn = self.term(env)
-            self.expect("GT")
-            return rapp(fn, self.mono(env))
-        if kind == "IDENT":
-            self.next()
-            for i, name in enumerate(env):
-                if name == value:
-                    return rvar(i)
-            return rfvar(value)
-        if kind == "HOLE":
-            self.next()
+        if tok == "*":
             return HOLE_R
-        if kind == "LP":
-            self.next()
-            inner = self.term(env)
+        if tok == "(":
+            inner = self.term(take(), env)
             self.expect("RP")
             return inner
-        raise ParseError(f"expected a resource term, found {value or 'end of input'!r}", pos, self.text)
+        raise self.error(f"expected a resource term, found {tok or 'end of input'!r}", self.i - 1)
 
-    def mono(self, env: tuple[str, ...]) -> Monomial:
-        kind, value, pos = self.peek()
-        if kind == "ONE":
-            self.next()
-            return ONE
-        if kind == "LB":
-            self.next()
-            elems = []
-            if self.peek()[0] != "RB":
-                elems.append(self.term(env))
-                while self.peek()[0] == "COMMA":
-                    self.next()
-                    elems.append(self.term(env))
-            self.expect("RB")
+    def mono(self, tok: str, env: tuple[str, ...]) -> Monomial:
+        if tok == "[":
+            take = self.take
+            tok = take()
+            if tok == "]":
+                return ONE
+            elems = [self.term(tok, env)]
+            tok = take()
+            while tok == ",":
+                elems.append(self.term(take(), env))
+                tok = take()
+            if tok != "]":
+                self.check(tok, "RB")
             return monomial(elems)
-        raise ParseError(f"expected a monomial, found {value or 'end of input'!r}", pos, self.text)
+        if tok == "1":
+            return ONE
+        raise self.error(f"expected a monomial, found {tok or 'end of input'!r}", self.i - 1)
 
 
 def parse_resource_term(text: str) -> ResourceTerm:
-    p = _RParser(text, _R_PUNCT)
-    return p.end(p.term(()))
+    p = _RParser(text, _R_PATTERN, _R_PUNCT)
+    return p.end(p.term(p.take(), ()))
 
 
 def parse_resource_monomial(text: str) -> Monomial:
-    p = _RParser(text, _R_PUNCT)
-    return p.end(p.mono(()))
+    p = _RParser(text, _R_PATTERN, _R_PUNCT)
+    return p.end(p.mono(p.take(), ()))
 
 
 def parse_resource_sum(text: str) -> FiniteSum:
-    p = _RParser(text, _R_PUNCT)
-    if p.peek()[0] == "NIL":
-        p.next()
+    p = _RParser(text, _R_PATTERN, _R_PUNCT)
+    tok = p.take()
+    if tok == "0":
         return p.end(ZERO)
-    terms = [p.term(())]
-    while p.peek()[0] == "PLUS":
-        p.next()
-        terms.append(p.term(()))
+    terms = [p.term(tok, ())]
+    while p.peek() == "+":
+        p.take()
+        terms.append(p.term(p.take(), ()))
     return p.end(FiniteSum(terms))

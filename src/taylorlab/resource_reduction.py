@@ -18,7 +18,6 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .beta import DepthTooShallowError, NotARedexError
 from .resource import (
-    ZERO,
     FiniteSum,
     Monomial,
     ResourceTerm,
@@ -71,21 +70,25 @@ def redex_sites(t: ResourceTerm) -> list[RedexSite]:
     """All redex positions, outermost first, function before arguments.
     Redex-free subterms are not entered."""
     out: list[RedexSite] = []
-
-    def walk(u: ResourceTerm, path: tuple) -> None:
-        if isinstance(u, RApp):
-            if isinstance(u.fn, RLam):
-                out.append(path)
-            if u.fn.redex:
-                walk(u.fn, path + ("fun",))
-            for i, e in enumerate(u.mono):
-                if e.redex:
-                    walk(e, path + (("arg", i),))
-        elif isinstance(u, RLam) and u.body.redex:
-            walk(u.body, path + ("body",))
-
-    if t.redex:
-        walk(t, ())
+    path: list = []  # grown and cut back to the depth a pending subterm sits at
+    todo = [(t, 0, None)] if t.redex else []
+    while todo:
+        u, depth, step = todo.pop()
+        del path[depth:]
+        if step is not None:
+            path.append(step)
+        depth = len(path)
+        if isinstance(u, RLam):
+            todo.append((u.body, depth, "body"))
+            continue
+        if isinstance(u.fn, RLam):
+            out.append(tuple(path))
+        elems = u.mono.elems
+        for i in range(len(elems) - 1, -1, -1):
+            if elems[i].redex:
+                todo.append((elems[i], depth, ("arg", i)))
+        if u.fn.redex:
+            todo.append((u.fn, depth, "fun"))
     return out
 
 
@@ -110,7 +113,7 @@ def r_step(t: ResourceTerm, site: RedexSite) -> FiniteSum:
     if not (isinstance(u, RApp) and isinstance(u.fn, RLam)):
         raise NotARedexError(f"no redex at site: {u}")
     fired = open_redex(u)
-    return FiniteSum([_plug(v, frames) for v in fired]) if frames else fired
+    return FiniteSum([_plug(v, frames) for v in fired.terms]) if frames else fired
 
 
 def _plug(u: ResourceTerm, frames: list) -> ResourceTerm:
@@ -170,9 +173,6 @@ def r_step_sum(
 # ---------------------------------------------------------------------------
 # Normalization
 
-_NF_CACHE: dict[ResourceTerm, FiniteSum] = {}
-
-
 def first_redex_site(t: ResourceTerm) -> Optional[RedexSite]:
     """The leftmost-outermost redex position, found without backtracking:
     the walk enters only subterms that contain a redex."""
@@ -197,14 +197,14 @@ def first_redex_site(t: ResourceTerm) -> Optional[RedexSite]:
 def _nf(t: ResourceTerm) -> FiniteSum:
     if not t.redex:
         return FiniteSum((t,))
-    cached = _NF_CACHE.get(t)
+    cached = t.nf
     if cached is not None:
         return cached
     acc: set[ResourceTerm] = set()
     if isinstance(t, RLam):
         acc.update(map(rlam, _nf(t.body).terms))
     elif isinstance(t.fn, RLam):
-        for u in open_redex(t):
+        for u in open_redex(t).terms:
             acc.update(_nf(u).terms)
     else:
         args = None  # the elements' normal forms multiplied out, once needed
@@ -215,17 +215,18 @@ def _nf(t: ResourceTerm) -> FiniteSum:
             if args is None:
                 args = list(itertools.product(*map(_nf, t.mono.elems)))
             acc.update(rapp(f, monomial(a)) for a in args)
-    out = _NF_CACHE[t] = FiniteSum(acc)
+    out = t.nf = FiniteSum(acc)
     return out
 
 
 def r_normalize(x: ResourceTerm | FiniteSum) -> FiniteSum:
-    """Unique normal form, memoized for terms holding a redex. Each addend
-    is normalized structurally: under its binder, by firing a root redex, or
-    by normalizing the function, then firing the redex each abstraction
-    forms with the monomial and multiplying out the elements' normal forms
-    otherwise. Confluence makes the result the one any strategy reaches
-    (``normalize_with`` cross-checks this)."""
+    """Unique normal form, kept in the ``nf`` slot of every term holding a
+    redex it meets. Each addend is normalized structurally: under its
+    binder, by firing a root redex, or by normalizing the function, then
+    firing the redex each abstraction forms with the monomial and
+    multiplying out the elements' normal forms otherwise. Confluence makes
+    the result the one any strategy reaches (``normalize_with`` cross-checks
+    this)."""
     if isinstance(x, FiniteSum):
         return union_all(_nf(t) for t in x)
     return _nf(x)
@@ -243,36 +244,8 @@ def normalize_with(
         if not sites:
             done.add(u)
         else:
-            work.extend(r_step(u, pick(sites)))
+            work.extend(r_step(u, pick(sites)).terms)
     return FiniteSum(done)
-
-
-def normal_forms_all_orders(t: ResourceTerm, limit: int = 200000) -> set[FiniteSum]:
-    """Brute-force oracle: normal forms reached under every single-site
-    strategy choice, as a set (should always be a singleton)."""
-    results: set[FiniteSum] = set()
-    budget = [limit]
-
-    def explore(u: ResourceTerm) -> set[FiniteSum]:
-        sites = redex_sites(u)
-        if not sites:
-            return {FiniteSum((u,))}
-        outs: set[FiniteSum] = set()
-        for site in sites:
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise RuntimeError("oracle budget exhausted")
-            step = r_step(u, site)
-            combos: list[set[FiniteSum]] = [explore(v) for v in step]
-            if not combos:
-                outs.add(ZERO)
-                continue
-            for pickings in itertools.product(*combos):
-                outs.add(union_all(pickings))
-        return outs
-
-    results = explore(t)
-    return results
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,9 @@ their binders changes how they fill), while plain terms are an alpha-class.
 
 from __future__ import annotations
 
-from typing import Iterator, TypeVar, Union
+import re
+from operator import length_hint
+from typing import Iterable, Iterator, TypeVar, Union
 
 
 class LambdaError(Exception):
@@ -537,88 +539,101 @@ def pretty_system(system: RationalSystem, cut: str = "*") -> str:
 
 
 # ---------------------------------------------------------------------------
-# Lexing and parsing (the resource calculus reuses ``lex`` and ``Tokens``)
+# Lexing and parsing (the resource calculus reuses ``token_pattern`` and ``Tokens``)
 
 
-def lex(text: str, punct: dict[str, str], keywords: frozenset[str] = frozenset()) -> list[tuple[str, str, int]]:
-    """Split ``text`` into ``(kind, text, offset)`` tokens, ending with ``EOF``.
-
-    ``punct`` maps each punctuation token to its kind. A character is looked
-    up alone first; a longer entry is tried only where its first character
-    stands. Identifiers start with a letter or ``_`` and go on with letters,
-    digits, ``_`` and ``'``; those in ``keywords`` get their upper-cased
-    spelling as kind.
-    """
-    long = {word[0]: word for word in punct if len(word) > 1}
-    toks = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        kind = punct.get(ch)
-        if kind is not None:
-            toks.append((kind, ch, i))
-            i += 1
-            continue
-        word = long.get(ch)
-        if word is not None and text.startswith(word, i):
-            toks.append((punct[word], word, i))
-            i += len(word)
-        elif ch.isalpha() or ch == "_":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] in "_'"):
-                j += 1
-            word = text[i:j]
-            toks.append((word.upper() if word in keywords else "IDENT", word, i))
-            i = j
-        else:
-            raise ParseError(f"unexpected character {ch!r}", i, text)
-    toks.append(("EOF", "", n))
-    return toks
+def token_pattern(punct: Iterable[str]) -> re.Pattern:
+    """The one pattern that finds a grammar's tokens. At each offset it tries
+    a punctuation character, then a longer punctuation word, then an
+    identifier: a letter or ``_``, going on with letters, digits, ``_`` and
+    ``'``. Its identifiers may also start with a number that is not a decimal
+    digit, such as ``²``; ``Tokens`` rejects those."""
+    single = "".join(re.escape(p) for p in punct if len(p) == 1)
+    words = [re.escape(p) for p in punct if len(p) > 1]
+    return re.compile("|".join([f"[{single}]", *words, r"[^\W\d][\w']*"]))
 
 
 _T = TypeVar("_T")
 
 
 class Tokens:
-    """A cursor over ``lex(text, punct, keywords)``."""
+    """A cursor over the token strings ``pattern`` finds in ``text``, ended by
+    ``""``. ``kinds`` maps each punctuation spelling and keyword to its kind;
+    every other token is an identifier. ``take()`` reads the next token and
+    ``i`` counts the tokens read. A token's offset is recomputed only for an
+    error message."""
 
-    def __init__(self, text: str, punct: dict[str, str], keywords: frozenset[str] = frozenset()):
+    def __init__(self, text: str, pattern: re.Pattern, kinds: dict[str, str]):
         self.text = text
-        self.toks = lex(text, punct, keywords)
-        self.i = 0
+        self.pattern = pattern
+        self.kinds = kinds
+        self.toks = toks = pattern.findall(text)
+        # the pattern skips what it cannot read: whitespace, or a bad character
+        if len("".join(toks)) != len("".join(text.split())) or not (
+            text.isascii() or all(map(self._starts_well, toks))
+        ):
+            self._reject()
+        toks.append("")
+        self._rest = iter(toks)
+        self.take = self._rest.__next__
 
-    def peek(self) -> tuple[str, str, int]:
+    def _starts_well(self, word: str) -> bool:
+        return word in self.kinds or word[0].isalpha() or word[0] == "_"
+
+    def _reject(self) -> None:
+        """Raise at the first character that no token reads."""
+        text = self.text
+        read = [False] * len(text)
+        for m in self.pattern.finditer(text):
+            if self._starts_well(m.group()):
+                read[m.start() : m.end()] = [True] * (m.end() - m.start())
+        k = next(k for k, ch in enumerate(text) if not (read[k] or ch.isspace()))
+        raise ParseError(f"unexpected character {text[k]!r}", k, text)
+
+    @property
+    def i(self) -> int:
+        return len(self.toks) - length_hint(self._rest)
+
+    def kind(self, tok: str) -> str:
+        return self.kinds.get(tok) or ("IDENT" if tok else "EOF")
+
+    def offset(self, k: int) -> int:
+        """Where the ``k``-th token starts; the text's length for the end."""
+        starts = [m.start() for m in self.pattern.finditer(self.text)]
+        return starts[k] if k < len(starts) else len(self.text)
+
+    def error(self, message: str, k: int) -> ParseError:
+        """A ``ParseError`` located at the ``k``-th token."""
+        return ParseError(message, self.offset(k), self.text)
+
+    def peek(self) -> str:
         return self.toks[self.i]
 
-    def next(self) -> tuple[str, str, int]:
-        tok = self.toks[self.i]
-        self.i += 1
+    def check(self, tok: str, kind: str) -> str:
+        """Return ``tok``, the token just read, if it is of ``kind``."""
+        if self.kind(tok) != kind:
+            raise self.error(f"expected {kind}, found {tok or 'end of input'!r}", self.i - 1)
         return tok
 
-    def expect(self, kind: str) -> tuple[str, str, int]:
-        tok = self.next()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind}, found {tok[1] or 'end of input'!r}", tok[2], self.text)
-        return tok
+    def expect(self, kind: str) -> str:
+        return self.check(self.take(), kind)
 
     def binders(self) -> tuple[str, ...]:
-        """Read the binder list ``\\x y.`` and return its names innermost first."""
-        self.next()
-        names = [self.expect("IDENT")[1]]
-        while self.peek()[0] == "IDENT":
-            names.append(self.next()[1])
-        self.expect("DOT")
+        """Read the rest of a binder list ``\\x y.`` once its ``\\`` is read;
+        return the names innermost first."""
+        names = [self.expect("IDENT")]
+        tok = self.take()
+        while tok and tok not in self.kinds:
+            names.append(tok)
+            tok = self.take()
+        self.check(tok, "DOT")
         return tuple(reversed(names))
 
     def end(self, result: _T) -> _T:
         """Return ``result`` once every token is read; reject trailing input."""
-        kind, value, pos = self.toks[self.i]
-        if kind != "EOF":
-            raise ParseError(f"unexpected trailing input {value!r}", pos, self.text)
+        tok = self.peek()
+        if tok:
+            raise self.error(f"unexpected trailing input {tok!r}", self.i)
         return result
 
 
@@ -635,7 +650,10 @@ _PUNCT = {
     "⊥": "BOT",
     "_|_": "BOT",
 }
-_KEYWORDS = frozenset({"let", "rec", "and", "in"})
+_KINDS = {**_PUNCT, **{word: word.upper() for word in ("let", "rec", "and", "in")}}
+_PATTERN = token_pattern(_PUNCT)
+_LAMS = frozenset(("\\", "λ"))
+_ATOM_STARTS = frozenset(("(", "⊥", "_|_", "*", "◻", "?")) | _LAMS
 
 
 def parse_term(text: str) -> Term | RationalSystem:
@@ -646,8 +664,8 @@ def parse_term(text: str) -> Term | RationalSystem:
     ``_|_``/``⊥``; ``*``/``◻``/``?`` for a hole;
     ``let rec X = B and Y = B in M``.
     """
-    toks = Tokens(text, _PUNCT, _KEYWORDS)
-    if toks.peek()[0] == "LET":
+    toks = Tokens(text, _PATTERN, _KINDS)
+    if toks.peek() == "let":
         return _parse_letrec(toks)
     return toks.end(_parse_lam(toks, (), frozenset()))
 
@@ -656,19 +674,19 @@ def _parse_letrec(toks: Tokens) -> RationalSystem:
     # ``=`` only ever follows an equation's symbol, so the symbols are read
     # off the tokens up front and every body is parsed in place. Trailing
     # input is rejected before the system is validated.
-    rec = frozenset(prev[1] for prev, tok in zip(toks.toks, toks.toks[1:]) if tok[0] == "EQ")
+    rec = frozenset(prev for prev, tok in zip(toks.toks, toks.toks[1:]) if tok == "=")
     toks.expect("LET")
     toks.expect("REC")
     equations: dict[str, Term] = {}
     while True:
-        sym = toks.expect("IDENT")[1]
+        sym = toks.expect("IDENT")
         toks.expect("EQ")
         if sym in equations:
-            raise ParseError(f"duplicate equation for {sym}", toks.peek()[2], toks.text)
+            raise toks.error(f"duplicate equation for {sym}", toks.i)
         equations[sym] = _parse_lam(toks, (), rec)
-        if toks.peek()[0] != "AND":
+        if toks.peek() != "and":
             break
-        toks.next()
+        toks.take()
     toks.expect("IN")
     root_body = toks.end(_parse_lam(toks, (), rec))
     if isinstance(root_body, RecRef):
@@ -681,7 +699,8 @@ def _parse_letrec(toks: Tokens) -> RationalSystem:
 
 
 def _parse_lam(toks: Tokens, env: tuple[str, ...], rec: frozenset[str]) -> Term:
-    if toks.peek()[0] == "LAM":
+    if toks.peek() in _LAMS:
+        toks.take()
         names = toks.binders()
         body = _parse_lam(toks, names + env, rec)
         for name in names:
@@ -690,37 +709,30 @@ def _parse_lam(toks: Tokens, env: tuple[str, ...], rec: frozenset[str]) -> Term:
     return _parse_app(toks, env, rec)
 
 
-_ATOM_STARTS = ("IDENT", "LP", "BOT", "HOLE", "LAM")
-
-
 def _parse_app(toks: Tokens, env: tuple[str, ...], rec: frozenset[str]) -> Term:
     out = _parse_atom(toks, env, rec)
-    while toks.peek()[0] in _ATOM_STARTS:
+    while toks.peek() in _ATOM_STARTS or toks.kind(toks.peek()) == "IDENT":
         out = App(out, _parse_atom(toks, env, rec))
     return out
 
 
 def _parse_atom(toks: Tokens, env: tuple[str, ...], rec: frozenset[str]) -> Term:
-    kind, value, pos = toks.peek()
-    if kind == "LAM":
+    tok = toks.peek()
+    if tok in _LAMS:
         return _parse_lam(toks, env, rec)
-    if kind == "IDENT":
-        toks.next()
-        for i, name in enumerate(env):
-            if name == value:
-                return Var(i)
-        if value in rec:
-            return RecRef(value)
-        return FreeVar(value)
-    if kind == "BOT":
-        toks.next()
+    toks.take()
+    if toks.kind(tok) == "IDENT":
+        if tok in env:
+            return Var(env.index(tok))
+        if tok in rec:
+            return RecRef(tok)
+        return FreeVar(tok)
+    if tok == "⊥" or tok == "_|_":
         return BOTTOM
-    if kind == "HOLE":
-        toks.next()
+    if tok == "*" or tok == "◻" or tok == "?":
         return HOLE
-    if kind == "LP":
-        toks.next()
+    if tok == "(":
         inner = _parse_lam(toks, env, rec)
         toks.expect("RP")
         return inner
-    raise ParseError(f"expected a term, found {value or 'end of input'!r}", pos, toks.text)
+    raise toks.error(f"expected a term, found {tok or 'end of input'!r}", toks.i - 1)

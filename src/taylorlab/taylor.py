@@ -17,6 +17,7 @@ below one).
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Literal, Optional
 
 from .resource import (
@@ -161,13 +162,13 @@ class _Enumerator:
         out: list[Monomial] = []
         if d is None or d >= 2:
             out.append(monomial(()))
-        pool = self.terms(t, n - 1, None if d is None else d - 1, stack)
+        pool = sorted(self.terms(t, n - 1, None if d is None else d - 1, stack), key=attrgetter("size"))
 
         def extend(start: int, left: int, chosen: list[ResourceTerm]) -> None:
             for i in range(start, len(pool)):
                 e = pool[i]
                 if e.size > left:
-                    continue
+                    break  # the pool is sorted by size
                 chosen.append(e)
                 out.append(monomial(chosen))
                 extend(i, left - e.size, chosen)
@@ -190,10 +191,11 @@ def enumerate_taylor(
     return FiniteSum(enum.terms(m, size_bound, depth_bound, ()))
 
 
-def enumerate_taylor_context(c: Term, size_bound: int) -> FiniteSum:
-    """Approximants of a context; each hole is approximated by the resource hole."""
+def enumerate_taylor_context(c: Term, size_bound: int, depth_bound: Optional[int] = None) -> FiniteSum:
+    """Approximants of a context within the bounds, as ``enumerate_taylor``
+    takes them; each hole is approximated by the resource hole."""
     enum = _Enumerator(None, "context")
-    return FiniteSum(enum.terms(c, size_bound, None, ()))
+    return FiniteSum(enum.terms(c, size_bound, depth_bound, ()))
 
 
 def taylor_zero(target: TermLike) -> bool:

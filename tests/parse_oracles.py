@@ -1,12 +1,21 @@
-"""Frozen copies of the two lexers and the ``let rec`` parser that preceded
-the shared ``syntax.lex``/``syntax.Tokens``.
+"""Frozen copies of parsers that were replaced, kept as reference oracles.
 
-They are reference oracles only: ``test_parse_oracles`` checks the current
-parsers against them on seeded random input. Do not import them elsewhere.
+* ``OldTokens``/``old_rlex`` and the ``let rec`` parser: the two lexers and
+  the two-pass ``let rec`` parser that preceded a shared lexer.
+* ``old_lex``, ``OldCursor`` and ``OldRParser``: that shared lexer, which
+  scanned one character at a time and built a ``(kind, text, offset)``
+  tuple per token, and the resource parser that read from it, before
+  ``syntax.Tokens`` took token strings from one compiled pattern.
+
+``test_parse_oracles`` checks the current parsers against them on seeded
+random input. Do not import them elsewhere.
 """
 
 from __future__ import annotations
 
+from typing import TypeVar
+
+from taylorlab.resource import HOLE_R, ONE, ZERO, FiniteSum, Monomial, ResourceTerm, monomial, rapp, rfvar, rlam, rvar
 from taylorlab.syntax import (
     BOTTOM,
     HOLE,
@@ -247,3 +256,147 @@ def _parse_atom(toks: OldTokens, env: tuple[str, ...], rec: frozenset[str]) -> T
         toks.expect("RP")
         return inner
     raise ParseError(f"expected a term, found {value or 'end of input'!r}", pos, toks.text)
+
+
+# ---------------------------------------------------------------------------
+# The character-loop lexer, its cursor and the resource parser on top
+
+
+def old_lex(text: str, punct: dict[str, str], keywords: frozenset[str] = frozenset()) -> list[tuple[str, str, int]]:
+    long = {word[0]: word for word in punct if len(word) > 1}
+    toks = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        kind = punct.get(ch)
+        if kind is not None:
+            toks.append((kind, ch, i))
+            i += 1
+            continue
+        word = long.get(ch)
+        if word is not None and text.startswith(word, i):
+            toks.append((punct[word], word, i))
+            i += len(word)
+        elif ch.isalpha() or ch == "_":
+            j = i + 1
+            while j < n and (text[j].isalnum() or text[j] in "_'"):
+                j += 1
+            word = text[i:j]
+            toks.append((word.upper() if word in keywords else "IDENT", word, i))
+            i = j
+        else:
+            raise ParseError(f"unexpected character {ch!r}", i, text)
+    toks.append(("EOF", "", n))
+    return toks
+
+
+_T = TypeVar("_T")
+
+
+class OldCursor:
+    def __init__(self, text: str, punct: dict[str, str], keywords: frozenset[str] = frozenset()):
+        self.text = text
+        self.toks = old_lex(text, punct, keywords)
+        self.i = 0
+
+    def peek(self) -> tuple[str, str, int]:
+        return self.toks[self.i]
+
+    def next(self) -> tuple[str, str, int]:
+        tok = self.toks[self.i]
+        self.i += 1
+        return tok
+
+    def expect(self, kind: str) -> tuple[str, str, int]:
+        tok = self.next()
+        if tok[0] != kind:
+            raise ParseError(f"expected {kind}, found {tok[1] or 'end of input'!r}", tok[2], self.text)
+        return tok
+
+    def binders(self) -> tuple[str, ...]:
+        self.next()
+        names = [self.expect("IDENT")[1]]
+        while self.peek()[0] == "IDENT":
+            names.append(self.next()[1])
+        self.expect("DOT")
+        return tuple(reversed(names))
+
+    def end(self, result: _T) -> _T:
+        kind, value, pos = self.toks[self.i]
+        if kind != "EOF":
+            raise ParseError(f"unexpected trailing input {value!r}", pos, self.text)
+        return result
+
+
+class OldRParser(OldCursor):
+    def term(self, env: tuple[str, ...]) -> ResourceTerm:
+        kind, value, pos = self.peek()
+        if kind == "LAM":
+            names = self.binders()
+            body = self.term(names + env)
+            for _ in names:
+                body = rlam(body)
+            return body
+        if kind == "LT":
+            self.next()
+            fn = self.term(env)
+            self.expect("GT")
+            return rapp(fn, self.mono(env))
+        if kind == "IDENT":
+            self.next()
+            for i, name in enumerate(env):
+                if name == value:
+                    return rvar(i)
+            return rfvar(value)
+        if kind == "HOLE":
+            self.next()
+            return HOLE_R
+        if kind == "LP":
+            self.next()
+            inner = self.term(env)
+            self.expect("RP")
+            return inner
+        raise ParseError(f"expected a resource term, found {value or 'end of input'!r}", pos, self.text)
+
+    def mono(self, env: tuple[str, ...]) -> Monomial:
+        kind, value, pos = self.peek()
+        if kind == "ONE":
+            self.next()
+            return ONE
+        if kind == "LB":
+            self.next()
+            elems = []
+            if self.peek()[0] != "RB":
+                elems.append(self.term(env))
+                while self.peek()[0] == "COMMA":
+                    self.next()
+                    elems.append(self.term(env))
+            self.expect("RB")
+            return monomial(elems)
+        raise ParseError(f"expected a monomial, found {value or 'end of input'!r}", pos, self.text)
+
+
+def old_parse_resource_term(text: str) -> ResourceTerm:
+    p = OldRParser(text, _R_PUNCT)
+    return p.end(p.term(()))
+
+
+def old_parse_resource_monomial(text: str) -> Monomial:
+    p = OldRParser(text, _R_PUNCT)
+    return p.end(p.mono(()))
+
+
+def old_parse_resource_sum(text: str) -> FiniteSum:
+    p = OldRParser(text, _R_PUNCT)
+    if p.peek()[0] == "NIL":
+        p.next()
+        return p.end(ZERO)
+    terms = [p.term(())]
+    while p.peek()[0] == "PLUS":
+        p.next()
+        terms.append(p.term(()))
+    return p.end(FiniteSum(terms))

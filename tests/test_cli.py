@@ -67,6 +67,13 @@ def test_taylor_context(capsys):
     assert payload["approximants"] == ["<\\a. a>1", "<\\a. a>[*]", "<\\a. a>[*, *]"]
 
 
+def test_taylor_context_honours_the_depth_bound(capsys):
+    code, out, _ = run(capsys, "taylor", "\\x. * (x x)", "--size", "7", "--depth", "2", "--json")
+    payload = json.loads(out)
+    assert code == 0 and payload["depth_bound"] == 2
+    assert payload["approximants"] == ["\\a. <*>1"]
+
+
 def test_nf_taylor(capsys):
     code, out, _ = run(capsys, "nf-taylor", "(\\x.x) (\\x.x)", "--size", "6")
     assert code == 0 and out.strip() == "\\a. a"

@@ -7,7 +7,8 @@ recomputes a node's ``loose`` and ``redex`` from scratch, and
 per context level) and the normalizer (every step from the root) that
 ``r_step`` and ``r_normalize`` replaced."""
 
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
+from math import factorial
 from random import Random
 
 import pytest
@@ -23,6 +24,7 @@ from taylorlab.resource import (
     RHole,
     RLam,
     RVar,
+    _distinct_assignments,
     _rshift,
     deg,
     deg_hole,
@@ -41,7 +43,6 @@ from taylorlab.resource import (
     union_all,
 )
 from taylorlab.resource_reduction import (
-    _NF_CACHE,
     first_redex_site,
     head_split,
     hr_step,
@@ -233,10 +234,13 @@ def _assert_summaries(*terms):
 
 
 def _cool(t):
-    """Forget every opening cached inside ``t``, so the next one is cold."""
+    """Forget every opening and normal form cached inside ``t``, so the next
+    step and normalization are cold."""
     for node in _nodes(t):
         if isinstance(node, RApp):
             node.fired = None
+        if isinstance(node, (RLam, RApp)):
+            node.nf = None
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +325,30 @@ def test_normalization_agrees_with_the_unpruned_rebuild(seed):
         _assert_summaries(*expected)
 
 
+def _multinomial(elems):
+    out = factorial(len(elems))
+    for e in set(elems):
+        out //= factorial(elems.count(e))
+    return out
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_distinct_assignments_are_the_distinct_orderings(n):
+    letters = [rfvar(x) for x in "abcd"][: 4 if n < 7 else 3]
+    for combo in combinations_with_replacement(letters, n):
+        elems = monomial(combo).elems  # sorted, equal elements adjacent
+        got = list(_distinct_assignments(elems))
+        assert len(got) == len(set(got)) == _multinomial(elems)
+        assert set(got) == set(permutations(elems))
+        assert got == sorted(got, key=lambda order: [e.skey for e in order])
+
+
+def test_distinct_assignments_do_not_enumerate_equal_orderings():
+    a, b = rfvar("a"), rfvar("b")
+    assert list(_distinct_assignments((a,) * 10)) == [(a,) * 10]  # one ordering, not 10!
+    assert len(list(_distinct_assignments((a,) * 9 + (b,) * 3))) == 220
+
+
 def test_open_redex_fills_its_cache_once():
     t = parse_resource_term("<\\a. <a>[a]>[x, <\\b. b>[y]]")
     _cool(t)
@@ -395,11 +423,12 @@ def _check_against_the_replaced_path(t):
         _cool(t)
         assert r_step(t, site) == expected and r_step(t, site) == expected, site_to_str(site)
     expected = _leftmost_outermost_nf(t, {})
-    _NF_CACHE.clear()
     _cool(t)
     assert r_normalize(t) == expected, pretty_resource(t)
     assert r_normalize(t) == expected
-    assert all(u.redex for u in _NF_CACHE)  # a redex-free term is its own normal form, not cached
+    # a term holding a redex keeps its normal form; a redex-free one is its own and keeps none
+    assert not t.redex or t.nf is r_normalize(t)
+    assert all(u.redex for u in _nodes(t) if getattr(u, "nf", None) is not None)
     return expected
 
 

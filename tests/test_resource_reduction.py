@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from taylorlab.resource import (
     parse_resource_term,
     r_height,
     r_size,
+    union_all,
 )
 from taylorlab.resource_reduction import (
     DepthTooShallowError,
@@ -20,7 +22,6 @@ from taylorlab.resource_reduction import (
     dm_measure,
     hr_step,
     hr_to_hnf,
-    normal_forms_all_orders,
     normalize_with,
     r_min_depth_step,
     r_normalize,
@@ -35,6 +36,32 @@ from taylorlab.resource_reduction import (
 
 p = parse_resource_term
 ps = parse_resource_sum
+
+
+def normal_forms_all_orders(t, limit=200000):
+    """Brute-force oracle: normal forms reached under every single-site
+    strategy choice, as a set (should always be a singleton)."""
+    budget = [limit]
+
+    def explore(u):
+        sites = redex_sites(u)
+        if not sites:
+            return {FiniteSum((u,))}
+        outs = set()
+        for site in sites:
+            budget[0] -= 1
+            if budget[0] < 0:
+                raise RuntimeError("oracle budget exhausted")
+            step = r_step(u, site)
+            combos = [explore(v) for v in step]
+            if not combos:
+                outs.add(ZERO)
+                continue
+            for pickings in itertools.product(*combos):
+                outs.add(union_all(pickings))
+        return outs
+
+    return explore(t)
 
 
 def test_r_step_basic():

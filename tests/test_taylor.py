@@ -3,14 +3,17 @@ import random
 
 from taylorlab.gen import random_lambda_term
 from taylorlab.resource import (
+    FiniteSum,
     monomial,
     parse_resource_term,
     r_height,
     r_size,
     r_subst,
 )
-from taylorlab.syntax import BOTTOM, parse_term, subst
+from taylorlab.selftest import _CORPUS
+from taylorlab.syntax import BOTTOM, RationalSystem, contains_hole, parse_term, subst
 from taylorlab.taylor import (
+    _Enumerator,
     approximates,
     enumerate_taylor,
     enumerate_taylor_context,
@@ -197,3 +200,53 @@ def _hole_occurrences(t):
         yield from _hole_occurrences(t.fn)
         for e in t.mono:
             yield from _hole_occurrences(e)
+
+
+class _ScanningEnumerator(_Enumerator):
+    """The enumerator before its pools were sorted by size: each choice
+    scans the whole pool and skips the elements that are too large."""
+
+    def monomials(self, t, n, d, stack):
+        if n < 1:
+            return []
+        out = []
+        if d is None or d >= 2:
+            out.append(monomial(()))
+        pool = self.terms(t, n - 1, None if d is None else d - 1, stack)
+
+        def extend(start, left, chosen):
+            for i in range(start, len(pool)):
+                e = pool[i]
+                if e.size > left:
+                    continue
+                chosen.append(e)
+                out.append(monomial(chosen))
+                extend(i, left - e.size, chosen)
+                chosen.pop()
+
+        extend(0, n - 1, [])
+        return out
+
+
+SYSTEMS = (
+    "let rec F = f F in \\f. F",
+    "let rec F = \\G. G f F in \\f. F G",
+    "let rec A = x (B A) and B = \\u. u A in A",
+    "let rec T = \\x. \\y. y (T x y) in T",
+)
+
+
+def test_size_sorted_pools_give_the_slices_of_the_scanning_enumerator():
+    targets = [parse_term(src) for src in list(_CORPUS.values()) + list(SYSTEMS)]
+    targets += [parse_term(src) for src in ("\\x. * (x x)", "(\\y. y) *", "x * *")]
+    for target in targets:
+        root, system = (target.root_term(), target) if isinstance(target, RationalSystem) else (target, None)
+        mode = "cut" if system is not None or not contains_hole(target) else "context"
+        for size in (5, 11, 17):
+            for depth in (None, 2, 3):
+                want = FiniteSum(_ScanningEnumerator(system, mode).terms(root, size, depth, ()))
+                if mode == "context":
+                    got = enumerate_taylor_context(target, size, depth)
+                else:
+                    got = enumerate_taylor(target, size, depth)
+                assert got == want, (str(target), size, depth)

@@ -1,0 +1,63 @@
+"""Interning and the lazily filled caches from several threads: threads that
+parse the same text get the same node, and normalizing it gives all of them
+the same sum. A 1 µs switch interval makes the threads interleave inside the
+constructors."""
+
+import sys
+import threading
+from random import Random
+
+from taylorlab.resource import parse_resource_term
+from taylorlab.resource_reduction import r_normalize
+
+THREADS = 4
+FREE = ("ta", "tb", "tc")  # free names no other test uses, so every node here is new
+
+
+def _text(rng, size, depth):
+    """A resource term of about ``size`` nodes as text, built without
+    interning anything; binders are named after their depth."""
+    if size <= 1:
+        if depth and rng.random() < 0.5:
+            return f"v{rng.randrange(depth)}"
+        return rng.choice(FREE)
+    if rng.random() < 0.3:
+        return f"\\v{depth}. {_text(rng, size - 1, depth + 1)}"
+    n = rng.randint(0, 3)
+    if n == 0:
+        return f"<{_text(rng, size - 1, depth)}>1"
+    share = max(1, (size - 1) // (n + 1))
+    elems = ", ".join(_text(rng, share, depth) for _ in range(n))
+    return f"<{_text(rng, share, depth)}>[{elems}]"
+
+
+def test_threads_get_the_same_nodes_and_normal_forms():
+    rng = Random(31)
+    texts = [_text(rng, 6 + i % 11, 0) for i in range(3000)]
+    parsed: list = [None] * THREADS
+    normal: list = [None] * THREADS
+    start = threading.Barrier(THREADS)
+
+    def work(k):
+        start.wait()
+        parsed[k] = [parse_resource_term(text) for text in texts]
+        normal[k] = [r_normalize(t) for t in parsed[k]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(THREADS)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(p is not None for p in normal)  # no thread died
+    mismatches = sum(
+        parsed[k][i] is not parsed[0][i] or normal[k][i] != normal[0][i]
+        for k in range(1, THREADS)
+        for i in range(len(texts))
+    )
+    assert mismatches == 0
