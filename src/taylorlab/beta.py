@@ -32,6 +32,8 @@ from .syntax import (
     UndefinedSymbolError,
     Var,
     resolve_ref,
+    split_target,
+    subterms,
 )
 
 
@@ -279,7 +281,8 @@ class Verdict:
     ``solvable(k)`` promises that ``k`` head steps reach a head normal
     form. ``unknown`` carries the fuel spent plus the reason; reasons
     "loop" (exact state repetition) and "bottom" (bottom in head position)
-    are certificates of unsolvability, "fuel" and "hole" are not.
+    are certificates of unsolvability, "fuel", "hole" and "capture" (see
+    ``_captures``) are not.
     """
 
     kind: str  # "solvable" | "unknown"
@@ -327,6 +330,29 @@ class HeadRun:
         return iter((self.term, self.verdict))
 
 
+def _captures(hf: HeadForm, names: frozenset[str]) -> bool:
+    """Whether firing the head redex would change the binder that a system
+    reference resolves a free name of its equation against: the argument
+    holds a reference and lands under a binder hinted with one of
+    ``names``, or the fired binder is so hinted and leaves a reference in
+    its body. The source resolves each reference where it stands, so such
+    a step would reduce another term than the one the source denotes."""
+    lam = hf.head
+    assert isinstance(lam, Lam)
+    if lam.hint in names and any(isinstance(u, RecRef) for u in subterms(lam.body)):
+        return True
+    work = [(lam.body, 0, False)] if any(isinstance(u, RecRef) for u in subterms(hf.spine[0])) else []
+    while work:
+        t, c, under = work.pop()
+        if isinstance(t, Var) and under and t.index == c:
+            return True
+        if isinstance(t, Lam):
+            work.append((t.body, c + 1, under or t.hint in names))
+        elif isinstance(t, App):
+            work += [(t.fn, c, under), (t.arg, c, under)]
+    return False
+
+
 def head_normalize(
     m: Term,
     fuel: int,
@@ -336,9 +362,15 @@ def head_normalize(
     """Iterate the head operator, at most ``fuel`` times, with cycle detection.
 
     An exact repetition of an earlier state certifies that the head
-    strategy diverges, hence unsolvability; fuel exhaustion does not.
+    strategy diverges, hence unsolvability; fuel exhaustion does not. On a
+    system, a step that would capture (``_captures``) stops the run.
     """
-    cur = _resolve_at_head(m, system, stack) if system is not None else m
+    names: frozenset[str] = frozenset()
+    if system is not None:
+        m = _resolve_at_head(m, system, stack)
+        bodies = system.equations.values()
+        names = frozenset(u.name for b in bodies for u in subterms(b) if isinstance(u, FreeVar))
+    cur = m
     seen = {cur.fkey}
     pre_steps: list[Term] = []
     positions: list[Position] = []
@@ -356,6 +388,8 @@ def head_normalize(
             continue
         if k >= fuel:
             return HeadRun(cur, Verdict.unknown(k, "fuel"), tuple(pre_steps), tuple(positions))
+        if names and _captures(hf, names):
+            return HeadRun(cur, Verdict.unknown(k, "capture"), tuple(pre_steps), tuple(positions))
         pre_steps.append(cur)
         positions.append(head_redex_position(hf))
         nxt = _fire_head(hf)
@@ -390,12 +424,7 @@ def bohm_tree(target: TermLike, depth: int, fuel: int) -> Term:
     anything inconclusive (or past the depth budget) contributes a cut.
     A (subterm, stack) met again at another level is head-normalized once.
     """
-    if isinstance(target, RationalSystem):
-        system: Optional[RationalSystem] = target
-        term: Term = target.root_term()
-    else:
-        system = None
-        term = target
+    term, system = split_target(target)
     runs: dict = {}
 
     def rec(t: Term, budget: int, stack: tuple[str, ...]) -> Term:

@@ -59,7 +59,8 @@ from .syntax import (
     contains_hole,
     parse_term,
     pretty,
-    pretty_system,
+    pretty_target,
+    split_target,
 )
 
 CUT = "◻"
@@ -95,12 +96,6 @@ def _emit(payload: dict, as_json: bool, text_lines: list[str]) -> None:
             print(line)
 
 
-def _print_target(target) -> str:
-    if isinstance(target, RationalSystem):
-        return pretty_system(target)
-    return pretty(target)
-
-
 def _cmd_parse(args) -> int:
     target = parse_term(_read_term_arg(args.term))
     if isinstance(target, RationalSystem):
@@ -109,7 +104,7 @@ def _cmd_parse(args) -> int:
         kind = "context"
     else:
         kind = "term"
-    text = _print_target(target)
+    text = pretty_target(target)
     _emit({"kind": kind, "pretty": text}, args.json, [f"{kind}: {text}"])
     return 0
 
@@ -148,12 +143,10 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_head(args) -> int:
     target = parse_term(_read_term_arg(args.term))
-    if isinstance(target, RationalSystem):
-        run = head_normalize(target.root_term(), args.fuel, target)
-    else:
-        run = head_normalize(target, args.fuel)
+    term, system = split_target(target)
+    run = head_normalize(term, args.fuel, system)
     payload = {
-        "input": _print_target(target),
+        "input": pretty_target(target),
         "result": pretty(run.term),
         "verdict": run.verdict.describe(),
         "steps": run.verdict.steps,
@@ -213,7 +206,7 @@ def _cmd_bohm(args) -> int:
         print(_bohm_dot(tree))
         return 0
     payload = {
-        "input": _print_target(target),
+        "input": pretty_target(target),
         "depth": args.depth,
         "fuel": args.fuel,
         "tree": text,
@@ -231,7 +224,7 @@ def _cmd_taylor(args) -> int:
     else:
         terms = enumerate_taylor(target, args.size, args.depth)
     payload = {
-        "source": _print_target(target),
+        "source": pretty_target(target),
         "size_bound": args.size,
         "depth_bound": args.depth,
         "approximants": [pretty_resource(t) for t in terms],
@@ -247,7 +240,7 @@ def _cmd_nf_taylor(args) -> int:
     sl = enumerate_taylor(target, args.size, args.depth)
     normal = r_normalize(sl)
     payload = {
-        "source": _print_target(target),
+        "source": pretty_target(target),
         "size_bound": args.size,
         "approximants": len(sl),
         "normal_forms": [pretty_resource(t) for t in normal],
@@ -332,7 +325,7 @@ def _cmd_check(args) -> int:
     kind = args.kind
     target = parse_term(_read_term_arg(args.terms[0]))
     if kind == "commutation":
-        report = check_commutation(target, args.size, args.fuel, args.backstop)
+        report = check_commutation(target, args.size, args.fuel)
     elif kind == "head":
         report = check_head_charac(target, args.size, args.fuel)
     elif kind == "norm":
@@ -373,7 +366,7 @@ def _cmd_selftest(args) -> int:
     return 2 if out["inconclusive"] else 0
 
 
-def _add_common(p: argparse.ArgumentParser, *, fuel=True, size=False, depth=False, dmax=False, backstop=False):
+def _add_common(p: argparse.ArgumentParser, *, fuel=True, size=False, depth=False, dmax=False):
     p.add_argument("--json", action="store_true", help="emit machine-readable JSON")
     if fuel:
         p.add_argument("--fuel", type=_non_negative, default=1000, help="head-step budget per node")
@@ -383,8 +376,6 @@ def _add_common(p: argparse.ArgumentParser, *, fuel=True, size=False, depth=Fals
         p.add_argument("--depth", type=_non_negative, default=None, help="height bound on approximants")
     if dmax:
         p.add_argument("--dmax", type=_non_negative, default=5, help="maximum tested depth")
-    if backstop:
-        p.add_argument("--backstop", type=_non_negative, default=None, help="fallback search size bound")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -449,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=["commutation", "head", "norm", "simulation", "genericity", "equal"])
     p.add_argument("terms", nargs="+")
     p.add_argument("--steps", default="", help="comma-separated positions (simulation)")
-    _add_common(p, size=True, dmax=True, backstop=True)
+    _add_common(p, size=True, dmax=True)
     p.set_defaults(fn=_cmd_check)
 
     p = sub.add_parser("selftest", help="run the whole property suite")

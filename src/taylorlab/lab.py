@@ -9,9 +9,32 @@ The backward direction of the commutation check needs, for an approximant
 ``t`` of a Boehm tree, some approximant of the original term normalizing
 onto ``t``. Searching size-bounded slices for it is hopeless beyond toy
 cases (the least such ancestor grows quadratically in the depth of ``t``),
-so the primary mechanism is constructive: walk the recorded head-reduction
-trace backwards, inverting one step at a time by un-substituting through
-the approximant (``_anti_subst``).
+so it is constructed: walk the recorded head-reduction trace backwards,
+inverting one step at a time by un-substituting through the approximant
+(``_anti_subst``).
+
+The construction is complete, so nothing else is tried:
+
+* Every node of the Boehm prefix comes from a ``head_normalize`` run that
+  ``bohm_tree`` finished, on the same subterm with the same fuel and the
+  same binder stack that ``lift_to_source`` runs it with. The lift meets
+  the same steps and the same head normal form, and a target that
+  approximates the prefix matches that form node by node.
+* ``_anti_subst`` inverts any head step ``(\\z. p) q -> p[q/z]``: the
+  approximants of ``p[q/z]`` are exactly the linear substitutions of
+  approximants of ``q`` into approximants of ``p`` (the uniformity of the
+  Taylor expansion; Ehrhard & Regnier, "Uniformity and the Taylor expansion
+  of ordinary lambda-terms", TCS 403, 2008). Reading an approximant of the
+  reduct back against ``p`` therefore recovers one of ``p`` and the grafted
+  elements of ``q``.
+
+By induction over the steps and the monomial elements, every target lifts.
+One that does not is a defect, reported as an inconclusive verdict that
+names the target and the term before the first step that could not be
+inverted (``LiftSession.failed_step``). On a rational system, references
+resolve by binder hint; a step that would move one across a hint it
+resolves against is not taken (``beta._captures``), and the tree is cut
+there instead.
 
 A candidate ancestor ``s`` only counts once ``t`` is shown to be in its
 normal form. Each inverted step is a link ``(before, after, elems)``
@@ -90,18 +113,15 @@ from .syntax import (
     Var,
     context_fill,
     pretty,
-    pretty_system,
+    pretty_target,
     resolve_ref,
+    split_target,
 )
 from .taylor import approximates, enumerate_taylor, enumerate_taylor_context, member_of_bohm
 
 
 class ApproximantMismatchError(LambdaError):
     pass
-
-
-def _text(target: TermLike) -> str:
-    return pretty_system(target) if isinstance(target, RationalSystem) else pretty(target)
 
 
 @dataclass
@@ -114,10 +134,6 @@ class CheckReport:
     witness: Optional[str] = None
     reason: Optional[str] = None
     stats: dict = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "pass"
 
     @property
     def exit_code(self) -> int:
@@ -185,7 +201,7 @@ def push_forward(s: ResourceTerm, m: Term, at: Position) -> FiniteSum:
 def check_simulation(m: Term, steps: Sequence[Position], size_bound: int) -> CheckReport:
     """Push the whole slice of ``m`` through the given beta steps and verify
     every resulting addend approximates the final reduct."""
-    inputs = {"term": _text(m), "steps": [position_to_str(p) for p in steps], "size_bound": size_bound}
+    inputs = {"term": pretty_target(m), "steps": [position_to_str(p) for p in steps], "size_bound": size_bound}
     stages = [m]
     for p in steps:
         stages.append(beta_step(stages[-1], p))
@@ -347,8 +363,8 @@ def _lift_one_step(
             return None
         peeled.append(u.mono)
         u = u.fn
-    inner = tuple(reversed(hf.binders)) + stack
     assert isinstance(hf.head, Lam)
+    inner = (hf.head.hint,) + tuple(reversed(hf.binders)) + stack
     got = _anti_subst(u, hf.head.body, 0, inner, system, memo)
     if got is None:
         return None
@@ -386,10 +402,11 @@ class LiftSession:
     for ``approximates``; their keys are given there. A session serves a
     single target at a single fuel, so neither is part of a key, and it
     lives as long as one check. ``shared`` counts the sub-lifts served from
-    the session instead of being built.
+    the session instead of being built. ``failed_step`` is the term before
+    the first head step that could not be inverted, if any.
     """
 
-    __slots__ = ("runs", "lifts", "shared", "unsubst", "rebuilt", "approx")
+    __slots__ = ("runs", "lifts", "shared", "unsubst", "rebuilt", "approx", "failed_step")
 
     def __init__(self) -> None:
         self.runs: dict = {}
@@ -398,15 +415,18 @@ class LiftSession:
         self.unsubst: dict = {}
         self.rebuilt: dict = {}
         self.approx: dict = {}
+        self.failed_step: Optional[Term] = None
+
+
+def _unlifted(t: ResourceTerm, session: LiftSession) -> str:
+    """Why no ancestor of ``t`` was found, for an inconclusive verdict."""
+    reason = f"no ancestor lifted for {pretty_resource(t)}"
+    if session.failed_step is not None:
+        reason += f": the head step from {pretty(session.failed_step)} could not be inverted"
+    return reason
 
 
 _NO_LIFT: tuple[Optional[ResourceTerm], bool] = (None, False)
-
-
-def _source(target: TermLike) -> tuple[Optional[RationalSystem], Term]:
-    if isinstance(target, RationalSystem):
-        return target, target.root_term()
-    return None, target
 
 
 def lift_to_source(
@@ -424,7 +444,7 @@ def lift_to_source(
     Callers must still check approximation, and membership in the normal
     form when a link failed. Without a session nothing is shared.
     """
-    system, term = _source(target)
+    term, system = split_target(target)
     if session is None:
         session = LiftSession()
     runs, lifts = session.runs, session.lifts
@@ -492,6 +512,8 @@ def lift_to_source(
         for step_hf in reversed(steps):
             step = _lift_one_step(node, step_hf, stack, system, unsubst)
             if step is None:
+                if session.failed_step is None:
+                    session.failed_step = step_hf.rebuild()
                 return _NO_LIFT
             lifted, grafted = step
             verified = verified and _link_holds(lifted, node, grafted, rebuilt)
@@ -522,7 +544,7 @@ def _verified_ancestor(
         return None
     # the certificate belongs to the lift of ``t`` itself: a candidate
     # built for anything else is normalized
-    node, verified = session.lifts.get((t, _source(target)[1].fkey, ()), _NO_LIFT)
+    node, verified = session.lifts.get((t, split_target(target)[0].fkey, ()), _NO_LIFT)
     replayed = verified and node is s
     if counts is not None:
         key = "replayed_ancestors" if replayed else "verify_fallbacks"
@@ -536,28 +558,16 @@ def _verified_ancestor(
 # Commutation
 
 
-def check_commutation(
-    target: TermLike,
-    size_bound: int,
-    fuel: int,
-    backstop: Optional[int] = None,
-) -> CheckReport:
+def check_commutation(target: TermLike, size_bound: int, fuel: int) -> CheckReport:
     """Both directions of "normalizing the expansion = expanding the tree".
 
     Forward: every normal addend of the slice approximates the Boehm tree.
     Backward: every slice-sized approximant of the (sufficiently deep)
-    Boehm prefix is recovered, first from the forward normal forms, then by
-    constructive lifting, and as a last resort by searching slices up to
-    the backstop. Exhaustion is inconclusive, never a failure.
+    Boehm prefix is recovered, from the forward normal forms or by
+    constructive lifting. Exhaustion, and a target that neither recovers,
+    are inconclusive, never a failure.
     """
-    if backstop is None:
-        backstop = size_bound + 8
-    inputs = {
-        "term": _text(target),
-        "size_bound": size_bound,
-        "fuel": fuel,
-        "backstop": backstop,
-    }
+    inputs = {"term": pretty_target(target), "size_bound": size_bound, "fuel": fuel}
     sl = enumerate_taylor(target, size_bound)
     nf_union: set[ResourceTerm] = set()
     forward_unknown: list[ResourceTerm] = []
@@ -581,24 +591,14 @@ def check_commutation(
     constructed = 0
     verify = {"replayed_ancestors": 0, "verify_fallbacks": 0}
     session = LiftSession()
-    searched = 0
-    search_nfs: Optional[set[ResourceTerm]] = None
-    unwitnessed: list[ResourceTerm] = []
+    unlifted: Optional[str] = None
     for t in targets:
         if t in nf_union:
             continue
-        if _verified_ancestor(t, target, fuel, verify, session) is not None:
-            constructed += 1
-            continue
-        if search_nfs is None:
-            wide = enumerate_taylor(target, backstop)
-            searched = len(wide)
-            search_nfs = set()
-            for s in wide:
-                search_nfs.update(r_normalize(s))
-        if t in search_nfs:
-            continue
-        unwitnessed.append(t)
+        if _verified_ancestor(t, target, fuel, verify, session) is None:
+            unlifted = _unlifted(t, session)
+            break
+        constructed += 1
 
     stats = {
         "approximants": len(sl),
@@ -607,7 +607,6 @@ def check_commutation(
         "constructed_ancestors": constructed,
         **verify,
         "shared_lifts": session.shared,
-        "widened_slice": searched,
     }
     if forward_unknown:
         return CheckReport(
@@ -617,14 +616,8 @@ def check_commutation(
             reason=f"{len(forward_unknown)} forward membership check(s) hit a cut",
             stats=stats,
         )
-    if unwitnessed:
-        return CheckReport(
-            "commutation",
-            inputs,
-            "inconclusive",
-            reason=f"no ancestor found for {pretty_resource(unwitnessed[0])} within backstop {backstop}",
-            stats=stats,
-        )
+    if unlifted is not None:
+        return CheckReport("commutation", inputs, "inconclusive", reason=unlifted, stats=stats)
     return CheckReport("commutation", inputs, "pass", stats=stats)
 
 
@@ -632,28 +625,12 @@ def check_commutation(
 # Head-normalizability characterization
 
 
-def _hnf_skeleton(hf: HeadForm) -> Optional[ResourceTerm]:
-    if isinstance(hf.head, Var):
-        node: ResourceTerm = rvar(hf.head.index)
-    elif isinstance(hf.head, FreeVar):
-        node = rfvar(hf.head.name)
-    else:
-        return None
-    for _ in hf.spine:
-        node = rapp(node, monomial(()))
-    for _ in hf.binders:
-        node = rlam(node)
-    return node
-
-
 def check_head_charac(target: TermLike, size_bound: int, fuel: int) -> CheckReport:
     """Head strategy vs Taylor witness: a conclusive head verdict must agree
     with the existence of an approximant with a nonzero normal form."""
-    inputs = {"term": _text(target), "size_bound": size_bound, "fuel": fuel}
-    if isinstance(target, RationalSystem):
-        run = head_normalize(target.root_term(), fuel, target)
-    else:
-        run = head_normalize(target, fuel)
+    inputs = {"term": pretty_target(target), "size_bound": size_bound, "fuel": fuel}
+    term, system = split_target(target)
+    run = head_normalize(term, fuel, system)
     sl = enumerate_taylor(target, size_bound)
     witness = None
     for s in sl:
@@ -670,25 +647,14 @@ def check_head_charac(target: TermLike, size_bound: int, fuel: int) -> CheckRepo
                 witness=pretty_resource(witness),
                 stats=stats,
             )
-        skeleton = _hnf_skeleton(head_form(run.term))
-        if skeleton is not None:
-            s0 = _verified_ancestor(skeleton, target, fuel)
-            if s0 is not None and r_normalize(s0):
-                stats["constructed"] = True
-                return CheckReport(
-                    "head-characterization",
-                    inputs,
-                    "pass",
-                    witness=pretty_resource(s0),
-                    stats=stats,
-                )
-        return CheckReport(
-            "head-characterization",
-            inputs,
-            "inconclusive",
-            reason="solvable, but no witness found in slice and lifting failed",
-            stats=stats,
-        )
+        skeleton = _positive_skeleton(run.term, 0)
+        session = LiftSession()
+        s0 = _verified_ancestor(skeleton, target, fuel, session=session)
+        if s0 is not None:
+            stats["constructed"] = True
+            return CheckReport("head-characterization", inputs, "pass", witness=pretty_resource(s0), stats=stats)
+        reason = f"solvable, but no witness in the slice and {_unlifted(skeleton, session)}"
+        return CheckReport("head-characterization", inputs, "inconclusive", reason=reason, stats=stats)
     if run.verdict.certified_unsolvable:
         if witness is not None:
             return CheckReport(
@@ -704,7 +670,7 @@ def check_head_charac(target: TermLike, size_bound: int, fuel: int) -> CheckRepo
         "head-characterization",
         inputs,
         "inconclusive",
-        reason="head reduction ran out of fuel",
+        reason=f"head reduction gave no verdict: {run.verdict.describe()}",
         stats=stats,
     )
 
@@ -764,7 +730,7 @@ def check_norm_charac(
 ) -> CheckReport:
     """Per depth d: a d-positive addend in some normal form must exist
     exactly when the Boehm prefix is bottom-free down to depth d."""
-    inputs = {"term": _text(target), "d_max": d_max, "size_bound": size_bound, "fuel": fuel}
+    inputs = {"term": pretty_target(target), "d_max": d_max, "size_bound": size_bound, "fuel": fuel}
     prefix = bohm_tree(target, d_max + 1, fuel)
     sl = enumerate_taylor(target, size_bound)
     nf_terms: list[ResourceTerm] = []
@@ -782,10 +748,14 @@ def check_norm_charac(
         witness = next((t for t in sorted(nf_terms) if is_d_positive(t, d)), None)
         how = "slice" if witness is not None else None
         if witness is None and status == "ok":
+            # a clean prefix has a head normal form at every node down to d
             skeleton = _positive_skeleton(prefix, d)
-            if skeleton is not None and _verified_ancestor(skeleton, target, fuel) is not None:
+            session = LiftSession()
+            if _verified_ancestor(skeleton, target, fuel, session=session) is not None:
                 witness = skeleton
                 how = "constructed"
+            else:
+                inconclusive = f"no d-positive witness at d={d} despite a clean prefix: {_unlifted(skeleton, session)}"
         entry = {
             "d": d,
             "prefix": status,
@@ -795,10 +765,8 @@ def check_norm_charac(
         levels.append(entry)
         if status == "bottom" and witness is not None:
             failed = entry
-        elif status == "ok" and witness is None:
-            inconclusive = f"no d-positive witness at d={d} despite a clean prefix"
         elif status == "cut":
-            inconclusive = f"prefix truncated by fuel at d={d}"
+            inconclusive = f"prefix cut at d={d}"
     stats = {"levels": levels, "approximants": len(sl)}
     if failed is not None:
         return CheckReport(
@@ -823,7 +791,7 @@ def terms_equal_via_taylor(
 ) -> CheckReport:
     """Evidence of equality: a common d-positive approximant at every
     d <= d_max. Passing is evidence up to the tested depth, not a proof."""
-    inputs = {"left": _text(m), "right": _text(n), "d_max": d_max, "size_bound": size_bound}
+    inputs = {"left": pretty_target(m), "right": pretty_target(n), "d_max": d_max, "size_bound": size_bound}
     common = sorted(set(enumerate_taylor(m, size_bound)) & set(enumerate_taylor(n, size_bound)))
     evidence = []
     for d in range(d_max + 1):

@@ -317,6 +317,14 @@ def resolve_ref(t: RecRef, system: RationalSystem, hints: tuple[str, ...]) -> Te
     return bind_free(system.body(t.symbol), hints)
 
 
+def split_target(target: TermLike) -> tuple[Term, RationalSystem | None]:
+    """The term to start from and the system resolving its references
+    (None for a plain term)."""
+    if isinstance(target, RationalSystem):
+        return target.root_term(), target
+    return target, None
+
+
 def free_vars(target: TermLike) -> set[str]:
     """Free variable names of a term or of the tree denoted by a system."""
     if isinstance(target, RationalSystem):
@@ -397,18 +405,14 @@ def context_fill(c: Term, m: Term) -> Term:
     return go(c, ())
 
 
-def unfold(target: TermLike, depth: int, system: RationalSystem | None = None) -> Term:
+def unfold(target: TermLike, depth: int) -> Term:
     """Finite prefix of the denoted tree, cut at applicative depth ``depth``.
 
     Every subterm whose occurrence crosses ``depth`` or more argument edges
     is replaced by the cut marker. Terminates on guarded systems because
     each unfolding lap crosses at least one argument edge.
     """
-    if isinstance(target, RationalSystem):
-        system = target
-        t: Term = target.root_term()
-    else:
-        t = target
+    t, system = split_target(target)
 
     def go(u: Term, budget: int, hints: tuple[str, ...]) -> Term:
         if budget <= 0:
@@ -536,6 +540,10 @@ def pretty_system(system: RationalSystem, cut: str = "*") -> str:
     else:
         tail = system.root
     return "let rec " + " and ".join(defs) + " in " + tail
+
+
+def pretty_target(target: TermLike) -> str:
+    return pretty_system(target) if isinstance(target, RationalSystem) else pretty(target)
 
 
 # ---------------------------------------------------------------------------

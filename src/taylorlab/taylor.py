@@ -49,16 +49,11 @@ from .syntax import (
     UndefinedSymbolError,
     Var,
     resolve_ref,
+    split_target,
 )
 from .beta import bohm_tree
 
 HoleMode = Literal["cut", "context"]
-
-
-def _split(target: TermLike) -> tuple[Term, Optional[RationalSystem]]:
-    if isinstance(target, RationalSystem):
-        return target.root_term(), target
-    return target, None
 
 
 def _resolve(m: RecRef, system: Optional[RationalSystem], stack: tuple[str, ...]) -> Term:
@@ -75,7 +70,7 @@ def approximates(s: ResourceTerm, target: TermLike, memo: Optional[dict] = None)
     by ``(u, id(t), stack)`` and each entry holds ``t``, so the id of a
     term that ``resolve_ref`` built cannot be reused while the entry lives.
     """
-    m, system = _split(target)
+    m, system = split_target(target)
     if memo is None:
         memo = {}
 
@@ -186,7 +181,7 @@ def enumerate_taylor(
 ) -> FiniteSum:
     """Materialize the slice of approximants within the bounds: those of size
     <= ``size_bound`` and, when ``depth_bound`` is set, of height below it."""
-    m, system = _split(target)
+    m, system = split_target(target)
     enum = _Enumerator(system, hole_mode)
     return FiniteSum(enum.terms(m, size_bound, depth_bound, ()))
 
@@ -201,7 +196,7 @@ def enumerate_taylor_context(c: Term, size_bound: int, depth_bound: Optional[int
 def taylor_zero(target: TermLike) -> bool:
     """Whether the term has no approximant at all: bottom, or bottom
     reachable through abstractions and function positions only."""
-    m, system = _split(target)
+    m, system = split_target(target)
     memo: dict[str, bool] = {}
 
     def rec(t: Term) -> bool:

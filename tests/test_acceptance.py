@@ -23,20 +23,9 @@ from taylorlab.resource_reduction import (
     redex_sites,
     valid_min_depth_sites,
 )
+from taylorlab.selftest import _CORPUS as CORPUS
 from taylorlab.syntax import parse_term, unfold
 from taylorlab.taylor import enumerate_taylor
-
-CORPUS = {
-    "I": "\\x. x",
-    "K": "\\x. \\y. x",
-    "S": "\\x. \\y. \\z. (x z) (y z)",
-    "II": "(\\x. x) (\\x. x)",
-    "KOmega": "(\\x. \\y. y) ((\\x. x x) (\\x. x x))",
-    "xOmega": "\\x. x ((\\y. y y) (\\y. y y))",
-    "Omega": "(\\x. x x) (\\x. x x)",
-    "Y": "\\f. (\\x. f (x x)) (\\x. f (x x))",
-    "Yg": "(\\f. (\\x. f (x x)) (\\x. f (x x))) g",
-}
 
 Y = parse_term(CORPUS["Y"])
 Y_SYS = parse_term("let rec F = f F in \\f. F")

@@ -296,7 +296,6 @@ def test_selftest_passes_on_seeds_with_head_fixed_points(capsys, seed):
         ["taylor", "x", "--depth", "-1"],
         ["bohm", "x", "--depth", "-1"],
         ["check", "norm", "x", "--dmax", "-2"],
-        ["check", "commutation", "x", "--backstop", "-1"],
         ["reduce", "x", "--max-steps", "-1"],
     ],
 )
@@ -305,6 +304,20 @@ def test_negative_budget_exit_3(capsys, argv):
         main(argv)
     assert exc.value.code == 3
     assert "must not be negative" in capsys.readouterr().err
+
+
+def test_backstop_is_an_unknown_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "commutation", "x", "--backstop", "4"])
+    assert exc.value.code == 3
+    assert "unrecognized arguments: --backstop" in capsys.readouterr().err
+
+
+def test_capture_on_a_system_exits_inconclusive(capsys):
+    code, out, _ = run(capsys, "check", "commutation", "let rec F = x F in (\\z. \\x. z x) F", "--size", "8")
+    assert code == 2 and out.startswith("commutation: inconclusive")
+    code, _, _ = run(capsys, "check", "commutation", "let rec F = x F in (\\z. \\y. z y) F", "--size", "8")
+    assert code == 0
 
 
 def test_zero_budget_accepted(capsys):

@@ -13,16 +13,18 @@ from taylorlab.lab import (
     push_forward,
     terms_equal_via_taylor,
 )
+from taylorlab.beta import head_normalize
 from taylorlab.resource import (
     ZERO,
     FiniteSum,
     parse_resource_sum,
     parse_resource_term,
+    pretty_resource,
     r_size,
 )
 from taylorlab.resource_reduction import r_normalize
 from taylorlab.syntax import parse_term
-from taylorlab.taylor import approximates
+from taylorlab.taylor import approximates, enumerate_taylor
 
 rp = parse_resource_term
 I = parse_term("\\x. x")
@@ -205,3 +207,78 @@ def test_hr_commutation_stats():
     assert out["covered"] >= 1
     out = hr_commutation_stats(Y, 8)
     assert out["inclusion"] is True
+
+
+# ---------------------------------------------------------------------------
+# Lifting is the only backward path
+
+
+def test_forced_lift_failure_ends_inconclusive_naming_the_target(monkeypatch):
+    """With every head step uninvertible, the check stops at the least
+    target outside the forward normal forms, names it and the step, and
+    enumerates nothing beyond the slice and the tree targets."""
+    yg = parse_term("(\\f. (\\x. f (x x)) (\\x. f (x x))) g")
+    nfs = set(r_normalize(lab.enumerate_taylor(yg, 20)))
+    first = next(t for t in lab.enumerate_taylor(lab.bohm_tree(yg, 21, 1000), 20) if t not in nfs)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return enumerate_taylor(*args, **kwargs)
+
+    monkeypatch.setattr(lab, "enumerate_taylor", counted)
+    monkeypatch.setattr(lab, "_lift_one_step", lambda *args: None)
+    report = check_commutation(yg, 20, 1000)
+    assert report.verdict == "inconclusive"
+    assert report.reason.startswith(f"no ancestor lifted for {pretty_resource(first)}: the head step from ")
+    assert report.reason.endswith(" could not be inverted")
+    assert calls == [20, 20]
+    assert "backstop" not in report.inputs and "widened_slice" not in report.stats
+
+
+def test_skeleton_lift_failures_use_the_same_wording(monkeypatch):
+    monkeypatch.setattr(lab, "_lift_one_step", lambda *args: None)
+    r = check_head_charac(Y, 4, 100)
+    assert r.verdict == "inconclusive"
+    assert r.reason.startswith("solvable, but no witness in the slice and no ancestor lifted for \\a. <a>1: ")
+    r = check_norm_charac(Y, 3, 6, 100)
+    assert r.verdict == "inconclusive"
+    assert "no ancestor lifted for" in r.reason and r.reason.endswith("could not be inverted")
+
+
+def test_lift_resolves_references_under_the_head_binder():
+    """Un-substitution reads the head redex's body under the head binder,
+    so a reference in that body resolves with the binder's hint on the
+    stack: ``F`` below resolves its ``x`` to the outer binder, not to
+    ``\\y``. Without the hint every target outside the forward normal
+    forms failed to lift."""
+    m = parse_term("let rec F = x F in \\x. (\\y. F) a")
+    report = check_commutation(m, 16, 1000)
+    assert report.verdict == "pass"
+    assert report.stats["constructed_ancestors"] == report.stats["replayed_ancestors"] == 48
+    r = check_norm_charac(m, 5, 10, 1000)
+    assert r.verdict == "pass"
+    assert [lvl["how"] for lvl in r.stats["levels"]][3:] == ["constructed"] * 3
+
+
+@pytest.mark.parametrize(
+    "src",
+    [
+        # the argument F lands under \x, and x is free in F's equation
+        "let rec F = x F in (\\z. \\x. z x) F",
+        # the fired binder \x leaves F, whose x it bound, behind
+        "let rec F = x F in (\\x. F) a",
+    ],
+)
+def test_capture_on_a_system_is_inconclusive_not_a_failure(src):
+    m = parse_term(src)
+    report = check_commutation(m, 8, 1000)
+    assert report.verdict == "inconclusive"
+    assert "hit a cut" in report.reason
+    run = head_normalize(m.root_term(), 1000, m)
+    assert run.verdict.describe() == "unknown(capture, 0 steps)"
+
+
+def test_capture_controls_with_a_fresh_hint_pass():
+    for src in ("let rec F = x F in (\\z. \\y. z y) F", "let rec F = x F in \\x. (\\y. F) a"):
+        assert check_commutation(parse_term(src), 8, 1000).verdict == "pass", src
