@@ -25,6 +25,7 @@ from .syntax import (
     Hole,
     Lam,
     LambdaError,
+    Linked,
     RationalSystem,
     RecRef,
     Term,
@@ -32,8 +33,10 @@ from .syntax import (
     UndefinedSymbolError,
     Var,
     resolve_ref,
+    rebuild,
     split_target,
     subterms,
+    unlink,
 )
 
 
@@ -87,17 +90,27 @@ def subterm_at(t: Term, pos: Position) -> Term:
     return t
 
 
+def _position(path: Linked) -> Position:
+    return unlink(path)[::-1]
+
+
 def replace_at(t: Term, pos: Position, new: Term) -> Term:
-    if not pos:
-        return new
-    c, rest = pos[0], pos[1:]
-    if c == "body" and isinstance(t, Lam):
-        return Lam(t.hint, replace_at(t.body, rest, new))
-    if c == "fun" and isinstance(t, App):
-        return App(replace_at(t.fn, rest, new), t.arg)
-    if c == "arg" and isinstance(t, App):
-        return App(t.fn, replace_at(t.arg, rest, new))
-    raise InvalidPositionError(f"position {position_to_str(pos)} does not resolve")
+    # The walk goes down ``pos`` only: a subterm is kept as it is unless its
+    # parent is the deepest subterm met on ``pos`` and its step is the next one.
+    met, k = None, 0
+
+    def graft(u: Term, _d: int, _h: Linked, _a: int, path: Linked) -> Optional[Term]:
+        nonlocal met, k
+        if path is not None:
+            if path[1] is not met or path[0] != pos[k]:
+                return u
+            met, k = path, k + 1
+        return new if k == len(pos) else None
+
+    out = rebuild(t, graft)
+    if k < len(pos):
+        raise InvalidPositionError(f"position {position_to_str(pos)} does not resolve")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -107,32 +120,22 @@ def replace_at(t: Term, pos: Position, new: Term) -> Term:
 def _shift(t: Term, d: int, cutoff: int = 0) -> Term:
     if d == 0:
         return t
-    if isinstance(t, Var):
-        return Var(t.index + d) if t.index >= cutoff else t
-    if isinstance(t, Lam):
-        return Lam(t.hint, _shift(t.body, d, cutoff + 1))
-    if isinstance(t, App):
-        return App(_shift(t.fn, d, cutoff), _shift(t.arg, d, cutoff))
-    return t
+
+    def shift(u: Term, c: int, *_) -> Optional[Term]:
+        return Var(u.index + d) if isinstance(u, Var) and u.index >= cutoff + c else None
+
+    return rebuild(t, shift)
 
 
 def open_bound(body: Term, arg: Term) -> Term:
     """Remove the binder just peeled: substitute ``arg`` for its variable."""
 
-    def go(t: Term, c: int) -> Term:
-        if isinstance(t, Var):
-            if t.index == c:
-                return _shift(arg, c)
-            if t.index > c:
-                return Var(t.index - 1)
-            return t
-        if isinstance(t, Lam):
-            return Lam(t.hint, go(t.body, c + 1))
-        if isinstance(t, App):
-            return App(go(t.fn, c), go(t.arg, c))
-        return t
+    def fill(u: Term, c: int, *_) -> Optional[Term]:
+        if isinstance(u, Var) and u.index >= c:
+            return _shift(arg, c) if u.index == c else Var(u.index - 1)
+        return None
 
-    return go(body, 0)
+    return rebuild(body, fill)
 
 
 def beta_step(m: Term, at: Position) -> Term:
@@ -144,20 +147,9 @@ def beta_step(m: Term, at: Position) -> Term:
 
 def leftmost_redex(t: Term) -> Optional[Position]:
     """Normal-order redex position: outermost, function before argument."""
-    if isinstance(t, App):
-        if isinstance(t.fn, Lam):
-            return ()
-        sub = leftmost_redex(t.fn)
-        if sub is not None:
-            return ("fun",) + sub
-        sub = leftmost_redex(t.arg)
-        if sub is not None:
-            return ("arg",) + sub
-        return None
-    if isinstance(t, Lam):
-        sub = leftmost_redex(t.body)
-        if sub is not None:
-            return ("body",) + sub
+    for u, _, _, _, path in subterms(t):
+        if isinstance(u, App) and isinstance(u.fn, Lam):
+            return _position(path)
     return None
 
 
@@ -339,18 +331,12 @@ def _captures(hf: HeadForm, names: frozenset[str]) -> bool:
     a step would reduce another term than the one the source denotes."""
     lam = hf.head
     assert isinstance(lam, Lam)
-    if lam.hint in names and any(isinstance(u, RecRef) for u in subterms(lam.body)):
+    if lam.hint in names and any(isinstance(u, RecRef) for u, *_ in subterms(lam.body)):
         return True
-    work = [(lam.body, 0, False)] if any(isinstance(u, RecRef) for u in subterms(hf.spine[0])) else []
-    while work:
-        t, c, under = work.pop()
-        if isinstance(t, Var) and under and t.index == c:
-            return True
-        if isinstance(t, Lam):
-            work.append((t.body, c + 1, under or t.hint in names))
-        elif isinstance(t, App):
-            work += [(t.fn, c, under), (t.arg, c, under)]
-    return False
+    return any(isinstance(u, RecRef) for u, *_ in subterms(hf.spine[0])) and any(
+        isinstance(u, Var) and u.index == c and not names.isdisjoint(unlink(hints))
+        for u, c, hints, *_ in subterms(lam.body)
+    )
 
 
 def head_normalize(
@@ -369,7 +355,7 @@ def head_normalize(
     if system is not None:
         m = _resolve_at_head(m, system, stack)
         bodies = system.equations.values()
-        names = frozenset(u.name for b in bodies for u in subterms(b) if isinstance(u, FreeVar))
+        names = frozenset(u.name for b in bodies for u, *_ in subterms(b) if isinstance(u, FreeVar))
     cur = m
     seen = {cur.fkey}
     pre_steps: list[Term] = []
@@ -449,15 +435,11 @@ def bohm_tree(target: TermLike, depth: int, fuel: int) -> Term:
 
 def is_bohm_normal(t: Term) -> bool:
     """No beta redex and no bottom redex anywhere above the cut markers."""
-    if isinstance(t, App):
-        if isinstance(t.fn, (Lam, Bottom)):
-            return False
-        return is_bohm_normal(t.fn) and is_bohm_normal(t.arg)
-    if isinstance(t, Lam):
-        if isinstance(t.body, Bottom):
-            return False
-        return is_bohm_normal(t.body)
-    return True
+    return not any(
+        isinstance(u, App) and isinstance(u.fn, (Lam, Bottom))
+        or isinstance(u, Lam) and isinstance(u.body, Bottom)
+        for u, *_ in subterms(t)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -477,20 +459,12 @@ class StratifyResult:
 
 def depth_positions(t: Term, d: int) -> list[Position]:
     """Positions of the maximal subterms at applicative depth exactly ``d``."""
-    out: list[Position] = []
-
-    def walk(u: Term, path: Position, count: int) -> None:
-        if count == d:
-            out.append(path)
-            return
-        if isinstance(u, Lam):
-            walk(u.body, path + ("body",), count)
-        elif isinstance(u, App):
-            walk(u.fn, path + ("fun",), count)
-            walk(u.arg, path + ("arg",), count + 1)
-
-    walk(t, (), 0)
-    return out
+    # a subterm at depth d is maximal when the root or entered by an argument step
+    return [
+        _position(path)
+        for _, _, _, argdepth, path in subterms(t)
+        if argdepth == d and (path is None or path[0] == "arg")
+    ]
 
 
 def stratify(m: Term, depth: int, fuel: int) -> StratifyResult:

@@ -116,6 +116,7 @@ from .syntax import (
     pretty_target,
     resolve_ref,
     split_target,
+    subterms,
 )
 from .taylor import approximates, enumerate_taylor, enumerate_taylor_context, member_of_bohm
 
@@ -587,7 +588,7 @@ def check_commutation(target: TermLike, size_bound: int, fuel: int) -> CheckRepo
                 forward_unknown.append(t)
 
     prefix = prefixes.get(size_bound + 1) or bohm_tree(target, size_bound + 1, fuel)
-    targets = enumerate_taylor(prefix, size_bound, hole_mode="cut")
+    targets = enumerate_taylor(prefix, size_bound)
     constructed = 0
     verify = {"replayed_ancestors": 0, "verify_fallbacks": 0}
     session = LiftSession()
@@ -682,24 +683,14 @@ def check_head_charac(target: TermLike, size_bound: int, fuel: int) -> CheckRepo
 def _prefix_status(prefix: Term, d: int) -> str:
     """Scan a Boehm prefix down to applicative depth ``d``:
     "ok", "bottom", or "cut"."""
-    status = ["ok"]
-
-    def walk(t: Term, depth: int) -> None:
-        if depth > d or status[0] == "bottom":
-            return
-        if isinstance(t, Bottom):
-            status[0] = "bottom"
-        elif isinstance(t, Hole):
-            if status[0] == "ok":
-                status[0] = "cut"
-        elif isinstance(t, Lam):
-            walk(t.body, depth)
-        elif isinstance(t, App):
-            walk(t.fn, depth)
-            walk(t.arg, depth + 1)
-
-    walk(prefix, 0)
-    return status[0]
+    status = "ok"
+    for u, _, _, argdepth, _ in subterms(prefix):
+        if argdepth <= d:
+            if isinstance(u, Bottom):
+                return "bottom"
+            if isinstance(u, Hole):
+                status = "cut"
+    return status
 
 
 def _positive_skeleton(prefix: Term, d: int) -> Optional[ResourceTerm]:
@@ -754,7 +745,7 @@ def check_norm_charac(
             if _verified_ancestor(skeleton, target, fuel, session=session) is not None:
                 witness = skeleton
                 how = "constructed"
-            else:
+            elif inconclusive is None:
                 inconclusive = f"no d-positive witness at d={d} despite a clean prefix: {_unlifted(skeleton, session)}"
         entry = {
             "d": d,
@@ -765,7 +756,7 @@ def check_norm_charac(
         levels.append(entry)
         if status == "bottom" and witness is not None:
             failed = entry
-        elif status == "cut":
+        elif status == "cut" and inconclusive is None:
             inconclusive = f"prefix cut at d={d}"
     stats = {"levels": levels, "approximants": len(sl)}
     if failed is not None:

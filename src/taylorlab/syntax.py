@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from operator import length_hint
-from typing import Iterable, Iterator, TypeVar, Union
+from typing import Callable, Iterable, Iterator, Optional, TypeVar, Union
 
 
 class LambdaError(Exception):
@@ -66,9 +66,6 @@ class Term:
             return True
         return isinstance(other, Term) and self.akey == other.akey
 
-    def __ne__(self, other: object) -> bool:
-        return not self.__eq__(other)
-
     def __hash__(self) -> int:
         return self._hash
 
@@ -109,7 +106,7 @@ class Lam(Term):
         self.body = body
         self.akey = ("l", body.akey)
         self.fkey = ("l", hint, body.fkey)
-        self._hash = hash(self.akey)
+        self._hash = hash(("l", body._hash))
 
 
 class App(Term):
@@ -120,7 +117,7 @@ class App(Term):
         self.arg = arg
         self.akey = ("a", fn.akey, arg.akey)
         self.fkey = ("a", fn.fkey, arg.fkey)
-        self._hash = hash(self.akey)
+        self._hash = hash(("a", fn._hash, arg._hash))
 
 
 class Bottom(Term):
@@ -168,24 +165,86 @@ HOLE = Hole()
 TermLike = Union[Term, "RationalSystem"]
 
 
-def subterms(t: Term) -> Iterator[Term]:
-    stack = [t]
+# A walk gives each subterm with its binder depth, the hints of its enclosing
+# binders, its argument depth and its position. Hints and position are linked
+# lists of pairs, innermost first (``unlink`` makes them tuples), so that a
+# step costs O(1) however deep the term is.
+Linked = Optional[tuple]
+Visit = Callable[[Term, int, Linked, int, Linked], Union[Term, tuple, None]]
+
+
+def subterms(t: Term) -> Iterator[tuple[Term, int, Linked, int, Linked]]:
+    """The one walk over a term: every subterm in pre-order, function before
+    argument, as ``(u, depth, hints, argdepth, path)``. ``path`` holds the
+    steps ``"body"``, ``"fun"`` and ``"arg"`` that lead to ``u``, last first."""
+    stack = [(t, 0, None, 0, None)]
     while stack:
-        u = stack.pop()
-        yield u
-        if isinstance(u, Lam):
-            stack.append(u.body)
-        elif isinstance(u, App):
-            stack.append(u.arg)
-            stack.append(u.fn)
+        node = stack.pop()
+        yield node
+        stack += _children(*node)
+
+
+def rebuild(t: Term, visit: Visit) -> Term:
+    """The one map over a term. ``visit`` sees each subterm in the order and
+    with the fields ``subterms`` gives it, and returns None to keep it and
+    walk into it, a term to put in its place as it is, or ``(v,)`` to put
+    ``v`` in its place and visit that in turn. A node whose children come
+    back unchanged is kept as it is."""
+    done: list[Term] = []
+    stack: list[tuple] = [(t, 0, None, 0, None)]
+    while stack:
+        node = stack.pop()
+        u = node[0]
+        if u is None:  # every child of ``node[1]`` is done
+            parent = node[1]
+            if isinstance(parent, Lam):
+                body = done.pop()
+                done.append(parent if body is parent.body else Lam(parent.hint, body))
+            else:
+                arg = done.pop()
+                fn = done.pop()
+                done.append(parent if fn is parent.fn and arg is parent.arg else App(fn, arg))
+            continue
+        new = visit(*node)
+        while type(new) is tuple:
+            node = (new[0], *node[1:])
+            new = visit(*node)
+        kids = () if new is not None else _children(*node)
+        if kids:
+            stack.append((None, node[0]))
+            stack += kids
+        else:
+            done.append(node[0] if new is None else new)
+    return done[0]
+
+
+def _children(u: Term, depth: int, hints: Linked, argdepth: int, path: Linked) -> tuple:
+    """What the walk gives the children of ``u``, last child first."""
+    if isinstance(u, Lam):
+        return ((u.body, depth + 1, (u.hint, hints), argdepth, ("body", path)),)
+    if isinstance(u, App):
+        return (
+            (u.arg, depth, hints, argdepth + 1, ("arg", path)),
+            (u.fn, depth, hints, argdepth, ("fun", path)),
+        )
+    return ()
+
+
+def unlink(pairs: Linked) -> tuple:
+    """The items of a linked list of pairs, head first."""
+    out = []
+    while pairs is not None:
+        item, pairs = pairs
+        out.append(item)
+    return tuple(out)
 
 
 def contains_hole(t: Term) -> bool:
-    return any(u is HOLE or isinstance(u, Hole) for u in subterms(t))
+    return any(isinstance(u, Hole) for u, *_ in subterms(t))
 
 
 def rec_symbols(t: Term) -> set[str]:
-    return {u.symbol for u in subterms(t) if isinstance(u, RecRef)}
+    return {u.symbol for u, *_ in subterms(t) if isinstance(u, RecRef)}
 
 
 # ---------------------------------------------------------------------------
@@ -224,38 +283,29 @@ class RationalSystem:
     def _check_guardedness(self) -> None:
         # Edges that never cross an argument position are the dangerous ones:
         # a cycle made only of those would unfold without gaining depth.
-        unguarded: dict[str, set[str]] = {s: set() for s in self.equations}
-
-        def scan(sym: str, t: Term, argdepth: int) -> None:
-            if isinstance(t, RecRef):
-                if argdepth == 0:
-                    unguarded[sym].add(t.symbol)
-            elif isinstance(t, Lam):
-                scan(sym, t.body, argdepth)
-            elif isinstance(t, App):
-                scan(sym, t.fn, argdepth)
-                scan(sym, t.arg, argdepth + 1)
-
+        unguarded: dict[str, list[str]] = {}
         for sym, body in self.equations.items():
-            scan(sym, body, 0)
-
+            refs = {u.symbol for u, _, _, argdepth, _ in subterms(body) if isinstance(u, RecRef) and argdepth == 0}
+            unguarded[sym] = sorted(refs)
+        # depth-first search, symbols in sorted order: 1 on the trail, 2 done
         color: dict[str, int] = {}
-        trail: list[str] = []
-
-        def visit(sym: str) -> None:
-            color[sym] = 1
-            trail.append(sym)
-            for nxt in sorted(unguarded[sym]):
-                if color.get(nxt) == 1:
+        for root in sorted(self.equations):
+            if root in color:
+                continue
+            color[root] = 1
+            trail = [root]
+            todo = [iter(unguarded[root])]
+            while todo:
+                nxt = next(todo[-1], None)
+                if nxt is None:
+                    color[trail.pop()] = 2
+                    todo.pop()
+                elif color.get(nxt) == 1:
                     raise GuardednessError(trail[trail.index(nxt):])
-                if color.get(nxt, 0) == 0:
-                    visit(nxt)
-            trail.pop()
-            color[sym] = 2
-
-        for sym in sorted(self.equations):
-            if color.get(sym, 0) == 0:
-                visit(sym)
+                elif nxt not in color:
+                    color[nxt] = 1
+                    trail.append(nxt)
+                    todo.append(iter(unguarded[nxt]))
 
     def body(self, symbol: str) -> Term:
         try:
@@ -297,19 +347,12 @@ def bind_free(t: Term, hints: tuple[str, ...]) -> Term:
     if not hints:
         return t
 
-    def go(u: Term, depth: int) -> Term:
-        if isinstance(u, FreeVar):
-            for i, h in enumerate(hints):
-                if h == u.name:
-                    return Var(depth + i)
-            return u
-        if isinstance(u, Lam):
-            return Lam(u.hint, go(u.body, depth + 1))
-        if isinstance(u, App):
-            return App(go(u.fn, depth), go(u.arg, depth))
-        return u
+    def bind(u: Term, depth: int, *_) -> Optional[Term]:
+        if isinstance(u, FreeVar) and u.name in hints:
+            return Var(depth + hints.index(u.name))
+        return None
 
-    return go(t, 0)
+    return rebuild(t, bind)
 
 
 def resolve_ref(t: RecRef, system: RationalSystem, hints: tuple[str, ...]) -> Term:
@@ -329,34 +372,23 @@ def free_vars(target: TermLike) -> set[str]:
     """Free variable names of a term or of the tree denoted by a system."""
     if isinstance(target, RationalSystem):
         return _system_free_vars(target)
-    out: set[str] = set()
-    for u in subterms(target):
-        if isinstance(u, FreeVar):
-            out.add(u.name)
-    return out
+    return {u.name for u, *_ in subterms(target) if isinstance(u, FreeVar)}
 
 
 def _system_free_vars(system: RationalSystem) -> set[str]:
     acc: dict[str, frozenset[str]] = {s: frozenset() for s in system.equations}
-
-    def fv(t: Term, bound: frozenset[str]) -> frozenset[str]:
-        if isinstance(t, FreeVar):
-            return frozenset((t.name,))
-        if isinstance(t, RecRef):
-            return acc[t.symbol] - bound
-        if isinstance(t, Lam):
-            return fv(t.body, bound | {t.hint})
-        if isinstance(t, App):
-            return fv(t.fn, bound) | fv(t.arg, bound)
-        return frozenset()
-
     changed = True
     while changed:
         changed = False
         for sym, body in system.equations.items():
-            new = fv(body, frozenset())
+            new: set[str] = set()
+            for u, _, hints, _, _ in subterms(body):
+                if isinstance(u, FreeVar):
+                    new.add(u.name)
+                elif isinstance(u, RecRef):
+                    new |= acc[u.symbol].difference(unlink(hints))
             if new != acc[sym]:
-                acc[sym] = new
+                acc[sym] = frozenset(new)
                 changed = True
     return set(acc[system.root])
 
@@ -375,34 +407,16 @@ def subst(m: Term, name: str, n: Term) -> Term:
     well-formed term under them is safe. (Printing renames any binder hint
     that would shadow a free name.)
     """
-    if name not in free_vars(m):
-        return m
-
-    def go(t: Term) -> Term:
-        if isinstance(t, FreeVar):
-            return n if t.name == name else t
-        if isinstance(t, Lam):
-            return Lam(t.hint, go(t.body))
-        if isinstance(t, App):
-            return App(go(t.fn), go(t.arg))
-        return t
-
-    return go(m)
+    return rebuild(m, lambda u, *_: n if isinstance(u, FreeVar) and u.name == name else None)
 
 
 def context_fill(c: Term, m: Term) -> Term:
     """Plug ``m`` into every hole of ``c`` (literal grafting: holes capture)."""
 
-    def go(t: Term, hints: tuple[str, ...]) -> Term:
-        if isinstance(t, Hole):
-            return bind_free(m, hints)
-        if isinstance(t, Lam):
-            return Lam(t.hint, go(t.body, (t.hint,) + hints))
-        if isinstance(t, App):
-            return App(go(t.fn, hints), go(t.arg, hints))
-        return t
+    def fill(u: Term, _: int, hints: Linked, *__) -> Optional[Term]:
+        return bind_free(m, unlink(hints)) if isinstance(u, Hole) else None
 
-    return go(c, ())
+    return rebuild(c, fill)
 
 
 def unfold(target: TermLike, depth: int) -> Term:
@@ -414,20 +428,16 @@ def unfold(target: TermLike, depth: int) -> Term:
     """
     t, system = split_target(target)
 
-    def go(u: Term, budget: int, hints: tuple[str, ...]) -> Term:
-        if budget <= 0:
+    def cut(u: Term, _: int, hints: Linked, argdepth: int, __: Linked) -> Union[Term, tuple, None]:
+        if argdepth >= depth:
             return HOLE
         if isinstance(u, RecRef):
             if system is None:
                 raise UndefinedSymbolError(f"unresolved symbol {u.symbol!r}")
-            return go(resolve_ref(u, system, hints), budget, hints)
-        if isinstance(u, Lam):
-            return Lam(u.hint, go(u.body, budget, (u.hint,) + hints))
-        if isinstance(u, App):
-            return App(go(u.fn, budget, hints), go(u.arg, budget - 1, hints))
-        return u
+            return (resolve_ref(u, system, unlink(hints)),)
+        return None
 
-    return go(t, depth, ())
+    return rebuild(t, cut)
 
 
 def power_apply(m: Term, n: Term, k: int) -> Term:

@@ -18,7 +18,7 @@ below one).
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Literal, Optional
+from typing import Optional
 
 from .resource import (
     HOLE_R,
@@ -52,9 +52,6 @@ from .syntax import (
     split_target,
 )
 from .beta import bohm_tree
-
-HoleMode = Literal["cut", "context"]
-
 
 def _resolve(m: RecRef, system: Optional[RationalSystem], stack: tuple[str, ...]) -> Term:
     if system is None:
@@ -104,9 +101,9 @@ def approximates(s: ResourceTerm, target: TermLike, memo: Optional[dict] = None)
 
 
 class _Enumerator:
-    def __init__(self, system: Optional[RationalSystem], hole_mode: HoleMode):
+    def __init__(self, system: Optional[RationalSystem], holes: bool = False):
         self.system = system
-        self.hole_mode = hole_mode
+        self.holes = holes
         self.memo: dict[tuple, tuple[ResourceTerm, ...]] = {}
         self.resolved: dict[tuple, Term] = {}
 
@@ -132,7 +129,7 @@ class _Enumerator:
         elif isinstance(t, Bottom):
             out = ()
         elif isinstance(t, Hole):
-            out = (HOLE_R,) if self.hole_mode == "context" else ()
+            out = (HOLE_R,) if self.holes else ()
         elif isinstance(t, Lam):
             out = tuple(rlam(b) for b in self.terms(t.body, n - 1, d, (t.hint,) + stack))
         elif isinstance(t, App):
@@ -177,46 +174,38 @@ def enumerate_taylor(
     target: TermLike,
     size_bound: int,
     depth_bound: Optional[int] = None,
-    hole_mode: HoleMode = "cut",
 ) -> FiniteSum:
     """Materialize the slice of approximants within the bounds: those of size
     <= ``size_bound`` and, when ``depth_bound`` is set, of height below it."""
     m, system = split_target(target)
-    enum = _Enumerator(system, hole_mode)
+    enum = _Enumerator(system)
     return FiniteSum(enum.terms(m, size_bound, depth_bound, ()))
 
 
 def enumerate_taylor_context(c: Term, size_bound: int, depth_bound: Optional[int] = None) -> FiniteSum:
     """Approximants of a context within the bounds, as ``enumerate_taylor``
     takes them; each hole is approximated by the resource hole."""
-    enum = _Enumerator(None, "context")
+    enum = _Enumerator(None, holes=True)
     return FiniteSum(enum.terms(c, size_bound, depth_bound, ()))
 
 
 def taylor_zero(target: TermLike) -> bool:
     """Whether the term has no approximant at all: bottom, or bottom
     reachable through abstractions and function positions only."""
-    m, system = split_target(target)
-    memo: dict[str, bool] = {}
-
-    def rec(t: Term) -> bool:
-        if isinstance(t, Bottom):
-            return True
+    t, system = split_target(target)
+    while not isinstance(t, Bottom):
         if isinstance(t, Lam):
-            return rec(t.body)
-        if isinstance(t, App):
-            return rec(t.fn)
-        if isinstance(t, RecRef):
-            if t.symbol in memo:
-                return memo[t.symbol]
+            t = t.body
+        elif isinstance(t, App):
+            t = t.fn
+        elif isinstance(t, RecRef):
             if system is None:
                 raise UndefinedSymbolError(f"unresolved symbol {t.symbol!r}")
             # abstraction/function chains cannot cycle in a guarded system
-            memo[t.symbol] = rec(system.body(t.symbol))
-            return memo[t.symbol]
-        return False
-
-    return rec(m)
+            t = system.body(t.symbol)
+        else:
+            return False
+    return True
 
 
 def member_of_bohm(

@@ -1,0 +1,133 @@
+"""Every λ-side map and fold on terms 10,000 deep: binder chains, argument
+lists and nested arguments, and ``beta_step`` and ``head_normalize`` on top of
+them. Python's recursion limit is about 1,000, so none of these may recurse
+on the term. Results are checked by walking them with loops: ``==`` and
+printing still recurse."""
+
+from taylorlab.beta import (
+    _shift,
+    beta_step,
+    depth_positions,
+    head_normalize,
+    is_bohm_normal,
+    leftmost_redex,
+    open_bound,
+    replace_at,
+)
+from taylorlab.lab import _prefix_status
+from taylorlab.syntax import (
+    BOTTOM,
+    HOLE,
+    App,
+    FreeVar,
+    Hole,
+    Lam,
+    RationalSystem,
+    RecRef,
+    Var,
+    bind_free,
+    context_fill,
+    free_vars,
+    power_apply,
+    power_tail,
+    subst,
+    unfold,
+)
+from taylorlab.taylor import taylor_zero
+
+N = 10_000
+X, Y = FreeVar("x"), FreeVar("y")
+
+
+def binders(body, n=N, hint="x"):
+    """``\\x. \\x. ... body`` with ``n`` binders."""
+    for _ in range(n):
+        body = Lam(hint, body)
+    return body
+
+
+def peel(t, n=N):
+    """The body under ``n`` binders, each checked to be there."""
+    for _ in range(n):
+        assert isinstance(t, Lam)
+        t = t.body
+    return t
+
+
+def spine(t):
+    """Head and arguments of an application chain, first argument first."""
+    args = []
+    while isinstance(t, App):
+        args.append(t.arg)
+        t = t.fn
+    return t, args[::-1]
+
+
+def nested(t):
+    """How deep ``t`` nests in argument position, and what ends it."""
+    k = 0
+    while isinstance(t, App):
+        t, k = t.arg, k + 1
+    return k, t
+
+
+def test_deep_maps():
+    assert peel(bind_free(binders(Y), ("y",))).index == N
+    assert peel(subst(binders(X), "x", Y)) is Y
+    assert peel(context_fill(Lam("y", binders(HOLE, N - 1)), Y)).index == N - 1
+    assert peel(_shift(binders(Var(N)), 3)).index == N + 3
+    assert peel(open_bound(binders(Var(N)), Y)) is Y
+
+    head, args = spine(subst(power_apply(FreeVar("f"), X, N), "x", Y))
+    assert head.name == "f" and len(args) == N and all(a is Y for a in args)
+    k, end = nested(_shift(power_tail(Var(0), N), 1))
+    assert k == N - 1 and end.index == 1
+
+    k, end = nested(unfold(power_tail(X, N), N + 1))
+    assert k == N - 1 and end is X
+    k, end = nested(unfold(power_tail(X, N), N // 2))
+    assert k == N // 2 and isinstance(end, Hole)
+    k, end = nested(unfold(RationalSystem({"F": App(X, RecRef("F"))}, "F"), N))
+    assert k == N and isinstance(end, Hole)
+
+    deep_arg = ("arg",) * (N - 1)
+    k, end = nested(replace_at(power_tail(X, N), deep_arg, Y))
+    assert k == N - 1 and end is Y
+    assert peel(replace_at(binders(X), ("body",) * N, Y)) is Y
+
+
+def test_deep_folds():
+    redex = App(Lam("z", Var(0)), X)
+    assert leftmost_redex(binders(redex)) == ("body",) * N
+    assert leftmost_redex(power_apply(X, X, N)) is None
+    assert leftmost_redex(App(power_apply(X, X, N), redex)) == ("arg",)
+    assert is_bohm_normal(binders(X)) and is_bohm_normal(power_tail(X, N))
+    assert not is_bohm_normal(binders(Lam("z", BOTTOM)))
+    assert depth_positions(power_tail(X, N), N - 1) == [("arg",) * (N - 1)]
+    assert len(depth_positions(power_apply(X, X, N), 1)) == N
+    assert _prefix_status(power_tail(BOTTOM, N), N) == "bottom"
+    assert _prefix_status(power_tail(HOLE, N), N - 1) == "cut"
+    assert _prefix_status(binders(HOLE), 0) == "cut"
+    assert taylor_zero(binders(power_apply(BOTTOM, X, N)))
+    assert not taylor_zero(binders(power_tail(X, N)))
+
+
+def test_deep_systems():
+    deep = RationalSystem({"F": binders(App(App(X, FreeVar("w")), RecRef("F")))}, "F")
+    assert free_vars(deep) == {"x", "w"}
+    assert not taylor_zero(deep)
+    assert isinstance(peel(unfold(deep, 1)), App)
+
+
+def test_deep_beta():
+    # the redex sits under N binders and its body under N more
+    m = binders(App(Lam("z", binders(Var(N))), Y))
+    out = beta_step(m, ("body",) * N)
+    assert peel(peel(out)) is Y
+    run = head_normalize(m, 5)
+    assert run.verdict.is_solvable and run.verdict.steps == 1
+    assert peel(peel(run.term)) is Y
+    # a head redex whose argument list is N long
+    run = head_normalize(power_apply(Lam("z", Var(0)), X, N), 5)
+    head, args = spine(run.term)
+    assert run.verdict.is_solvable and head is X and len(args) == N - 1

@@ -170,6 +170,13 @@ def test_check_norm_charac_y():
     assert any(lvl["how"] == "constructed" for lvl in r.stats["levels"])
 
 
+def test_check_norm_charac_reports_the_shallowest_cut():
+    # the Boehm tree is cut at its root, so every depth is cut
+    r = check_norm_charac(parse_term("let rec F = x F in (\\z. \\x. z x) F"), 5, 10, 1000)
+    assert r.verdict == "inconclusive" and r.reason == "prefix cut at d=0"
+    assert all(lvl["prefix"] == "cut" for lvl in r.stats["levels"])
+
+
 def test_equal_via_taylor():
     y_sys = parse_term("let rec F = f F in \\f. F")
     r = terms_equal_via_taylor(y_sys, y_sys, 3, 10)

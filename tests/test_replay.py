@@ -167,7 +167,7 @@ def _corpus_targets(size=10):
     for src in _CORPUS.values():
         term = parse_term(src)
         prefix = bohm_tree(term, size + 1, FUEL)
-        yield term, list(enumerate_taylor(prefix, size, hole_mode="cut"))
+        yield term, list(enumerate_taylor(prefix, size))
 
 
 def test_replay_implies_membership_in_the_normal_form():
@@ -202,7 +202,7 @@ def test_shared_session_accepts_what_unshared_lifts_accept(src, size, monkeypatc
     session must accept the same ancestors, settled the same way, while
     head-normalizing each (subterm, stack) once."""
     term = parse_term(src)
-    targets = enumerate_taylor(bohm_tree(term, size + 1, FUEL), size, hole_mode="cut")
+    targets = enumerate_taylor(bohm_tree(term, size + 1, FUEL), size)
     reference, reference_counts = [], {}
     for t in targets:
         reference.append(_verified_ancestor(t, term, FUEL, reference_counts))
@@ -226,7 +226,7 @@ def _shared_run(src, size):
     """Every tree target of one commutation check, lifted through one
     session; returns the session's memos with what went through them."""
     term = parse_term(src)
-    targets = list(enumerate_taylor(bohm_tree(term, size + 1, FUEL), size, hole_mode="cut"))
+    targets = list(enumerate_taylor(bohm_tree(term, size + 1, FUEL), size))
     session = LiftSession()
     ancestors = [_verified_ancestor(t, term, FUEL, None, session) for t in targets]
     return term, targets, session, [s for s in ancestors if s is not None]

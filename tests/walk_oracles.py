@@ -1,0 +1,340 @@
+"""Frozen copies of the recursive λ-term walkers that ``syntax.subterms`` and
+``syntax.rebuild`` replaced, kept as reference oracles.
+
+Each recursed on the term with its own binder counter, so Python's recursion
+limit capped the depth of the terms they took. ``old_captures`` is the
+capture guard of ``beta.head_normalize`` with its own explicit-stack walk.
+``test_walk_oracles`` checks the callbacks against them on seeded random
+terms, contexts and ``let rec`` systems. Do not import them elsewhere.
+"""
+
+from __future__ import annotations
+
+from typing import Optional
+
+from taylorlab.syntax import (
+    HOLE,
+    App,
+    Bottom,
+    FreeVar,
+    Hole,
+    Lam,
+    RationalSystem,
+    RecRef,
+    Term,
+    UndefinedSymbolError,
+    Var,
+    free_vars,
+)
+
+Position = tuple[str, ...]
+
+
+# ---------------------------------------------------------------------------
+# Maps
+
+
+def old_bind_free(t: Term, hints: tuple[str, ...]) -> Term:
+    if not hints:
+        return t
+
+    def go(u: Term, depth: int) -> Term:
+        if isinstance(u, FreeVar):
+            for i, h in enumerate(hints):
+                if h == u.name:
+                    return Var(depth + i)
+            return u
+        if isinstance(u, Lam):
+            return Lam(u.hint, go(u.body, depth + 1))
+        if isinstance(u, App):
+            return App(go(u.fn, depth), go(u.arg, depth))
+        return u
+
+    return go(t, 0)
+
+
+def old_subst(m: Term, name: str, n: Term) -> Term:
+    if name not in free_vars(m):
+        return m
+
+    def go(t: Term) -> Term:
+        if isinstance(t, FreeVar):
+            return n if t.name == name else t
+        if isinstance(t, Lam):
+            return Lam(t.hint, go(t.body))
+        if isinstance(t, App):
+            return App(go(t.fn), go(t.arg))
+        return t
+
+    return go(m)
+
+
+def old_context_fill(c: Term, m: Term) -> Term:
+    def go(t: Term, hints: tuple[str, ...]) -> Term:
+        if isinstance(t, Hole):
+            return old_bind_free(m, hints)
+        if isinstance(t, Lam):
+            return Lam(t.hint, go(t.body, (t.hint,) + hints))
+        if isinstance(t, App):
+            return App(go(t.fn, hints), go(t.arg, hints))
+        return t
+
+    return go(c, ())
+
+
+def old_unfold(target, depth: int) -> Term:
+    if isinstance(target, RationalSystem):
+        t, system = target.root_term(), target
+    else:
+        t, system = target, None
+
+    def go(u: Term, budget: int, hints: tuple[str, ...]) -> Term:
+        if budget <= 0:
+            return HOLE
+        if isinstance(u, RecRef):
+            if system is None:
+                raise UndefinedSymbolError(f"unresolved symbol {u.symbol!r}")
+            return go(old_bind_free(system.body(u.symbol), hints), budget, hints)
+        if isinstance(u, Lam):
+            return Lam(u.hint, go(u.body, budget, (u.hint,) + hints))
+        if isinstance(u, App):
+            return App(go(u.fn, budget, hints), go(u.arg, budget - 1, hints))
+        return u
+
+    return go(t, depth, ())
+
+
+def old_shift(t: Term, d: int, cutoff: int = 0) -> Term:
+    if d == 0:
+        return t
+    if isinstance(t, Var):
+        return Var(t.index + d) if t.index >= cutoff else t
+    if isinstance(t, Lam):
+        return Lam(t.hint, old_shift(t.body, d, cutoff + 1))
+    if isinstance(t, App):
+        return App(old_shift(t.fn, d, cutoff), old_shift(t.arg, d, cutoff))
+    return t
+
+
+def old_open_bound(body: Term, arg: Term) -> Term:
+    def go(t: Term, c: int) -> Term:
+        if isinstance(t, Var):
+            if t.index == c:
+                return old_shift(arg, c)
+            if t.index > c:
+                return Var(t.index - 1)
+            return t
+        if isinstance(t, Lam):
+            return Lam(t.hint, go(t.body, c + 1))
+        if isinstance(t, App):
+            return App(go(t.fn, c), go(t.arg, c))
+        return t
+
+    return go(body, 0)
+
+
+def old_replace_at(t: Term, pos: Position, new: Term) -> Optional[Term]:
+    """None where the position does not resolve."""
+    if not pos:
+        return new
+    c, rest = pos[0], pos[1:]
+    if c == "body" and isinstance(t, Lam):
+        inner = old_replace_at(t.body, rest, new)
+        return None if inner is None else Lam(t.hint, inner)
+    if c == "fun" and isinstance(t, App):
+        inner = old_replace_at(t.fn, rest, new)
+        return None if inner is None else App(inner, t.arg)
+    if c == "arg" and isinstance(t, App):
+        inner = old_replace_at(t.arg, rest, new)
+        return None if inner is None else App(t.fn, inner)
+    return None
+
+
+# ---------------------------------------------------------------------------
+# Folds and searches
+
+
+def old_leftmost_redex(t: Term) -> Optional[Position]:
+    if isinstance(t, App):
+        if isinstance(t.fn, Lam):
+            return ()
+        sub = old_leftmost_redex(t.fn)
+        if sub is not None:
+            return ("fun",) + sub
+        sub = old_leftmost_redex(t.arg)
+        if sub is not None:
+            return ("arg",) + sub
+        return None
+    if isinstance(t, Lam):
+        sub = old_leftmost_redex(t.body)
+        if sub is not None:
+            return ("body",) + sub
+    return None
+
+
+def old_is_bohm_normal(t: Term) -> bool:
+    if isinstance(t, App):
+        if isinstance(t.fn, (Lam, Bottom)):
+            return False
+        return old_is_bohm_normal(t.fn) and old_is_bohm_normal(t.arg)
+    if isinstance(t, Lam):
+        if isinstance(t.body, Bottom):
+            return False
+        return old_is_bohm_normal(t.body)
+    return True
+
+
+def old_depth_positions(t: Term, d: int) -> list[Position]:
+    out: list[Position] = []
+
+    def walk(u: Term, path: Position, count: int) -> None:
+        if count == d:
+            out.append(path)
+            return
+        if isinstance(u, Lam):
+            walk(u.body, path + ("body",), count)
+        elif isinstance(u, App):
+            walk(u.fn, path + ("fun",), count)
+            walk(u.arg, path + ("arg",), count + 1)
+
+    walk(t, (), 0)
+    return out
+
+
+def old_system_free_vars(system: RationalSystem) -> set[str]:
+    acc: dict[str, frozenset[str]] = {s: frozenset() for s in system.equations}
+
+    def fv(t: Term, bound: frozenset[str]) -> frozenset[str]:
+        if isinstance(t, FreeVar):
+            return frozenset((t.name,))
+        if isinstance(t, RecRef):
+            return acc[t.symbol] - bound
+        if isinstance(t, Lam):
+            return fv(t.body, bound | {t.hint})
+        if isinstance(t, App):
+            return fv(t.fn, bound) | fv(t.arg, bound)
+        return frozenset()
+
+    changed = True
+    while changed:
+        changed = False
+        for sym, body in system.equations.items():
+            new = fv(body, frozenset())
+            if new != acc[sym]:
+                acc[sym] = new
+                changed = True
+    return set(acc[system.root])
+
+
+def old_unguarded_cycle(equations: dict[str, Term]) -> Optional[list[str]]:
+    """The cycle ``RationalSystem`` reports as unguarded, or None."""
+    unguarded: dict[str, set[str]] = {s: set() for s in equations}
+
+    def scan(sym: str, t: Term, argdepth: int) -> None:
+        if isinstance(t, RecRef):
+            if argdepth == 0:
+                unguarded[sym].add(t.symbol)
+        elif isinstance(t, Lam):
+            scan(sym, t.body, argdepth)
+        elif isinstance(t, App):
+            scan(sym, t.fn, argdepth)
+            scan(sym, t.arg, argdepth + 1)
+
+    for sym, body in equations.items():
+        scan(sym, body, 0)
+
+    color: dict[str, int] = {}
+    trail: list[str] = []
+
+    def visit(sym: str) -> Optional[list[str]]:
+        color[sym] = 1
+        trail.append(sym)
+        for nxt in sorted(unguarded[sym]):
+            if color.get(nxt) == 1:
+                return trail[trail.index(nxt):]
+            if color.get(nxt, 0) == 0:
+                cycle = visit(nxt)
+                if cycle is not None:
+                    return cycle
+        trail.pop()
+        color[sym] = 2
+        return None
+
+    for sym in sorted(equations):
+        if color.get(sym, 0) == 0:
+            cycle = visit(sym)
+            if cycle is not None:
+                return cycle
+    return None
+
+
+def old_prefix_status(prefix: Term, d: int) -> str:
+    status = ["ok"]
+
+    def walk(t: Term, depth: int) -> None:
+        if depth > d or status[0] == "bottom":
+            return
+        if isinstance(t, Bottom):
+            status[0] = "bottom"
+        elif isinstance(t, Hole):
+            if status[0] == "ok":
+                status[0] = "cut"
+        elif isinstance(t, Lam):
+            walk(t.body, depth)
+        elif isinstance(t, App):
+            walk(t.fn, depth)
+            walk(t.arg, depth + 1)
+
+    walk(prefix, 0)
+    return status[0]
+
+
+def old_captures(lam: Lam, arg: Term, names: frozenset[str]) -> bool:
+    """``beta._captures`` on the head redex ``lam arg``."""
+    if lam.hint in names and _has_ref(lam.body):
+        return True
+    work = [(lam.body, 0, False)] if _has_ref(arg) else []
+    while work:
+        t, c, under = work.pop()
+        if isinstance(t, Var) and under and t.index == c:
+            return True
+        if isinstance(t, Lam):
+            work.append((t.body, c + 1, under or t.hint in names))
+        elif isinstance(t, App):
+            work += [(t.fn, c, under), (t.arg, c, under)]
+    return False
+
+
+def _has_ref(t: Term) -> bool:
+    if isinstance(t, Lam):
+        return _has_ref(t.body)
+    if isinstance(t, App):
+        return _has_ref(t.fn) or _has_ref(t.arg)
+    return isinstance(t, RecRef)
+
+
+def old_taylor_zero(target) -> bool:
+    if isinstance(target, RationalSystem):
+        m, system = target.root_term(), target
+    else:
+        m, system = target, None
+    memo: dict[str, bool] = {}
+
+    def rec(t: Term) -> bool:
+        if isinstance(t, Bottom):
+            return True
+        if isinstance(t, Lam):
+            return rec(t.body)
+        if isinstance(t, App):
+            return rec(t.fn)
+        if isinstance(t, RecRef):
+            if t.symbol in memo:
+                return memo[t.symbol]
+            if system is None:
+                raise UndefinedSymbolError(f"unresolved symbol {t.symbol!r}")
+            memo[t.symbol] = rec(system.body(t.symbol))
+            return memo[t.symbol]
+        return False
+
+    return rec(m)
+
