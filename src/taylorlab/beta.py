@@ -357,7 +357,7 @@ def head_normalize(
         bodies = system.equations.values()
         names = frozenset(u.name for b in bodies for u, *_ in subterms(b) if isinstance(u, FreeVar))
     cur = m
-    seen = {cur.fkey}
+    seen = {cur}
     pre_steps: list[Term] = []
     positions: list[Position] = []
     k = 0
@@ -382,9 +382,9 @@ def head_normalize(
         if system is not None:
             nxt = _resolve_at_head(nxt, system, stack)
         k += 1
-        if nxt.fkey in seen:
+        if nxt in seen:
             return HeadRun(nxt, Verdict.unknown(k, "loop"), tuple(pre_steps), tuple(positions))
-        seen.add(nxt.fkey)
+        seen.add(nxt)
         cur = nxt
 
 
@@ -416,7 +416,7 @@ def bohm_tree(target: TermLike, depth: int, fuel: int) -> Term:
     def rec(t: Term, budget: int, stack: tuple[str, ...]) -> Term:
         if budget <= 0:
             return HOLE
-        key = (t.fkey, stack)
+        key = (t, stack)
         run = runs.get(key)
         if run is None:
             run = runs[key] = head_normalize(t, fuel, system, stack)
@@ -430,7 +430,10 @@ def bohm_tree(target: TermLike, depth: int, fuel: int) -> Term:
         children = tuple(rec(q, budget - 1, inner) for q in hf.spine)
         return HeadForm(hf.binders, hf.head, children).rebuild()
 
-    return rec(term, depth, ())
+    try:
+        return rec(term, depth, ())
+    finally:
+        del rec  # its closure holds it: emptying the cell leaves no cycle behind
 
 
 def is_bohm_normal(t: Term) -> bool:

@@ -111,6 +111,7 @@ from .syntax import (
     Term,
     TermLike,
     Var,
+    alpha_eq,
     context_fill,
     pretty,
     pretty_target,
@@ -257,6 +258,9 @@ def _unshift(u: ResourceTerm, c: int) -> Optional[ResourceTerm]:
         return None
 
 
+_UNSEEN = object()  # a memo miss: None is a result
+
+
 def _anti_subst(
     u: ResourceTerm,
     p: Term,
@@ -271,19 +275,16 @@ def _anti_subst(
     in the order ``open_along`` meets the occurrences of ``c`` in ``w``.
     Returns None when ``u`` cannot be read back against ``p``.
 
-    ``memo`` may be shared between calls with the same ``system``. It is
-    keyed by ``(u, id(p), c, stack)`` and each entry holds ``p``, so the id
-    of a transient term (``resolve_ref`` builds a fresh one per call)
-    cannot be reused while the entry lives. ``p`` is not keyed by ``==``:
-    alpha-equal terms with other hints resolve references differently.
+    ``memo`` may be shared between calls with the same ``system``; it is
+    keyed by ``(u, p, c, stack)``.
     """
     if memo is None:
         memo = {}
-    key = (u, id(p), c, stack)
-    got = memo.get(key)
-    if got is None:
-        got = memo[key] = (p, _un_substitute(u, p, c, stack, system, memo))
-    return got[1]
+    key = (u, p, c, stack)
+    got = memo.get(key, _UNSEEN)
+    if got is _UNSEEN:
+        got = memo[key] = _un_substitute(u, p, c, stack, system, memo)
+    return got
 
 
 def _un_substitute(
@@ -393,9 +394,9 @@ def _link_holds(
 class LiftSession:
     """Lifting work shared by the tree targets of one commutation check.
 
-    ``runs`` keeps head-normalization runs by ``(m.fkey, stack)``, as the
+    ``runs`` keeps head-normalization runs by ``(m, stack)``, as the
     head forms of the run's steps and of its result, and
-    ``lifts`` keeps sub-lifts by ``(u, m.fkey, stack)`` as ``(node,
+    ``lifts`` keeps sub-lifts by ``(u, m, stack)`` as ``(node,
     verified)``, where ``verified`` says that every link built below the
     node held. The top-level chain of each target is a walk over shared
     subterms through three more memos: ``unsubst`` for ``_anti_subst``,
@@ -452,7 +453,7 @@ def lift_to_source(
     unsubst, rebuilt = session.unsubst, session.rebuilt
 
     def head_run(m: Term, stack: tuple[str, ...]):
-        key = (m.fkey, stack)
+        key = (m, stack)
         if key not in runs:
             run = head_normalize(m, fuel, system, stack)
             runs[key] = (
@@ -463,7 +464,7 @@ def lift_to_source(
         return runs[key]
 
     def rec(u: ResourceTerm, m: Term, stack: tuple[str, ...]) -> tuple[Optional[ResourceTerm], bool]:
-        key = (u, m.fkey, stack)
+        key = (u, m, stack)
         got = lifts.get(key)
         if got is None:
             got = lifts[key] = build(u, m, stack)
@@ -545,7 +546,7 @@ def _verified_ancestor(
         return None
     # the certificate belongs to the lift of ``t`` itself: a candidate
     # built for anything else is normalized
-    node, verified = session.lifts.get((t, split_target(target)[0].fkey, ()), _NO_LIFT)
+    node, verified = session.lifts.get((t, split_target(target)[0], ()), _NO_LIFT)
     replayed = verified and node is s
     if counts is not None:
         key = "replayed_ancestors" if replayed else "verify_fallbacks"
@@ -882,7 +883,7 @@ def check_genericity(
 
     for n in ns:
         other = bohm_tree(context_fill(c, n), depth, fuel)
-        if other != prefix:
+        if not alpha_eq(other, prefix):
             return CheckReport(
                 "genericity",
                 inputs,

@@ -148,7 +148,7 @@ def _suite_head_fixed_point(rng: Random) -> dict:
             expected = beta_step(t, head_redex_position(hf))
         else:
             expected = t
-        if head_step(t) != expected:
+        if not alpha_eq(head_step(t), expected):
             bad += 1
     return {"name": "head-operator-fixed-point", "checked": n, "failures": bad}
 
@@ -160,7 +160,7 @@ def _suite_bohm_prefixes(rng: Random) -> dict:
         t = random_lambda_term(rng, 10)
         a = bohm_tree(t, 2, 60)
         b = bohm_tree(t, 3, 60)
-        if unfold(a, 2) != unfold(b, 2):
+        if not alpha_eq(unfold(a, 2), unfold(b, 2)):
             bad += 1
         if not (is_bohm_normal(a) and is_bohm_normal(b)):
             bad += 1
@@ -266,7 +266,7 @@ def _suite_stratification(fuel: int) -> dict:
         cur = res.levels[d]
         for pos in steps:
             cur = min_depth_step(cur, d, pos)
-        if cur != res.levels[d + 1]:
+        if not alpha_eq(cur, res.levels[d + 1]):
             bad += 1
     for d in range(len(res.levels)):
         slices = [
@@ -282,9 +282,9 @@ def _suite_spotchecks(fuel: int) -> dict:
     y = parse_term(_CORPUS["Y"])
     y_sys = parse_term("let rec F = f F in \\f. F")
     bad = 0
-    if bohm_tree(y, 5, 50) != unfold(y_sys, 5):
+    if not alpha_eq(bohm_tree(y, 5, 50), unfold(y_sys, 5)):
         bad += 1
-    if head_normalize(parse_term("((\\x. \\y. x) a) b"), 10).term != parse_term("a"):
+    if not alpha_eq(head_normalize(parse_term("((\\x. \\y. x) a) b"), 10).term, parse_term("a")):
         bad += 1
     if terms_equal_via_taylor(y_sys, y_sys, 3, 10).verdict != "pass":
         bad += 1

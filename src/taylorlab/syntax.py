@@ -1,9 +1,11 @@
 """Lambda-term syntax: terms, contexts, rational systems, parsing, printing.
 
-Terms are immutable. Bound variables are de Bruijn indices, free variables
-are names, and every binder keeps its surface name as a *hint*. Hints never
-affect alpha-equality (``==`` compares the nameless skeleton), but they do
-drive the two grafting operations, which are deliberately literal:
+Terms are immutable and hash-consed, like resource nodes: one node per
+literal term, so ``==`` is identity and memo tables key by the node. Bound
+variables are de Bruijn indices, free variables are names, and every binder
+keeps its surface name as a *hint*. Hints are part of a node (``==`` is
+literal) but never of its alpha-class (``alpha_eq``), and they drive the two
+grafting operations, which are deliberately literal:
 
 * ``context_fill`` plugs a term into the holes of a context; free names of
   the plug that match an enclosing binder hint get captured, as they must.
@@ -12,7 +14,8 @@ drive the two grafting operations, which are deliberately literal:
   ``f`` is bound by the top binder.
 
 Consequently contexts and systems are treated as literal syntax (renaming
-their binders changes how they fill), while plain terms are an alpha-class.
+their binders changes how they fill), while a plain term stands for its
+alpha-class: checks that mean alpha-equality compare with ``alpha_eq``.
 """
 
 from __future__ import annotations
@@ -54,20 +57,12 @@ class UndefinedSymbolError(LambdaError):
 class Term:
     """A lambda(-bottom) term, context, or equation body.
 
-    ``akey`` is the nameless structural key (alpha-equality), ``fkey`` adds
-    binder hints (literal syntactic identity, used where grafting makes
-    hints significant).
+    Nodes are hash-consed: building a node that already exists returns the
+    existing one, so ``==`` is identity, which is literal equality with
+    binder hints included. ``alpha_eq`` is equality of alpha-classes.
     """
 
-    __slots__ = ("akey", "fkey", "_hash")
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        return isinstance(other, Term) and self.akey == other.akey
-
-    def __hash__(self) -> int:
-        return self._hash
+    __slots__ = ()
 
     def __str__(self) -> str:
         return pretty(self)
@@ -76,59 +71,60 @@ class Term:
         return f"Term({pretty(self)!r})"
 
 
+# One intern table per kind, keyed by the children themselves, as for
+# resource nodes. A node is built outside the table and inserted with
+# ``setdefault``, which is atomic, so threads racing on the same key all
+# return the node that got in first.
+_VARS: dict[int, "Var"] = {}
+_FREE: dict[str, "FreeVar"] = {}
+_REFS: dict[str, "RecRef"] = {}
+_LAMS: dict[tuple, "Lam"] = {}
+_APPS: dict[tuple, "App"] = {}
+_new = object.__new__
+
+
+def _node(cls: type, **fields: object) -> Term:
+    """A new node of ``cls`` with these fields, not yet interned."""
+    node = _new(cls)
+    for name, value in fields.items():
+        setattr(node, name, value)
+    return node
+
+
 class Var(Term):
     """Bound variable (de Bruijn index, 0 = innermost binder)."""
 
     __slots__ = ("index",)
 
-    def __init__(self, index: int):
-        self.index = index
-        self.akey = ("v", index)
-        self.fkey = self.akey
-        self._hash = hash(self.akey)
+    def __new__(cls, index: int) -> "Var":
+        return _VARS.get(index) or _VARS.setdefault(index, _node(cls, index=index))
 
 
 class FreeVar(Term):
     __slots__ = ("name",)
 
-    def __init__(self, name: str):
-        self.name = name
-        self.akey = ("f", name)
-        self.fkey = self.akey
-        self._hash = hash(self.akey)
+    def __new__(cls, name: str) -> "FreeVar":
+        return _FREE.get(name) or _FREE.setdefault(name, _node(cls, name=name))
 
 
 class Lam(Term):
     __slots__ = ("hint", "body")
 
-    def __init__(self, hint: str, body: Term):
-        self.hint = hint
-        self.body = body
-        self.akey = ("l", body.akey)
-        self.fkey = ("l", hint, body.fkey)
-        self._hash = hash(("l", body._hash))
+    def __new__(cls, hint: str, body: Term) -> "Lam":
+        return _LAMS.get((hint, body)) or _LAMS.setdefault((hint, body), _node(cls, hint=hint, body=body))
 
 
 class App(Term):
     __slots__ = ("fn", "arg")
 
-    def __init__(self, fn: Term, arg: Term):
-        self.fn = fn
-        self.arg = arg
-        self.akey = ("a", fn.akey, arg.akey)
-        self.fkey = ("a", fn.fkey, arg.fkey)
-        self._hash = hash(("a", fn._hash, arg._hash))
+    def __new__(cls, fn: Term, arg: Term) -> "App":
+        return _APPS.get((fn, arg)) or _APPS.setdefault((fn, arg), _node(cls, fn=fn, arg=arg))
 
 
 class Bottom(Term):
     """The constant asserting an unsolvable subterm."""
 
     __slots__ = ()
-
-    def __init__(self) -> None:
-        self.akey = ("bot",)
-        self.fkey = self.akey
-        self._hash = hash(self.akey)
 
 
 class Hole(Term):
@@ -141,22 +137,14 @@ class Hole(Term):
 
     __slots__ = ()
 
-    def __init__(self) -> None:
-        self.akey = ("hole",)
-        self.fkey = self.akey
-        self._hash = hash(self.akey)
-
 
 class RecRef(Term):
     """Reference to an equation of a :class:`RationalSystem`."""
 
     __slots__ = ("symbol",)
 
-    def __init__(self, symbol: str):
-        self.symbol = symbol
-        self.akey = ("r", symbol)
-        self.fkey = self.akey
-        self._hash = hash(self.akey)
+    def __new__(cls, symbol: str) -> "RecRef":
+        return _REFS.get(symbol) or _REFS.setdefault(symbol, _node(cls, symbol=symbol))
 
 
 BOTTOM = Bottom()
@@ -317,15 +305,10 @@ class RationalSystem:
         return RecRef(self.root)
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, RationalSystem)
-            and self.root == other.root
-            and self.equations.keys() == other.equations.keys()
-            and all(self.equations[s].fkey == other.equations[s].fkey for s in self.equations)
-        )
+        return isinstance(other, RationalSystem) and self.root == other.root and self.equations == other.equations
 
     def __hash__(self) -> int:
-        return hash((self.root, tuple(sorted((s, b.fkey) for s, b in self.equations.items()))))
+        return hash((self.root, frozenset(self.equations.items())))
 
     def __str__(self) -> str:
         return pretty_system(self)
@@ -394,10 +377,16 @@ def _system_free_vars(system: RationalSystem) -> set[str]:
 
 
 def alpha_eq(m: TermLike, n: TermLike) -> bool:
-    """Equality up to renaming of bound variables."""
-    if isinstance(m, RationalSystem) or isinstance(n, RationalSystem):
+    """Equality up to renaming of bound variables: the two walks meet nodes
+    of the same kinds and leaves, whatever the binder hints. Systems are
+    literal syntax, so they compare with ``==``."""
+    if m is n or isinstance(m, RationalSystem) or isinstance(n, RationalSystem):
         return m == n
-    return m.akey == n.akey
+    # leaves hold no hint, so two leaves are equal when they are one node
+    for (u, *_), (v, *_) in zip(subterms(m), subterms(n)):
+        if type(u) is not type(v) or u is not v and not isinstance(u, (Lam, App)):
+            return False
+    return True
 
 
 def subst(m: Term, name: str, n: Term) -> Term:
@@ -466,8 +455,8 @@ _PREC_FUN = 1
 _PREC_ARG = 2
 
 
-def _dangling(t: Term, memo: dict[int, frozenset[int]]) -> frozenset[int]:
-    got = memo.get(id(t))
+def _dangling(t: Term, memo: dict[Term, frozenset[int]]) -> frozenset[int]:
+    got = memo.get(t)
     if got is not None:
         return got
     if isinstance(t, Var):
@@ -478,12 +467,12 @@ def _dangling(t: Term, memo: dict[int, frozenset[int]]) -> frozenset[int]:
         out = _dangling(t.fn, memo) | _dangling(t.arg, memo)
     else:
         out = frozenset()
-    memo[id(t)] = out
+    memo[t] = out
     return out
 
 
-def _free_names(t: Term, memo: dict[int, frozenset[str]]) -> frozenset[str]:
-    got = memo.get(id(t))
+def _free_names(t: Term, memo: dict[Term, frozenset[str]]) -> frozenset[str]:
+    got = memo.get(t)
     if got is not None:
         return got
     if isinstance(t, FreeVar):
@@ -494,7 +483,7 @@ def _free_names(t: Term, memo: dict[int, frozenset[str]]) -> frozenset[str]:
         out = _free_names(t.fn, memo) | _free_names(t.arg, memo)
     else:
         out = frozenset()
-    memo[id(t)] = out
+    memo[t] = out
     return out
 
 
@@ -505,8 +494,8 @@ def pretty(t: Term, cut: str = "*", avoid: frozenset[str] = frozenset()) -> str:
     truncated trees). ``avoid`` adds names a binder must not shadow (used
     when printing system equations, whose references must stay references).
     """
-    dmemo: dict[int, frozenset[int]] = {}
-    fmemo: dict[int, frozenset[str]] = {}
+    dmemo: dict[Term, frozenset[int]] = {}
+    fmemo: dict[Term, frozenset[str]] = {}
 
     def render(u: Term, env: tuple[str, ...], prec: int) -> str:
         if isinstance(u, Var):
@@ -670,8 +659,8 @@ _PUNCT = {
 }
 _KINDS = {**_PUNCT, **{word: word.upper() for word in ("let", "rec", "and", "in")}}
 _PATTERN = token_pattern(_PUNCT)
-_LAMS = frozenset(("\\", "λ"))
-_ATOM_STARTS = frozenset(("(", "⊥", "_|_", "*", "◻", "?")) | _LAMS
+_LAMBDAS = frozenset(("\\", "λ"))
+_ATOM_STARTS = frozenset(("(", "⊥", "_|_", "*", "◻", "?")) | _LAMBDAS
 
 
 def parse_term(text: str) -> Term | RationalSystem:
@@ -717,7 +706,7 @@ def _parse_letrec(toks: Tokens) -> RationalSystem:
 
 
 def _parse_lam(toks: Tokens, env: tuple[str, ...], rec: frozenset[str]) -> Term:
-    if toks.peek() in _LAMS:
+    if toks.peek() in _LAMBDAS:
         toks.take()
         names = toks.binders()
         body = _parse_lam(toks, names + env, rec)
@@ -736,7 +725,7 @@ def _parse_app(toks: Tokens, env: tuple[str, ...], rec: frozenset[str]) -> Term:
 
 def _parse_atom(toks: Tokens, env: tuple[str, ...], rec: frozenset[str]) -> Term:
     tok = toks.peek()
-    if tok in _LAMS:
+    if tok in _LAMBDAS:
         return _parse_lam(toks, env, rec)
     toks.take()
     if toks.kind(tok) == "IDENT":

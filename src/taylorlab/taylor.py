@@ -63,41 +63,39 @@ def approximates(s: ResourceTerm, target: TermLike, memo: Optional[dict] = None)
     """Decide the approximation relation between ``s`` and a (possibly
     recursive) term.
 
-    ``memo`` may be shared between calls for the same target. It is keyed
-    by ``(u, id(t), stack)`` and each entry holds ``t``, so the id of a
-    term that ``resolve_ref`` built cannot be reused while the entry lives.
+    ``memo`` may be shared between calls for the same target; it is keyed
+    by ``(u, t, stack)``.
     """
     m, system = split_target(target)
-    if memo is None:
-        memo = {}
+    return _approx(s, m, (), system, {} if memo is None else memo)
 
-    def rec(u: ResourceTerm, t: Term, stack: tuple[str, ...]) -> bool:
-        key = (u, id(t), stack)
-        got = memo.get(key)
-        if got is None:
-            got = memo[key] = (t, holds(u, t, stack))
-        return got[1]
 
-    def holds(u: ResourceTerm, t: Term, stack: tuple[str, ...]) -> bool:
-        while isinstance(t, RecRef):
-            t = _resolve(t, system, stack)
-        if isinstance(u, RVar):
-            return isinstance(t, Var) and t.index == u.index
-        if isinstance(u, RFreeVar):
-            return isinstance(t, FreeVar) and t.name == u.name
-        if isinstance(u, RHole):
-            return isinstance(t, Hole)
-        if isinstance(u, RLam):
-            return isinstance(t, Lam) and rec(u.body, t.body, (t.hint,) + stack)
-        if isinstance(u, RApp):
-            return (
-                isinstance(t, App)
-                and rec(u.fn, t.fn, stack)
-                and all(rec(e, t.arg, stack) for e in u.mono)
-            )
-        raise TypeError(f"not a resource term: {u!r}")
+def _approx(u: ResourceTerm, t: Term, stack: tuple[str, ...], system: Optional[RationalSystem], memo: dict) -> bool:
+    key = (u, t, stack)
+    got = memo.get(key)
+    if got is None:
+        got = memo[key] = _holds(u, t, stack, system, memo)
+    return got
 
-    return rec(s, m, ())
+
+def _holds(u: ResourceTerm, t: Term, stack: tuple[str, ...], system: Optional[RationalSystem], memo: dict) -> bool:
+    while isinstance(t, RecRef):
+        t = _resolve(t, system, stack)
+    if isinstance(u, RVar):
+        return isinstance(t, Var) and t.index == u.index
+    if isinstance(u, RFreeVar):
+        return isinstance(t, FreeVar) and t.name == u.name
+    if isinstance(u, RHole):
+        return isinstance(t, Hole)
+    if isinstance(u, RLam):
+        return isinstance(t, Lam) and _approx(u.body, t.body, (t.hint,) + stack, system, memo)
+    if isinstance(u, RApp):
+        return (
+            isinstance(t, App)
+            and _approx(u.fn, t.fn, stack, system, memo)
+            and all(_approx(e, t.arg, stack, system, memo) for e in u.mono)
+        )
+    raise TypeError(f"not a resource term: {u!r}")
 
 
 class _Enumerator:
@@ -110,7 +108,7 @@ class _Enumerator:
     def terms(self, t: Term, n: int, d: Optional[int], stack: tuple[str, ...]) -> tuple[ResourceTerm, ...]:
         if n < 1 or (d is not None and d < 1):
             return ()
-        key = (id(t), n, d, stack)
+        key = (t, n, d, stack)
         got = self.memo.get(key)
         if got is not None:
             return got
@@ -155,19 +153,21 @@ class _Enumerator:
         if d is None or d >= 2:
             out.append(monomial(()))
         pool = sorted(self.terms(t, n - 1, None if d is None else d - 1, stack), key=attrgetter("size"))
-
-        def extend(start: int, left: int, chosen: list[ResourceTerm]) -> None:
-            for i in range(start, len(pool)):
-                e = pool[i]
-                if e.size > left:
-                    break  # the pool is sorted by size
-                chosen.append(e)
-                out.append(monomial(chosen))
-                extend(i, left - e.size, chosen)
-                chosen.pop()
-
-        extend(0, n - 1, [])
+        _extend(pool, 0, n - 1, [], out)
         return out
+
+
+def _extend(pool: list[ResourceTerm], start: int, left: int, chosen: list[ResourceTerm], out: list[Monomial]) -> None:
+    """Append to ``out`` every multiset that adds elements of ``pool`` from
+    ``start`` on, of total size at most ``left``, to ``chosen``."""
+    for i in range(start, len(pool)):
+        e = pool[i]
+        if e.size > left:
+            break  # the pool is sorted by size
+        chosen.append(e)
+        out.append(monomial(chosen))
+        _extend(pool, i, left - e.size, chosen, out)
+        chosen.pop()
 
 
 def enumerate_taylor(
@@ -226,29 +226,30 @@ def member_of_bohm(
     if prefix is None:
         prefix = prefixes[depth] = bohm_tree(target, depth, fuel)
 
-    def rec(u: ResourceTerm, b: Term) -> Optional[bool]:
-        if isinstance(b, Hole):
-            return None
-        if isinstance(b, Bottom):
-            return False
-        if isinstance(u, RVar):
-            return isinstance(b, Var) and b.index == u.index
-        if isinstance(u, RFreeVar):
-            return isinstance(b, FreeVar) and b.name == u.name
-        if isinstance(u, RLam):
-            if not isinstance(b, Lam):
-                return False
-            return rec(u.body, b.body)
-        if isinstance(u, RApp):
-            if not isinstance(b, App):
-                return False
-            verdicts = [rec(u.fn, b.fn)]
-            verdicts.extend(rec(e, b.arg) for e in u.mono)
-            if any(v is False for v in verdicts):
-                return False
-            if any(v is None for v in verdicts):
-                return None
-            return True
-        return False
+    return _member(t, prefix)
 
-    return rec(t, prefix)
+
+def _member(u: ResourceTerm, b: Term) -> Optional[bool]:
+    if isinstance(b, Hole):
+        return None
+    if isinstance(b, Bottom):
+        return False
+    if isinstance(u, RVar):
+        return isinstance(b, Var) and b.index == u.index
+    if isinstance(u, RFreeVar):
+        return isinstance(b, FreeVar) and b.name == u.name
+    if isinstance(u, RLam):
+        if not isinstance(b, Lam):
+            return False
+        return _member(u.body, b.body)
+    if isinstance(u, RApp):
+        if not isinstance(b, App):
+            return False
+        verdicts = [_member(u.fn, b.fn)]
+        verdicts.extend(_member(e, b.arg) for e in u.mono)
+        if any(v is False for v in verdicts):
+            return False
+        if any(v is None for v in verdicts):
+            return None
+        return True
+    return False

@@ -1,8 +1,8 @@
 """Every λ-side map and fold on terms 10,000 deep: binder chains, argument
 lists and nested arguments, and ``beta_step`` and ``head_normalize`` on top of
-them. Python's recursion limit is about 1,000, so none of these may recurse
-on the term. Results are checked by walking them with loops: ``==`` and
-printing still recurse."""
+them, and ``alpha_eq``. Python's recursion limit is about 1,000, so none of
+these may recurse on the term. Results are checked by walking them with
+loops (printing still recurses) or by identity, since nodes are hash-consed."""
 
 from taylorlab.beta import (
     _shift,
@@ -25,6 +25,7 @@ from taylorlab.syntax import (
     RationalSystem,
     RecRef,
     Var,
+    alpha_eq,
     bind_free,
     context_fill,
     free_vars,
@@ -131,3 +132,19 @@ def test_deep_beta():
     run = head_normalize(power_apply(Lam("z", Var(0)), X, N), 5)
     head, args = spine(run.term)
     assert run.verdict.is_solvable and head is X and len(args) == N - 1
+
+
+def test_deep_loop_detection():
+    omega = App(Lam("x", App(Var(0), Var(0))), Lam("x", App(Var(0), Var(0))))
+    assert head_normalize(binders(omega), 5).verdict.describe() == "unknown(loop, 1 steps)"
+
+
+def test_deep_alpha_eq():
+    def deep(hint, end):
+        """N binders over an argument chain N deep that ends in ``end``."""
+        return binders(App(power_tail(X, N - 1), end), hint=hint)
+
+    a = deep("x", Var(N - 1))
+    assert a is not deep("y", Var(N - 1)) and alpha_eq(a, deep("y", Var(N - 1)))
+    assert not alpha_eq(a, deep("x", Var(N - 2)))
+    assert not alpha_eq(a, deep("x", App(X, X)))

@@ -178,7 +178,7 @@ def test_replay_implies_membership_in_the_normal_form():
         session = LiftSession()
         for t in targets:
             s = lift_to_source(t, term, FUEL, session)
-            if s is not None and session.lifts[(t, term.fkey, ())] == (s, True):
+            if s is not None and session.lifts[(t, term, ())] == (s, True):
                 replayed += 1
         for (u, _, _), (node, verified) in session.lifts.items():
             if verified:
@@ -211,7 +211,7 @@ def test_shared_session_accepts_what_unshared_lifts_accept(src, size, monkeypatc
     original = lab.head_normalize
 
     def counting(m, fuel, system=None, stack=()):
-        runs.append((m.fkey, stack))
+        runs.append((m, stack))
         return original(m, fuel, system, stack)
 
     monkeypatch.setattr(lab, "head_normalize", counting)
@@ -242,10 +242,10 @@ def _opens_a_loose_body(session):
     """Whether some inverted step rebuilds a binder body with a loose
     index; closed bodies, and all subterms without one, are shared
     unchanged and never reach the rebuild memo."""
-    heads = {id(hf.head.body) for run in session.runs.values() if run for hf in run[0]}
+    heads = {hf.head.body for run in session.runs.values() if run for hf in run[0]}
     return any(
-        c == 0 and pid in heads and got is not None and got[0].loose > 0
-        for (_, pid, c, _), (_, got) in session.unsubst.items()
+        c == 0 and p in heads and got is not None and got[0].loose > 0
+        for (_, p, c, _), got in session.unsubst.items()
     )
 
 
@@ -254,8 +254,8 @@ def test_memoized_anti_subst_agrees_with_a_fresh_call(src, size):
     term, _, session, _ = _shared_run(src, size)
     system = term if isinstance(term, RationalSystem) else None
     assert bool(session.unsubst) == _inverts_steps(session)
-    for (u, pid, c, stack), (p, got) in session.unsubst.items():
-        assert id(p) == pid
+    for (u, p, c, stack), got in session.unsubst.items():
+        assert lab._anti_subst(u, p, c, stack, system, session.unsubst) is got
         assert lab._anti_subst(u, p, c, stack, system) == got
 
 
@@ -317,7 +317,7 @@ def test_corrupted_link_falls_back_to_normalization(monkeypatch):
     y = parse_term(_CORPUS["Y"])
     t = rp("\\a. <a>[<a>[<a>1]]")
     s, session = _lift_of(t, y)
-    assert s is not None and session.lifts[(t, y.fkey, ())] == (s, True)
+    assert s is not None and session.lifts[(t, y, ())] == (s, True)
 
     clean = {}
     assert _verified_ancestor(t, y, FUEL, clean) is s

@@ -1,6 +1,8 @@
+import gc
 import itertools
 import random
 
+from taylorlab.beta import bohm_tree
 from taylorlab.gen import random_lambda_term
 from taylorlab.resource import (
     FiniteSum,
@@ -162,6 +164,21 @@ def test_member_of_bohm():
 def test_member_of_bohm_fuel_unknown():
     grower = parse_term("(\\x. x x x) (\\x. x x x)")
     assert member_of_bohm(rp("x"), grower, 3) is None
+
+
+def test_taylor_walks_leave_no_cyclic_garbage():
+    """Enumeration, approximation and Boehm membership free everything they
+    build by reference counting: no recursive closure is left in a cycle."""
+    yg = parse_term(_CORPUS["Yg"])
+    gc.collect()
+    gc.disable()
+    try:
+        assert all(approximates(s, yg) for s in enumerate_taylor(yg, 12))
+        targets = enumerate_taylor(bohm_tree(yg, 13, 100), 12)
+        assert targets and all(member_of_bohm(t, yg, 100) for t in targets)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_context_fill_compatibility_exhaustive_small():

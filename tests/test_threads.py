@@ -1,7 +1,7 @@
 """Interning and the lazily filled caches from several threads: threads that
-parse the same text get the same node, and normalizing it gives all of them
-the same sum. A 1 µs switch interval makes the threads interleave inside the
-constructors."""
+parse the same text, resource term or λ-term, get the same node, and
+normalizing a resource term gives all of them the same sum. A 1 µs switch
+interval makes the threads interleave inside the constructors."""
 
 import sys
 import threading
@@ -9,9 +9,11 @@ from random import Random
 
 from taylorlab.resource import parse_resource_term
 from taylorlab.resource_reduction import r_normalize
+from taylorlab.syntax import parse_term
 
 THREADS = 4
 FREE = ("ta", "tb", "tc")  # free names no other test uses, so every node here is new
+LAMBDA_FREE = ("la", "lb", "lc")
 
 
 def _text(rng, size, depth):
@@ -31,16 +33,32 @@ def _text(rng, size, depth):
     return f"<{_text(rng, share, depth)}>[{elems}]"
 
 
+def _lambda_text(rng, size, depth):
+    """A λ-term of about ``size`` nodes as text; binders are named after
+    their depth."""
+    if size <= 1:
+        if depth and rng.random() < 0.5:
+            return f"w{rng.randrange(depth)}"
+        return rng.choice(LAMBDA_FREE)
+    if rng.random() < 0.3:
+        return f"(\\w{depth}. {_lambda_text(rng, size - 1, depth + 1)})"
+    share = max(1, (size - 1) // 2)
+    return f"({_lambda_text(rng, share, depth)} {_lambda_text(rng, size - 1 - share, depth)})"
+
+
 def test_threads_get_the_same_nodes_and_normal_forms():
     rng = Random(31)
     texts = [_text(rng, 6 + i % 11, 0) for i in range(3000)]
+    lambda_texts = [_lambda_text(rng, 6 + i % 11, 0) for i in range(3000)]
     parsed: list = [None] * THREADS
     normal: list = [None] * THREADS
+    lambdas: list = [None] * THREADS
     start = threading.Barrier(THREADS)
 
     def work(k):
         start.wait()
         parsed[k] = [parse_resource_term(text) for text in texts]
+        lambdas[k] = [parse_term(text) for text in lambda_texts]
         normal[k] = [r_normalize(t) for t in parsed[k]]
 
     interval = sys.getswitchinterval()
@@ -56,7 +74,7 @@ def test_threads_get_the_same_nodes_and_normal_forms():
     assert not any(thread.is_alive() for thread in threads)
     assert all(p is not None for p in normal)  # no thread died
     mismatches = sum(
-        parsed[k][i] is not parsed[0][i] or normal[k][i] != normal[0][i]
+        parsed[k][i] is not parsed[0][i] or normal[k][i] != normal[0][i] or lambdas[k][i] is not lambdas[0][i]
         for k in range(1, THREADS)
         for i in range(len(texts))
     )

@@ -1,7 +1,8 @@
 """The λ-side maps and folds, written as callbacks on ``syntax.subterms`` and
 ``syntax.rebuild``, against frozen copies of the recursive walkers they
 replaced (``walk_oracles``), on seeded random terms, contexts and ``let rec``
-systems. Terms are compared by ``fkey``, so binder hints must agree too."""
+systems. Terms are hash-consed and compared by identity, so binder hints
+must agree too."""
 
 from random import Random
 
@@ -102,21 +103,21 @@ def test_maps_match_the_recursive_walkers():
         t = _term(rng, rng.randint(1, 14))
         n = _term(rng, rng.randint(1, 5))
         hints = tuple(rng.sample(NAMES, rng.randint(0, 3)))
-        assert bind_free(t, hints).fkey == old_bind_free(t, hints).fkey
+        assert bind_free(t, hints) is old_bind_free(t, hints)
         name = rng.choice(NAMES + ("z",))
-        assert subst(t, name, n).fkey == old_subst(t, name, n).fkey
+        assert subst(t, name, n) is old_subst(t, name, n)
         d, cutoff = rng.randint(0, 3), rng.randint(0, 2)
-        assert _shift(t, d, cutoff).fkey == old_shift(t, d, cutoff).fkey
-        assert open_bound(t, n).fkey == old_open_bound(t, n).fkey
+        assert _shift(t, d, cutoff) is old_shift(t, d, cutoff)
+        assert open_bound(t, n) is old_open_bound(t, n)
         for k in range(5):
-            assert unfold(t, k).fkey == old_unfold(t, k).fkey
+            assert unfold(t, k) is old_unfold(t, k)
         for pos in _positions(t) + [("body",) * 3, ("arg", "fun", "arg")]:
             want = old_replace_at(t, pos, n)
             try:
                 got = replace_at(t, pos, n)
             except InvalidPositionError:
                 got = None
-            assert (got is None and want is None) or got.fkey == want.fkey, pos
+            assert (got is None and want is None) or got is want, pos
 
 
 def test_context_fill_matches_the_recursive_walker():
@@ -124,7 +125,7 @@ def test_context_fill_matches_the_recursive_walker():
     for _ in range(3000):
         c = _term(rng, rng.randint(1, 14), holes=True)
         m = _term(rng, rng.randint(1, 6), holes=rng.random() < 0.2)
-        assert context_fill(c, m).fkey == old_context_fill(c, m).fkey
+        assert context_fill(c, m) is old_context_fill(c, m)
 
 
 def test_folds_match_the_recursive_walkers():
@@ -159,7 +160,7 @@ def test_systems_match_the_recursive_walkers():
         assert free_vars(system) == old_system_free_vars(system)
         assert taylor_zero(system) == old_taylor_zero(system)
         for k in range(5):
-            assert unfold(system, k).fkey == old_unfold(system, k).fkey
+            assert unfold(system, k) is old_unfold(system, k)
     assert built > 500 and rejected > 100
 
 
