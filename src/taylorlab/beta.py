@@ -392,11 +392,6 @@ def solvable(m: Term, fuel: int, system: Optional[RationalSystem] = None) -> Ver
     return head_normalize(m, fuel, system).verdict
 
 
-def loop_certified_oracle(fuel: int) -> Callable[[Term], Verdict]:
-    """Oracle for ``bot_step``: certifies exactly what head-cycle detection can."""
-    return lambda t: solvable(t, fuel)
-
-
 # ---------------------------------------------------------------------------
 # Boehm approximants
 

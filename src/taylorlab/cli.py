@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import deque
 from typing import Optional
 
 from .beta import (
@@ -266,10 +267,11 @@ def _cmd_rsubst(args) -> int:
 def _cmd_rnf(args) -> int:
     s = parse_resource_sum(_read_term_arg(args.term))
     trace = []
-    work = list(s)
+    work = deque(s)
+    seen = set(s)  # addends queued or stepped: a sum holds each once
     normal = []
     while work:
-        t = work.pop(0)
+        t = work.popleft()
         site = first_redex_site(t)
         if site is None:
             normal.append(t)
@@ -282,7 +284,9 @@ def _cmd_rnf(args) -> int:
                 "reducts": [pretty_resource(u) for u in out],
             }
         )
-        work.extend(out)
+        fresh = [u for u in out if u not in seen]
+        seen.update(fresh)
+        work.extend(fresh)
     payload = {"input": pretty_sum(s), "normal_form": pretty_sum(FiniteSum(normal)), "trace": trace}
     lines = [f"[{e['site']}] {e['addend']} -> {' + '.join(e['reducts']) or '0'}" for e in trace]
     lines.append(f"normal form: {payload['normal_form']}")

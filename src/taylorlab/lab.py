@@ -51,9 +51,10 @@ and the links chain that up to ``nf(s)``. When a link fails, the check
 falls back to normalizing ``s`` in full, so the accepted set is exactly
 that of the normalizing check.
 
-The tree targets of one commutation check share a ``LiftSession``: a
-head-normalization run per (subterm, stack) and a sub-lift, with whether
-its links held, per (approximant, subterm, stack). A failed link below a
+The tree targets of one commutation check share a ``LiftSession``, whose
+methods do the lifting: a head-normalization run per (subterm, stack)
+(``head_run``) and a sub-lift, with whether its links held, per
+(approximant, subterm, stack) (``lift``). A failed link below a
 shared sub-lift sends every ancestor that reuses it to the fallback. The
 top-level chain of each target is built and checked from the same session:
 un-substitution, certificate rebuild and approximation test are memoized
@@ -81,7 +82,6 @@ from .beta import (
 )
 from .resource import (
     FiniteSum,
-    Monomial,
     ResourceTerm,
     RApp,
     RLam,
@@ -98,7 +98,7 @@ from .resource import (
     rlam,
     rvar,
 )
-from .resource_reduction import hr_step, hr_step_along, r_normalize
+from .resource_reduction import hr_step, hr_step_along, peel, r_normalize, rewrap
 from .syntax import (
     App,
     Bottom,
@@ -170,34 +170,35 @@ def push_forward(s: ResourceTerm, m: Term, at: Position) -> FiniteSum:
     the results recombine pointwise. Every addend of the result
     approximates the reduct of ``m``.
     """
+    return _push(s, m, at, at)
 
-    def go(u: ResourceTerm, t: Term, pos: Position) -> FiniteSum:
-        if not pos:
-            if not (isinstance(t, App) and isinstance(t.fn, Lam)):
-                raise NotARedexError(f"no beta redex at {position_to_str(at)}")
-            if not (isinstance(u, RApp) and isinstance(u.fn, RLam)):
-                raise ApproximantMismatchError(f"{u} does not cover the redex shape")
-            return open_redex(u)
-        c, rest = pos[0], pos[1:]
-        if c == "body" and isinstance(t, Lam) and isinstance(u, RLam):
-            return go(u.body, t.body, rest).map(rlam)
-        if c == "fun" and isinstance(t, App) and isinstance(u, RApp):
-            mono = u.mono
-            return go(u.fn, t.fn, rest).map(lambda v: rapp(v, mono))
-        if c == "arg" and isinstance(t, App) and isinstance(u, RApp):
-            fn = u.fn
-            images = [go(e, t.arg, rest) for e in u.mono]
-            if any(not img for img in images):
-                return FiniteSum()
-            out = set()
-            for combo in itertools.product(*[img.terms for img in images]):
-                out.add(rapp(fn, monomial(combo)))
-            return FiniteSum(out)
-        raise ApproximantMismatchError(
-            f"approximant {u} does not follow {position_to_str(at)} in {t}"
-        )
 
-    return go(s, m, at)
+def _push(u: ResourceTerm, t: Term, pos: Position, at: Position) -> FiniteSum:
+    """``push_forward`` of ``u`` in ``t``, with ``pos`` the rest of ``at``."""
+    if not pos:
+        if not (isinstance(t, App) and isinstance(t.fn, Lam)):
+            raise NotARedexError(f"no beta redex at {position_to_str(at)}")
+        if not (isinstance(u, RApp) and isinstance(u.fn, RLam)):
+            raise ApproximantMismatchError(f"{u} does not cover the redex shape")
+        return open_redex(u)
+    c, rest = pos[0], pos[1:]
+    if c == "body" and isinstance(t, Lam) and isinstance(u, RLam):
+        return _push(u.body, t.body, rest, at).map(rlam)
+    if c == "fun" and isinstance(t, App) and isinstance(u, RApp):
+        mono = u.mono
+        return _push(u.fn, t.fn, rest, at).map(lambda v: rapp(v, mono))
+    if c == "arg" and isinstance(t, App) and isinstance(u, RApp):
+        fn = u.fn
+        images = [_push(e, t.arg, rest, at) for e in u.mono]
+        if any(not img for img in images):
+            return FiniteSum()
+        out = set()
+        for combo in itertools.product(*[img.terms for img in images]):
+            out.add(rapp(fn, monomial(combo)))
+        return FiniteSum(out)
+    raise ApproximantMismatchError(
+        f"approximant {u} does not follow {position_to_str(at)} in {t}"
+    )
 
 
 def check_simulation(m: Term, steps: Sequence[Position], size_bound: int) -> CheckReport:
@@ -240,22 +241,22 @@ def _unshift(u: ResourceTerm, c: int) -> Optional[ResourceTerm]:
     """Undo a grafting shift: decrement indices escaping ``u`` by ``c``."""
     if c == 0:
         return u
-
-    def go(t: ResourceTerm, depth: int) -> ResourceTerm:
-        if t.loose <= depth:
-            return t
-        if isinstance(t, RVar):
-            if t.index - c < depth:
-                raise ApproximantMismatchError("dangling index too small to unshift")
-            return rvar(t.index - c)
-        if isinstance(t, RLam):
-            return rlam(go(t.body, depth + 1))
-        return rapp(go(t.fn, depth), monomial(go(e, depth) for e in t.mono))
-
     try:
-        return go(u, 0)
+        return _shifted_down(u, c, 0)
     except ApproximantMismatchError:
         return None
+
+
+def _shifted_down(t: ResourceTerm, c: int, depth: int) -> ResourceTerm:
+    if t.loose <= depth:
+        return t
+    if isinstance(t, RVar):
+        if t.index - c < depth:
+            raise ApproximantMismatchError("dangling index too small to unshift")
+        return rvar(t.index - c)
+    if isinstance(t, RLam):
+        return rlam(_shifted_down(t.body, c, depth + 1))
+    return rapp(_shifted_down(t.fn, c, depth), monomial(_shifted_down(e, c, depth) for e in t.mono))
 
 
 _UNSEEN = object()  # a memo miss: None is a result
@@ -354,29 +355,17 @@ def _lift_one_step(
     and ``memo`` is ``_anti_subst``'s."""
     if not hf.has_head_redex:
         return None
-    u: ResourceTerm = t
-    for _ in hf.binders:
-        if not isinstance(u, RLam):
-            return None
-        u = u.body
-    peeled: list[Monomial] = []
-    for _ in range(len(hf.spine) - 1):
-        if not isinstance(u, RApp):
-            return None
-        peeled.append(u.mono)
-        u = u.fn
+    peeled = peel(t, len(hf.binders), len(hf.spine) - 1)
+    if peeled is None:
+        return None
+    u, rest = peeled
     assert isinstance(hf.head, Lam)
     inner = (hf.head.hint,) + tuple(reversed(hf.binders)) + stack
     got = _anti_subst(u, hf.head.body, 0, inner, system, memo)
     if got is None:
         return None
     w, es = got
-    node: ResourceTerm = rapp(rlam(w), monomial(es))
-    for mono in reversed(peeled):
-        node = rapp(node, mono)
-    for _ in hf.binders:
-        node = rlam(node)
-    return node, es
+    return rewrap(rapp(rlam(w), monomial(es)), len(hf.binders), rest), es
 
 
 def _link_holds(
@@ -391,6 +380,9 @@ def _link_holds(
     return hr_step_along(before, elems, memo) is after
 
 
+_NO_LIFT: tuple[Optional[ResourceTerm], bool] = (None, False)
+
+
 class LiftSession:
     """Lifting work shared by the tree targets of one commutation check.
 
@@ -403,9 +395,10 @@ class LiftSession:
     ``rebuilt`` for the certificate rebuild (``open_along``) and ``approx``
     for ``approximates``; their keys are given there. A session serves a
     single target at a single fuel, so neither is part of a key, and it
-    lives as long as one check. ``shared`` counts the sub-lifts served from
-    the session instead of being built. ``failed_step`` is the term before
-    the first head step that could not be inverted, if any.
+    lives as long as one check; the methods take both as arguments.
+    ``shared`` counts the sub-lifts served from the session instead of
+    being built. ``failed_step`` is the term before the first head step
+    that could not be inverted, if any.
     """
 
     __slots__ = ("runs", "lifts", "shared", "unsubst", "rebuilt", "approx", "failed_step")
@@ -419,6 +412,72 @@ class LiftSession:
         self.approx: dict = {}
         self.failed_step: Optional[Term] = None
 
+    def head_run(self, m: Term, stack: tuple[str, ...], fuel: int, system: Optional[RationalSystem]):
+        key = (m, stack)
+        if key not in self.runs:
+            run = head_normalize(m, fuel, system, stack)
+            self.runs[key] = (
+                (tuple(head_form(before) for before in run.trace), head_form(run.term))
+                if run.verdict.is_solvable
+                else None
+            )
+        return self.runs[key]
+
+    def lift(
+        self, u: ResourceTerm, m: Term, stack: tuple[str, ...], fuel: int, system: Optional[RationalSystem]
+    ) -> tuple[Optional[ResourceTerm], bool]:
+        """The sub-lift of ``u`` against ``m`` under ``stack``, built once."""
+        key = (u, m, stack)
+        got = self.lifts.get(key)
+        if got is None:
+            got = self.lifts[key] = self._build(u, m, stack, fuel, system)
+        else:
+            self.shared += 1
+        return got
+
+    def _build(
+        self, u: ResourceTerm, m: Term, stack: tuple[str, ...], fuel: int, system: Optional[RationalSystem]
+    ) -> tuple[Optional[ResourceTerm], bool]:
+        run = self.head_run(m, stack, fuel, system)
+        if run is None:
+            return _NO_LIFT
+        steps, hf = run
+        peeled = peel(u, len(hf.binders), len(hf.spine))
+        if peeled is None:
+            return _NO_LIFT
+        body, monos = peeled
+        if isinstance(hf.head, Var):
+            if not (isinstance(body, RVar) and body.index == hf.head.index):
+                return _NO_LIFT
+        elif isinstance(hf.head, FreeVar):
+            if not (isinstance(body, RFreeVar) and body.name == hf.head.name):
+                return _NO_LIFT
+        else:
+            return _NO_LIFT
+        inner = tuple(reversed(hf.binders)) + stack
+        verified = True
+        lifted_monos = []
+        for q, mono in zip(hf.spine, monos):
+            elems = []
+            for e in mono:
+                lifted, ok = self.lift(e, q, inner, fuel, system)
+                if lifted is None:
+                    return _NO_LIFT
+                verified = verified and ok
+                elems.append(lifted)
+            lifted_monos.append(monomial(elems))
+        node = rewrap(body, len(hf.binders), lifted_monos)
+        for step_hf in reversed(steps):
+            step = _lift_one_step(node, step_hf, stack, system, self.unsubst)
+            if step is None:
+                if self.failed_step is None:
+                    self.failed_step = step_hf.rebuild()
+                return _NO_LIFT
+            lifted, grafted = step
+            verified = verified and _link_holds(lifted, node, grafted, self.rebuilt)
+            node = lifted
+        return node, verified
+
 
 def _unlifted(t: ResourceTerm, session: LiftSession) -> str:
     """Why no ancestor of ``t`` was found, for an inconclusive verdict."""
@@ -426,9 +485,6 @@ def _unlifted(t: ResourceTerm, session: LiftSession) -> str:
     if session.failed_step is not None:
         reason += f": the head step from {pretty(session.failed_step)} could not be inverted"
     return reason
-
-
-_NO_LIFT: tuple[Optional[ResourceTerm], bool] = (None, False)
 
 
 def lift_to_source(
@@ -449,80 +505,7 @@ def lift_to_source(
     term, system = split_target(target)
     if session is None:
         session = LiftSession()
-    runs, lifts = session.runs, session.lifts
-    unsubst, rebuilt = session.unsubst, session.rebuilt
-
-    def head_run(m: Term, stack: tuple[str, ...]):
-        key = (m, stack)
-        if key not in runs:
-            run = head_normalize(m, fuel, system, stack)
-            runs[key] = (
-                (tuple(head_form(before) for before in run.trace), head_form(run.term))
-                if run.verdict.is_solvable
-                else None
-            )
-        return runs[key]
-
-    def rec(u: ResourceTerm, m: Term, stack: tuple[str, ...]) -> tuple[Optional[ResourceTerm], bool]:
-        key = (u, m, stack)
-        got = lifts.get(key)
-        if got is None:
-            got = lifts[key] = build(u, m, stack)
-        else:
-            session.shared += 1
-        return got
-
-    def build(u: ResourceTerm, m: Term, stack: tuple[str, ...]) -> tuple[Optional[ResourceTerm], bool]:
-        run = head_run(m, stack)
-        if run is None:
-            return _NO_LIFT
-        steps, hf = run
-        body = u
-        for _ in hf.binders:
-            if not isinstance(body, RLam):
-                return _NO_LIFT
-            body = body.body
-        monos: list[Monomial] = []
-        for _ in hf.spine:
-            if not isinstance(body, RApp):
-                return _NO_LIFT
-            monos.append(body.mono)
-            body = body.fn
-        monos.reverse()
-        if isinstance(hf.head, Var):
-            if not (isinstance(body, RVar) and body.index == hf.head.index):
-                return _NO_LIFT
-        elif isinstance(hf.head, FreeVar):
-            if not (isinstance(body, RFreeVar) and body.name == hf.head.name):
-                return _NO_LIFT
-        else:
-            return _NO_LIFT
-        inner = tuple(reversed(hf.binders)) + stack
-        node: ResourceTerm = body
-        verified = True
-        for j, mono in enumerate(monos):
-            elems = []
-            for e in mono:
-                lifted, ok = rec(e, hf.spine[j], inner)
-                if lifted is None:
-                    return _NO_LIFT
-                verified = verified and ok
-                elems.append(lifted)
-            node = rapp(node, monomial(elems))
-        for _ in hf.binders:
-            node = rlam(node)
-        for step_hf in reversed(steps):
-            step = _lift_one_step(node, step_hf, stack, system, unsubst)
-            if step is None:
-                if session.failed_step is None:
-                    session.failed_step = step_hf.rebuild()
-                return _NO_LIFT
-            lifted, grafted = step
-            verified = verified and _link_holds(lifted, node, grafted, rebuilt)
-            node = lifted
-        return node, verified
-
-    return rec(t, term, ())[0]
+    return session.lift(t, term, (), fuel, system)[0]
 
 
 def _verified_ancestor(

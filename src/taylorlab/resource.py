@@ -269,11 +269,6 @@ def r_height(x: Summable) -> int:
     return x.height
 
 
-def deg(t: ResourceTerm | Monomial, name: str) -> int:
-    """Number of free occurrences of ``name``."""
-    return _count_marks(t, lambda u: isinstance(u, RFreeVar) and u.name == name)
-
-
 def deg_hole(t: ResourceTerm | Monomial) -> int:
     return _count_marks(t, lambda u: isinstance(u, RHole))
 
@@ -536,30 +531,27 @@ def _binder_name(depth: int, taken: set[str]) -> str:
 def pretty_resource(t: ResourceTerm) -> str:
     taken: set[str] = set()
     _collect_free(t, taken)
+    return _render(t, (), True, taken)
 
-    def render(u: ResourceTerm, env: tuple[str, ...], under_lam_ok: bool) -> str:
-        if isinstance(u, RVar):
-            return env[u.index] if u.index < len(env) else f"#{u.index}"
-        if isinstance(u, RFreeVar):
-            return u.name
-        if isinstance(u, RHole):
-            return "*"
-        if isinstance(u, RLam):
-            name = _binder_name(len(env), taken)
-            body = render(u.body, (name,) + env, True)
-            out = f"\\{name}. {body}"
-            return out if under_lam_ok else f"({out})"
-        if isinstance(u, RApp):
-            fn = render(u.fn, env, True)  # the angle brackets already delimit
-            return f"<{fn}>{render_mono(u.mono, env)}"
-        raise TypeError(f"not a resource term: {u!r}")
 
-    def render_mono(m: Monomial, env: tuple[str, ...]) -> str:
-        if len(m) == 0:
-            return "1"
-        return "[" + ", ".join(render(e, env, True) for e in m) + "]"
-
-    return render(t, (), True)
+def _render(u: ResourceTerm, env: tuple[str, ...], under_lam_ok: bool, taken: set[str]) -> str:
+    if isinstance(u, RVar):
+        return env[u.index] if u.index < len(env) else f"#{u.index}"
+    if isinstance(u, RFreeVar):
+        return u.name
+    if isinstance(u, RHole):
+        return "*"
+    if isinstance(u, RLam):
+        name = _binder_name(len(env), taken)
+        body = _render(u.body, (name,) + env, True, taken)
+        out = f"\\{name}. {body}"
+        return out if under_lam_ok else f"({out})"
+    if isinstance(u, RApp):
+        fn = _render(u.fn, env, True, taken)  # the angle brackets already delimit
+        if len(u.mono) == 0:
+            return f"<{fn}>1"
+        return f"<{fn}>[" + ", ".join(_render(e, env, True, taken) for e in u.mono) + "]"
+    raise TypeError(f"not a resource term: {u!r}")
 
 
 def pretty_monomial(m: Monomial) -> str:

@@ -1,4 +1,4 @@
-"""Resource reduction: single steps, sum steps, normalization, head operator.
+"""Resource reduction: single steps, normalization, head operator, diamond check.
 
 A step fires ``<\\x. u>[t1..tn]`` into the linear substitution of the
 elements for the occurrences of ``x`` and distributes the resulting sum
@@ -14,9 +14,9 @@ repeated steps from the root.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
-from .beta import DepthTooShallowError, NotARedexError
+from .beta import NotARedexError
 from .resource import (
     FiniteSum,
     Monomial,
@@ -30,11 +30,6 @@ from .resource import (
     rlam,
     union_all,
 )
-from .syntax import LambdaError
-
-
-class EmptyChoiceError(LambdaError):
-    pass
 
 
 # A site is a path of 'body' / 'fun' / ('arg', i) components; its depth is
@@ -50,20 +45,6 @@ def site_to_str(site: RedexSite) -> str:
     if not site:
         return "root"
     return ".".join(c if isinstance(c, str) else f"arg[{c[1]}]" for c in site)
-
-
-def site_from_str(text: str) -> RedexSite:
-    if text in ("", "root"):
-        return ()
-    out: list = []
-    for part in text.split("."):
-        if part in ("body", "fun"):
-            out.append(part)
-        elif part.startswith("arg[") and part.endswith("]"):
-            out.append(("arg", int(part[4:-1])))
-        else:
-            raise LambdaError(f"bad site component {part!r}")
-    return tuple(out)
 
 
 def redex_sites(t: ResourceTerm) -> list[RedexSite]:
@@ -129,45 +110,8 @@ def _plug(u: ResourceTerm, frames: list) -> ResourceTerm:
     return u
 
 
-def r_min_depth_step(t: ResourceTerm, d: int, site: RedexSite) -> FiniteSum:
-    if site_depth(site) < d:
-        raise DepthTooShallowError(
-            f"site {site_to_str(site)} has depth {site_depth(site)} < {d}"
-        )
-    return r_step(t, site)
-
-
 def valid_min_depth_sites(t: ResourceTerm, d: int) -> list[RedexSite]:
     return [s for s in redex_sites(t) if site_depth(s) >= d]
-
-
-def r_step_sum(
-    s: FiniteSum,
-    choices: Mapping[ResourceTerm, Optional[RedexSite]],
-    keep_stepped: Iterable[ResourceTerm] = (),
-) -> FiniteSum:
-    """One sum-level step: each addend either fires a chosen site or stays.
-
-    At least one addend must fire. ``keep_stepped`` lists addends that act
-    as two qualitative copies, one reduced and one kept (reducing ``s`` to
-    ``s + S`` is legal because sums collapse duplicates).
-    """
-    kept = set(keep_stepped)
-    for a in choices:
-        if a not in s:
-            raise EmptyChoiceError(f"choice refers to a non-addend: {a}")
-    if not any(site is not None for site in choices.values()):
-        raise EmptyChoiceError("no addend selected to fire")
-    parts: list[FiniteSum] = []
-    for a in s:
-        site = choices.get(a)
-        if site is None:
-            parts.append(FiniteSum((a,)))
-        else:
-            parts.append(r_step(a, site))
-            if a in kept:
-                parts.append(FiniteSum((a,)))
-    return union_all(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +215,27 @@ def is_head_normal(t: ResourceTerm) -> bool:
     return not (isinstance(head, RLam) and monos)
 
 
-def _rewrap(u: ResourceTerm, binders: int, rest: tuple[Monomial, ...]) -> ResourceTerm:
-    """Put back what ``head_split`` peeled around the head redex."""
+def peel(t: ResourceTerm, binders: int, frames: int) -> Optional[tuple[ResourceTerm, tuple[Monomial, ...]]]:
+    """Strip ``binders`` abstractions, then ``frames`` application frames:
+    the term inside and the stripped monomials, first argument first, as
+    ``rewrap`` puts them back. None when ``t`` does not have that shape."""
+    for _ in range(binders):
+        if not isinstance(t, RLam):
+            return None
+        t = t.body
+    monos: list[Monomial] = []
+    for _ in range(frames):
+        if not isinstance(t, RApp):
+            return None
+        monos.append(t.mono)
+        t = t.fn
+    monos.reverse()
+    return t, tuple(monos)
+
+
+def rewrap(u: ResourceTerm, binders: int, rest: Sequence[Monomial]) -> ResourceTerm:
+    """Put back what ``head_split`` or ``peel`` stripped: apply ``u`` to
+    ``rest`` in order, then close ``binders`` abstractions over it."""
     for m in rest:
         u = rapp(u, m)
     for _ in range(binders):
@@ -285,7 +248,7 @@ def _hr_term(t: ResourceTerm) -> Optional[FiniteSum]:
     if not (isinstance(head, RLam) and monos):
         return None
     opened = open_redex(rapp(head, monos[0]))
-    return opened.map(lambda u: _rewrap(u, binders, monos[1:]))
+    return opened.map(lambda u: rewrap(u, binders, monos[1:]))
 
 
 def hr_step(x: ResourceTerm | FiniteSum) -> FiniteSum:
@@ -309,21 +272,7 @@ def hr_step_along(
     if sorted(elems, key=lambda e: e.skey) != list(monos[0].elems):
         return None
     opened = open_along(head.body, elems, memo)
-    return None if opened is None else _rewrap(opened, binders, monos[1:])
-
-
-def hr_to_hnf(x: ResourceTerm | FiniteSum) -> tuple[FiniteSum, int]:
-    """Iterate the head operator until every addend is head normal.
-
-    Termination is guaranteed: each iteration strictly shrinks the multiset
-    of addend sizes (head-normal addends pass through unchanged).
-    """
-    s = x if isinstance(x, FiniteSum) else FiniteSum((x,))
-    k = 0
-    while not all(is_head_normal(t) for t in s):
-        s = hr_step(s)
-        k += 1
-    return s, k
+    return None if opened is None else rewrap(opened, binders, monos[1:])
 
 
 # ---------------------------------------------------------------------------

@@ -351,31 +351,6 @@ def split_target(target: TermLike) -> tuple[Term, RationalSystem | None]:
     return target, None
 
 
-def free_vars(target: TermLike) -> set[str]:
-    """Free variable names of a term or of the tree denoted by a system."""
-    if isinstance(target, RationalSystem):
-        return _system_free_vars(target)
-    return {u.name for u, *_ in subterms(target) if isinstance(u, FreeVar)}
-
-
-def _system_free_vars(system: RationalSystem) -> set[str]:
-    acc: dict[str, frozenset[str]] = {s: frozenset() for s in system.equations}
-    changed = True
-    while changed:
-        changed = False
-        for sym, body in system.equations.items():
-            new: set[str] = set()
-            for u, _, hints, _, _ in subterms(body):
-                if isinstance(u, FreeVar):
-                    new.add(u.name)
-                elif isinstance(u, RecRef):
-                    new |= acc[u.symbol].difference(unlink(hints))
-            if new != acc[sym]:
-                acc[sym] = frozenset(new)
-                changed = True
-    return set(acc[system.root])
-
-
 def alpha_eq(m: TermLike, n: TermLike) -> bool:
     """Equality up to renaming of bound variables: the two walks meet nodes
     of the same kinds and leaves, whatever the binder hints. Systems are
@@ -387,16 +362,6 @@ def alpha_eq(m: TermLike, n: TermLike) -> bool:
         if type(u) is not type(v) or u is not v and not isinstance(u, (Lam, App)):
             return False
     return True
-
-
-def subst(m: Term, name: str, n: Term) -> Term:
-    """Capture-avoiding substitution of ``n`` for the free variable ``name``.
-
-    Capture cannot happen: binders bind indices, not names, so grafting a
-    well-formed term under them is safe. (Printing renames any binder hint
-    that would shadow a free name.)
-    """
-    return rebuild(m, lambda u, *_: n if isinstance(u, FreeVar) and u.name == name else None)
 
 
 def context_fill(c: Term, m: Term) -> Term:
@@ -427,24 +392,6 @@ def unfold(target: TermLike, depth: int) -> Term:
         return None
 
     return rebuild(t, cut)
-
-
-def power_apply(m: Term, n: Term, k: int) -> Term:
-    """Left-nested application of ``k`` copies of ``n`` to ``m``."""
-    out = m
-    for _ in range(k):
-        out = App(out, n)
-    return out
-
-
-def power_tail(n: Term, k: int) -> Term:
-    """Right-nested tower ``(n)(n)...(n) n`` with ``k`` occurrences."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    out = n
-    for _ in range(k - 1):
-        out = App(n, out)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -494,37 +441,44 @@ def pretty(t: Term, cut: str = "*", avoid: frozenset[str] = frozenset()) -> str:
     truncated trees). ``avoid`` adds names a binder must not shadow (used
     when printing system equations, whose references must stay references).
     """
-    dmemo: dict[Term, frozenset[int]] = {}
-    fmemo: dict[Term, frozenset[str]] = {}
+    return _render(t, (), _PREC_TOP, cut, avoid, {}, {})
 
-    def render(u: Term, env: tuple[str, ...], prec: int) -> str:
-        if isinstance(u, Var):
-            return env[u.index] if u.index < len(env) else f"#{u.index}"
-        if isinstance(u, FreeVar):
-            return u.name
-        if isinstance(u, Bottom):
-            return "_|_"
-        if isinstance(u, Hole):
-            return cut
-        if isinstance(u, RecRef):
-            return u.symbol
-        if isinstance(u, Lam):
-            taken = set(_free_names(u.body, fmemo)) | set(avoid)
-            for k in _dangling(u.body, dmemo):
-                if k >= 1 and (k - 1) < len(env):
-                    taken.add(env[k - 1])
-            name = u.hint or "x"
-            while name in taken:
-                name += "'"
-            body = render(u.body, (name,) + env, _PREC_TOP)
-            out = f"\\{name}. {body}"
-            return f"({out})" if prec > _PREC_TOP else out
-        if isinstance(u, App):
-            out = f"{render(u.fn, env, _PREC_FUN)} {render(u.arg, env, _PREC_ARG)}"
-            return f"({out})" if prec > _PREC_FUN else out
-        raise TypeError(f"not a term: {u!r}")
 
-    return render(t, (), _PREC_TOP)
+def _render(
+    u: Term,
+    env: tuple[str, ...],
+    prec: int,
+    cut: str,
+    avoid: frozenset[str],
+    dmemo: dict[Term, frozenset[int]],
+    fmemo: dict[Term, frozenset[str]],
+) -> str:
+    if isinstance(u, Var):
+        return env[u.index] if u.index < len(env) else f"#{u.index}"
+    if isinstance(u, FreeVar):
+        return u.name
+    if isinstance(u, Bottom):
+        return "_|_"
+    if isinstance(u, Hole):
+        return cut
+    if isinstance(u, RecRef):
+        return u.symbol
+    if isinstance(u, Lam):
+        taken = set(_free_names(u.body, fmemo)) | set(avoid)
+        for k in _dangling(u.body, dmemo):
+            if k >= 1 and (k - 1) < len(env):
+                taken.add(env[k - 1])
+        name = u.hint or "x"
+        while name in taken:
+            name += "'"
+        body = _render(u.body, (name,) + env, _PREC_TOP, cut, avoid, dmemo, fmemo)
+        out = f"\\{name}. {body}"
+        return f"({out})" if prec > _PREC_TOP else out
+    if isinstance(u, App):
+        fn = _render(u.fn, env, _PREC_FUN, cut, avoid, dmemo, fmemo)
+        out = f"{fn} {_render(u.arg, env, _PREC_ARG, cut, avoid, dmemo, fmemo)}"
+        return f"({out})" if prec > _PREC_FUN else out
+    raise TypeError(f"not a term: {u!r}")
 
 
 def pretty_system(system: RationalSystem, cut: str = "*") -> str:

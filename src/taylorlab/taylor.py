@@ -189,25 +189,6 @@ def enumerate_taylor_context(c: Term, size_bound: int, depth_bound: Optional[int
     return FiniteSum(enum.terms(c, size_bound, depth_bound, ()))
 
 
-def taylor_zero(target: TermLike) -> bool:
-    """Whether the term has no approximant at all: bottom, or bottom
-    reachable through abstractions and function positions only."""
-    t, system = split_target(target)
-    while not isinstance(t, Bottom):
-        if isinstance(t, Lam):
-            t = t.body
-        elif isinstance(t, App):
-            t = t.fn
-        elif isinstance(t, RecRef):
-            if system is None:
-                raise UndefinedSymbolError(f"unresolved symbol {t.symbol!r}")
-            # abstraction/function chains cannot cycle in a guarded system
-            t = system.body(t.symbol)
-        else:
-            return False
-    return True
-
-
 def member_of_bohm(
     t: ResourceTerm, target: TermLike, fuel: int, prefixes: Optional[dict[int, Term]] = None
 ) -> Optional[bool]:

@@ -17,7 +17,6 @@ from taylorlab.beta import (
     head_redex_position,
     head_step,
     is_bohm_normal,
-    loop_certified_oracle,
     min_depth_step,
     position_from_str,
     position_to_str,
@@ -36,6 +35,8 @@ from taylorlab.syntax import (
     pretty,
     unfold,
 )
+
+from support import loop_certified_oracle
 
 I = parse_term("\\x. x")
 K = parse_term("\\x. \\y. x")

@@ -189,6 +189,17 @@ def test_rnf_json_is_unchanged(capsys, src, shown, normal_form, trace):
     }
 
 
+def test_rnf_steps_each_addend_once(capsys):
+    """Two paths reach ``<\\a. a>[z]``; the sum holds it once, and so does the trace."""
+    code, out, _ = run(capsys, "rnf", "<\\x. x>[<\\y. y>[z]] + <\\y. y>[z]")
+    assert code == 0
+    assert out.splitlines() == [
+        "[root] <\\a. a>[z] -> z",
+        "[root] <\\a. a>[<\\a. a>[z]] -> <\\a. a>[z]",
+        "normal form: z",
+    ]
+
+
 def test_rnf_normal_form_is_r_normalize(capsys):
     """The normal addends collected along the trace are the normal form."""
     rng = Random(5)

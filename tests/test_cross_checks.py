@@ -125,7 +125,8 @@ def test_simulation_rejects_invalid_step_lists():
 
 
 def test_deep_terms_do_not_blow_the_stack():
-    from taylorlab.syntax import FreeVar, power_apply, power_tail
+    from support import power_apply, power_tail
+    from taylorlab.syntax import FreeVar
 
     wide = power_apply(FreeVar("f"), FreeVar("x"), 300)
     tall = power_tail(FreeVar("x"), 300)

@@ -28,13 +28,10 @@ from taylorlab.syntax import (
     alpha_eq,
     bind_free,
     context_fill,
-    free_vars,
-    power_apply,
-    power_tail,
-    subst,
     unfold,
 )
-from taylorlab.taylor import taylor_zero
+
+from support import power_apply, power_tail
 
 N = 10_000
 X, Y = FreeVar("x"), FreeVar("y")
@@ -74,13 +71,12 @@ def nested(t):
 
 def test_deep_maps():
     assert peel(bind_free(binders(Y), ("y",))).index == N
-    assert peel(subst(binders(X), "x", Y)) is Y
     assert peel(context_fill(Lam("y", binders(HOLE, N - 1)), Y)).index == N - 1
     assert peel(_shift(binders(Var(N)), 3)).index == N + 3
     assert peel(open_bound(binders(Var(N)), Y)) is Y
 
-    head, args = spine(subst(power_apply(FreeVar("f"), X, N), "x", Y))
-    assert head.name == "f" and len(args) == N and all(a is Y for a in args)
+    head, args = spine(bind_free(power_apply(FreeVar("f"), X, N), ("x",)))
+    assert head.name == "f" and len(args) == N and all(a is Var(0) for a in args)
     k, end = nested(_shift(power_tail(Var(0), N), 1))
     assert k == N - 1 and end.index == 1
 
@@ -109,14 +105,10 @@ def test_deep_folds():
     assert _prefix_status(power_tail(BOTTOM, N), N) == "bottom"
     assert _prefix_status(power_tail(HOLE, N), N - 1) == "cut"
     assert _prefix_status(binders(HOLE), 0) == "cut"
-    assert taylor_zero(binders(power_apply(BOTTOM, X, N)))
-    assert not taylor_zero(binders(power_tail(X, N)))
 
 
 def test_deep_systems():
     deep = RationalSystem({"F": binders(App(App(X, FreeVar("w")), RecRef("F")))}, "F")
-    assert free_vars(deep) == {"x", "w"}
-    assert not taylor_zero(deep)
     assert isinstance(peel(unfold(deep, 1)), App)
 
 

@@ -14,25 +14,21 @@ from taylorlab.resource import (
     union_all,
 )
 from taylorlab.resource_reduction import (
-    DepthTooShallowError,
-    EmptyChoiceError,
     NotARedexError,
     check_diamond,
     dm_less,
     dm_measure,
     hr_step,
-    hr_to_hnf,
     normalize_with,
-    r_min_depth_step,
     r_normalize,
     r_step,
-    r_step_sum,
     redex_sites,
     site_depth,
-    site_from_str,
     site_to_str,
     valid_min_depth_sites,
 )
+
+from support import site_from_str
 
 p = parse_resource_term
 ps = parse_resource_sum
@@ -79,30 +75,6 @@ def test_r_step_annihilation_inside_monomial():
 def test_r_step_not_a_redex():
     with pytest.raises(NotARedexError):
         r_step(p("<x>[y]"), ())
-
-
-def test_r_step_sum():
-    s = ps("<\\x. x>[y] + z")
-    first = p("<\\x. x>[y]")
-    assert r_step_sum(s, {first: ()}) == ps("y + z")
-    with pytest.raises(EmptyChoiceError):
-        r_step_sum(ZERO, {})
-    with pytest.raises(EmptyChoiceError):
-        r_step_sum(s, {first: None})
-
-
-def test_r_step_sum_can_keep_a_copy():
-    s = ps("<\\x. x>[y]")
-    t = p("<\\x. x>[y]")
-    assert r_step_sum(s, {t: ()}, keep_stepped=[t]) == ps("<\\x. x>[y] + y")
-
-
-def test_min_depth_step():
-    t = p("<x>[<\\y. y>[z]]")
-    site = (("arg", 0),)
-    assert r_min_depth_step(t, 1, site) == ps("<x>[z]")
-    with pytest.raises(DepthTooShallowError):
-        r_min_depth_step(t, 2, site)
 
 
 def test_min_depth_sites_empty_above_height():
@@ -180,20 +152,6 @@ def test_hr_under_binders_and_spine():
     # \a. <<\b. b>[y]>[z] -> \a. <y>[z]
     t = p("\\a. <<\\b. b>[y]>[z]")
     assert hr_step(t) == ps("\\a. <y>[z]")
-
-
-def test_hr_to_hnf():
-    s, k = hr_to_hnf(ps("<\\x. x>[y]"))
-    assert (s, k) == (ps("y"), 1)
-    t = ps("\\x. <x>1")
-    assert hr_to_hnf(t) == (t, 0)
-
-
-def test_hr_to_hnf_terminates_on_looping_shape():
-    # <\x. <x>[x]>[\x. <x>[x]] is the self-application; head iteration ends in 0
-    t = p("<\\x. <x>[x]>[\\x. <x>[x]]")
-    s, k = hr_to_hnf(t)
-    assert s == ZERO and k >= 1
 
 
 def test_dm_measure():

@@ -14,15 +14,13 @@ from taylorlab.syntax import (
     Var,
     alpha_eq,
     context_fill,
-    free_vars,
     parse_term,
-    power_apply,
-    power_tail,
     pretty,
     pretty_system,
-    subst,
     unfold,
 )
+
+from support import power_apply, power_tail
 
 I = parse_term("\\x. x")
 OMEGA = parse_term("(\\x. x x) (\\x. x x)")
@@ -74,25 +72,12 @@ def test_alpha_eq():
     assert alpha_eq(parse_term("(\\x. x) z"), parse_term("(\\y. y) z"))
 
 
-def test_subst_base_cases():
-    assert subst(FreeVar("x"), "x", FreeVar("y")) == FreeVar("y")
-    assert subst(App(FreeVar("x"), FreeVar("x")), "x", I) == App(I, I)
-
-
-def test_subst_capture_forced_renaming_in_print():
-    # (\y. x)[y/x] keeps y free: the binder hint must print renamed.
-    got = subst(parse_term("\\y. x"), "x", FreeVar("y"))
-    assert got == Lam("y", FreeVar("y"))
-    text = pretty(got)
+def test_print_renames_a_binder_that_would_capture():
+    # \y. y with a free y in the body: the binder hint must print renamed.
+    t = Lam("y", FreeVar("y"))
+    text = pretty(t)
     assert text == "\\y'. y"
-    assert alpha_eq(parse_term(text), got)
-
-
-def test_free_vars():
-    assert free_vars(parse_term("\\x. x y")) == {"y"}
-    assert free_vars(OMEGA) == set()
-    assert free_vars(Y_SYS) == set()
-    assert free_vars(parse_term("let rec F = (x) (\\x. F) in F")) == {"x"}
+    assert alpha_eq(parse_term(text), t)
 
 
 def test_unfold_y_star():
@@ -159,7 +144,6 @@ def test_system_roundtrip():
     again = parse_term(text)
     assert isinstance(again, RationalSystem)
     assert unfold(again, 4) == unfold(Y_SYS, 4)
-    assert free_vars(again) == free_vars(Y_SYS)
 
 
 def test_binder_shadowing_print():
@@ -196,68 +180,3 @@ def lambda_terms(draw, max_depth=5):
 @given(lambda_terms())
 def test_roundtrip_random(t):
     assert alpha_eq(parse_term(pretty(t)), t)
-
-
-def _to_named(t, env):
-    # Independent named-term view used by the substitution oracle.
-    if isinstance(t, Var):
-        return ("var", env[t.index])
-    if isinstance(t, FreeVar):
-        return ("var", t.name)
-    if isinstance(t, Lam):
-        fresh = f"b{len(env)}"
-        return ("lam", fresh, _to_named(t.body, (fresh,) + env))
-    if isinstance(t, App):
-        return ("app", _to_named(t.fn, env), _to_named(t.arg, env))
-    raise AssertionError(t)
-
-
-def _naive_subst(named, x, named_n):
-    # Textbook substitution; safe because the replacement is closed.
-    tag = named[0]
-    if tag == "var":
-        return named_n if named[1] == x else named
-    if tag == "lam":
-        if named[1] == x:
-            return named
-        return ("lam", named[1], _naive_subst(named[2], x, named_n))
-    return ("app", _naive_subst(named[1], x, named_n), _naive_subst(named[2], x, named_n))
-
-
-def _from_named(named, env):
-    tag = named[0]
-    if tag == "var":
-        for i, name in enumerate(env):
-            if name == named[1]:
-                return Var(i)
-        return FreeVar(named[1])
-    if tag == "lam":
-        return Lam(named[1], _from_named(named[2], (named[1],) + env))
-    return App(_from_named(named[1], env), _from_named(named[2], env))
-
-
-@given(lambda_terms(), lambda_terms(max_depth=3), names)
-def test_subst_matches_naive_reference_on_closed(m, n, x):
-    for name in sorted(free_vars(n)):
-        n = subst(n, name, I)
-    assert not free_vars(n)
-    got = subst(m, x, n)
-    expected = _from_named(_naive_subst(_to_named(m, ()), x, _to_named(n, ())), ())
-    assert alpha_eq(got, expected)
-
-
-def test_subst_matches_naive_reference_bulk():
-    from random import Random
-
-    from taylorlab.gen import random_lambda_term
-
-    rng = Random(71)
-    for _ in range(1000):
-        m = random_lambda_term(rng, 10)
-        n = random_lambda_term(rng, 6)
-        for name in sorted(free_vars(n)):
-            n = subst(n, name, I)
-        x = rng.choice(["x", "y", "z"])
-        got = subst(m, x, n)
-        expected = _from_named(_naive_subst(_to_named(m, ()), x, _to_named(n, ())), ())
-        assert alpha_eq(got, expected)

@@ -2,25 +2,26 @@ import gc
 import itertools
 import random
 
-from taylorlab.beta import bohm_tree
+from taylorlab.beta import beta_step, bohm_tree
 from taylorlab.gen import random_lambda_term
+from taylorlab.lab import check_commutation, check_simulation
 from taylorlab.resource import (
     FiniteSum,
     monomial,
     parse_resource_term,
+    pretty_resource,
     r_height,
     r_size,
     r_subst,
 )
 from taylorlab.selftest import _CORPUS
-from taylorlab.syntax import BOTTOM, RationalSystem, contains_hole, parse_term, subst
+from taylorlab.syntax import BOTTOM, FreeVar, RationalSystem, contains_hole, parse_term, pretty, rebuild
 from taylorlab.taylor import (
     _Enumerator,
     approximates,
     enumerate_taylor,
     enumerate_taylor_context,
     member_of_bohm,
-    taylor_zero,
 )
 
 rp = parse_resource_term
@@ -120,7 +121,7 @@ def test_substitution_compatibility_exhaustive_small():
     ]
     bound = 8
     for m, x, n in cases:
-        direct = set(enumerate_taylor(subst(m, x, n), bound))
+        direct = set(enumerate_taylor(rebuild(m, lambda u, *_: n if u is FreeVar(x) else None), bound))
         built: set = set()
         for s in enumerate_taylor(m, bound):
             k = sum(1 for _ in _free_occurrences(s, x))
@@ -142,15 +143,6 @@ def _free_occurrences(t, name):
         yield from _free_occurrences(t.fn, name)
         for e in t.mono:
             yield from _free_occurrences(e, name)
-
-
-def test_taylor_zero():
-    assert taylor_zero(BOTTOM)
-    assert taylor_zero(parse_term("\\x. _|_"))
-    assert taylor_zero(parse_term("_|_ x"))
-    assert not taylor_zero(parse_term("x _|_"))
-    assert not taylor_zero(I)
-    assert not taylor_zero(Y_SYS)
 
 
 def test_member_of_bohm():
@@ -177,6 +169,24 @@ def test_taylor_walks_leave_no_cyclic_garbage():
         targets = enumerate_taylor(bohm_tree(yg, 13, 100), 12)
         assert targets and all(member_of_bohm(t, yg, 100) for t in targets)
         assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_checks_and_printers_leave_no_cyclic_garbage():
+    """The commutation and simulation checks, lifting included, and both
+    printers free everything they build by reference counting."""
+    yg = parse_term(_CORPUS["Yg"])
+    gc.collect()
+    gc.disable()
+    try:
+        report = check_commutation(yg, 17, 1000)
+        assert report.verdict == "pass" and report.stats["constructed_ancestors"] > 0
+        assert check_simulation(yg, [()], 12).verdict == "pass"
+        assert gc.collect() == 0
+        printed = [pretty(bohm_tree(yg, 4, 1000)), pretty(beta_step(yg, ()))]
+        printed += [pretty_resource(t) for t in enumerate_taylor(yg, 12)]
+        assert all(printed) and gc.collect() == 0
     finally:
         gc.enable()
 

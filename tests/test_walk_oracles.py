@@ -31,11 +31,8 @@ from taylorlab.syntax import (
     Var,
     bind_free,
     context_fill,
-    free_vars,
-    subst,
     unfold,
 )
-from taylorlab.taylor import taylor_zero
 
 from walk_oracles import (
     old_bind_free,
@@ -48,9 +45,6 @@ from walk_oracles import (
     old_prefix_status,
     old_replace_at,
     old_shift,
-    old_subst,
-    old_system_free_vars,
-    old_taylor_zero,
     old_unfold,
     old_unguarded_cycle,
 )
@@ -104,8 +98,6 @@ def test_maps_match_the_recursive_walkers():
         n = _term(rng, rng.randint(1, 5))
         hints = tuple(rng.sample(NAMES, rng.randint(0, 3)))
         assert bind_free(t, hints) is old_bind_free(t, hints)
-        name = rng.choice(NAMES + ("z",))
-        assert subst(t, name, n) is old_subst(t, name, n)
         d, cutoff = rng.randint(0, 3), rng.randint(0, 2)
         assert _shift(t, d, cutoff) is old_shift(t, d, cutoff)
         assert open_bound(t, n) is old_open_bound(t, n)
@@ -134,7 +126,6 @@ def test_folds_match_the_recursive_walkers():
         t = _term(rng, rng.randint(1, 16), holes=True)
         assert leftmost_redex(t) == old_leftmost_redex(t)
         assert is_bohm_normal(t) == old_is_bohm_normal(t)
-        assert taylor_zero(t) == old_taylor_zero(t)
         for d in range(4):
             assert depth_positions(t, d) == old_depth_positions(t, d)
             assert _prefix_status(t, d) == old_prefix_status(t, d)
@@ -157,8 +148,6 @@ def test_systems_match_the_recursive_walkers():
             continue
         assert cycle is None
         built += 1
-        assert free_vars(system) == old_system_free_vars(system)
-        assert taylor_zero(system) == old_taylor_zero(system)
         for k in range(5):
             assert unfold(system, k) is old_unfold(system, k)
     assert built > 500 and rejected > 100

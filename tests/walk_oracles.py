@@ -24,7 +24,6 @@ from taylorlab.syntax import (
     Term,
     UndefinedSymbolError,
     Var,
-    free_vars,
 )
 
 Position = tuple[str, ...]
@@ -51,22 +50,6 @@ def old_bind_free(t: Term, hints: tuple[str, ...]) -> Term:
         return u
 
     return go(t, 0)
-
-
-def old_subst(m: Term, name: str, n: Term) -> Term:
-    if name not in free_vars(m):
-        return m
-
-    def go(t: Term) -> Term:
-        if isinstance(t, FreeVar):
-            return n if t.name == name else t
-        if isinstance(t, Lam):
-            return Lam(t.hint, go(t.body))
-        if isinstance(t, App):
-            return App(go(t.fn), go(t.arg))
-        return t
-
-    return go(m)
 
 
 def old_context_fill(c: Term, m: Term) -> Term:
@@ -201,31 +184,6 @@ def old_depth_positions(t: Term, d: int) -> list[Position]:
     return out
 
 
-def old_system_free_vars(system: RationalSystem) -> set[str]:
-    acc: dict[str, frozenset[str]] = {s: frozenset() for s in system.equations}
-
-    def fv(t: Term, bound: frozenset[str]) -> frozenset[str]:
-        if isinstance(t, FreeVar):
-            return frozenset((t.name,))
-        if isinstance(t, RecRef):
-            return acc[t.symbol] - bound
-        if isinstance(t, Lam):
-            return fv(t.body, bound | {t.hint})
-        if isinstance(t, App):
-            return fv(t.fn, bound) | fv(t.arg, bound)
-        return frozenset()
-
-    changed = True
-    while changed:
-        changed = False
-        for sym, body in system.equations.items():
-            new = fv(body, frozenset())
-            if new != acc[sym]:
-                acc[sym] = new
-                changed = True
-    return set(acc[system.root])
-
-
 def old_unguarded_cycle(equations: dict[str, Term]) -> Optional[list[str]]:
     """The cycle ``RationalSystem`` reports as unguarded, or None."""
     unguarded: dict[str, set[str]] = {s: set() for s in equations}
@@ -311,30 +269,3 @@ def _has_ref(t: Term) -> bool:
     if isinstance(t, App):
         return _has_ref(t.fn) or _has_ref(t.arg)
     return isinstance(t, RecRef)
-
-
-def old_taylor_zero(target) -> bool:
-    if isinstance(target, RationalSystem):
-        m, system = target.root_term(), target
-    else:
-        m, system = target, None
-    memo: dict[str, bool] = {}
-
-    def rec(t: Term) -> bool:
-        if isinstance(t, Bottom):
-            return True
-        if isinstance(t, Lam):
-            return rec(t.body)
-        if isinstance(t, App):
-            return rec(t.fn)
-        if isinstance(t, RecRef):
-            if t.symbol in memo:
-                return memo[t.symbol]
-            if system is None:
-                raise UndefinedSymbolError(f"unresolved symbol {t.symbol!r}")
-            memo[t.symbol] = rec(system.body(t.symbol))
-            return memo[t.symbol]
-        return False
-
-    return rec(m)
-
