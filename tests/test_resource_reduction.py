@@ -15,10 +15,12 @@ from taylorlab.resource import (
 )
 from taylorlab.resource_reduction import (
     NotARedexError,
+    _sum_successors,
     check_diamond,
     dm_less,
     dm_measure,
     hr_step,
+    is_head_normal,
     normalize_with,
     r_normalize,
     r_step,
@@ -75,6 +77,24 @@ def test_r_step_annihilation_inside_monomial():
 def test_r_step_not_a_redex():
     with pytest.raises(NotARedexError):
         r_step(p("<x>[y]"), ())
+
+
+def test_r_step_sum():
+    # one sum step fires a site in some addends and keeps the others
+    s = ps("<\\x. x>[y] + z")
+    assert list(_sum_successors(s, 10)) == [ps("y + z")]
+    assert list(_sum_successors(ZERO, 10)) == []
+    assert list(_sum_successors(ps("y + z"), 10)) == []
+    with pytest.raises(RuntimeError):
+        list(_sum_successors(ps("<\\x. x>[y] + <\\x. x>[z]"), 3))
+
+
+def test_min_depth_step():
+    t = p("<x>[<\\y. y>[z]]")
+    site = (("arg", 0),)
+    assert site in valid_min_depth_sites(t, 1)
+    assert r_step(t, site) == ps("<x>[z]")
+    assert site not in valid_min_depth_sites(t, 2)
 
 
 def test_min_depth_sites_empty_above_height():
@@ -152,6 +172,28 @@ def test_hr_under_binders_and_spine():
     # \a. <<\b. b>[y]>[z] -> \a. <y>[z]
     t = p("\\a. <<\\b. b>[y]>[z]")
     assert hr_step(t) == ps("\\a. <y>[z]")
+
+
+def _hr_to_hnf(s):
+    # iterate head steps until every addend is head normal
+    k = 0
+    while not all(is_head_normal(t) for t in s):
+        s = hr_step(s)
+        k += 1
+    return s, k
+
+
+def test_hr_to_hnf():
+    s, k = _hr_to_hnf(ps("<\\x. x>[y]"))
+    assert (s, k) == (ps("y"), 1)
+    t = ps("\\x. <x>1")
+    assert _hr_to_hnf(t) == (t, 0)
+
+
+def test_hr_to_hnf_terminates_on_looping_shape():
+    # <\x. <x>[x]>[\x. <x>[x]] is the self-application; head iteration ends in 0
+    s, k = _hr_to_hnf(ps("<\\x. <x>[x]>[\\x. <x>[x]]"))
+    assert s == ZERO and k >= 1
 
 
 def test_dm_measure():

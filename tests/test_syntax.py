@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from taylorlab.beta import beta_step
 from taylorlab.syntax import (
     BOTTOM,
     HOLE,
@@ -12,11 +13,14 @@ from taylorlab.syntax import (
     RationalSystem,
     RecRef,
     Var,
+    _free_names,
     alpha_eq,
+    bind_free,
     context_fill,
     parse_term,
     pretty,
     pretty_system,
+    rebuild,
     unfold,
 )
 
@@ -70,6 +74,32 @@ def test_alpha_eq():
     assert alpha_eq(parse_term("\\x. x"), parse_term("\\y. y"))
     assert not alpha_eq(parse_term("\\x. \\y. x"), parse_term("\\x. \\y. y"))
     assert alpha_eq(parse_term("(\\x. x) z"), parse_term("(\\y. y) z"))
+
+
+def _beta_subst(m, x, n):
+    # m[n/x], computed by firing the redex (\x. m) n at the root.
+    return beta_step(App(Lam(x, bind_free(m, (x,))), n), ())
+
+
+def _close(n):
+    return rebuild(n, lambda u, *_: I if isinstance(u, FreeVar) else None)
+
+
+def test_subst_base_cases():
+    assert _beta_subst(FreeVar("x"), "x", FreeVar("y")) == FreeVar("y")
+    assert _beta_subst(App(FreeVar("x"), FreeVar("x")), "x", I) == App(I, I)
+
+
+def _system_free_names(target):
+    # every free name of a system shows within its first few unfoldings here
+    return set(_free_names(unfold(target, 4), {}))
+
+
+def test_free_vars():
+    assert _system_free_names(parse_term("\\x. x y")) == {"y"}
+    assert _system_free_names(OMEGA) == set()
+    assert _system_free_names(Y_SYS) == set()
+    assert _system_free_names(parse_term("let rec F = (x) (\\x. F) in F")) == {"x"}
 
 
 def test_print_renames_a_binder_that_would_capture():
@@ -180,3 +210,65 @@ def lambda_terms(draw, max_depth=5):
 @given(lambda_terms())
 def test_roundtrip_random(t):
     assert alpha_eq(parse_term(pretty(t)), t)
+
+
+def _to_named(t, env):
+    # Independent named-term view used by the substitution oracle.
+    if isinstance(t, Var):
+        return ("var", env[t.index])
+    if isinstance(t, FreeVar):
+        return ("var", t.name)
+    if isinstance(t, Lam):
+        fresh = f"b{len(env)}"
+        return ("lam", fresh, _to_named(t.body, (fresh,) + env))
+    if isinstance(t, App):
+        return ("app", _to_named(t.fn, env), _to_named(t.arg, env))
+    raise AssertionError(t)
+
+
+def _naive_subst(named, x, named_n):
+    # Textbook substitution; safe because the replacement is closed.
+    tag = named[0]
+    if tag == "var":
+        return named_n if named[1] == x else named
+    if tag == "lam":
+        if named[1] == x:
+            return named
+        return ("lam", named[1], _naive_subst(named[2], x, named_n))
+    return ("app", _naive_subst(named[1], x, named_n), _naive_subst(named[2], x, named_n))
+
+
+def _from_named(named, env):
+    tag = named[0]
+    if tag == "var":
+        for i, name in enumerate(env):
+            if name == named[1]:
+                return Var(i)
+        return FreeVar(named[1])
+    if tag == "lam":
+        return Lam(named[1], _from_named(named[2], (named[1],) + env))
+    return App(_from_named(named[1], env), _from_named(named[2], env))
+
+
+@given(lambda_terms(), lambda_terms(max_depth=3), names)
+def test_subst_matches_naive_reference_on_closed(m, n, x):
+    n = _close(n)
+    assert not _free_names(n, {})
+    got = _beta_subst(m, x, n)
+    expected = _from_named(_naive_subst(_to_named(m, ()), x, _to_named(n, ())), ())
+    assert alpha_eq(got, expected)
+
+
+def test_subst_matches_naive_reference_bulk():
+    from random import Random
+
+    from taylorlab.gen import random_lambda_term
+
+    rng = Random(71)
+    for _ in range(1000):
+        m = random_lambda_term(rng, 10)
+        n = _close(random_lambda_term(rng, 6))
+        x = rng.choice(["x", "y", "z"])
+        got = _beta_subst(m, x, n)
+        expected = _from_named(_naive_subst(_to_named(m, ()), x, _to_named(n, ())), ())
+        assert alpha_eq(got, expected)

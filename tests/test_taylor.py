@@ -145,6 +145,14 @@ def _free_occurrences(t, name):
             yield from _free_occurrences(e, name)
 
 
+def test_taylor_zero():
+    # T(m) = 0 exactly when m's head is ⊥, under any binders and arguments
+    for text in ["_|_", "\\x. _|_", "_|_ x"]:
+        assert enumerate_taylor(parse_term(text), 10) == FiniteSum(())
+    for m in [parse_term("x _|_"), I, Y_SYS]:
+        assert len(enumerate_taylor(m, 10)) > 0
+
+
 def test_member_of_bohm():
     assert member_of_bohm(rp("\\f. <f>1"), Y, 50) is True
     assert member_of_bohm(rp("\\f. <f>[<f>1]"), Y, 50) is True
