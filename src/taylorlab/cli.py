@@ -8,6 +8,7 @@ a fixed input and configuration; ``--json`` emits sorted-key JSON.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from collections import deque
@@ -40,9 +41,9 @@ from .resource import (
     r_subst,
 )
 from .resource_reduction import (
-    first_redex_site,
     r_normalize,
     r_step,
+    redex_sites,
     site_to_str,
 )
 from .selftest import run_selftest
@@ -158,45 +159,46 @@ def _cmd_head(args) -> int:
 
 def _bohm_dot(t: Term) -> str:
     lines = ["digraph bohm {", "  node [shape=plaintext];"]
-    counter = [0]
-
-    def label(u: Term, env: tuple[str, ...]) -> str:
-        if isinstance(u, Var):
-            return env[u.index] if u.index < len(env) else f"#{u.index}"
-        if isinstance(u, FreeVar):
-            return u.name
-        if isinstance(u, Bottom):
-            return "_|_"
-        if isinstance(u, Hole):
-            return CUT
-        return "?"
-
-    def walk(u: Term, env: tuple[str, ...]) -> int:
-        me = counter[0]
-        counter[0] += 1
-        if isinstance(u, Lam):
-            hints = []
-            while isinstance(u, Lam):
-                hints.append(u.hint)
-                env = (u.hint,) + env
-                u = u.body
-            lines.append(f'  n{me} [label="\\\\{" ".join(hints)}"];')
-            child = walk(u, env)
-            lines.append(f"  n{me} -> n{child};")
-            return me
-        if isinstance(u, App):
-            lines.append(f'  n{me} [label="@"];')
-            left = walk(u.fn, env)
-            right = walk(u.arg, env)
-            lines.append(f"  n{me} -> n{left};")
-            lines.append(f"  n{me} -> n{right};")
-            return me
-        lines.append(f'  n{me} [label="{label(u, env)}"];')
-        return me
-
-    walk(t, ())
+    _dot_node(t, (), lines, itertools.count())
     lines.append("}")
     return "\n".join(lines)
+
+
+def _dot_node(u: Term, env: tuple[str, ...], lines: list[str], ids) -> int:
+    """Append the lines of ``u``'s node and subtree; returns its number,
+    drawn from ``ids`` in pre-order."""
+    me = next(ids)
+    if isinstance(u, Lam):
+        hints = []
+        while isinstance(u, Lam):
+            hints.append(u.hint)
+            env = (u.hint,) + env
+            u = u.body
+        lines.append(f'  n{me} [label="\\\\{" ".join(hints)}"];')
+        child = _dot_node(u, env, lines, ids)
+        lines.append(f"  n{me} -> n{child};")
+        return me
+    if isinstance(u, App):
+        lines.append(f'  n{me} [label="@"];')
+        left = _dot_node(u.fn, env, lines, ids)
+        right = _dot_node(u.arg, env, lines, ids)
+        lines.append(f"  n{me} -> n{left};")
+        lines.append(f"  n{me} -> n{right};")
+        return me
+    lines.append(f'  n{me} [label="{_dot_label(u, env)}"];')
+    return me
+
+
+def _dot_label(u: Term, env: tuple[str, ...]) -> str:
+    if isinstance(u, Var):
+        return env[u.index] if u.index < len(env) else f"#{u.index}"
+    if isinstance(u, FreeVar):
+        return u.name
+    if isinstance(u, Bottom):
+        return "_|_"
+    if isinstance(u, Hole):
+        return CUT
+    return "?"
 
 
 def _cmd_bohm(args) -> int:
@@ -272,10 +274,11 @@ def _cmd_rnf(args) -> int:
     normal = []
     while work:
         t = work.popleft()
-        site = first_redex_site(t)
-        if site is None:
+        sites = redex_sites(t)
+        if not sites:
             normal.append(t)
             continue
+        site = sites[0]
         out = r_step(t, site)
         trace.append(
             {

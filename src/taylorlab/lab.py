@@ -97,6 +97,7 @@ from .resource import (
     rfvar,
     rlam,
     rvar,
+    unshift,
 )
 from .resource_reduction import hr_step, hr_step_along, peel, r_normalize, rewrap
 from .syntax import (
@@ -237,28 +238,6 @@ def check_simulation(m: Term, steps: Sequence[Position], size_bound: int) -> Che
 # Constructive ancestors (inverse simulation along a head trace)
 
 
-def _unshift(u: ResourceTerm, c: int) -> Optional[ResourceTerm]:
-    """Undo a grafting shift: decrement indices escaping ``u`` by ``c``."""
-    if c == 0:
-        return u
-    try:
-        return _shifted_down(u, c, 0)
-    except ApproximantMismatchError:
-        return None
-
-
-def _shifted_down(t: ResourceTerm, c: int, depth: int) -> ResourceTerm:
-    if t.loose <= depth:
-        return t
-    if isinstance(t, RVar):
-        if t.index - c < depth:
-            raise ApproximantMismatchError("dangling index too small to unshift")
-        return rvar(t.index - c)
-    if isinstance(t, RLam):
-        return rlam(_shifted_down(t.body, c, depth + 1))
-    return rapp(_shifted_down(t.fn, c, depth), monomial(_shifted_down(e, c, depth) for e in t.mono))
-
-
 _UNSEEN = object()  # a memo miss: None is a result
 
 
@@ -302,7 +281,7 @@ def _un_substitute(
         p = resolve_ref(p, system, stack)
     if isinstance(p, Var):
         if p.index == c:
-            e = _unshift(u, c)
+            e = unshift(u, c)
             return None if e is None else (rvar(c), (e,))
         expect = p.index - 1 if p.index > c else p.index
         if isinstance(u, RVar) and u.index == expect:

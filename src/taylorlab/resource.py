@@ -218,9 +218,6 @@ class FiniteSum:
     def __hash__(self) -> int:
         return hash(self.terms)
 
-    def union(self, *others: "FiniteSum") -> "FiniteSum":
-        return union_all((self,) + others)
-
     def map(self, f) -> "FiniteSum":
         return FiniteSum(f(t) for t in self.terms)
 
@@ -331,20 +328,18 @@ def _linear_replace(t: ResourceTerm, match, mono: Monomial) -> FiniteSum:
     matched leaves differs from the cardinality."""
     if _count_marks(t, match) != len(mono):
         return ZERO
+    return FiniteSum({_replace_marks(t, match, iter(a)) for a in _distinct_assignments(mono.elems)})
 
-    def rebuild(u: ResourceTerm) -> ResourceTerm:
-        if isinstance(u, RLam):
-            return rlam(rebuild(u.body))
-        if isinstance(u, RApp):
-            fn = rebuild(u.fn)
-            return rapp(fn, monomial([rebuild(e) for e in u.mono.elems]))
-        return next(it) if match(u) else u
 
-    results: set[ResourceTerm] = set()
-    for assigned in _distinct_assignments(mono.elems):
-        it = iter(assigned)
-        results.add(rebuild(t))
-    return FiniteSum(results)
+def _replace_marks(u: ResourceTerm, match, it: Iterator[ResourceTerm]) -> ResourceTerm:
+    """``u`` with its leaves that satisfy ``match`` taking the next elements
+    of ``it``, left to right."""
+    if isinstance(u, RLam):
+        return rlam(_replace_marks(u.body, match, it))
+    if isinstance(u, RApp):
+        fn = _replace_marks(u.fn, match, it)
+        return rapp(fn, monomial([_replace_marks(e, match, it) for e in u.mono.elems]))
+    return next(it) if match(u) else u
 
 
 def _rshift(t: ResourceTerm, d: int, cutoff: int = 0) -> ResourceTerm:
@@ -357,6 +352,14 @@ def _rshift(t: ResourceTerm, d: int, cutoff: int = 0) -> ResourceTerm:
         return rlam(_rshift(t.body, d, cutoff + 1))
     # a loose index at or above the cutoff makes t a variable, an abstraction or an application
     return rapp(_rshift(t.fn, d, cutoff), monomial([_rshift(e, d, cutoff) for e in t.mono.elems]))
+
+
+def unshift(u: ResourceTerm, c: int) -> Optional[ResourceTerm]:
+    """Undo the grafting shift ``_rshift(t, c)``: ``t``, or None when an
+    index below ``c`` escapes ``u``, so that no ``t`` shifts to it."""
+    if any(_bound_count(u, i) for i in range(c)):
+        return None
+    return _rshift(u, -c)
 
 
 def r_subst(s: ResourceTerm, name: str, mono: Monomial) -> FiniteSum:

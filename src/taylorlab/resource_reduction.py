@@ -117,27 +117,6 @@ def valid_min_depth_sites(t: ResourceTerm, d: int) -> list[RedexSite]:
 # ---------------------------------------------------------------------------
 # Normalization
 
-def first_redex_site(t: ResourceTerm) -> Optional[RedexSite]:
-    """The leftmost-outermost redex position, found without backtracking:
-    the walk enters only subterms that contain a redex."""
-    path: list = []
-    while t.redex:
-        if isinstance(t, RLam):
-            path.append("body")
-            t = t.body
-        elif isinstance(t, RApp):
-            if isinstance(t.fn, RLam):
-                return tuple(path)
-            if t.fn.redex:
-                path.append("fun")
-                t = t.fn
-            else:
-                i = next(i for i, e in enumerate(t.mono) if e.redex)
-                path.append(("arg", i))
-                t = t.mono[i]
-    return None
-
-
 def _nf(t: ResourceTerm) -> FiniteSum:
     if not t.redex:
         return FiniteSum((t,))
@@ -208,11 +187,6 @@ def head_split(t: ResourceTerm) -> tuple[int, ResourceTerm, tuple[Monomial, ...]
         t = t.fn
     monos.reverse()
     return binders, t, tuple(monos)
-
-
-def is_head_normal(t: ResourceTerm) -> bool:
-    _, head, monos = head_split(t)
-    return not (isinstance(head, RLam) and monos)
 
 
 def peel(t: ResourceTerm, binders: int, frames: int) -> Optional[tuple[ResourceTerm, tuple[Monomial, ...]]]:

@@ -1,7 +1,10 @@
 """Helpers that several test modules share: builders of long application
-chains, a reader for printed resource sites, and an oracle for ``bot_step``."""
+chains, a reader for printed resource sites, a head-normality test for
+resource terms, and an oracle for ``bot_step``."""
 
 from taylorlab.beta import solvable
+from taylorlab.resource import RLam
+from taylorlab.resource_reduction import head_split
 from taylorlab.syntax import App, LambdaError
 
 
@@ -21,6 +24,12 @@ def power_tail(n, k):
     for _ in range(k - 1):
         out = App(n, out)
     return out
+
+
+def is_head_normal(t):
+    """Whether the resource term ``t`` has no head redex."""
+    _, head, monos = head_split(t)
+    return not (isinstance(head, RLam) and monos)
 
 
 def site_from_str(text):

@@ -40,9 +40,9 @@ from taylorlab.resource import (
     rlam,
     rvar,
     union_all,
+    unshift,
 )
 from taylorlab.resource_reduction import (
-    first_redex_site,
     head_split,
     hr_step,
     normalize_with,
@@ -53,6 +53,7 @@ from taylorlab.resource_reduction import (
 )
 
 from support import site_from_str
+from walk_oracles import old_unshift
 
 # ---------------------------------------------------------------------------
 # Slow references
@@ -189,11 +190,11 @@ def _leftmost_outermost_nf(t, memo):
     """Every step fired at the leftmost-outermost redex, from the root."""
     got = memo.get(t)
     if got is None:
-        site = first_redex_site(t)
-        if site is None:
+        sites = redex_sites(t)
+        if not sites:
             got = FiniteSum((t,))
         else:
-            got = union_all(_leftmost_outermost_nf(u, memo) for u in _recursive_step(t, site))
+            got = union_all(_leftmost_outermost_nf(u, memo) for u in _recursive_step(t, sites[0]))
         memo[t] = got
     return got
 
@@ -301,7 +302,6 @@ def test_steps_agree_with_the_unpruned_rebuild_cold_and_warm(seed):
     for _, t in _random_terms(seed, 250):
         sites = _reference_sites(t)
         assert redex_sites(t) == sites
-        assert first_redex_site(t) == (sites[0] if sites else None)
         expected = [_reference_step(t, site) for site in sites]
         _cool(t)
         cold = [r_step(t, site) for site in sites]
@@ -383,6 +383,21 @@ def test_summaries_of_parsed_and_shifted_terms():
     for text in ("\\a. \\b. <a>[b, <\\c. c>1]", "<\\a. <a>1>[<\\b. b>[x]]", "*", "<*>[x, x, y]"):
         _assert_summaries(parse_resource_term(text))
 
+
+
+def test_unshift_agrees_with_the_frozen_walk():
+    """Every index escaping by up to two below up to three shifts: the None
+    cases (an escaping index below ``c``) and the shifted terms both occur."""
+    outcomes = set()
+    for _, t in _random_terms(12, 300):
+        for c in range(4):
+            got = unshift(t, c)
+            assert got is old_unshift(t, c), pretty_resource(t)
+            outcomes.add(got is None)
+            if got is not None:
+                _assert_summaries(got)
+                assert _rshift(got, c) is t
+    assert outcomes == {True, False}
 
 
 def test_occurrence_counters_agree_with_the_reference_count():

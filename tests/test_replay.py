@@ -28,10 +28,12 @@ from taylorlab.resource import (
     rlam,
     rvar,
 )
-from taylorlab.resource_reduction import head_split, hr_step, hr_step_along, is_head_normal, r_normalize
+from taylorlab.resource_reduction import head_split, hr_step, hr_step_along, r_normalize
 from taylorlab.selftest import _CORPUS
 from taylorlab.syntax import RationalSystem, parse_term
 from taylorlab.taylor import approximates, enumerate_taylor
+
+from support import is_head_normal
 
 rp = parse_resource_term
 FUEL = 1000

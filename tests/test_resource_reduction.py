@@ -20,7 +20,6 @@ from taylorlab.resource_reduction import (
     dm_less,
     dm_measure,
     hr_step,
-    is_head_normal,
     normalize_with,
     r_normalize,
     r_step,
@@ -30,7 +29,7 @@ from taylorlab.resource_reduction import (
     valid_min_depth_sites,
 )
 
-from support import site_from_str
+from support import is_head_normal, site_from_str
 
 p = parse_resource_term
 ps = parse_resource_sum
@@ -143,7 +142,7 @@ def test_nf_distributes_over_sums():
         a = random_resource_term(rng, 10)
         b = random_resource_term(rng, 10)
         s = FiniteSum([a, b])
-        assert r_normalize(s) == r_normalize(a).union(r_normalize(b))
+        assert r_normalize(s) == union_all((r_normalize(a), r_normalize(b)))
 
 
 def test_self_application_approximants_all_annihilate():

@@ -3,6 +3,7 @@ import itertools
 import random
 
 from taylorlab.beta import beta_step, bohm_tree
+from taylorlab.cli import _bohm_dot
 from taylorlab.gen import random_lambda_term
 from taylorlab.lab import check_commutation, check_simulation
 from taylorlab.resource import (
@@ -10,6 +11,7 @@ from taylorlab.resource import (
     monomial,
     parse_resource_term,
     pretty_resource,
+    r_context_fill,
     r_height,
     r_size,
     r_subst,
@@ -182,8 +184,9 @@ def test_taylor_walks_leave_no_cyclic_garbage():
 
 
 def test_checks_and_printers_leave_no_cyclic_garbage():
-    """The commutation and simulation checks, lifting included, and both
-    printers free everything they build by reference counting."""
+    """The commutation and simulation checks, lifting included, the term
+    printers, the Boehm-tree dot printer and the marked-leaf substitutions
+    free everything they build by reference counting."""
     yg = parse_term(_CORPUS["Yg"])
     gc.collect()
     gc.disable()
@@ -195,13 +198,17 @@ def test_checks_and_printers_leave_no_cyclic_garbage():
         printed = [pretty(bohm_tree(yg, 4, 1000)), pretty(beta_step(yg, ()))]
         printed += [pretty_resource(t) for t in enumerate_taylor(yg, 12)]
         assert all(printed) and gc.collect() == 0
+        assert _bohm_dot(bohm_tree(yg, 4, 1000)).startswith("digraph") and gc.collect() == 0
+        assert len(r_subst(rp("<x>[x, \\a. <a>[x]]"), "x", monomial([rp("y"), rp("z"), rp("\\b. b")]))) == 6
+        assert gc.collect() == 0
+        assert len(r_context_fill(rp("<*>[*, y]"), monomial([rp("x"), rp("\\b. b")]))) == 2
+        assert gc.collect() == 0
     finally:
         gc.enable()
 
 
 def test_context_fill_compatibility_exhaustive_small():
     # slice of c<m> == all addends of hole fillings of context approximants
-    from taylorlab.resource import r_context_fill
     from taylorlab.syntax import context_fill
 
     # hygienic cases: no binder above a hole shadows a free name of the plug

@@ -5,13 +5,21 @@ Each recursed on the term with its own binder counter, so Python's recursion
 limit capped the depth of the terms they took. ``old_captures`` is the
 capture guard of ``beta.head_normalize`` with its own explicit-stack walk.
 ``test_walk_oracles`` checks the callbacks against them on seeded random
-terms, contexts and ``let rec`` systems. Do not import them elsewhere.
+terms, contexts and ``let rec`` systems.
+
+``old_unshift`` is the lifter's own walk that undid a grafting shift on
+resource terms, raising at an index too small to go down; ``resource.unshift``
+replaced it with the occurrence counter and ``_rshift``, and
+``test_node_summaries`` checks the two against each other on random open
+terms. Do not import these oracles elsewhere.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
+from taylorlab.lab import ApproximantMismatchError
+from taylorlab.resource import ResourceTerm, RLam, RVar, monomial, rapp, rlam, rvar
 from taylorlab.syntax import (
     HOLE,
     App,
@@ -269,3 +277,29 @@ def _has_ref(t: Term) -> bool:
     if isinstance(t, App):
         return _has_ref(t.fn) or _has_ref(t.arg)
     return isinstance(t, RecRef)
+
+
+# ---------------------------------------------------------------------------
+# Resource terms
+
+
+def old_unshift(u: ResourceTerm, c: int) -> Optional[ResourceTerm]:
+    """Undo a grafting shift: decrement indices escaping ``u`` by ``c``."""
+    if c == 0:
+        return u
+    try:
+        return _shifted_down(u, c, 0)
+    except ApproximantMismatchError:
+        return None
+
+
+def _shifted_down(t: ResourceTerm, c: int, depth: int) -> ResourceTerm:
+    if t.loose <= depth:
+        return t
+    if isinstance(t, RVar):
+        if t.index - c < depth:
+            raise ApproximantMismatchError("dangling index too small to unshift")
+        return rvar(t.index - c)
+    if isinstance(t, RLam):
+        return rlam(_shifted_down(t.body, c, depth + 1))
+    return rapp(_shifted_down(t.fn, c, depth), monomial(_shifted_down(e, c, depth) for e in t.mono))
