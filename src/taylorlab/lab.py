@@ -29,33 +29,31 @@ The construction is complete, so nothing else is tried:
   elements of ``q``.
 
 By induction over the steps and the monomial elements, every target lifts.
-One that does not is a defect, reported as an inconclusive verdict that
-names the target and the term before the first step that could not be
-inverted (``LiftSession.failed_step``). On a rational system, references
-resolve by binder hint; a step that would move one across a hint it
-resolves against is not taken (``beta._captures``), and the tree is cut
-there instead.
+On a rational system, references resolve by binder hint; a step that would
+move one across a hint it resolves against is not taken
+(``beta._captures``), and the tree is cut there instead.
 
-A candidate ancestor ``s`` only counts once ``t`` is shown to be in its
-normal form. Each inverted step is a link ``(before, after, elems)``
-checked once, when it is built: ``elems`` lists the grafted monomial
-elements in the order of the bound occurrences they fill, and opening the
-head binder of ``before`` along that order must rebuild exactly ``after``
+A lifted ancestor ``s`` only counts once ``t`` is shown to be in its normal
+form. Each inverted step is a link ``(before, after, elems)`` checked once,
+when it is built: ``elems`` lists the grafted monomial elements in the
+order of the bound occurrences they fill, and opening the head binder of
+``before`` along that order must rebuild exactly ``after``
 (``hr_step_along``). The rebuilt term is by definition one addend of the
 linear substitution, so nothing is searched or enumerated. That suffices
 because resource reduction is confluent and terminating, so normal forms do
 not depend on the strategy: each link gives ``nf(before) ⊇ nf(after)``,
 the head-normal node at the bottom of each level of the construction has
 ``t``'s part in its normal form by induction over the monomial elements,
-and the links chain that up to ``nf(s)``. When a link fails, the check
-falls back to normalizing ``s`` in full, so the accepted set is exactly
-that of the normalizing check.
+and the links chain that up to ``nf(s)``.
+
+A step that cannot be inverted, or whose link does not hold, is a defect:
+the lift stops there, and the check ends inconclusive with a reason that
+names the target and the term before that step (``LiftSession.failed``).
 
 The tree targets of one commutation check share a ``LiftSession``, whose
 methods do the lifting: a head-normalization run per (subterm, stack)
-(``head_run``) and a sub-lift, with whether its links held, per
-(approximant, subterm, stack) (``lift``). A failed link below a
-shared sub-lift sends every ancestor that reuses it to the fallback. The
+(``head_run``) and a sub-lift per (approximant, subterm, stack) (``lift``);
+a failed sub-lift leaves every target that reuses it unlifted. The
 top-level chain of each target is built and checked from the same session:
 un-substitution, certificate rebuild and approximation test are memoized
 per subterm, so every link is still checked but no subterm twice.
@@ -359,28 +357,25 @@ def _link_holds(
     return hr_step_along(before, elems, memo) is after
 
 
-_NO_LIFT: tuple[Optional[ResourceTerm], bool] = (None, False)
-
-
 class LiftSession:
     """Lifting work shared by the tree targets of one commutation check.
 
     ``runs`` keeps head-normalization runs by ``(m, stack)``, as the
-    head forms of the run's steps and of its result, and
-    ``lifts`` keeps sub-lifts by ``(u, m, stack)`` as ``(node,
-    verified)``, where ``verified`` says that every link built below the
-    node held. The top-level chain of each target is a walk over shared
-    subterms through three more memos: ``unsubst`` for ``_anti_subst``,
-    ``rebuilt`` for the certificate rebuild (``open_along``) and ``approx``
-    for ``approximates``; their keys are given there. A session serves a
-    single target at a single fuel, so neither is part of a key, and it
-    lives as long as one check; the methods take both as arguments.
-    ``shared`` counts the sub-lifts served from the session instead of
-    being built. ``failed_step`` is the term before the first head step
-    that could not be inverted, if any.
+    head forms of the run's steps and of its result, and ``lifts`` keeps
+    sub-lifts by ``(u, m, stack)``: the node built, whose links all held,
+    or None when ``u`` did not lift. The top-level chain of each target is
+    a walk over shared subterms through three more memos: ``unsubst`` for
+    ``_anti_subst``, ``rebuilt`` for the certificate rebuild
+    (``open_along``) and ``approx`` for ``approximates``; their keys are
+    given there. A session serves a single target at a single fuel, so
+    neither is part of a key, and it lives as long as one check; the
+    methods take both as arguments. ``shared`` counts the sub-lifts served
+    from the session instead of being built. ``failed`` is the first head
+    step that ended a lift, if any: the term before it, and whether it
+    "could not be inverted" or "failed its link check".
     """
 
-    __slots__ = ("runs", "lifts", "shared", "unsubst", "rebuilt", "approx", "failed_step")
+    __slots__ = ("runs", "lifts", "shared", "unsubst", "rebuilt", "approx", "failed")
 
     def __init__(self) -> None:
         self.runs: dict = {}
@@ -389,7 +384,7 @@ class LiftSession:
         self.unsubst: dict = {}
         self.rebuilt: dict = {}
         self.approx: dict = {}
-        self.failed_step: Optional[Term] = None
+        self.failed: Optional[tuple[Term, str]] = None
 
     def head_run(self, m: Term, stack: tuple[str, ...], fuel: int, system: Optional[RationalSystem]):
         key = (m, stack)
@@ -404,11 +399,11 @@ class LiftSession:
 
     def lift(
         self, u: ResourceTerm, m: Term, stack: tuple[str, ...], fuel: int, system: Optional[RationalSystem]
-    ) -> tuple[Optional[ResourceTerm], bool]:
+    ) -> Optional[ResourceTerm]:
         """The sub-lift of ``u`` against ``m`` under ``stack``, built once."""
         key = (u, m, stack)
-        got = self.lifts.get(key)
-        if got is None:
+        got = self.lifts.get(key, _UNSEEN)
+        if got is _UNSEEN:
             got = self.lifts[key] = self._build(u, m, stack, fuel, system)
         else:
             self.shared += 1
@@ -416,53 +411,51 @@ class LiftSession:
 
     def _build(
         self, u: ResourceTerm, m: Term, stack: tuple[str, ...], fuel: int, system: Optional[RationalSystem]
-    ) -> tuple[Optional[ResourceTerm], bool]:
+    ) -> Optional[ResourceTerm]:
         run = self.head_run(m, stack, fuel, system)
         if run is None:
-            return _NO_LIFT
+            return None
         steps, hf = run
         peeled = peel(u, len(hf.binders), len(hf.spine))
         if peeled is None:
-            return _NO_LIFT
+            return None
         body, monos = peeled
         if isinstance(hf.head, Var):
             if not (isinstance(body, RVar) and body.index == hf.head.index):
-                return _NO_LIFT
+                return None
         elif isinstance(hf.head, FreeVar):
             if not (isinstance(body, RFreeVar) and body.name == hf.head.name):
-                return _NO_LIFT
+                return None
         else:
-            return _NO_LIFT
+            return None
         inner = tuple(reversed(hf.binders)) + stack
-        verified = True
         lifted_monos = []
         for q, mono in zip(hf.spine, monos):
             elems = []
             for e in mono:
-                lifted, ok = self.lift(e, q, inner, fuel, system)
+                lifted = self.lift(e, q, inner, fuel, system)
                 if lifted is None:
-                    return _NO_LIFT
-                verified = verified and ok
+                    return None
                 elems.append(lifted)
             lifted_monos.append(monomial(elems))
         node = rewrap(body, len(hf.binders), lifted_monos)
         for step_hf in reversed(steps):
             step = _lift_one_step(node, step_hf, stack, system, self.unsubst)
-            if step is None:
-                if self.failed_step is None:
-                    self.failed_step = step_hf.rebuild()
-                return _NO_LIFT
-            lifted, grafted = step
-            verified = verified and _link_holds(lifted, node, grafted, self.rebuilt)
-            node = lifted
-        return node, verified
+            if step is None or not _link_holds(step[0], node, step[1], self.rebuilt):
+                if self.failed is None:
+                    why = "could not be inverted" if step is None else "failed its link check"
+                    self.failed = (step_hf.rebuild(), why)
+                return None
+            node = step[0]
+        return node
 
 
 def _unlifted(t: ResourceTerm, session: LiftSession) -> str:
     """Why no ancestor of ``t`` was found, for an inconclusive verdict."""
     reason = f"no ancestor lifted for {pretty_resource(t)}"
-    if session.failed_step is not None:
-        reason += f": the head step from {pretty(session.failed_step)} could not be inverted"
+    if session.failed is not None:
+        before, why = session.failed
+        reason += f": the head step from {pretty(before)} {why}"
     return reason
 
 
@@ -472,50 +465,22 @@ def lift_to_source(
     fuel: int,
     session: Optional[LiftSession] = None,
 ) -> Optional[ResourceTerm]:
-    """Construct an approximant of ``target`` whose normal form contains
-    ``t``, given that ``t`` approximates the target's Boehm tree.
+    """An approximant of ``target`` whose normal form contains ``t``, or
+    None; ``t`` should approximate the target's Boehm tree.
 
-    Every inverted head step is checked once, when it is built, against
-    its certificate (``_link_holds``), at every level of the construction,
-    monomial elements included; the outcome is recorded in ``session``.
-    Callers must still check approximation, and membership in the normal
-    form when a link failed. Without a session nothing is shared.
+    The ancestor is ``t``'s own lift. Every inverted head step in it, at
+    every level of the construction, monomial elements included, held its
+    link (``_link_holds``) when it was built, and the whole ancestor
+    approximates ``target``. A ``session`` shares the lifting work between
+    calls for the same target and fuel; without one nothing is shared.
     """
     term, system = split_target(target)
     if session is None:
         session = LiftSession()
-    return session.lift(t, term, (), fuel, system)[0]
-
-
-def _verified_ancestor(
-    t: ResourceTerm,
-    target: TermLike,
-    fuel: int,
-    counts: Optional[dict[str, int]] = None,
-    session: Optional[LiftSession] = None,
-) -> Optional[ResourceTerm]:
-    """A constructed approximant of ``target`` whose normal form contains
-    ``t``, or None. ``counts`` tallies how membership was settled:
-    ``replayed_ancestors`` by the links checked during the construction,
-    ``verify_fallbacks`` by normalizing the candidate. A ``session`` shares
-    the lifting work between calls for the same target and fuel."""
-    if session is None:
-        session = LiftSession()
-    s = lift_to_source(t, target, fuel, session)
-    if s is None:
+    s = session.lift(t, term, (), fuel, system)
+    if s is None or not approximates(s, target, session.approx):
         return None
-    if not approximates(s, target, session.approx):
-        return None
-    # the certificate belongs to the lift of ``t`` itself: a candidate
-    # built for anything else is normalized
-    node, verified = session.lifts.get((t, split_target(target)[0], ()), _NO_LIFT)
-    replayed = verified and node is s
-    if counts is not None:
-        key = "replayed_ancestors" if replayed else "verify_fallbacks"
-        counts[key] = counts.get(key, 0) + 1
-    if replayed or t in r_normalize(s):
-        return s
-    return None
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -553,13 +518,12 @@ def check_commutation(target: TermLike, size_bound: int, fuel: int) -> CheckRepo
     prefix = prefixes.get(size_bound + 1) or bohm_tree(target, size_bound + 1, fuel)
     targets = enumerate_taylor(prefix, size_bound)
     constructed = 0
-    verify = {"replayed_ancestors": 0, "verify_fallbacks": 0}
     session = LiftSession()
     unlifted: Optional[str] = None
     for t in targets:
         if t in nf_union:
             continue
-        if _verified_ancestor(t, target, fuel, verify, session) is None:
+        if lift_to_source(t, target, fuel, session) is None:
             unlifted = _unlifted(t, session)
             break
         constructed += 1
@@ -569,7 +533,6 @@ def check_commutation(target: TermLike, size_bound: int, fuel: int) -> CheckRepo
         "normal_addends": len(nf_union),
         "tree_targets": len(targets),
         "constructed_ancestors": constructed,
-        **verify,
         "shared_lifts": session.shared,
     }
     if forward_unknown:
@@ -613,7 +576,7 @@ def check_head_charac(target: TermLike, size_bound: int, fuel: int) -> CheckRepo
             )
         skeleton = _positive_skeleton(run.term, 0)
         session = LiftSession()
-        s0 = _verified_ancestor(skeleton, target, fuel, session=session)
+        s0 = lift_to_source(skeleton, target, fuel, session)
         if s0 is not None:
             stats["constructed"] = True
             return CheckReport("head-characterization", inputs, "pass", witness=pretty_resource(s0), stats=stats)
@@ -705,7 +668,7 @@ def check_norm_charac(
             # a clean prefix has a head normal form at every node down to d
             skeleton = _positive_skeleton(prefix, d)
             session = LiftSession()
-            if _verified_ancestor(skeleton, target, fuel, session=session) is not None:
+            if lift_to_source(skeleton, target, fuel, session) is not None:
                 witness = skeleton
                 how = "constructed"
             elif inconclusive is None:
@@ -744,7 +707,9 @@ def terms_equal_via_taylor(
     m: TermLike, n: TermLike, d_max: int, size_bound: int
 ) -> CheckReport:
     """Evidence of equality: a common d-positive approximant at every
-    d <= d_max. Passing is evidence up to the tested depth, not a proof."""
+    d <= d_max. Passing is evidence up to the tested depth, not a proof.
+    Missing one is no witness of a difference, only a size bound that ran
+    out, so it is inconclusive."""
     inputs = {"left": pretty_target(m), "right": pretty_target(n), "d_max": d_max, "size_bound": size_bound}
     common = sorted(set(enumerate_taylor(m, size_bound)) & set(enumerate_taylor(n, size_bound)))
     evidence = []
@@ -754,8 +719,8 @@ def terms_equal_via_taylor(
             return CheckReport(
                 "equality-via-expansion",
                 inputs,
-                "fail",
-                reason=f"no common {d}-positive approximant within size {size_bound}",
+                "inconclusive",
+                reason=f"no common {d}-positive approximant within size {size_bound}: the size bound ran out",
                 stats={"common": len(common), "evidence": evidence},
             )
         evidence.append({"d": d, "witness": pretty_resource(witness)})

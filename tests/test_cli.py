@@ -231,9 +231,12 @@ def test_check_exit_codes(capsys):
         capsys, "check", "genericity", "*", "(\\x. x x) (\\x. x x)", "\\x. x"
     )
     assert code == 2 and "inconclusive" in out
-    # refutable equality: exit 1
+    # no common approximant within the size bound: inconclusive, exit 2,
+    # on distinct and on beta-equal terms alike
     code, out, _ = run(capsys, "check", "equal", "\\x. x", "\\x. \\y. y", "--size", "6")
-    assert code == 1 and "fail" in out
+    assert code == 2 and "inconclusive" in out
+    code, out, _ = run(capsys, "check", "equal", "\\x. x", "\\x. (\\y. y) x")
+    assert code == 2 and "inconclusive" in out and "size bound ran out" in out
 
 
 def test_check_simulation_cli(capsys):
@@ -340,8 +343,8 @@ def test_commutation_json_counts_verification(capsys):
     code, out, _ = run(capsys, "check", "commutation", "\\f. (\\x. f (x x)) (\\x. f (x x))", "--size", "12", "--json")
     stats = json.loads(out)["stats"]
     assert code == 0
-    assert stats["replayed_ancestors"] == stats["constructed_ancestors"] == 15
-    assert stats["verify_fallbacks"] == 0
+    assert stats["constructed_ancestors"] == 15
+    assert "replayed_ancestors" not in stats and "verify_fallbacks" not in stats
 
 
 def test_internal_error_exit_4(capsys):

@@ -181,10 +181,14 @@ def test_equal_via_taylor():
     y_sys = parse_term("let rec F = f F in \\f. F")
     r = terms_equal_via_taylor(y_sys, y_sys, 3, 10)
     assert r.verdict == "pass"
+    # a missing common approximant is a size bound that ran out, not a
+    # witness of a difference: never a fail, even on beta-equal terms
     r = terms_equal_via_taylor(I, parse_term("\\x. \\y. y"), 3, 8)
-    assert r.verdict == "fail" and "0-positive" in r.reason
+    assert r.verdict == "inconclusive" and "0-positive" in r.reason and "size bound ran out" in r.reason
     r = terms_equal_via_taylor(parse_term("\\x. x y"), parse_term("\\x. x z"), 3, 8)
-    assert r.verdict == "fail" and "1-positive" in r.reason
+    assert r.verdict == "inconclusive" and "1-positive" in r.reason and "size bound ran out" in r.reason
+    r = terms_equal_via_taylor(I, parse_term("\\x. (\\y. y) x"), 5, 10)
+    assert r.verdict == "inconclusive" and "size bound ran out" in r.reason
 
 
 def test_genericity_pass():
@@ -262,7 +266,8 @@ def test_lift_resolves_references_under_the_head_binder():
     m = parse_term("let rec F = x F in \\x. (\\y. F) a")
     report = check_commutation(m, 16, 1000)
     assert report.verdict == "pass"
-    assert report.stats["constructed_ancestors"] == report.stats["replayed_ancestors"] == 48
+    assert report.stats["constructed_ancestors"] == 48
+    assert "replayed_ancestors" not in report.stats and "verify_fallbacks" not in report.stats
     r = check_norm_charac(m, 5, 10, 1000)
     assert r.verdict == "pass"
     assert [lvl["how"] for lvl in r.stats["levels"]][3:] == ["constructed"] * 3

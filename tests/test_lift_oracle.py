@@ -2,15 +2,16 @@
 hold it to the slice search it replaced, kept here as the oracle: the
 normal addends of every approximant up to a wider size bound.
 
-Every tree target of a fuzzed input must lift, and the oracle must agree:
-a target whose lifted ancestor fits the wider bound is among the oracle's
-normal addends."""
+Every tree target of a fuzzed input must lift, and the oracles must agree
+on the inputs where they run: every target is in the normal form of its
+lifted ancestor, and one whose ancestor fits the wider bound is among the
+search's normal addends."""
 
 from random import Random
 
 from taylorlab.beta import bohm_tree
 from taylorlab.gen import random_lambda_term
-from taylorlab.lab import LiftSession, _verified_ancestor, check_commutation
+from taylorlab.lab import LiftSession, check_commutation, lift_to_source
 from taylorlab.resource_reduction import r_normalize
 from taylorlab.selftest import _CORPUS
 from taylorlab.syntax import LambdaError, parse_term
@@ -51,10 +52,12 @@ def _lift_every_target(target, fuel, oracle):
     session = LiftSession()
     wide = search_normal_forms(target, WIDER) if oracle else None
     for t in targets:
-        s = _verified_ancestor(t, target, fuel, session=session)
-        assert s is not None, (str(target), fuel, str(t), session.failed_step)
-        if wide is not None and s.size <= WIDER:
-            assert t in wide, (str(target), fuel, str(t), str(s))
+        s = lift_to_source(t, target, fuel, session)
+        assert s is not None, (str(target), fuel, str(t), session.failed)
+        if wide is not None:
+            assert t in r_normalize(s), (str(target), fuel, str(t), str(s))
+            if s.size <= WIDER:
+                assert t in wide, (str(target), fuel, str(t), str(s))
     return len(targets)
 
 

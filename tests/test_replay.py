@@ -12,7 +12,7 @@ import pytest
 import taylorlab.lab as lab
 from taylorlab.beta import bohm_tree
 from taylorlab.gen import random_resource_term
-from taylorlab.lab import LiftSession, _verified_ancestor, check_commutation, lift_to_source
+from taylorlab.lab import LiftSession, check_commutation, check_head_charac, check_norm_charac, lift_to_source
 from taylorlab.resource import (
     RApp,
     RLam,
@@ -173,19 +173,19 @@ def _corpus_targets(size=10):
 
 
 def test_replay_implies_membership_in_the_normal_form():
-    """Every sub-lift whose links all held has its own target in the
-    normal form of what it built, the top-level ancestors included."""
-    replayed = 0
+    """Slow oracle for the link chain: every stored sub-lift, each one
+    built with all its links held, has its own target in the normal form
+    of what it built, the top-level ancestors included."""
+    lifted = 0
     for term, targets in _corpus_targets():
         session = LiftSession()
         for t in targets:
-            s = lift_to_source(t, term, FUEL, session)
-            if s is not None and session.lifts[(t, term, ())] == (s, True):
-                replayed += 1
-        for (u, _, _), (node, verified) in session.lifts.items():
-            if verified:
+            if lift_to_source(t, term, FUEL, session) is not None:
+                lifted += 1
+        for (u, _, _), node in session.lifts.items():
+            if node is not None:
                 assert u in r_normalize(node)
-    assert replayed >= 40
+    assert lifted >= 40
 
 
 C2 = "(\\f. \\x. f (f x))"
@@ -201,13 +201,11 @@ SESSION_CASES = (
 @pytest.mark.parametrize("src,size", SESSION_CASES)
 def test_shared_session_accepts_what_unshared_lifts_accept(src, size, monkeypatch):
     """Slow reference: a fresh, unshared lift per target. The shared
-    session must accept the same ancestors, settled the same way, while
-    head-normalizing each (subterm, stack) once."""
+    session must accept the same ancestors while head-normalizing each
+    (subterm, stack) once."""
     term = parse_term(src)
     targets = enumerate_taylor(bohm_tree(term, size + 1, FUEL), size)
-    reference, reference_counts = [], {}
-    for t in targets:
-        reference.append(_verified_ancestor(t, term, FUEL, reference_counts))
+    reference = [lift_to_source(t, term, FUEL) for t in targets]
 
     runs = []
     original = lab.head_normalize
@@ -217,10 +215,9 @@ def test_shared_session_accepts_what_unshared_lifts_accept(src, size, monkeypatc
         return original(m, fuel, system, stack)
 
     monkeypatch.setattr(lab, "head_normalize", counting)
-    session, counts = LiftSession(), {}
-    shared = [_verified_ancestor(t, term, FUEL, counts, session) for t in targets]
+    session = LiftSession()
+    shared = [lift_to_source(t, term, FUEL, session) for t in targets]
     assert all(a is b for a, b in zip(shared, reference))
-    assert counts == reference_counts
     assert len(runs) == len(set(runs)) == len(session.runs)
 
 
@@ -230,7 +227,7 @@ def _shared_run(src, size):
     term = parse_term(src)
     targets = list(enumerate_taylor(bohm_tree(term, size + 1, FUEL), size))
     session = LiftSession()
-    ancestors = [_verified_ancestor(t, term, FUEL, None, session) for t in targets]
+    ancestors = [lift_to_source(t, term, FUEL, session) for t in targets]
     return term, targets, session, [s for s in ancestors if s is not None]
 
 
@@ -315,15 +312,11 @@ def _lift_of(t, term):
     return s, session
 
 
-def test_corrupted_link_falls_back_to_normalization(monkeypatch):
+def test_corrupted_link_ends_the_lift(monkeypatch):
     y = parse_term(_CORPUS["Y"])
     t = rp("\\a. <a>[<a>[<a>1]]")
     s, session = _lift_of(t, y)
-    assert s is not None and session.lifts[(t, y, ())] == (s, True)
-
-    clean = {}
-    assert _verified_ancestor(t, y, FUEL, clean) is s
-    assert clean == {"replayed_ancestors": 1}
+    assert s is not None and session.lifts[(t, y, ())] is s and session.failed is None
 
     # links are checked children first: corrupting only the first one
     # breaks a monomial element's lift, which the ancestor must inherit
@@ -335,21 +328,20 @@ def test_corrupted_link_falls_back_to_normalization(monkeypatch):
         return original(before, _padding(after.size) if len(checked) == 1 else after, elems, memo)
 
     monkeypatch.setattr(lab, "_link_holds", corrupting)
-    broken = {}
-    assert _verified_ancestor(t, y, FUEL, broken) is s
-    assert broken == {"verify_fallbacks": 1}
-    assert checked[0] in _inside_elements(s)
+    broken, session = _lift_of(t, y)
+    assert broken is None and session.lifts[(t, y, ())] is None
+    assert len(checked) == 1 and checked[0] in _inside_elements(s)
+    assert session.failed[1] == "failed its link check"
 
 
-def test_corrupted_shared_sub_lift_sends_every_reuser_to_the_fallback(monkeypatch):
+def test_corrupted_shared_sub_lift_leaves_every_reuser_unlifted(monkeypatch):
     """Targets that reuse a sub-lift whose link failed inherit the failure
-    from the session, although their own links hold, and the fallback
-    accepts the same ancestors."""
+    from the session, although their own links hold."""
     y = parse_term(_CORPUS["Y"])
     targets = [rp(src) for src in ("\\a. <a>[<a>[<a>1]]", "\\a. <a>[<a>[<a>[<a>1]]]", "\\a. <a>[<a>[<a>1], <a>[<a>1]]")]
-    clean_session, clean = LiftSession(), {}
-    reference = [_verified_ancestor(t, y, FUEL, clean, clean_session) for t in targets]
-    assert clean == {"replayed_ancestors": 3} and clean_session.shared > 0
+    clean_session = LiftSession()
+    reference = [lift_to_source(t, y, FUEL, clean_session) for t in targets]
+    assert None not in reference and clean_session.shared > 0
 
     original = lab._link_holds
     checked = []
@@ -359,17 +351,19 @@ def test_corrupted_shared_sub_lift_sends_every_reuser_to_the_fallback(monkeypatc
         return len(checked) > 1 and original(before, after, elems, memo)
 
     monkeypatch.setattr(lab, "_link_holds", corrupting)
-    session, broken = LiftSession(), {}
-    assert [_verified_ancestor(t, y, FUEL, broken, session) for t in targets] == reference
-    assert broken == {"verify_fallbacks": 3}
-    assert session.shared == clean_session.shared
+    session = LiftSession()
+    assert [lift_to_source(t, y, FUEL, session) for t in targets] == [None] * len(targets)
+    # the failed sub-lift is built and checked once, then served to each
+    # reuser; a lift stops at its first unlifted element, so the last
+    # target reads it once where the clean run reads both its elements
+    assert len(checked) == 1
+    assert session.shared == len(targets) - 1 == clean_session.shared - 1
     assert all(checked[0] in _inside_elements(s) for s in reference)
 
 
-def test_corrupted_certificate_falls_back_to_normalization(monkeypatch):
+def test_corrupted_certificate_ends_the_lift(monkeypatch):
     y = parse_term(_CORPUS["Y"])
     t = rp("\\a. <a>[<a>[<a>1]]")
-    s, _ = _lift_of(t, y)
     original = lab._lift_one_step
     wrong = []
 
@@ -381,70 +375,90 @@ def test_corrupted_certificate_falls_back_to_normalization(monkeypatch):
         return lifted, bad
 
     monkeypatch.setattr(lab, "_lift_one_step", reversing)
-    broken = {}
-    assert _verified_ancestor(t, y, FUEL, broken) is s
-    assert wrong and broken == {"verify_fallbacks": 1}
-
-
-def test_fallback_rejects_what_normalization_rejects(monkeypatch):
-    """A candidate lifted for another target is not covered by ``t``'s
-    certificate, even one held in the same session, so the verdict is
-    normalization's, and its normal form misses ``t``."""
-    y = parse_term(_CORPUS["Y"])
-    t = rp("\\a. <a>[<a>1]")
-    wrong = rp("\\a. <a>[<a>[<a>1]]")
-    s = lift_to_source(wrong, y, FUEL)
-    assert t not in r_normalize(s)
-
-    def lift_for_another_target(_t, target, fuel, session=None):
-        return lift_to_source(wrong, target, fuel, session)
-
-    for warm in (False, True):
-        session = LiftSession()
-        if warm:
-            assert lift_to_source(t, y, FUEL, session) is not None
-        with monkeypatch.context() as patch:
-            patch.setattr(lab, "lift_to_source", lift_for_another_target)
-            counts = {}
-            assert _verified_ancestor(t, y, FUEL, counts, session) is None
-        assert counts == {"verify_fallbacks": 1}
+    s, session = _lift_of(t, y)
+    assert s is None and wrong
+    assert session.failed[1] == "failed its link check"
 
 
 @pytest.mark.parametrize(
-    "src,size",
-    [(_CORPUS["Y"], 14), (_CORPUS["Yg"], 14), (f"{C2} {C2}", 14), (f"(\\m. \\n. \\f. m (n f)) {C2} {C2}", 14)],
+    "check",
+    [
+        lambda m: check_commutation(m, 14, FUEL),
+        lambda m: check_head_charac(m, 4, FUEL),
+        lambda m: check_norm_charac(m, 3, 6, FUEL),
+    ],
+    ids=["commutation", "head", "norm"],
 )
-def test_commutation_reports_where_verification_went(src, size):
+def test_a_failed_link_is_inconclusive_naming_the_step(check, monkeypatch):
+    """A link that does not hold is a defect of the construction, never a
+    refutation and never a pass."""
+    monkeypatch.setattr(lab, "_link_holds", lambda *args: False)
+    report = check(parse_term(_CORPUS["Y"]))
+    assert report.verdict == "inconclusive"
+    assert "no ancestor lifted for" in report.reason
+    assert ": the head step from " in report.reason and report.reason.endswith(" failed its link check")
+
+
+def test_the_ancestor_is_the_targets_own_lift():
+    """The ancestor returned for ``t`` is the lift the session stores for
+    ``t`` itself, never one built for another target of the same session,
+    whose normal form may miss ``t``."""
+    y = parse_term(_CORPUS["Y"])
+    t = rp("\\a. <a>[<a>1]")
+    other = rp("\\a. <a>[<a>[<a>1]]")
+    for order in ((t, other), (other, t)):
+        session = LiftSession()
+        got = {u: lift_to_source(u, y, FUEL, session) for u in order}
+        for u, s in got.items():
+            assert s is not None and s is session.lifts[(u, y, ())]
+        assert t not in r_normalize(got[other])
+    for term, targets in _corpus_targets():
+        session = LiftSession()
+        for t in targets:
+            s = lift_to_source(t, term, FUEL, session)
+            assert s is None or s is session.lifts[(t, term, ())]
+
+
+@pytest.mark.parametrize(
+    "src,size,constructed",
+    [
+        (_CORPUS["Y"], 14, 35),
+        (_CORPUS["Yg"], 14, 83),
+        (f"{C2} {C2}", 14, 42),
+        (f"(\\m. \\n. \\f. m (n f)) {C2} {C2}", 14, 42),
+    ],
+)
+def test_commutation_reports_where_verification_went(src, size, constructed):
     report = check_commutation(parse_term(src), size, FUEL)
     stats = report.stats
     assert report.verdict == "pass"
-    assert stats["verify_fallbacks"] == 0
-    assert stats["replayed_ancestors"] == stats["constructed_ancestors"] > 0
+    assert stats["constructed_ancestors"] == constructed
+    assert "replayed_ancestors" not in stats and "verify_fallbacks" not in stats
     assert stats["shared_lifts"] > 0
 
 
 # the checks of the commute-cold benchmark workload, with their pinned sizes
 COMMUTE_COLD = [
-    (_CORPUS["Y"], 18, 351, 4, 200),
-    (_CORPUS["Yg"], 17, 424, 2, 200),
-    ("(\\x. \\y. y (x x y)) (\\x. \\y. y (x x y))", 16, 166, 2, 85),
-    (f"{C2} {C2}", 18, 235, 1, 248),
-    (f"(\\m. \\n. \\f. m (n f)) {C2} {C2}", 18, 163, 1, 248),
+    (_CORPUS["Y"], 18, 351, 4, 200, 196),
+    (_CORPUS["Yg"], 17, 424, 2, 200, 198),
+    ("(\\x. \\y. y (x x y)) (\\x. \\y. y (x x y))", 16, 166, 2, 85, 83),
+    (f"{C2} {C2}", 18, 235, 1, 248, 247),
+    (f"(\\m. \\n. \\f. m (n f)) {C2} {C2}", 18, 163, 1, 248, 247),
 ]
 
 
-@pytest.mark.parametrize("src,size,approximants,normal_addends,tree_targets", COMMUTE_COLD)
-def test_commute_cold_instances(src, size, approximants, normal_addends, tree_targets):
+@pytest.mark.parametrize("src,size,approximants,normal_addends,tree_targets,constructed", COMMUTE_COLD)
+def test_commute_cold_instances(src, size, approximants, normal_addends, tree_targets, constructed):
     report = check_commutation(parse_term(src), size, FUEL)
     stats = report.stats
     assert report.verdict == "pass"
-    assert (stats["approximants"], stats["normal_addends"], stats["tree_targets"]) == (
+    assert (stats["approximants"], stats["normal_addends"], stats["tree_targets"], stats["constructed_ancestors"]) == (
         approximants,
         normal_addends,
         tree_targets,
+        constructed,
     )
-    assert stats["constructed_ancestors"] == stats["replayed_ancestors"]
-    assert stats["verify_fallbacks"] == 0
+    assert "replayed_ancestors" not in stats and "verify_fallbacks" not in stats
 
 
 def _live_sessions():
