@@ -318,9 +318,6 @@ class HeadRun:
     trace: tuple[Term, ...] = field(repr=False, default=())
     step_positions: tuple[Position, ...] = field(repr=False, default=())
 
-    def __iter__(self):
-        return iter((self.term, self.verdict))
-
 
 def _captures(hf: HeadForm, names: frozenset[str]) -> bool:
     """Whether firing the head redex would change the binder that a system

@@ -8,7 +8,6 @@ a fixed input and configuration; ``--json`` emits sorted-key JSON.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 from collections import deque
@@ -48,22 +47,20 @@ from .resource_reduction import (
 )
 from .selftest import run_selftest
 from .syntax import (
-    Bottom,
-    FreeVar,
-    Hole,
+    App,
     Lam,
     LambdaError,
+    Naming,
     ParseError,
     RationalSystem,
     Term,
-    Var,
-    App,
     contains_hole,
     parse_term,
     pretty,
     pretty_target,
     split_target,
 )
+from .taylor import enumerate_taylor, enumerate_taylor_context
 
 CUT = "◻"
 
@@ -158,56 +155,46 @@ def _cmd_head(args) -> int:
 
 
 def _bohm_dot(t: Term) -> str:
+    """Graphviz for a tree: a node per binder list, application and leaf, in
+    pre-order, with ``pretty``'s names. One loop on a stack of subterms to
+    draw, with their depth and their parent's list of children, and of
+    nodes whose edges wait for their children."""
+    naming = Naming(t)
     lines = ["digraph bohm {", "  node [shape=plaintext];"]
-    _dot_node(t, (), lines, itertools.count())
+    count = 0
+    stack: list[tuple] = [(t, 0, [])]
+    while stack:
+        item = stack.pop()
+        if len(item) == 2:  # every child of node ``me`` is drawn
+            me, kids = item
+            lines += [f"  n{me} -> n{k};" for k in kids]
+            continue
+        u, depth, siblings = item
+        me, count, kids = count, count + 1, []
+        siblings.append(me)
+        if isinstance(u, Lam):
+            names = []
+            while isinstance(u, Lam):
+                names.append(naming.bind(u, depth))
+                u, depth = u.body, depth + 1
+            lines.append(f'  n{me} [label="\\\\{" ".join(names)}"];')
+            stack += [(me, kids), (u, depth, kids)]
+        elif isinstance(u, App):
+            lines.append(f'  n{me} [label="@"];')
+            stack += [(me, kids), (u.arg, depth, kids), (u.fn, depth, kids)]
+        else:
+            lines.append(f'  n{me} [label="{naming.leaf(u, depth, CUT)}"];')
     lines.append("}")
     return "\n".join(lines)
-
-
-def _dot_node(u: Term, env: tuple[str, ...], lines: list[str], ids) -> int:
-    """Append the lines of ``u``'s node and subtree; returns its number,
-    drawn from ``ids`` in pre-order."""
-    me = next(ids)
-    if isinstance(u, Lam):
-        hints = []
-        while isinstance(u, Lam):
-            hints.append(u.hint)
-            env = (u.hint,) + env
-            u = u.body
-        lines.append(f'  n{me} [label="\\\\{" ".join(hints)}"];')
-        child = _dot_node(u, env, lines, ids)
-        lines.append(f"  n{me} -> n{child};")
-        return me
-    if isinstance(u, App):
-        lines.append(f'  n{me} [label="@"];')
-        left = _dot_node(u.fn, env, lines, ids)
-        right = _dot_node(u.arg, env, lines, ids)
-        lines.append(f"  n{me} -> n{left};")
-        lines.append(f"  n{me} -> n{right};")
-        return me
-    lines.append(f'  n{me} [label="{_dot_label(u, env)}"];')
-    return me
-
-
-def _dot_label(u: Term, env: tuple[str, ...]) -> str:
-    if isinstance(u, Var):
-        return env[u.index] if u.index < len(env) else f"#{u.index}"
-    if isinstance(u, FreeVar):
-        return u.name
-    if isinstance(u, Bottom):
-        return "_|_"
-    if isinstance(u, Hole):
-        return CUT
-    return "?"
 
 
 def _cmd_bohm(args) -> int:
     target = parse_term(_read_term_arg(args.term))
     tree = bohm_tree(target, args.depth, args.fuel)
-    text = pretty(tree, cut=CUT)
     if args.dot:
         print(_bohm_dot(tree))
         return 0
+    text = pretty(tree, cut=CUT)
     payload = {
         "input": pretty_target(target),
         "depth": args.depth,
@@ -219,8 +206,6 @@ def _cmd_bohm(args) -> int:
 
 
 def _cmd_taylor(args) -> int:
-    from .taylor import enumerate_taylor, enumerate_taylor_context
-
     target = parse_term(_read_term_arg(args.term))
     if not isinstance(target, RationalSystem) and contains_hole(target):
         terms = enumerate_taylor_context(target, args.size, args.depth)
@@ -237,8 +222,6 @@ def _cmd_taylor(args) -> int:
 
 
 def _cmd_nf_taylor(args) -> int:
-    from .taylor import enumerate_taylor
-
     target = parse_term(_read_term_arg(args.term))
     sl = enumerate_taylor(target, args.size, args.depth)
     normal = r_normalize(sl)

@@ -650,19 +650,13 @@ def check_norm_charac(
     inputs = {"term": pretty_target(target), "d_max": d_max, "size_bound": size_bound, "fuel": fuel}
     prefix = bohm_tree(target, d_max + 1, fuel)
     sl = enumerate_taylor(target, size_bound)
-    nf_terms: list[ResourceTerm] = []
-    seen: set[ResourceTerm] = set()
-    for s in sl:
-        for t in r_normalize(s):
-            if t not in seen:
-                seen.add(t)
-                nf_terms.append(t)
+    normal = r_normalize(sl)
     levels = []
     failed = None
     inconclusive = None
     for d in range(d_max + 1):
         status = _prefix_status(prefix, d)
-        witness = next((t for t in sorted(nf_terms) if is_d_positive(t, d)), None)
+        witness = next((t for t in normal if is_d_positive(t, d)), None)
         how = "slice" if witness is not None else None
         if witness is None and status == "ok":
             # a clean prefix has a head normal form at every node down to d

@@ -506,67 +506,61 @@ def is_d_positive(t: ResourceTerm, d: int) -> bool:
 # ---------------------------------------------------------------------------
 # Printing
 
-_NAME_ALPHABET = "abcdefghijklmnopqrstuvwxyz"
-
-
-def _collect_free(t: ResourceTerm | Monomial, acc: set[str]) -> None:
-    if isinstance(t, Monomial):
-        for e in t:
-            _collect_free(e, acc)
-    elif isinstance(t, RFreeVar):
-        acc.add(t.name)
-    elif isinstance(t, RLam):
-        _collect_free(t.body, acc)
-    elif isinstance(t, RApp):
-        _collect_free(t.fn, acc)
-        _collect_free(t.mono, acc)
-
-
-def _binder_name(depth: int, taken: set[str]) -> str:
-    base = _NAME_ALPHABET[depth % 26]
-    suffix = depth // 26
-    name = base if suffix == 0 else f"{base}{suffix}"
-    while name in taken:
-        name += "'"
-    return name
-
-
 def pretty_resource(t: ResourceTerm) -> str:
+    """A binder is named after its depth (``a`` to ``z``, then ``a1``...),
+    primed past the free names of ``t``. One loop collects those, and one
+    prints from a stack of texts and of subterms with their binder depth."""
     taken: set[str] = set()
-    _collect_free(t, taken)
-    return _render(t, (), True, taken)
-
-
-def _render(u: ResourceTerm, env: tuple[str, ...], under_lam_ok: bool, taken: set[str]) -> str:
-    if isinstance(u, RVar):
-        return env[u.index] if u.index < len(env) else f"#{u.index}"
-    if isinstance(u, RFreeVar):
-        return u.name
-    if isinstance(u, RHole):
-        return "*"
-    if isinstance(u, RLam):
-        name = _binder_name(len(env), taken)
-        body = _render(u.body, (name,) + env, True, taken)
-        out = f"\\{name}. {body}"
-        return out if under_lam_ok else f"({out})"
-    if isinstance(u, RApp):
-        fn = _render(u.fn, env, True, taken)  # the angle brackets already delimit
-        if len(u.mono) == 0:
-            return f"<{fn}>1"
-        return f"<{fn}>[" + ", ".join(_render(e, env, True, taken) for e in u.mono) + "]"
-    raise TypeError(f"not a resource term: {u!r}")
+    todo = [t]
+    while todo:
+        u = todo.pop()
+        if isinstance(u, RApp):
+            todo += (u.fn, *u.mono.elems)
+        elif isinstance(u, RLam):
+            todo.append(u.body)
+        elif isinstance(u, RFreeVar):
+            taken.add(u.name)
+    names: list[str] = []  # the binder name at each depth
+    out: list[str] = []
+    stack: list = [(t, 0)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        u, depth = item
+        if isinstance(u, RVar):
+            out.append(names[depth - 1 - u.index] if u.index < depth else f"#{u.index}")
+        elif isinstance(u, RFreeVar):
+            out.append(u.name)
+        elif isinstance(u, RHole):
+            out.append("*")
+        elif isinstance(u, RLam):
+            if depth == len(names):
+                name = "abcdefghijklmnopqrstuvwxyz"[depth % 26] + (str(depth // 26) if depth >= 26 else "")
+                while name in taken:
+                    name += "'"
+                names.append(name)
+            out.append(f"\\{names[depth]}. ")
+            stack.append((u.body, depth + 1))
+        elif isinstance(u, RApp):
+            elems = u.mono.elems
+            stack.append("]" if elems else ">1")
+            for k in range(len(elems) - 1, -1, -1):
+                stack += [(elems[k], depth), ", " if k else ">["]
+            stack.append((u.fn, depth))  # the angle brackets already delimit it
+            out.append("<")
+        else:
+            raise TypeError(f"not a resource term: {u!r}")
+    return "".join(out)
 
 
 def pretty_monomial(m: Monomial) -> str:
-    if len(m) == 0:
-        return "1"
-    return "[" + ", ".join(pretty_resource(e) for e in m) + "]"
+    return "[" + ", ".join(map(pretty_resource, m)) + "]" if len(m) else "1"
 
 
 def pretty_sum(s: FiniteSum) -> str:
-    if not s:
-        return "0"
-    return " + ".join(pretty_resource(t) for t in s)
+    return " + ".join(map(pretty_resource, s)) if s else "0"
 
 
 # ---------------------------------------------------------------------------
@@ -595,70 +589,86 @@ _R_PUNCT = {
 _R_PATTERN = token_pattern(_R_PUNCT)
 
 
-class _RParser(Tokens):
-    """The resource grammar, read from the shared token cursor. Each method
-    gets the first token of what it reads already taken."""
-
-    def term(self, tok: str, env: tuple[str, ...]) -> ResourceTerm:
-        take = self.take
-        if tok == "<" or tok == "⟨":
-            fn = self.term(take(), env)
-            tok = take()
-            if tok != ">":
-                self.check(tok, "GT")
-            return rapp(fn, self.mono(take(), env))
-        if tok not in _R_PUNCT and tok:
-            return rvar(env.index(tok)) if tok in env else rfvar(tok)
-        if tok == "\\" or tok == "λ":
-            names = self.binders()
-            body = self.term(take(), names + env)
-            for _ in names:
-                body = rlam(body)
-            return body
-        if tok == "*":
-            return HOLE_R
-        if tok == "(":
-            inner = self.term(take(), env)
-            self.expect("RP")
-            return inner
-        raise self.error(f"expected a resource term, found {tok or 'end of input'!r}", self.i - 1)
-
-    def mono(self, tok: str, env: tuple[str, ...]) -> Monomial:
-        if tok == "[":
-            take = self.take
-            tok = take()
-            if tok == "]":
-                return ONE
-            elems = [self.term(tok, env)]
-            tok = take()
-            while tok == ",":
-                elems.append(self.term(take(), env))
+def _read(toks: Tokens, tok: str, mono: bool = False) -> Union[ResourceTerm, Monomial]:
+    """The resource term whose first token ``tok`` is already taken, or with
+    ``mono`` the monomial. One loop on a stack of the open constructs: ``<``
+    or ``(``, a binder list's names, and a monomial's function (None for a
+    monomial alone) followed by its elements so far."""
+    take, scope, punct = toks.take, toks.scope, _R_PUNCT
+    stack: list = []
+    fn = None
+    while True:
+        if mono:  # the monomial of ``fn``
+            mono = False
+            if tok == "[":
                 tok = take()
-            if tok != "]":
-                self.check(tok, "RB")
-            return monomial(elems)
-        if tok == "1":
-            return ONE
-        raise self.error(f"expected a monomial, found {tok or 'end of input'!r}", self.i - 1)
+                if tok != "]":
+                    stack.append([fn])
+                    continue
+            elif tok != "1":
+                raise toks.error(f"expected a monomial, found {tok or 'end of input'!r}", toks.i - 1)
+            t = ONE if fn is None else rapp(fn, ONE)
+        elif tok not in punct and tok:
+            depths = scope.get(tok)
+            t = rvar(toks.depth - 1 - depths[-1]) if depths else rfvar(tok)
+        elif tok == "<" or tok == "⟨" or tok == "(":
+            stack.append(tok)
+            tok = take()
+            continue
+        elif tok == "\\" or tok == "λ":
+            stack.append(toks.binders())
+            tok = take()
+            continue
+        elif tok == "*":
+            t = HOLE_R
+        else:
+            raise toks.error(f"expected a resource term, found {tok or 'end of input'!r}", toks.i - 1)
+        # ``t`` is read: close what it ends
+        while stack:
+            top = stack.pop()
+            if type(top) is list:  # an element of a monomial
+                top.append(t)
+                tok = take()
+                if tok == ",":
+                    stack.append(top)
+                    tok = take()
+                    break
+                if tok != "]":
+                    toks.check(tok, "RB")
+                t = monomial(top[1:]) if top[0] is None else rapp(top[0], monomial(top[1:]))
+            elif type(top) is tuple:  # a binder list's body
+                toks.unbind(top)
+                for _ in top:
+                    t = rlam(t)
+            elif top == "(":
+                toks.expect("RP")
+            else:  # the function of an application
+                tok = take()
+                if tok != ">":
+                    toks.check(tok, "GT")
+                fn, mono, tok = t, True, take()
+                break
+        else:
+            return t
 
 
 def parse_resource_term(text: str) -> ResourceTerm:
-    p = _RParser(text, _R_PATTERN, _R_PUNCT)
-    return p.end(p.term(p.take(), ()))
+    toks = Tokens(text, _R_PATTERN, _R_PUNCT)
+    return toks.end(_read(toks, toks.take()))
 
 
 def parse_resource_monomial(text: str) -> Monomial:
-    p = _RParser(text, _R_PATTERN, _R_PUNCT)
-    return p.end(p.mono(p.take(), ()))
+    toks = Tokens(text, _R_PATTERN, _R_PUNCT)
+    return toks.end(_read(toks, toks.take(), mono=True))
 
 
 def parse_resource_sum(text: str) -> FiniteSum:
-    p = _RParser(text, _R_PATTERN, _R_PUNCT)
-    tok = p.take()
+    toks = Tokens(text, _R_PATTERN, _R_PUNCT)
+    tok = toks.take()
     if tok == "0":
-        return p.end(ZERO)
-    terms = [p.term(tok, ())]
-    while p.peek() == "+":
-        p.take()
-        terms.append(p.term(p.take(), ()))
-    return p.end(FiniteSum(terms))
+        return toks.end(ZERO)
+    terms = [_read(toks, tok)]
+    while toks.peek() == "+":
+        toks.take()
+        terms.append(_read(toks, toks.take()))
+    return toks.end(FiniteSum(terms))

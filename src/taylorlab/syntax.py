@@ -397,41 +397,54 @@ def unfold(target: TermLike, depth: int) -> Term:
 # ---------------------------------------------------------------------------
 # Printing
 
-_PREC_TOP = 0
-_PREC_FUN = 1
-_PREC_ARG = 2
 
+class Naming:
+    """``pretty``'s names for the binders and leaves of one term, met in
+    pre-order with their binder depth. A binder keeps its hint (``x`` if it
+    has none), primed until it differs from ``avoid``, from the free names of
+    its body and from the enclosing binders' names that its body uses."""
 
-def _dangling(t: Term, memo: dict[Term, frozenset[int]]) -> frozenset[int]:
-    got = memo.get(t)
-    if got is not None:
-        return got
-    if isinstance(t, Var):
-        out = frozenset((t.index,))
-    elif isinstance(t, Lam):
-        out = frozenset(k - 1 for k in _dangling(t.body, memo) if k >= 1)
-    elif isinstance(t, App):
-        out = _dangling(t.fn, memo) | _dangling(t.arg, memo)
-    else:
-        out = frozenset()
-    memo[t] = out
-    return out
+    def __init__(self, t: Term, avoid: frozenset[str] = frozenset()):
+        self.avoid = avoid
+        self.names: list[str] = []  # the enclosing binders' names, outermost first
+        # what each node uses from outside, in one set: free names and dangling indices
+        self.uses = uses = {}
+        for u in dict.fromkeys(reversed([u for u, *_ in subterms(t)])):  # children first
+            if isinstance(u, Lam):
+                uses[u] = frozenset(x if type(x) is str else x - 1 for x in uses[u.body] if x != 0)
+            elif isinstance(u, App):
+                uses[u] = uses[u.fn] | uses[u.arg]
+            else:
+                uses[u] = frozenset((u.index,) if isinstance(u, Var) else (u.name,) if isinstance(u, FreeVar) else ())
 
+    def bind(self, lam: Lam, depth: int) -> str:
+        """The name of ``lam``, which ``depth`` binders enclose."""
+        names = self.names
+        taken = set(self.avoid)
+        for x in self.uses[lam]:
+            if type(x) is str:
+                taken.add(x)
+            elif x < depth:
+                taken.add(names[depth - 1 - x])
+        name = lam.hint or "x"
+        while name in taken:
+            name += "'"
+        names[depth:] = [name]
+        return name
 
-def _free_names(t: Term, memo: dict[Term, frozenset[str]]) -> frozenset[str]:
-    got = memo.get(t)
-    if got is not None:
-        return got
-    if isinstance(t, FreeVar):
-        out = frozenset((t.name,))
-    elif isinstance(t, Lam):
-        out = _free_names(t.body, memo)
-    elif isinstance(t, App):
-        out = _free_names(t.fn, memo) | _free_names(t.arg, memo)
-    else:
-        out = frozenset()
-    memo[t] = out
-    return out
+    def leaf(self, u: Term, depth: int, cut: str) -> str:
+        """The text of the leaf ``u``, which ``depth`` binders enclose."""
+        if isinstance(u, Var):
+            return self.names[depth - 1 - u.index] if u.index < depth else f"#{u.index}"
+        if isinstance(u, FreeVar):
+            return u.name
+        if isinstance(u, Bottom):
+            return "_|_"
+        if isinstance(u, Hole):
+            return cut
+        if isinstance(u, RecRef):
+            return u.symbol
+        raise TypeError(f"not a term: {u!r}")
 
 
 def pretty(t: Term, cut: str = "*", avoid: frozenset[str] = frozenset()) -> str:
@@ -440,45 +453,32 @@ def pretty(t: Term, cut: str = "*", avoid: frozenset[str] = frozenset()) -> str:
     ``cut`` selects how holes print ("*" for contexts, "◻" for
     truncated trees). ``avoid`` adds names a binder must not shadow (used
     when printing system equations, whose references must stay references).
+    One loop on a stack of texts and of subterms still to print, each with
+    its binder depth and its place: 0 anywhere, 1 a function, 2 an argument.
     """
-    return _render(t, (), _PREC_TOP, cut, avoid, {}, {})
-
-
-def _render(
-    u: Term,
-    env: tuple[str, ...],
-    prec: int,
-    cut: str,
-    avoid: frozenset[str],
-    dmemo: dict[Term, frozenset[int]],
-    fmemo: dict[Term, frozenset[str]],
-) -> str:
-    if isinstance(u, Var):
-        return env[u.index] if u.index < len(env) else f"#{u.index}"
-    if isinstance(u, FreeVar):
-        return u.name
-    if isinstance(u, Bottom):
-        return "_|_"
-    if isinstance(u, Hole):
-        return cut
-    if isinstance(u, RecRef):
-        return u.symbol
-    if isinstance(u, Lam):
-        taken = set(_free_names(u.body, fmemo)) | set(avoid)
-        for k in _dangling(u.body, dmemo):
-            if k >= 1 and (k - 1) < len(env):
-                taken.add(env[k - 1])
-        name = u.hint or "x"
-        while name in taken:
-            name += "'"
-        body = _render(u.body, (name,) + env, _PREC_TOP, cut, avoid, dmemo, fmemo)
-        out = f"\\{name}. {body}"
-        return f"({out})" if prec > _PREC_TOP else out
-    if isinstance(u, App):
-        fn = _render(u.fn, env, _PREC_FUN, cut, avoid, dmemo, fmemo)
-        out = f"{fn} {_render(u.arg, env, _PREC_ARG, cut, avoid, dmemo, fmemo)}"
-        return f"({out})" if prec > _PREC_FUN else out
-    raise TypeError(f"not a term: {u!r}")
+    naming = Naming(t, avoid)
+    out: list[str] = []
+    stack: list = [(t, 0, 0)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        u, depth, place = item
+        if isinstance(u, Lam):
+            if place:
+                out.append("(")
+                stack.append(")")
+            out.append(f"\\{naming.bind(u, depth)}. ")
+            stack.append((u.body, depth + 1, 0))
+        elif isinstance(u, App):
+            if place == 2:
+                out.append("(")
+                stack.append(")")
+            stack += [(u.arg, depth, 2), " ", (u.fn, depth, 1)]
+        else:
+            out.append(naming.leaf(u, depth, cut))
+    return "".join(out)
 
 
 def pretty_system(system: RationalSystem, cut: str = "*") -> str:
@@ -522,12 +522,15 @@ class Tokens:
     ``""``. ``kinds`` maps each punctuation spelling and keyword to its kind;
     every other token is an identifier. ``take()`` reads the next token and
     ``i`` counts the tokens read. A token's offset is recomputed only for an
-    error message."""
+    error message. It also keeps the ``depth`` binders in scope and, in
+    ``scope``, the depths of those that bind each name."""
 
     def __init__(self, text: str, pattern: re.Pattern, kinds: dict[str, str]):
         self.text = text
         self.pattern = pattern
         self.kinds = kinds
+        self.scope: dict[str, list[int]] = {}
+        self.depth = 0
         self.toks = toks = pattern.findall(text)
         # the pattern skips what it cannot read: whitespace, or a bad character
         if len("".join(toks)) != len("".join(text.split())) or not (
@@ -580,15 +583,24 @@ class Tokens:
         return self.check(self.take(), kind)
 
     def binders(self) -> tuple[str, ...]:
-        """Read the rest of a binder list ``\\x y.`` once its ``\\`` is read;
-        return the names innermost first."""
+        """Read the rest of a binder list ``\\x y.`` once its ``\\`` is read,
+        and bring its names into scope; return them innermost first."""
         names = [self.expect("IDENT")]
         tok = self.take()
         while tok and tok not in self.kinds:
             names.append(tok)
             tok = self.take()
         self.check(tok, "DOT")
+        for name in names:
+            self.scope.setdefault(name, []).append(self.depth)
+            self.depth += 1
         return tuple(reversed(names))
+
+    def unbind(self, names: tuple[str, ...]) -> None:
+        """Take the names of a binder list out of scope again."""
+        for name in names:
+            self.scope[name].pop()
+        self.depth -= len(names)
 
     def end(self, result: _T) -> _T:
         """Return ``result`` once every token is read; reject trailing input."""
@@ -613,8 +625,6 @@ _PUNCT = {
 }
 _KINDS = {**_PUNCT, **{word: word.upper() for word in ("let", "rec", "and", "in")}}
 _PATTERN = token_pattern(_PUNCT)
-_LAMBDAS = frozenset(("\\", "λ"))
-_ATOM_STARTS = frozenset(("(", "⊥", "_|_", "*", "◻", "?")) | _LAMBDAS
 
 
 def parse_term(text: str) -> Term | RationalSystem:
@@ -628,7 +638,7 @@ def parse_term(text: str) -> Term | RationalSystem:
     toks = Tokens(text, _PATTERN, _KINDS)
     if toks.peek() == "let":
         return _parse_letrec(toks)
-    return toks.end(_parse_lam(toks, (), frozenset()))
+    return toks.end(_read_term(toks, frozenset()))
 
 
 def _parse_letrec(toks: Tokens) -> RationalSystem:
@@ -644,12 +654,12 @@ def _parse_letrec(toks: Tokens) -> RationalSystem:
         toks.expect("EQ")
         if sym in equations:
             raise toks.error(f"duplicate equation for {sym}", toks.i)
-        equations[sym] = _parse_lam(toks, (), rec)
+        equations[sym] = _read_term(toks, rec)
         if toks.peek() != "and":
             break
         toks.take()
     toks.expect("IN")
-    root_body = toks.end(_parse_lam(toks, (), rec))
+    root_body = toks.end(_read_term(toks, rec))
     if isinstance(root_body, RecRef):
         return RationalSystem(equations, root_body.symbol)
     root = "it"
@@ -659,41 +669,43 @@ def _parse_letrec(toks: Tokens) -> RationalSystem:
     return RationalSystem(equations, root, _synthetic_root=True)
 
 
-def _parse_lam(toks: Tokens, env: tuple[str, ...], rec: frozenset[str]) -> Term:
-    if toks.peek() in _LAMBDAS:
-        toks.take()
-        names = toks.binders()
-        body = _parse_lam(toks, names + env, rec)
-        for name in names:
-            body = Lam(name, body)
-        return body
-    return _parse_app(toks, env, rec)
-
-
-def _parse_app(toks: Tokens, env: tuple[str, ...], rec: frozenset[str]) -> Term:
-    out = _parse_atom(toks, env, rec)
-    while toks.peek() in _ATOM_STARTS or toks.kind(toks.peek()) == "IDENT":
-        out = App(out, _parse_atom(toks, env, rec))
-    return out
-
-
-def _parse_atom(toks: Tokens, env: tuple[str, ...], rec: frozenset[str]) -> Term:
-    tok = toks.peek()
-    if tok in _LAMBDAS:
-        return _parse_lam(toks, env, rec)
-    toks.take()
-    if toks.kind(tok) == "IDENT":
-        if tok in env:
-            return Var(env.index(tok))
-        if tok in rec:
-            return RecRef(tok)
-        return FreeVar(tok)
-    if tok == "⊥" or tok == "_|_":
-        return BOTTOM
-    if tok == "*" or tok == "◻" or tok == "?":
-        return HOLE
-    if tok == "(":
-        inner = _parse_lam(toks, env, rec)
-        toks.expect("RP")
-        return inner
-    raise toks.error(f"expected a term, found {tok or 'end of input'!r}", toks.i - 1)
+def _read_term(toks: Tokens, rec: frozenset[str]) -> Term:
+    """Read a term: a binder list reaches as far right as it can, and
+    application is juxtaposition, left-associative. One loop on a stack of
+    the open binder lists and parentheses with the applications they cut."""
+    stack: list[tuple] = []
+    out: Optional[Term] = None  # the application read so far at this level
+    while True:
+        tok = toks.peek()
+        kind = toks.kind(tok)
+        if kind == "IDENT" or kind == "BOT" or kind == "HOLE":
+            toks.take()
+            if kind == "IDENT":
+                depths = toks.scope.get(tok)
+                atom = Var(toks.depth - 1 - depths[-1]) if depths else RecRef(tok) if tok in rec else FreeVar(tok)
+            else:
+                atom = BOTTOM if kind == "BOT" else HOLE
+            out = atom if out is None else App(out, atom)
+            continue
+        if kind == "LAM" or kind == "LP":
+            toks.take()
+            stack.append((toks.binders() if kind == "LAM" else None, out))
+            out = None
+            continue
+        # ``tok`` ends the innermost open level
+        if out is None:
+            toks.take()
+            raise toks.error(f"expected a term, found {tok or 'end of input'!r}", toks.i - 1)
+        while stack:
+            names, outer = stack.pop()
+            if names is None:
+                toks.expect("RP")
+                out = out if outer is None else App(outer, out)
+                break  # the level around the parentheses reads on
+            toks.unbind(names)
+            for name in names:
+                out = Lam(name, out)
+            # the token that ends a binder's body ends the level around it too
+            out = out if outer is None else App(outer, out)
+        else:
+            return out

@@ -10,7 +10,7 @@ import pytest
 import taylorlab
 from taylorlab.cli import main
 from taylorlab.gen import random_resource_term
-from taylorlab.resource import FiniteSum, pretty_sum
+from taylorlab.resource import FiniteSum, parse_resource_term, pretty_sum
 from taylorlab.resource_reduction import r_normalize
 
 YSRC = "let rec F = f F in \\f. F"
@@ -52,6 +52,13 @@ def test_bohm_spec_example(capsys):
 def test_bohm_dot(capsys):
     code, out, _ = run(capsys, "bohm", "\\x. x y", "--dot")
     assert code == 0 and out.startswith("digraph bohm {") and "@" in out
+    # the binder's hint clashes with the free name: the graph names it as
+    # the text does, so it is not drawn as the identity
+    code, out, _ = run(capsys, "bohm", "(\\y. \\x. y) x")
+    assert code == 0 and out.strip() == "\\x'. x"
+    code, out, _ = run(capsys, "bohm", "(\\y. \\x. y) x", "--dot")
+    assert code == 0
+    assert '  n0 [label="\\\\x\'"];' in out.splitlines() and '  n1 [label="x"];' in out.splitlines()
 
 
 def test_taylor_listing(capsys):
@@ -349,11 +356,45 @@ def test_commutation_json_counts_verification(capsys):
 
 def test_internal_error_exit_4(capsys):
     """A term nested deeper than the recursive engines reach is an internal
-    error: one line on stderr and exit 4, never a traceback with exit 1."""
-    deep = "f (" * 1500 + "x" + ")" * 1500
-    code, out, err = run(capsys, "check", "commutation", deep, "--size", "4")
+    error: one line on stderr and exit 4, never a traceback with exit 1.
+    The resource substitution engines still recurse."""
+    deep = "\\a. " * 1500 + "x"
+    code, out, err = run(capsys, "rsubst", deep, "x", "[y]")
     assert code == 4 and out == ""
     assert err.startswith("internal error: RecursionError") and err.count("\n") == 1
+
+
+DEEP = 10_000
+DEEP_TERMS = {
+    "parentheses": "(" * DEEP + "x" + ")" * DEEP,
+    "binders": "\\x. " * DEEP + "x",
+    "arguments": "f" + " x" * DEEP,
+}
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP_TERMS))
+@pytest.mark.parametrize(
+    "argv",
+    [["parse"], ["head"], ["bohm"], ["bohm", "--dot"], ["taylor"], ["check", "commutation", "--size", "6"]],
+    ids=" ".join,
+)
+def test_deep_input_is_no_internal_error(capsys, argv, shape):
+    """The parsers and printers loop on explicit stacks, so a term 10,000
+    deep reads, prints and checks like a shallow one."""
+    at = 2 if argv[0] == "check" else 1
+    code, out, err = run(capsys, *argv[:at], DEEP_TERMS[shape], *argv[at:])
+    assert code in (0, 2) and out and err == ""
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["\\a. " * DEEP + "a", "<" * DEEP + "x" + ">1" * DEEP, "<x>[" * DEEP + "x" + "]" * DEEP],
+    ids=["binders", "applications", "monomials"],
+)
+def test_deep_resource_input_normalizes(capsys, text):
+    code, out, _ = run(capsys, "rnf", text)
+    assert code == 0 and out.startswith("normal form: ")
+    assert parse_resource_term(out.removeprefix("normal form: ")) is parse_resource_term(text)
 
 
 # Runs the CLI after allocating, and partly freeing, ``argv[1]`` junk lists,

@@ -1,8 +1,9 @@
 """Every λ-side map and fold on terms 10,000 deep: binder chains, argument
 lists and nested arguments, and ``beta_step`` and ``head_normalize`` on top of
-them, and ``alpha_eq``. Python's recursion limit is about 1,000, so none of
-these may recurse on the term. Results are checked by walking them with
-loops (printing still recurses) or by identity, since nodes are hash-consed."""
+them, and ``alpha_eq``; and parse→print round trips of both grammars as deep.
+Python's recursion limit is about 1,000, so none of these may recurse on the
+term. Results are checked by walking them with loops or by identity, since
+nodes are hash-consed."""
 
 from taylorlab.beta import (
     _shift,
@@ -15,6 +16,7 @@ from taylorlab.beta import (
     replace_at,
 )
 from taylorlab.lab import _prefix_status
+from taylorlab.resource import ONE, monomial, parse_resource_term, pretty_resource, rapp, rfvar, rlam, rvar
 from taylorlab.syntax import (
     BOTTOM,
     HOLE,
@@ -28,6 +30,8 @@ from taylorlab.syntax import (
     alpha_eq,
     bind_free,
     context_fill,
+    parse_term,
+    pretty,
     unfold,
 )
 
@@ -140,3 +144,36 @@ def test_deep_alpha_eq():
     assert a is not deep("y", Var(N - 1)) and alpha_eq(a, deep("y", Var(N - 1)))
     assert not alpha_eq(a, deep("x", Var(N - 2)))
     assert not alpha_eq(a, deep("x", App(X, X)))
+
+
+def test_deep_lambda_round_trips():
+    f = FreeVar("f")
+    arg_binders = X
+    for _ in range(N):
+        arg_binders = App(f, Lam("x", arg_binders))
+    terms = {
+        "binders": binders(Var(0)),
+        "binders renamed": binders(Var(N - 1)),  # every inner binder is printed x'
+        "binders over a free name": binders(X),
+        "argument list": power_apply(f, X, N),
+        "nested arguments": power_tail(X, N),
+        "binders in arguments": arg_binders,
+    }
+    for name, t in terms.items():
+        text = pretty(t)
+        back = parse_term(text)
+        assert alpha_eq(back, t) and pretty(back) == text, name
+    assert pretty(terms["binders renamed"]).startswith("\\x. \\x'. \\x'.")
+    assert parse_term(pretty(terms["nested arguments"])) is terms["nested arguments"]
+    assert parse_term("(" * N + "x" + ")" * N) is X
+    assert parse_term("(" * N + "\\x. " * N + "x" + ")" * N) is terms["binders"]
+
+
+def test_deep_resource_round_trips():
+    x = rfvar("x")
+    terms = [rvar(N - 1), x, rapp(x, ONE)]
+    for _ in range(N):
+        terms = [rlam(terms[0]), rapp(terms[1], ONE), rapp(x, monomial([terms[2], x]))]
+    for t in terms:
+        assert parse_resource_term(pretty_resource(t)) is t
+    assert parse_resource_term("(" * N + "x" + ")" * N) is x

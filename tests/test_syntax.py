@@ -13,7 +13,6 @@ from taylorlab.syntax import (
     RationalSystem,
     RecRef,
     Var,
-    _free_names,
     alpha_eq,
     bind_free,
     context_fill,
@@ -21,6 +20,7 @@ from taylorlab.syntax import (
     pretty,
     pretty_system,
     rebuild,
+    subterms,
     unfold,
 )
 
@@ -90,9 +90,13 @@ def test_subst_base_cases():
     assert _beta_subst(App(FreeVar("x"), FreeVar("x")), "x", I) == App(I, I)
 
 
+def _free_names(t):
+    return {u.name for u, *_ in subterms(t) if isinstance(u, FreeVar)}
+
+
 def _system_free_names(target):
     # every free name of a system shows within its first few unfoldings here
-    return set(_free_names(unfold(target, 4), {}))
+    return _free_names(unfold(target, 4))
 
 
 def test_free_vars():
@@ -253,7 +257,7 @@ def _from_named(named, env):
 @given(lambda_terms(), lambda_terms(max_depth=3), names)
 def test_subst_matches_naive_reference_on_closed(m, n, x):
     n = _close(n)
-    assert not _free_names(n, {})
+    assert not _free_names(n)
     got = _beta_subst(m, x, n)
     expected = _from_named(_naive_subst(_to_named(m, ()), x, _to_named(n, ())), ())
     assert alpha_eq(got, expected)

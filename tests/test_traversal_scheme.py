@@ -1,19 +1,33 @@
-"""No recursive λ-term walker in ``syntax.py`` or ``beta.py``: maps go through
-``syntax.rebuild`` and folds iterate ``syntax.subterms``, whose explicit
-stacks take terms of any depth.
+"""No recursive walker in ``syntax.py``, ``beta.py``, ``cli.py`` or
+``resource.py`` outside a short allowlist: λ-term maps go through
+``syntax.rebuild`` and folds iterate ``syntax.subterms``, and the parsers and
+printers of both calculi loop on explicit stacks, so they take terms of any
+depth.
 
-The check reads the two modules with ``ast`` and fails when a function can
+The check reads the modules with ``ast`` and fails when a function can
 reach itself through the names it refers to: calls, but also functions
 passed on as callbacks. Only the allowlist below may recurse."""
 
 import ast
-import re
 from pathlib import Path
 
 import taylorlab
 
-ALLOWED = re.compile(r"_parse_\w+|_render|_dangling|_free_names|bohm_tree\.rec")
-MODULES = ("syntax.py", "beta.py")
+# recursive function -> why it may recurse
+ALLOWED = {
+    "bohm_tree.rec": "one level per level of the tree, which its depth argument bounds",
+    "is_d_positive": "reads approximants and their normal forms, kept small by a check's size bound",
+    # the substitution engines are hot paths: rewriting them waits for both
+    # benchmark workloads to be measured (ROADMAP item 7)
+    "_rshift": "open_binder's walk, the hot path of rnf-random",
+    "_bound_count": "open_binder's walk",
+    "_fill_bound": "open_binder's walk",
+    "_occurrences": "open_along's memoized walk, the hot path of lifting",
+    "_open_run": "open_along's memoized walk",
+    "_count_marks": "the walk of r_subst and r_context_fill; a deep rsubst input exits 4",
+    "_replace_marks": "the walk of r_subst and r_context_fill",
+}
+MODULES = ("syntax.py", "beta.py", "cli.py", "resource.py")
 
 
 class _Scope:
@@ -105,9 +119,9 @@ def _recursive(graph):
 
 def test_no_recursive_walkers():
     recursive = _recursive(_call_graph([(Path(taylorlab.__file__).parent / m).read_text() for m in MODULES]))
-    assert not {f for f in recursive if not ALLOWED.fullmatch(f)}
+    assert recursive <= set(ALLOWED)
     # the allowlist is not stale
-    assert {"_parse_lam", "_render", "_dangling", "_free_names", "bohm_tree.rec"} <= recursive
+    assert recursive == set(ALLOWED)
 
 
 def test_the_check_sees_recursion_through_a_callback():

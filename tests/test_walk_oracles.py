@@ -1,9 +1,10 @@
 """The λ-side maps and folds, written as callbacks on ``syntax.subterms`` and
-``syntax.rebuild``, against frozen copies of the recursive walkers they
-replaced (``walk_oracles``), on seeded random terms, contexts and ``let rec``
-systems. Terms are hash-consed and compared by identity, so binder hints
-must agree too."""
+``syntax.rebuild``, and the explicit-stack printers of both calculi, against
+frozen copies of the recursive walkers they replaced (``walk_oracles``), on
+seeded random terms, contexts, ``let rec`` systems and resource terms. Terms
+are hash-consed and compared by identity, so binder hints must agree too."""
 
+import re
 from random import Random
 
 from taylorlab.beta import (
@@ -17,7 +18,9 @@ from taylorlab.beta import (
     open_bound,
     replace_at,
 )
+from taylorlab.cli import _bohm_dot
 from taylorlab.lab import _prefix_status
+from taylorlab.resource import HOLE_R, monomial, pretty_resource, rapp, rfvar, rlam, rvar
 from taylorlab.syntax import (
     BOTTOM,
     HOLE,
@@ -29,13 +32,18 @@ from taylorlab.syntax import (
     RationalSystem,
     RecRef,
     Var,
+    alpha_eq,
     bind_free,
     context_fill,
+    parse_term,
+    pretty,
+    pretty_system,
     unfold,
 )
 
 from walk_oracles import (
     old_bind_free,
+    old_bohm_dot,
     old_captures,
     old_context_fill,
     old_depth_positions,
@@ -43,6 +51,8 @@ from walk_oracles import (
     old_leftmost_redex,
     old_open_bound,
     old_prefix_status,
+    old_pretty,
+    old_pretty_resource,
     old_replace_at,
     old_shift,
     old_unfold,
@@ -164,3 +174,96 @@ def test_capture_guard_matches_its_own_walk():
         assert got == old_captures(lam, arg, names)
         caught += got
     assert 300 < caught < 2700
+
+
+def test_printer_matches_the_recursive_printer():
+    rng = Random(1217)
+    for _ in range(3000):
+        t = _term(rng, rng.randint(1, 16), symbols=SYMBOLS, holes=True)
+        cut = rng.choice(("*", "◻"))
+        avoid = frozenset(rng.sample(NAMES + SYMBOLS, rng.randint(0, 2)))
+        assert pretty(t, cut, avoid) == old_pretty(t, cut, avoid)
+
+
+def test_system_printer_matches_the_recursive_printer():
+    rng = Random(1218)
+    printed = 0
+    for _ in range(1000):
+        symbols = SYMBOLS[: rng.randint(1, 3)]
+        equations = {s: _term(rng, rng.randint(1, 10), symbols=symbols) for s in symbols}
+        try:
+            system = RationalSystem(equations, symbols[0])
+        except LambdaError:
+            continue
+        syms = frozenset(symbols)
+        want = " and ".join(f"{s} = {old_pretty(body, avoid=syms)}" for s, body in equations.items())
+        assert pretty_system(system) == f"let rec {want} in {symbols[0]}"
+        printed += 1
+    assert printed > 200
+
+
+R_NAMES = ("a", "b", "x", "a'")
+
+
+def _rterm(rng, size, depth=0):
+    """A random resource term whose free names clash with the printed
+    binder names; some indices point past every binder."""
+    roll = rng.random()
+    if size <= 1 or roll < 0.2:
+        leaf = rng.random()
+        if leaf < 0.1:
+            return HOLE_R
+        if leaf < 0.5:
+            return rfvar(rng.choice(R_NAMES))
+        return rvar(rng.randrange(depth + 2))
+    if roll < 0.5:
+        return rlam(_rterm(rng, size - 1, depth + 1))
+    elems = [_rterm(rng, size // 4, depth) for _ in range(rng.randint(0, 3))]
+    return rapp(_rterm(rng, size // 2, depth), monomial(elems))
+
+
+def test_resource_printer_matches_the_recursive_printer():
+    rng = Random(1219)
+    for _ in range(3000):
+        t = _rterm(rng, rng.randint(1, 20))
+        assert pretty_resource(t) == old_pretty_resource(t)
+
+
+_DOT_NODE = re.compile(r'  n(\d+) \[label="(.*)"\];')
+_DOT_EDGE = re.compile(r"  n(\d+) -> n(\d+);")
+
+
+def _dot_text(dot):
+    """The term a dot graph draws, written out in full parentheses."""
+    labels, kids = {}, {}
+    for line in dot.splitlines():
+        if m := _DOT_NODE.fullmatch(line):
+            labels[int(m[1])] = m[2].replace("\\\\", "\\")
+        elif m := _DOT_EDGE.fullmatch(line):
+            kids.setdefault(int(m[1]), []).append(int(m[2]))
+
+    def text(n):
+        label, below = labels[n], [text(k) for k in kids.get(n, [])]
+        if label == "@":
+            return f"({below[0]}) ({below[1]})"
+        return f"({label}. {below[0]})" if label.startswith("\\") else label
+
+    return text(0)
+
+
+def test_dot_printer_draws_the_printed_term():
+    """The dot graph names binders as ``pretty`` does, so read back it is
+    the term; the frozen printer, which used the raw hints, agrees with it
+    where no binder is renamed and draws another term on some inputs."""
+    rng = Random(1220)
+    misdrawn = 0
+    for _ in range(3000):
+        t = _term(rng, rng.randint(1, 16), holes=True)
+        if "#" in pretty(t):
+            continue
+        dot = _bohm_dot(t)
+        assert alpha_eq(parse_term(_dot_text(dot)), t)
+        if "'" not in pretty(t):
+            assert dot == old_bohm_dot(t)
+        misdrawn += not alpha_eq(parse_term(_dot_text(old_bohm_dot(t))), t)
+    assert misdrawn > 50

@@ -11,15 +11,24 @@ terms, contexts and ``let rec`` systems.
 resource terms, raising at an index too small to go down; ``resource.unshift``
 replaced it with the occurrence counter and ``_rshift``, and
 ``test_node_summaries`` checks the two against each other on random open
-terms. Do not import these oracles elsewhere.
+terms.
+
+``old_pretty``, ``old_pretty_resource`` and ``old_bohm_dot`` are the
+recursive printers that the explicit-stack loops of ``syntax.pretty``,
+``resource.pretty_resource`` and ``cli._bohm_dot`` replaced; the λ printer
+kept two memoized walks for the free names and the dangling indices of each
+node, and the dot printer labelled binders with their raw hints.
+``test_walk_oracles`` checks the loops against them. Do not import these
+oracles elsewhere.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Optional
 
 from taylorlab.lab import ApproximantMismatchError
-from taylorlab.resource import ResourceTerm, RLam, RVar, monomial, rapp, rlam, rvar
+from taylorlab.resource import Monomial, ResourceTerm, RApp, RFreeVar, RHole, RLam, RVar, monomial, rapp, rlam, rvar
 from taylorlab.syntax import (
     HOLE,
     App,
@@ -303,3 +312,158 @@ def _shifted_down(t: ResourceTerm, c: int, depth: int) -> ResourceTerm:
     if isinstance(t, RLam):
         return rlam(_shifted_down(t.body, c, depth + 1))
     return rapp(_shifted_down(t.fn, c, depth), monomial(_shifted_down(e, c, depth) for e in t.mono))
+
+
+# ---------------------------------------------------------------------------
+# Printers
+
+
+def _dangling(t: Term, memo: dict[Term, frozenset[int]]) -> frozenset[int]:
+    got = memo.get(t)
+    if got is not None:
+        return got
+    if isinstance(t, Var):
+        out = frozenset((t.index,))
+    elif isinstance(t, Lam):
+        out = frozenset(k - 1 for k in _dangling(t.body, memo) if k >= 1)
+    elif isinstance(t, App):
+        out = _dangling(t.fn, memo) | _dangling(t.arg, memo)
+    else:
+        out = frozenset()
+    memo[t] = out
+    return out
+
+
+def _free_names(t: Term, memo: dict[Term, frozenset[str]]) -> frozenset[str]:
+    got = memo.get(t)
+    if got is not None:
+        return got
+    if isinstance(t, FreeVar):
+        out = frozenset((t.name,))
+    elif isinstance(t, Lam):
+        out = _free_names(t.body, memo)
+    elif isinstance(t, App):
+        out = _free_names(t.fn, memo) | _free_names(t.arg, memo)
+    else:
+        out = frozenset()
+    memo[t] = out
+    return out
+
+
+def old_pretty(t: Term, cut: str = "*", avoid: frozenset[str] = frozenset()) -> str:
+    return _render(t, (), 0, cut, avoid, {}, {})
+
+
+def _render(u, env, prec, cut, avoid, dmemo, fmemo) -> str:
+    if isinstance(u, Var):
+        return env[u.index] if u.index < len(env) else f"#{u.index}"
+    if isinstance(u, FreeVar):
+        return u.name
+    if isinstance(u, Bottom):
+        return "_|_"
+    if isinstance(u, Hole):
+        return cut
+    if isinstance(u, RecRef):
+        return u.symbol
+    if isinstance(u, Lam):
+        taken = set(_free_names(u.body, fmemo)) | set(avoid)
+        for k in _dangling(u.body, dmemo):
+            if k >= 1 and (k - 1) < len(env):
+                taken.add(env[k - 1])
+        name = u.hint or "x"
+        while name in taken:
+            name += "'"
+        body = _render(u.body, (name,) + env, 0, cut, avoid, dmemo, fmemo)
+        out = f"\\{name}. {body}"
+        return f"({out})" if prec > 0 else out
+    if isinstance(u, App):
+        fn = _render(u.fn, env, 1, cut, avoid, dmemo, fmemo)
+        out = f"{fn} {_render(u.arg, env, 2, cut, avoid, dmemo, fmemo)}"
+        return f"({out})" if prec > 1 else out
+    raise TypeError(f"not a term: {u!r}")
+
+
+def _collect_free(t: ResourceTerm | Monomial, acc: set[str]) -> None:
+    if isinstance(t, Monomial):
+        for e in t:
+            _collect_free(e, acc)
+    elif isinstance(t, RFreeVar):
+        acc.add(t.name)
+    elif isinstance(t, RLam):
+        _collect_free(t.body, acc)
+    elif isinstance(t, RApp):
+        _collect_free(t.fn, acc)
+        _collect_free(t.mono, acc)
+
+
+def _binder_name(depth: int, taken: set[str]) -> str:
+    base = "abcdefghijklmnopqrstuvwxyz"[depth % 26]
+    suffix = depth // 26
+    name = base if suffix == 0 else f"{base}{suffix}"
+    while name in taken:
+        name += "'"
+    return name
+
+
+def old_pretty_resource(t: ResourceTerm) -> str:
+    taken: set[str] = set()
+    _collect_free(t, taken)
+    return _render_resource(t, (), taken)
+
+
+def _render_resource(u: ResourceTerm, env: tuple[str, ...], taken: set[str]) -> str:
+    if isinstance(u, RVar):
+        return env[u.index] if u.index < len(env) else f"#{u.index}"
+    if isinstance(u, RFreeVar):
+        return u.name
+    if isinstance(u, RHole):
+        return "*"
+    if isinstance(u, RLam):
+        name = _binder_name(len(env), taken)
+        return f"\\{name}. {_render_resource(u.body, (name,) + env, taken)}"
+    if isinstance(u, RApp):
+        fn = _render_resource(u.fn, env, taken)
+        if len(u.mono) == 0:
+            return f"<{fn}>1"
+        return f"<{fn}>[" + ", ".join(_render_resource(e, env, taken) for e in u.mono) + "]"
+    raise TypeError(f"not a resource term: {u!r}")
+
+
+def old_bohm_dot(t: Term) -> str:
+    lines = ["digraph bohm {", "  node [shape=plaintext];"]
+    _dot_node(t, (), lines, itertools.count())
+    lines.append("}")
+    return "\n".join(lines)
+
+
+def _dot_node(u: Term, env: tuple[str, ...], lines: list[str], ids) -> int:
+    me = next(ids)
+    if isinstance(u, Lam):
+        hints = []
+        while isinstance(u, Lam):
+            hints.append(u.hint)
+            env = (u.hint,) + env
+            u = u.body
+        lines.append(f'  n{me} [label="\\\\{" ".join(hints)}"];')
+        child = _dot_node(u, env, lines, ids)
+        lines.append(f"  n{me} -> n{child};")
+        return me
+    if isinstance(u, App):
+        lines.append(f'  n{me} [label="@"];')
+        left = _dot_node(u.fn, env, lines, ids)
+        right = _dot_node(u.arg, env, lines, ids)
+        lines.append(f"  n{me} -> n{left};")
+        lines.append(f"  n{me} -> n{right};")
+        return me
+    if isinstance(u, Var):
+        label = env[u.index] if u.index < len(env) else f"#{u.index}"
+    elif isinstance(u, FreeVar):
+        label = u.name
+    elif isinstance(u, Bottom):
+        label = "_|_"
+    elif isinstance(u, Hole):
+        label = "◻"
+    else:
+        label = "?"
+    lines.append(f'  n{me} [label="{label}"];')
+    return me
