@@ -452,42 +452,40 @@ class StratifyResult:
     diagnostic: Optional[str] = None
 
 
-def depth_positions(t: Term, d: int) -> list[Position]:
-    """Positions of the maximal subterms at applicative depth exactly ``d``."""
-    # a subterm at depth d is maximal when the root or entered by an argument step
-    return [
-        _position(path)
-        for _, _, _, argdepth, path in subterms(t)
-        if argdepth == d and (path is None or path[0] == "arg")
-    ]
-
-
 def stratify(m: Term, depth: int, fuel: int) -> StratifyResult:
     """Reduce in depth-ordered stages: stage ``d`` fires only at depth >= d.
 
-    Subterms whose head reduction is certified to diverge are left alone
-    (they never reach a head normal form anyway); running out of fuel stops
-    the whole construction with a diagnostic.
+    Each stage is one ``rebuild`` of the level, which puts the head normal
+    form of each maximal subterm at depth ``d`` in its place. Subterms whose
+    head reduction is certified to diverge are left alone (they never reach
+    a head normal form anyway); running out of fuel stops the whole
+    construction with a diagnostic.
     """
     levels = [m]
     all_steps: list[tuple[Position, ...]] = []
     cur = m
     for d in range(depth):
         steps_d: list[Position] = []
-        for pos in depth_positions(cur, d):
-            sub = subterm_at(cur, pos)
-            run = head_normalize(sub, fuel)
+        stuck: list[Verdict] = []
+
+        def normalize(u: Term, _d: int, _h: Linked, argdepth: int, path: Linked) -> Optional[Term]:
+            if argdepth < d:
+                return None
+            # the walk enters depth d at the root or by an argument step, so u is maximal
+            if stuck:
+                return u
+            run = head_normalize(u, fuel)
             if run.verdict.is_solvable:
-                steps_d.extend(pos + rel for rel in run.step_positions)
-                cur = replace_at(cur, pos, run.term)
-            elif run.verdict.certified_unsolvable:
-                continue
-            else:
-                return StratifyResult(
-                    tuple(levels),
-                    tuple(all_steps),
-                    diagnostic=f"fuel exhausted at depth {d} ({run.verdict.describe()})",
-                )
+                steps_d.extend(_position(path) + rel for rel in run.step_positions)
+                return run.term
+            if not run.verdict.certified_unsolvable:
+                stuck.append(run.verdict)
+            return u
+
+        cur = rebuild(cur, normalize)
+        if stuck:
+            diagnostic = f"fuel exhausted at depth {d} ({stuck[0].describe()})"
+            return StratifyResult(tuple(levels), tuple(all_steps), diagnostic)
         levels.append(cur)
         all_steps.append(tuple(steps_d))
     return StratifyResult(tuple(levels), tuple(all_steps))

@@ -33,30 +33,31 @@ On a rational system, references resolve by binder hint; a step that would
 move one across a hint it resolves against is not taken
 (``beta._captures``), and the tree is cut there instead.
 
-A lifted ancestor ``s`` only counts once ``t`` is shown to be in its normal
-form. Each inverted step is a link ``(before, after, elems)`` checked once,
-when it is built: ``elems`` lists the grafted monomial elements in the
-order of the bound occurrences they fill, and opening the head binder of
-``before`` along that order must rebuild exactly ``after``
-(``hr_step_along``). The rebuilt term is by definition one addend of the
-linear substitution, so nothing is searched or enumerated. That suffices
-because resource reduction is confluent and terminating, so normal forms do
-not depend on the strategy: each link gives ``nf(before) ⊇ nf(after)``,
-the head-normal node at the bottom of each level of the construction has
-``t``'s part in its normal form by induction over the monomial elements,
-and the links chain that up to ``nf(s)``.
+A lifted ancestor ``s`` counts once ``t`` is in its normal form and ``s``
+approximates the term. Each inverted step is checked once, when it is
+built, on its core: ``before`` is ``<\\w>[es]`` and ``after`` is ``u``,
+both in the same binders and frames, so the link ``hr_step_along(before,
+es) is after`` is exactly ``open_along(w, es) is u``. ``es`` lists the
+grafted elements in the order of the bound occurrences they fill, and the
+rebuilt term is one addend of the linear substitution by definition, so
+nothing is searched. Resource reduction is confluent and terminating, so
+each link gives ``nf(before) ⊇ nf(after)``, and by induction over the
+steps and the monomial elements the links chain ``t``'s part of the
+head-normal node at the bottom of each level up to ``nf(s)``.
 
-A step that cannot be inverted, or whose link does not hold, is a defect:
-the lift stops there, and the check ends inconclusive with a reason that
-names the target and the term before that step (``LiftSession.failed``).
+Approximation follows the same induction. The head-normal node matches its
+head form, with sub-lifts as elements. ``_un_substitute`` builds ``w``
+along the constructors of the redex body, so ``w`` approximates it, and
+``before`` keeps the frames of ``after``. Only the grafted elements can fail
+to approximate, and each is checked against the redex argument. So ``s``
+approximates the term, and the whole of it is never tested.
 
-The tree targets of one commutation check share a ``LiftSession``, whose
-methods do the lifting: a head-normalization run per (subterm, stack)
-(``head_run``) and a sub-lift per (approximant, subterm, stack) (``lift``);
-a failed sub-lift leaves every target that reuses it unlifted. The
-top-level chain of each target is built and checked from the same session:
-un-substitution, certificate rebuild and approximation test are memoized
-per subterm, so every link is still checked but no subterm twice.
+A step that cannot be inverted, grafts an element outside its argument's
+expansion or fails its link is a defect: the lift stops there, and the
+check ends inconclusive with a reason that names the target and the term
+before that step (``LiftSession.failed``). The tree targets of one
+commutation check share a ``LiftSession``, which memoizes each piece of
+this work per subterm: every link is still checked, but no subterm twice.
 """
 
 from __future__ import annotations
@@ -67,7 +68,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .beta import (
-    HeadForm,
     NotARedexError,
     Position,
     beta_step,
@@ -88,6 +88,7 @@ from .resource import (
     deg_hole,
     is_d_positive,
     monomial,
+    open_along,
     open_redex,
     pretty_resource,
     r_context_fill,
@@ -97,7 +98,7 @@ from .resource import (
     rvar,
     unshift,
 )
-from .resource_reduction import hr_step, hr_step_along, peel, r_normalize, rewrap
+from .resource_reduction import hr_step, peel, r_normalize, rewrap
 from .syntax import (
     App,
     Bottom,
@@ -118,7 +119,7 @@ from .syntax import (
     split_target,
     subterms,
 )
-from .taylor import approximates, enumerate_taylor, enumerate_taylor_context, member_of_bohm
+from .taylor import _approx, approximates, enumerate_taylor, enumerate_taylor_context, member_of_bohm
 
 
 class ApproximantMismatchError(LambdaError):
@@ -318,64 +319,46 @@ def _un_substitute(
     return None
 
 
-def _lift_one_step(
-    t: ResourceTerm,
-    hf: HeadForm,
-    stack: tuple[str, ...],
-    system: Optional[RationalSystem],
-    memo: Optional[dict] = None,
-) -> Optional[tuple[ResourceTerm, tuple[ResourceTerm, ...]]]:
-    """Turn an approximant of the head reduct of a term ``before`` into an
-    approximant of ``before`` itself that head-reduces onto it, paired with
-    the step's certificate: the head redex's monomial elements in the order
-    that rebuilds ``t`` (``hr_step_along``). ``hf`` is ``head_form(before)``
-    and ``memo`` is ``_anti_subst``'s."""
-    if not hf.has_head_redex:
-        return None
-    peeled = peel(t, len(hf.binders), len(hf.spine) - 1)
+def _lift_one_step(t: ResourceTerm, step: tuple, system: Optional[RationalSystem], memo: dict) -> Optional[tuple]:
+    """Read an approximant ``t`` of the head reduct of a step (a row of
+    ``LiftSession.head_run``'s table) back through it: the core ``u`` that
+    the head redex reduced to, the monomials of the frames around it, and
+    ``_anti_subst``'s ``(w, es)`` for ``u``, whose ``memo`` this is. None
+    when ``t`` lacks the step's shape or ``u`` cannot be read back."""
+    _, binders, frames, body, inner, _, _ = step
+    peeled = peel(t, binders, frames)
     if peeled is None:
         return None
     u, rest = peeled
-    assert isinstance(hf.head, Lam)
-    inner = (hf.head.hint,) + tuple(reversed(hf.binders)) + stack
-    got = _anti_subst(u, hf.head.body, 0, inner, system, memo)
-    if got is None:
-        return None
-    w, es = got
-    return rewrap(rapp(rlam(w), monomial(es)), len(hf.binders), rest), es
+    got = _anti_subst(u, body, 0, inner, system, memo)
+    return None if got is None else (u, rest, got[0], got[1])
 
 
-def _link_holds(
-    before: ResourceTerm,
-    after: ResourceTerm,
-    elems: Sequence[ResourceTerm],
-    memo: Optional[dict] = None,
-) -> bool:
-    """A link of the construction: ``after`` is the addend of
-    ``hr_step(before)`` that its certificate ``elems`` rebuilds. ``memo`` is
+def _link_holds(w: ResourceTerm, elems: Sequence[ResourceTerm], u: ResourceTerm, memo: Optional[dict] = None) -> bool:
+    """A link of the construction, checked on the core: opening ``\\w``
+    along its certificate ``elems`` rebuilds exactly ``u``. ``memo`` is
     ``open_along``'s."""
-    return hr_step_along(before, elems, memo) is after
+    return open_along(w, elems, memo) is u
 
 
 class LiftSession:
     """Lifting work shared by the tree targets of one commutation check.
 
-    ``runs`` keeps head-normalization runs by ``(m, stack)``, as the
-    head forms of the run's steps and of its result, and ``lifts`` keeps
-    sub-lifts by ``(u, m, stack)``: the node built, whose links all held,
-    or None when ``u`` did not lift. The top-level chain of each target is
-    a walk over shared subterms through three more memos: ``unsubst`` for
-    ``_anti_subst``, ``rebuilt`` for the certificate rebuild
-    (``open_along``) and ``approx`` for ``approximates``; their keys are
-    given there. A session serves a single target at a single fuel, so
-    neither is part of a key, and it lives as long as one check; the
-    methods take both as arguments. ``shared`` counts the sub-lifts served
-    from the session instead of being built. ``failed`` is the first head
-    step that ended a lift, if any: the term before it, and whether it
-    "could not be inverted" or "failed its link check".
+    ``runs`` keeps step tables by ``(m, stack)`` (``head_run``) and
+    ``lifts`` sub-lifts by ``(u, m, stack)``: the node built, whose checks
+    all held, or None. Three more memos serve the walks over subterms:
+    ``unsubst`` for ``_anti_subst``, ``rebuilt`` for the link check
+    (``open_along``) and ``approx`` for the graft check (``taylor._approx``,
+    by element, argument and stack). A session serves one target at one
+    fuel, which the methods take as arguments, for one check. ``shared``
+    counts the sub-lifts served instead of built, ``checked_links`` the
+    links checked (one per inverted step of a sub-lift built) and
+    ``checked_grafts`` the graft checks that ``approx`` did not answer.
+    ``failed`` is the first head step that ended a lift, if any: the term
+    before it and why.
     """
 
-    __slots__ = ("runs", "lifts", "shared", "unsubst", "rebuilt", "approx", "failed")
+    __slots__ = ("runs", "lifts", "shared", "unsubst", "rebuilt", "approx", "checked_links", "checked_grafts", "failed")
 
     def __init__(self) -> None:
         self.runs: dict = {}
@@ -384,18 +367,35 @@ class LiftSession:
         self.unsubst: dict = {}
         self.rebuilt: dict = {}
         self.approx: dict = {}
+        self.checked_links = 0
+        self.checked_grafts = 0
         self.failed: Optional[tuple[Term, str]] = None
 
     def head_run(self, m: Term, stack: tuple[str, ...], fuel: int, system: Optional[RationalSystem]):
+        """The step table of ``m``'s head-normalization run under ``stack``,
+        built once; None without a head normal form. It is ``(steps, hnf)``:
+        each step, last first, is ``(before, binders, frames, body, inner,
+        arg, outer)`` for the head redex ``(\\z. body) arg`` of ``before``,
+        with the stacks of ``body`` (``inner``) and ``arg`` (``outer``), and
+        ``hnf`` is ``(binders, spine, head, outer)``, ``head`` a resource leaf.
+        """
         key = (m, stack)
-        if key not in self.runs:
-            run = head_normalize(m, fuel, system, stack)
-            self.runs[key] = (
-                (tuple(head_form(before) for before in run.trace), head_form(run.term))
-                if run.verdict.is_solvable
-                else None
-            )
-        return self.runs[key]
+        if key in self.runs:
+            return self.runs[key]
+        run = head_normalize(m, fuel, system, stack)
+        table = None
+        if run.verdict.is_solvable:
+            steps = []
+            for before in reversed(run.trace):
+                hf = head_form(before)
+                outer = tuple(reversed(hf.binders)) + stack
+                lam = hf.head
+                steps.append((before, len(hf.binders), len(hf.spine) - 1, lam.body, (lam.hint,) + outer, hf.spine[0], outer))
+            hf = head_form(run.term)
+            head = rvar(hf.head.index) if isinstance(hf.head, Var) else rfvar(hf.head.name)
+            table = tuple(steps), (len(hf.binders), hf.spine, head, tuple(reversed(hf.binders)) + stack)
+        self.runs[key] = table
+        return table
 
     def lift(
         self, u: ResourceTerm, m: Term, stack: tuple[str, ...], fuel: int, system: Optional[RationalSystem]
@@ -415,39 +415,53 @@ class LiftSession:
         run = self.head_run(m, stack, fuel, system)
         if run is None:
             return None
-        steps, hf = run
-        peeled = peel(u, len(hf.binders), len(hf.spine))
-        if peeled is None:
+        steps, (binders, spine, head, outer) = run
+        peeled = peel(u, binders, len(spine))
+        if peeled is None or peeled[0] is not head:
             return None
-        body, monos = peeled
-        if isinstance(hf.head, Var):
-            if not (isinstance(body, RVar) and body.index == hf.head.index):
-                return None
-        elif isinstance(hf.head, FreeVar):
-            if not (isinstance(body, RFreeVar) and body.name == hf.head.name):
-                return None
-        else:
-            return None
-        inner = tuple(reversed(hf.binders)) + stack
         lifted_monos = []
-        for q, mono in zip(hf.spine, monos):
+        for q, mono in zip(spine, peeled[1]):
             elems = []
             for e in mono:
-                lifted = self.lift(e, q, inner, fuel, system)
+                lifted = self.lift(e, q, outer, fuel, system)
                 if lifted is None:
                     return None
                 elems.append(lifted)
             lifted_monos.append(monomial(elems))
-        node = rewrap(body, len(hf.binders), lifted_monos)
-        for step_hf in reversed(steps):
-            step = _lift_one_step(node, step_hf, stack, system, self.unsubst)
-            if step is None or not _link_holds(step[0], node, step[1], self.rebuilt):
-                if self.failed is None:
-                    why = "could not be inverted" if step is None else "failed its link check"
-                    self.failed = (step_hf.rebuild(), why)
+        node = rewrap(head, binders, lifted_monos)
+        for step in steps:
+            node = self._invert(node, step, system)
+            if node is None:
                 return None
-            node = step[0]
         return node
+
+    def _invert(self, after: ResourceTerm, step: tuple, system: Optional[RationalSystem]) -> Optional[ResourceTerm]:
+        """The approximant of the term before ``step`` that head-reduces
+        onto ``after``, once its grafts and its link hold; else None, with
+        the failure recorded."""
+        got = _lift_one_step(after, step, system, self.unsubst)
+        if got is None:
+            why = "could not be inverted"
+        else:
+            u, rest, w, es = got
+            _, binders, _, _, _, arg, outer = step
+            approx = self.approx
+            for e in es:
+                held = approx.get((e, arg, outer))
+                if held is None:
+                    self.checked_grafts += 1
+                    held = _approx(e, arg, outer, system, approx)
+                if not held:
+                    why = "grafted an element outside its argument's expansion"
+                    break
+            else:
+                self.checked_links += 1
+                if _link_holds(w, es, u, self.rebuilt):
+                    return rewrap(rapp(rlam(w), monomial(es)), binders, rest)
+                why = "failed its link check"
+        if self.failed is None:
+            self.failed = (step[0], why)
+        return None
 
 
 def _unlifted(t: ResourceTerm, session: LiftSession) -> str:
@@ -470,17 +484,15 @@ def lift_to_source(
 
     The ancestor is ``t``'s own lift. Every inverted head step in it, at
     every level of the construction, monomial elements included, held its
-    link (``_link_holds``) when it was built, and the whole ancestor
-    approximates ``target``. A ``session`` shares the lifting work between
-    calls for the same target and fuel; without one nothing is shared.
+    graft and link checks when it was built, which makes the whole ancestor
+    an approximant of ``target`` (see the module docstring). A ``session``
+    shares the lifting work between calls for the same target and fuel;
+    without one nothing is shared.
     """
     term, system = split_target(target)
     if session is None:
         session = LiftSession()
-    s = session.lift(t, term, (), fuel, system)
-    if s is None or not approximates(s, target, session.approx):
-        return None
-    return s
+    return session.lift(t, term, (), fuel, system)
 
 
 # ---------------------------------------------------------------------------
@@ -534,6 +546,8 @@ def check_commutation(target: TermLike, size_bound: int, fuel: int) -> CheckRepo
         "tree_targets": len(targets),
         "constructed_ancestors": constructed,
         "shared_lifts": session.shared,
+        "checked_links": session.checked_links,
+        "checked_grafts": session.checked_grafts,
     }
     if forward_unknown:
         return CheckReport(

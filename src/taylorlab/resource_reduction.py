@@ -24,7 +24,6 @@ from .resource import (
     RApp,
     RLam,
     monomial,
-    open_along,
     open_redex,
     rapp,
     rlam,
@@ -231,22 +230,6 @@ def hr_step(x: ResourceTerm | FiniteSum) -> FiniteSum:
         return union_all(hr_step(t) for t in x)
     fired = _hr_term(x)
     return FiniteSum((x,)) if fired is None else fired
-
-
-def hr_step_along(
-    t: ResourceTerm, elems: Sequence[ResourceTerm], memo: Optional[dict] = None
-) -> Optional[ResourceTerm]:
-    """The addend of ``hr_step(t)`` whose head binder is opened along
-    ``elems`` (see ``open_along``, which shares ``memo``); None when ``t``
-    has no head redex or ``elems`` is not an ordering of the head redex's
-    monomial."""
-    binders, head, monos = head_split(t)
-    if not (isinstance(head, RLam) and monos):
-        return None
-    if sorted(elems, key=lambda e: e.skey) != list(monos[0].elems):
-        return None
-    opened = open_along(head.body, elems, memo)
-    return None if opened is None else rewrap(opened, binders, monos[1:])
 
 
 # ---------------------------------------------------------------------------

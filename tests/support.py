@@ -1,11 +1,20 @@
 """Helpers that several test modules share: builders of long application
 chains, a reader for printed resource sites, a head-normality test for
-resource terms, and an oracle for ``bot_step``."""
+resource terms, and an oracle for ``bot_step``.
 
-from taylorlab.beta import solvable
-from taylorlab.resource import RLam
-from taylorlab.resource_reduction import head_split
-from taylorlab.syntax import App, LambdaError
+Two slow oracles live here too. ``hr_step_along`` is the link check on the
+whole term that the lifter's check on the opened core replaced, and
+``stratify_per_position`` is ``beta.stratify`` as it was before each level
+became one rebuild: it looked up and replaced every maximal subterm of a
+level on its own (``depth_positions``), in time quadratic in the number of
+arguments."""
+
+from typing import Optional, Sequence
+
+from taylorlab.beta import Position, StratifyResult, head_normalize, replace_at, solvable, subterm_at
+from taylorlab.resource import RLam, ResourceTerm, open_along
+from taylorlab.resource_reduction import head_split, rewrap
+from taylorlab.syntax import App, LambdaError, Term, subterms, unlink
 
 
 def power_apply(m, n, k):
@@ -50,3 +59,55 @@ def site_from_str(text):
 def loop_certified_oracle(fuel):
     """Oracle for ``bot_step``: certifies exactly what head-cycle detection can."""
     return lambda t: solvable(t, fuel)
+
+
+def hr_step_along(
+    t: ResourceTerm, elems: Sequence[ResourceTerm], memo: Optional[dict] = None
+) -> Optional[ResourceTerm]:
+    """The addend of ``hr_step(t)`` whose head binder is opened along
+    ``elems`` (see ``open_along``, which shares ``memo``); None when ``t``
+    has no head redex or ``elems`` is not an ordering of the head redex's
+    monomial."""
+    binders, head, monos = head_split(t)
+    if not (isinstance(head, RLam) and monos):
+        return None
+    if sorted(elems, key=lambda e: e.skey) != list(monos[0].elems):
+        return None
+    opened = open_along(head.body, elems, memo)
+    return None if opened is None else rewrap(opened, binders, monos[1:])
+
+
+def depth_positions(t: Term, d: int) -> list[Position]:
+    """Positions of the maximal subterms at applicative depth exactly ``d``."""
+    # a subterm at depth d is maximal when the root or entered by an argument step
+    return [
+        unlink(path)[::-1]
+        for _, _, _, argdepth, path in subterms(t)
+        if argdepth == d and (path is None or path[0] == "arg")
+    ]
+
+
+def stratify_per_position(m: Term, depth: int, fuel: int) -> StratifyResult:
+    """``stratify``, one ``subterm_at`` and one ``replace_at`` per position."""
+    levels = [m]
+    all_steps: list[tuple[Position, ...]] = []
+    cur = m
+    for d in range(depth):
+        steps_d: list[Position] = []
+        for pos in depth_positions(cur, d):
+            sub = subterm_at(cur, pos)
+            run = head_normalize(sub, fuel)
+            if run.verdict.is_solvable:
+                steps_d.extend(pos + rel for rel in run.step_positions)
+                cur = replace_at(cur, pos, run.term)
+            elif run.verdict.certified_unsolvable:
+                continue
+            else:
+                return StratifyResult(
+                    tuple(levels),
+                    tuple(all_steps),
+                    diagnostic=f"fuel exhausted at depth {d} ({run.verdict.describe()})",
+                )
+        levels.append(cur)
+        all_steps.append(tuple(steps_d))
+    return StratifyResult(tuple(levels), tuple(all_steps))

@@ -11,7 +11,6 @@ from taylorlab.beta import (
     beta_step,
     bohm_tree,
     bot_step,
-    depth_positions,
     head_form,
     head_normalize,
     head_redex_position,
@@ -25,10 +24,13 @@ from taylorlab.beta import (
     subterm_at,
 )
 from taylorlab.gen import random_lambda_term
+from taylorlab.selftest import _CORPUS
 from taylorlab.syntax import (
     BOTTOM,
     HOLE,
+    App,
     FreeVar,
+    Lam,
     Var,
     alpha_eq,
     parse_term,
@@ -36,7 +38,7 @@ from taylorlab.syntax import (
     unfold,
 )
 
-from support import loop_certified_oracle
+from support import depth_positions, loop_certified_oracle, stratify_per_position
 
 I = parse_term("\\x. x")
 K = parse_term("\\x. \\y. x")
@@ -233,6 +235,52 @@ def test_stratify_fuel_exhaustion_diagnostic():
     res = stratify(grower, 2, 4)
     assert res.diagnostic is not None and "fuel" in res.diagnostic
     assert res.levels == (grower,)
+
+
+def _spine(n, redex_every):
+    """``f a0 .. a(n-1)``: every ``redex_every``-th argument is the redex
+    ``(\\y. y) x``, the others are ``x``; also the level it stratifies to
+    and the positions of its steps there."""
+    x, f = FreeVar("x"), FreeVar("f")
+    redex = App(Lam("y", Var(0)), x)
+    t = level = f
+    steps = []
+    for k in range(n):
+        fires = k % redex_every == 0
+        t = App(t, redex if fires else x)
+        level = App(level, x)
+        if fires:
+            steps.append(("fun",) * (n - 1 - k) + ("arg",))
+    return t, level, tuple(steps)
+
+
+def test_stratify_agrees_with_the_per_position_oracle():
+    """One rebuild per level gives the levels, steps and diagnostic of the
+    per-position walk it replaced: on the corpus, on seeded random terms,
+    at a fuel that runs out, and on long spines."""
+    rng = random.Random(61)
+    terms = [parse_term(src) for src in _CORPUS.values()]
+    terms += [Y, OMEGA, parse_term("(\\x. x x x) (\\x. x x x)"), parse_term("x ((\\y. y) z) ((\\y. y y) (\\y. y y))")]
+    terms += [random_lambda_term(rng, 12) for _ in range(200)]
+    terms += [_spine(300, 7)[0], _spine(300, 1)[0]]
+    for t in terms:
+        for fuel in (4, 50):
+            assert stratify(t, 3, fuel) == stratify_per_position(t, 3, fuel)
+
+
+def test_stratify_takes_ten_thousand_arguments():
+    """Each level is rebuilt once, so a long spine stratifies in linear time;
+    the per-position oracle, quadratic, is too slow at this length, so the
+    known answer stands in for it."""
+    t, level, steps = _spine(10_000, 10_001)
+    res = stratify(t, 3, 10)
+    assert res.diagnostic is None
+    assert res.levels == (t, t, level, level) and res.step_positions == ((), steps, ())
+    plain = level
+    assert stratify(plain, 3, 10).levels == (plain,) * 4
+    t, level, steps = _spine(10_000, 100)
+    res = stratify(t, 2, 10)
+    assert res.levels == (t, t, level) and res.step_positions == ((), steps)
 
 
 def test_solvable_k_reaches_head_normal_form():

@@ -8,7 +8,6 @@ nodes are hash-consed."""
 from taylorlab.beta import (
     _shift,
     beta_step,
-    depth_positions,
     head_normalize,
     is_bohm_normal,
     leftmost_redex,
@@ -35,7 +34,7 @@ from taylorlab.syntax import (
     unfold,
 )
 
-from support import power_apply, power_tail
+from support import depth_positions, power_apply, power_tail
 
 N = 10_000
 X, Y = FreeVar("x"), FreeVar("y")

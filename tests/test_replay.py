@@ -28,12 +28,12 @@ from taylorlab.resource import (
     rlam,
     rvar,
 )
-from taylorlab.resource_reduction import head_split, hr_step, hr_step_along, r_normalize
+from taylorlab.resource_reduction import head_split, hr_step, peel, r_normalize
 from taylorlab.selftest import _CORPUS
 from taylorlab.syntax import RationalSystem, parse_term
-from taylorlab.taylor import approximates, enumerate_taylor
+from taylorlab.taylor import _approx, approximates, enumerate_taylor
 
-from support import is_head_normal
+from support import hr_step_along, is_head_normal
 
 rp = parse_resource_term
 FUEL = 1000
@@ -139,7 +139,9 @@ def test_open_along_rebuilds_exactly_the_addends():
 def test_certificate_check_agrees_with_hr_step():
     """A link holds exactly for the addends of ``hr_step``, each rebuilt
     from an ordering of the head redex's monomial; anything that is not
-    such an ordering is refused."""
+    such an ordering is refused. The lifter checks a link on the opened
+    core, ``u`` inside the frames that ``before`` and ``after`` share,
+    and that check agrees with ``hr_step_along`` on the whole terms."""
     rng = Random(7)
     checked = 0
     while checked < 500:
@@ -148,7 +150,7 @@ def test_certificate_check_agrees_with_hr_step():
             assert hr_step_along(t, ()) is None
             continue
         fired = hr_step(t)
-        _, head, monos = head_split(t)
+        binders, head, monos = head_split(t)
         elems = monos[0].elems
         orders = set(permutations(elems))
         rebuilt = {order: hr_step_along(t, order) for order in orders}
@@ -157,7 +159,11 @@ def test_certificate_check_agrees_with_hr_step():
         candidates += [_padding(u.size) for u in fired] + [t]
         for order, u in rebuilt.items():
             for v in candidates:
-                assert lab._link_holds(t, v, list(order)) == (v is u)
+                peeled = peel(v, binders, len(monos) - 1)
+                if peeled is None or peeled[1] != monos[1:]:
+                    assert v is not u
+                else:
+                    assert lab._link_holds(head.body, list(order), peeled[0]) == (v is u)
         stranger = random_resource_term(rng, 3, depth=1)
         for bad in (elems[1:], elems + (stranger,), (stranger,) + elems[1:]):
             if sorted(bad, key=lambda e: e.skey) != list(elems):
@@ -237,15 +243,23 @@ def _inverts_steps(session):
     return any(run is not None and run[0] for run in session.runs.values())
 
 
+def _inverted_steps(session):
+    """What un-substitution gave for the head binder bodies of the session's
+    step tables: ``(w, es)`` per inverted step."""
+    bodies = {step[3] for run in session.runs.values() if run for step in run[0]}
+    return [got for (_, p, c, _), got in session.unsubst.items() if c == 0 and p in bodies and got is not None]
+
+
 def _opens_a_loose_body(session):
     """Whether some inverted step rebuilds a binder body with a loose
     index; closed bodies, and all subterms without one, are shared
     unchanged and never reach the rebuild memo."""
-    heads = {hf.head.body for run in session.runs.values() if run for hf in run[0]}
-    return any(
-        c == 0 and p in heads and got is not None and got[0].loose > 0
-        for (_, p, c, _), got in session.unsubst.items()
-    )
+    return any(w.loose > 0 for w, _ in _inverted_steps(session))
+
+
+def _grafts(session):
+    """Whether some inverted step grafted an element."""
+    return any(es for _, es in _inverted_steps(session))
 
 
 @pytest.mark.parametrize("src,size", SESSION_CASES)
@@ -281,9 +295,11 @@ def test_memoized_rebuild_agrees_with_open_along(src, size):
 def test_memoized_approximation_agrees_with_a_fresh_test(src, size):
     """The session's memo decides what a fresh ``approximates`` decides, on
     the ancestors, on the slice and on the tree targets (which mostly do
-    not approximate the term itself)."""
+    not approximate the term itself). The lift fills it with its graft
+    checks only, so it is empty when no step grafted anything, as for
+    ``\\x. x``."""
     term, targets, session, ancestors = _shared_run(src, size)
-    assert session.approx or not ancestors
+    assert bool(session.approx) == _grafts(session)
     verdicts = set()
     for s in ancestors + list(enumerate_taylor(term, size)) + targets:
         verdict = approximates(s, term, session.approx)
@@ -323,9 +339,9 @@ def test_corrupted_link_ends_the_lift(monkeypatch):
     original = lab._link_holds
     checked = []
 
-    def corrupting(before, after, elems, memo=None):
-        checked.append(after)
-        return original(before, _padding(after.size) if len(checked) == 1 else after, elems, memo)
+    def corrupting(w, elems, u, memo=None):
+        checked.append(u)
+        return original(w, elems, _padding(u.size) if len(checked) == 1 else u, memo)
 
     monkeypatch.setattr(lab, "_link_holds", corrupting)
     broken, session = _lift_of(t, y)
@@ -346,9 +362,9 @@ def test_corrupted_shared_sub_lift_leaves_every_reuser_unlifted(monkeypatch):
     original = lab._link_holds
     checked = []
 
-    def corrupting(before, after, elems, memo=None):
-        checked.append(after)
-        return len(checked) > 1 and original(before, after, elems, memo)
+    def corrupting(w, elems, u, memo=None):
+        checked.append(u)
+        return len(checked) > 1 and original(w, elems, u, memo)
 
     monkeypatch.setattr(lab, "_link_holds", corrupting)
     session = LiftSession()
@@ -367,17 +383,74 @@ def test_corrupted_certificate_ends_the_lift(monkeypatch):
     original = lab._lift_one_step
     wrong = []
 
-    def reversing(node, before, stack, system, memo=None):
-        lifted, grafted = original(node, before, stack, system, memo)
+    def reversing(node, step, system, memo):
+        u, rest, w, grafted = original(node, step, system, memo)
         bad = grafted[::-1]
-        if not lab._link_holds(lifted, node, bad):
+        if not lab._link_holds(w, bad, u):
             wrong.append(bad)
-        return lifted, bad
+        return u, rest, w, bad
 
     monkeypatch.setattr(lab, "_lift_one_step", reversing)
     s, session = _lift_of(t, y)
     assert s is None and wrong
     assert session.failed[1] == "failed its link check"
+
+
+def test_corrupted_graft_ends_the_lift(monkeypatch):
+    """A grafted element that does not approximate the redex's argument
+    ends the lift before its link is checked, and the check names the head
+    step with that reason."""
+    y = parse_term(_CORPUS["Y"])
+    original = lab._lift_one_step
+    stranger = rfvar("zz")
+
+    def grafting_a_stranger(node, step, system, memo):
+        got = original(node, step, system, memo)
+        if got is None or not got[3]:
+            return got
+        u, rest, w, grafted = got
+        return u, rest, w, (stranger,) + grafted[1:]
+
+    monkeypatch.setattr(lab, "_lift_one_step", grafting_a_stranger)
+    s, session = _lift_of(rp("\\a. <a>[<a>[<a>1]]"), y)
+    assert s is None and session.checked_grafts == 1
+    assert session.failed[1] == "grafted an element outside its argument's expansion"
+    report = check_commutation(y, 14, FUEL)
+    assert report.verdict == "inconclusive"
+    assert ": the head step from " in report.reason
+    assert report.reason.endswith(" grafted an element outside its argument's expansion")
+
+
+@pytest.mark.parametrize("src,size", SESSION_CASES)
+def test_every_link_and_lift_passes_the_whole_term_oracles(src, size, monkeypatch):
+    """The slow oracles of the lifter's checks: each link checked on its
+    core is a link on the whole terms (``hr_step_along(before, elems) is
+    after``), and each ancestor and stored sub-lift, whose grafts were
+    checked one by one, approximates its λ-term as a whole."""
+    links = []
+    original = LiftSession._invert
+
+    def recording(self, after, step, system):
+        before = original(self, after, step, system)
+        if before is not None:
+            links.append((before, after, lab._lift_one_step(after, step, system, self.unsubst)[3]))
+        return before
+
+    monkeypatch.setattr(LiftSession, "_invert", recording)
+    term, _, session, ancestors = _shared_run(src, size)
+    assert bool(links) == _inverts_steps(session)
+    assert len(links) == session.checked_links
+    for before, after, elems in links:
+        assert hr_step_along(before, elems) is after
+    system = term if isinstance(term, RationalSystem) else None
+    for s in ancestors:
+        assert approximates(s, term)
+    lifted = 0
+    for (_, m, stack), node in session.lifts.items():
+        if node is not None:
+            assert _approx(node, m, stack, system, {})
+            lifted += 1
+    assert lifted >= len(ancestors)
 
 
 @pytest.mark.parametrize(
@@ -435,6 +508,9 @@ def test_commutation_reports_where_verification_went(src, size, constructed):
     assert stats["constructed_ancestors"] == constructed
     assert "replayed_ancestors" not in stats and "verify_fallbacks" not in stats
     assert stats["shared_lifts"] > 0
+    # each of these terms has a head redex, so every ancestor checks a link of its own
+    assert stats["checked_links"] >= constructed and stats["checked_grafts"] > 0
+    assert check_commutation(parse_term(src), size, FUEL).stats == stats
 
 
 # the checks of the commute-cold benchmark workload, with their pinned sizes

@@ -11,7 +11,6 @@ from taylorlab.beta import (
     InvalidPositionError,
     _captures,
     _shift,
-    depth_positions,
     head_form,
     is_bohm_normal,
     leftmost_redex,
@@ -41,6 +40,7 @@ from taylorlab.syntax import (
     unfold,
 )
 
+from support import depth_positions
 from walk_oracles import (
     old_bind_free,
     old_bohm_dot,
