@@ -9,12 +9,15 @@ certificate, either an exact repetition of a previous state (the
 self-application loop) or a bottom constant in head position. Plain fuel
 exhaustion stays inconclusive, and truncated trees mark it with the cut
 marker rather than bottom.
+
+The records (``HeadForm``, ``Verdict``, ``HeadRun``, ``StratifyResult``) are
+``NamedTuple``s, read by attribute and never unpacked: ``dataclasses`` would
+load ``inspect``, ``ast``, ``dis`` and ``tokenize`` into every CLI process.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .syntax import (
     BOTTOM,
@@ -185,8 +188,7 @@ def bot_step(m: Term, at: Position, oracle: Callable[[Term], "Verdict"]) -> Term
 # Head forms
 
 
-@dataclass(frozen=True)
-class HeadForm:
+class HeadForm(NamedTuple):
     """Decomposition ``\\x1..xm. (((head) q1) ... ) qn`` with a non-application head."""
 
     binders: tuple[str, ...]
@@ -266,8 +268,7 @@ def head_step(
 # Verdicts and the head normalizer
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of a head-reduction run.
 
     ``solvable(k)`` promises that ``k`` head steps reach a head normal
@@ -307,16 +308,15 @@ class Verdict:
         return f"unknown({self.reason}, {self.steps} steps)"
 
 
-@dataclass(frozen=True)
-class HeadRun:
+class HeadRun(NamedTuple):
     """Result of ``head_normalize``: the final term, the verdict, the list of
     pre-step terms (resolved, so each one exhibits its head redex), and the
     redex position inside each of them."""
 
     term: Term
     verdict: Verdict
-    trace: tuple[Term, ...] = field(repr=False, default=())
-    step_positions: tuple[Position, ...] = field(repr=False, default=())
+    trace: tuple[Term, ...] = ()
+    step_positions: tuple[Position, ...] = ()
 
 
 def _captures(hf: HeadForm, names: frozenset[str]) -> bool:
@@ -441,8 +441,7 @@ def is_bohm_normal(t: Term) -> bool:
 # Stratification
 
 
-@dataclass(frozen=True)
-class StratifyResult:
+class StratifyResult(NamedTuple):
     """Levels ``m0..mD`` where level ``d+1`` head-normalizes every subterm of
     level ``d`` sitting at applicative depth exactly ``d``; the recorded
     positions replay each stage via ``min_depth_step``."""

@@ -64,7 +64,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .beta import (
@@ -126,16 +125,22 @@ class ApproximantMismatchError(LambdaError):
     pass
 
 
-@dataclass
 class CheckReport:
-    """Outcome of one theorem check; serializes to a stable JSON shape."""
+    """Outcome of one theorem check; serializes to a stable JSON shape. A
+    plain class, not a dataclass, for the reason ``beta`` gives."""
 
-    theorem: str
-    inputs: dict
-    verdict: str  # "pass" | "fail" | "inconclusive"
-    witness: Optional[str] = None
-    reason: Optional[str] = None
-    stats: dict = field(default_factory=dict)
+    __slots__ = ("theorem", "inputs", "verdict", "witness", "reason", "stats")
+
+    def __init__(
+        self, theorem: str, inputs: dict, verdict: str,
+        witness: Optional[str] = None, reason: Optional[str] = None, stats: Optional[dict] = None,
+    ):
+        self.theorem = theorem
+        self.inputs = inputs
+        self.verdict = verdict  # "pass" | "fail" | "inconclusive"
+        self.witness = witness
+        self.reason = reason
+        self.stats = {} if stats is None else stats
 
     @property
     def exit_code(self) -> int:

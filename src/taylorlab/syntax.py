@@ -406,7 +406,7 @@ class Naming:
 
     def __init__(self, t: Term, avoid: frozenset[str] = frozenset()):
         self.avoid = avoid
-        self.names: list[str] = []  # the enclosing binders' names, outermost first
+        self.names: list[tuple[str, int, str]] = []  # (base, primes, name) per enclosing binder, outermost first
         # what each node uses from outside, in one set: free names and dangling indices
         self.uses = uses = {}
         for u in dict.fromkeys(reversed([u for u, *_ in subterms(t)])):  # children first
@@ -420,22 +420,26 @@ class Naming:
     def bind(self, lam: Lam, depth: int) -> str:
         """The name of ``lam``, which ``depth`` binders enclose."""
         names = self.names
-        taken = set(self.avoid)
-        for x in self.uses[lam]:
+        hint = lam.hint or "x"
+        base = hint.rstrip("'")
+        taken = set()  # the prime counts on ``base`` of the names ``lam`` must differ from
+        for x in (*self.avoid, *self.uses[lam]):
             if type(x) is str:
-                taken.add(x)
-            elif x < depth:
-                taken.add(names[depth - 1 - x])
-        name = lam.hint or "x"
-        while name in taken:
-            name += "'"
-        names[depth:] = [name]
+                if x.rstrip("'") == base:
+                    taken.add(len(x) - len(base))
+            elif x < depth and names[depth - 1 - x][0] == base:
+                taken.add(names[depth - 1 - x][1])
+        primes = len(hint) - len(base)
+        while primes in taken:
+            primes += 1
+        name = base + "'" * primes
+        names[depth:] = [(base, primes, name)]
         return name
 
     def leaf(self, u: Term, depth: int, cut: str) -> str:
         """The text of the leaf ``u``, which ``depth`` binders enclose."""
         if isinstance(u, Var):
-            return self.names[depth - 1 - u.index] if u.index < depth else f"#{u.index}"
+            return self.names[depth - 1 - u.index][2] if u.index < depth else f"#{u.index}"
         if isinstance(u, FreeVar):
             return u.name
         if isinstance(u, Bottom):

@@ -63,7 +63,7 @@ NAMES = ("x", "y", "f")
 SYMBOLS = ("F", "G", "H")
 
 
-def _term(rng, size, depth=0, symbols=(), holes=False):
+def _term(rng, size, depth=0, symbols=(), holes=False, names=NAMES):
     """A random term whose binder hints and free names overlap, so that
     grafting captures; some indices point past every binder."""
     roll = rng.random()
@@ -74,15 +74,15 @@ def _term(rng, size, depth=0, symbols=(), holes=False):
         if holes and leaf < 0.4:
             return HOLE
         if leaf < 0.5:
-            return BOTTOM if rng.random() < 0.3 else FreeVar(rng.choice(NAMES + ("z",)))
+            return BOTTOM if rng.random() < 0.3 else FreeVar(rng.choice(names + ("z",)))
         return Var(rng.randrange(depth + 2))
     if roll < 0.45:
-        return Lam(rng.choice(NAMES), _term(rng, size - 1, depth + 1, symbols, holes))
+        return Lam(rng.choice(names), _term(rng, size - 1, depth + 1, symbols, holes, names))
     if roll < 0.6:
-        fn = Lam(rng.choice(NAMES), _term(rng, size // 2, depth + 1, symbols, holes))
+        fn = Lam(rng.choice(names), _term(rng, size // 2, depth + 1, symbols, holes, names))
     else:
-        fn = _term(rng, size // 2, depth, symbols, holes)
-    return App(fn, _term(rng, size - 1 - size // 2, depth, symbols, holes))
+        fn = _term(rng, size // 2, depth, symbols, holes, names)
+    return App(fn, _term(rng, size - 1 - size // 2, depth, symbols, holes, names))
 
 
 def _positions(t):
@@ -183,6 +183,24 @@ def test_printer_matches_the_recursive_printer():
         cut = rng.choice(("*", "◻"))
         avoid = frozenset(rng.sample(NAMES + SYMBOLS, rng.randint(0, 2)))
         assert pretty(t, cut, avoid) == old_pretty(t, cut, avoid)
+
+
+def test_printer_matches_the_recursive_printer_on_primed_names():
+    """Hints, free names and names to avoid that already end in primes:
+    ``Naming`` counts primes on a base name where the frozen printer
+    appended them to whole names, so both must try the same names."""
+    terms = [parse_term(text) for text in (r"\x'. \x. x' x", r"\x. x x'", r"\x'. \x. x x' x''")]
+    clash = Lam("x", Lam("x'", Lam("x", App(App(App(Var(2), Var(1)), Var(0)), FreeVar("x''")))))
+    assert pretty(clash) == r"\x. \x'. \x'''. x x' x''' x''"
+    for t in terms + [clash]:
+        assert pretty(t) == old_pretty(t)
+    assert pretty(parse_term(r"\x. x x'"), avoid=frozenset({"x", "x''"})) == r"\x'''. x''' x'"
+    rng = Random(1221)
+    primed = ("x", "x'", "x''", "y'")
+    for _ in range(2000):
+        t = _term(rng, rng.randint(1, 16), symbols=SYMBOLS, names=primed)
+        avoid = frozenset(rng.sample(primed + SYMBOLS, rng.randint(0, 2)))
+        assert pretty(t, "*", avoid) == old_pretty(t, "*", avoid)
 
 
 def test_system_printer_matches_the_recursive_printer():
