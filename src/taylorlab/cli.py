@@ -45,7 +45,6 @@ from .resource_reduction import (
     redex_sites,
     site_to_str,
 )
-from .selftest import run_selftest
 from .syntax import (
     App,
     Lam,
@@ -343,6 +342,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from .selftest import run_selftest  # only this command needs it, and `random`
     out = run_selftest(args.seed, fuel=args.fuel, size_bound=args.size)
     if args.json:
         print(json.dumps(out, indent=2, sort_keys=True))

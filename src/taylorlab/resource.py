@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 from .syntax import Tokens, token_pattern
 
 
-_skey, _size, _height, _loose, _redex = map(attrgetter, ("skey", "size", "height", "loose", "redex"))
+_skey, _size, _loose, _redex = map(attrgetter, ("skey", "size", "loose", "redex"))
 
 
 # ---------------------------------------------------------------------------
@@ -24,15 +24,16 @@ _skey, _size, _height, _loose, _redex = map(attrgetter, ("skey", "size", "height
 
 
 class ResourceTerm:
-    """Interned node. Besides the measures, every node carries summaries
-    computed once, when it is interned: ``loose`` bounds its loose de Bruijn
-    indices (each is below it) and ``redex`` says whether it contains a
-    redex. Identity ``__eq__``/``__hash__`` are correct thanks to interning.
-    Abstractions and applications also keep their normal form in ``nf``
-    (None until ``resource_reduction.r_normalize`` first needs it).
+    """Interned node. Every node carries, computed once when it is interned,
+    its order key ``skey`` (an application's splices in its elements' keys),
+    its ``size``, ``loose``, which bounds its loose de Bruijn indices (each
+    is below it), and ``redex``, whether it contains a redex; ``r_height``
+    walks for the height. Identity ``__eq__``/``__hash__`` are correct thanks
+    to interning. Abstractions and applications also keep their normal form
+    in ``nf`` (None until ``resource_reduction.r_normalize`` first needs it).
     """
 
-    __slots__ = ("skey", "size", "height", "loose", "redex")
+    __slots__ = ("skey", "size", "loose", "redex")
 
     def __str__(self) -> str:
         return pretty_resource(self)
@@ -67,9 +68,10 @@ class RHole(ResourceTerm):
 
 
 class Monomial:
-    """Finite multiset of resource terms, kept sorted; ``1`` is the empty one."""
+    """Finite multiset of resource terms, kept sorted; ``1`` is the empty one.
+    It has no order key: an application splices its elements' keys in."""
 
-    __slots__ = ("elems", "skey", "size", "height", "loose", "redex")
+    __slots__ = ("elems", "size", "loose", "redex")
 
     def __iter__(self) -> Iterator[ResourceTerm]:
         return iter(self.elems)
@@ -79,9 +81,6 @@ class Monomial:
 
     def __getitem__(self, i: int) -> ResourceTerm:
         return self.elems[i]
-
-    def __lt__(self, other: "Monomial") -> bool:
-        return self.skey < other.skey
 
     def __str__(self) -> str:
         return pretty_monomial(self)
@@ -93,17 +92,19 @@ class Monomial:
 # One intern table per kind, keyed by the children themselves. A node is
 # built outside the table and inserted with ``setdefault``, which is atomic,
 # so threads racing on the same key all return the node that got in first.
+# Applications are interned per function, in a row ``{mono: node}`` that is
+# inserted with ``setdefault`` too: no key tuple per application, and a
+# function has several applications (ROADMAP item 3 gives the fan-out).
 _VARS: dict[int, "RVar"] = {}
 _FREE: dict[str, "RFreeVar"] = {}
 _LAMS: dict[ResourceTerm, "RLam"] = {}
-_APPS: dict[tuple, "RApp"] = {}
+_APPS: dict[ResourceTerm, dict[Monomial, "RApp"]] = {}
 _MONOS: dict[tuple, Monomial] = {}
 
 
 def _leaf(node, skey: tuple, loose: int):
     node.skey = skey
     node.size = 1
-    node.height = 0
     node.loose = loose
     node.redex = False
     return node
@@ -134,7 +135,6 @@ def rlam(body: ResourceTerm) -> RLam:
         node.body = body
         node.skey = (2, body.skey)
         node.size = 1 + body.size
-        node.height = body.height
         node.loose = body.loose - 1 if body.loose else 0
         node.redex = body.redex
         node.nf = None
@@ -143,19 +143,18 @@ def rlam(body: ResourceTerm) -> RLam:
 
 
 def rapp(fn: ResourceTerm, mono: Monomial) -> RApp:
-    key = (fn, mono)
-    node = _APPS.get(key)
+    row = _APPS.get(fn) or _APPS.setdefault(fn, {})
+    node = row.get(mono)
     if node is None:
         node = RApp()
         node.fn = fn
         node.mono = mono
-        node.skey = (3, fn.skey, mono.skey)
+        node.skey = (3, fn.skey, *map(_skey, mono.elems))
         node.size = fn.size + mono.size
-        node.height = fn.height if fn.height > mono.height else mono.height
         node.loose = fn.loose if fn.loose > mono.loose else mono.loose
         node.redex = fn.redex or mono.redex or isinstance(fn, RLam)
         node.fired = node.nf = None
-        node = _APPS.setdefault(key, node)
+        node = row.setdefault(mono, node)
     return node
 
 
@@ -170,9 +169,7 @@ def monomial(elems: Iterable[ResourceTerm]) -> Monomial:
     if node is None:
         node = Monomial()
         node.elems = elems
-        node.skey = tuple(map(_skey, elems))
         node.size = 1 + sum(map(_size, elems))
-        node.height = 1 + max(map(_height, elems), default=0)
         node.loose = max(map(_loose, elems), default=0)
         node.redex = any(map(_redex, elems))
         node = _MONOS.setdefault(elems, node)
@@ -259,11 +256,21 @@ def r_height(x: Summable) -> int:
     """Monomial-nesting depth; abstractions and application spines are free.
 
     The empty monomial still counts one nesting level, so ``h(1) = 1``.
-    The empty sum has height 0.
+    The empty sum has height 0. One walk on a stack of subterms with the
+    number of monomials above them.
     """
-    if isinstance(x, FiniteSum):
-        return max((t.height for t in x), default=0)
-    return x.height
+    todo = [(t, 0) for t in x] if isinstance(x, FiniteSum) else [(x, 0)]
+    height = 0
+    while todo:
+        u, h = todo.pop()
+        if isinstance(u, Monomial):
+            height = max(height, h + 1)
+            todo += [(e, h + 1) for e in u.elems]
+        elif isinstance(u, RLam):
+            todo.append((u.body, h))
+        elif isinstance(u, RApp):
+            todo += ((u.fn, h), (u.mono, h))
+    return height
 
 
 def deg_hole(t: ResourceTerm | Monomial) -> int:

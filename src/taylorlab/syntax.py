@@ -71,10 +71,11 @@ class Term:
         return f"Term({pretty(self)!r})"
 
 
-# One intern table per kind, keyed by the children themselves, as for
-# resource nodes. A node is built outside the table and inserted with
-# ``setdefault``, which is atomic, so threads racing on the same key all
-# return the node that got in first.
+# One intern table per kind, keyed by the children themselves. A node is
+# built outside the table and inserted with ``setdefault``, which is atomic,
+# so threads racing on the same key all return the node that got in first.
+# These tables stay tiny (tens of nodes in a check), so unlike resource
+# applications theirs keep one key tuple per node.
 _VARS: dict[int, "Var"] = {}
 _FREE: dict[str, "FreeVar"] = {}
 _REFS: dict[str, "RecRef"] = {}

@@ -31,6 +31,7 @@ from .resource import (
     RLam,
     RVar,
     monomial,
+    r_height,
     rapp,
     rfvar,
     rlam,
@@ -202,7 +203,7 @@ def member_of_bohm(
     """
     if prefixes is None:
         prefixes = {}
-    depth = t.height + 1
+    depth = r_height(t) + 1
     prefix = prefixes.get(depth)
     if prefix is None:
         prefix = prefixes[depth] = bohm_tree(target, depth, fuel)

@@ -436,11 +436,12 @@ def test_json_output_does_not_depend_on_addresses(argv):
 def test_import_loads_no_dataclasses_and_no_source_tools():
     """Every CLI call is a fresh process, so ``import taylorlab.cli`` is part
     of what each check costs. It loads no ``dataclasses``, and so none of
-    the source and bytecode tools that module pulls in. ``-S`` keeps the
-    site packages' start-up hooks out of the count."""
+    the source and bytecode tools that module pulls in, and not ``random``
+    or the self-test modules, which only the ``selftest`` command needs.
+    ``-S`` keeps the site packages' start-up hooks out of the count."""
     src = str(Path(taylorlab.__file__).resolve().parents[1])
     code = "import sys, taylorlab.cli; print(*sorted(set(sys.argv[1:]) & set(sys.modules)))"
-    banned = ["dataclasses", "inspect", "ast", "dis", "tokenize"]
+    banned = ["dataclasses", "inspect", "ast", "dis", "tokenize", "random", "taylorlab.gen", "taylorlab.selftest"]
     done = subprocess.run(
         [sys.executable, "-S", "-c", code, *banned],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,

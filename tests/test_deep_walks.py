@@ -1,6 +1,7 @@
 """Every λ-side map and fold on terms 10,000 deep: binder chains, argument
 lists and nested arguments, and ``beta_step`` and ``head_normalize`` on top of
-them, and ``alpha_eq``; and parse→print round trips of both grammars as deep.
+them, and ``alpha_eq``; parse→print round trips of both grammars as deep, and
+the height of resource terms.
 Python's recursion limit is about 1,000, so none of these may recurse on the
 term. Results are checked by walking them with loops or by identity, since
 nodes are hash-consed."""
@@ -15,7 +16,7 @@ from taylorlab.beta import (
     replace_at,
 )
 from taylorlab.lab import _prefix_status
-from taylorlab.resource import ONE, monomial, parse_resource_term, pretty_resource, rapp, rfvar, rlam, rvar
+from taylorlab.resource import ONE, monomial, parse_resource_term, pretty_resource, r_height, rapp, rfvar, rlam, rvar
 from taylorlab.syntax import (
     BOTTOM,
     HOLE,
@@ -176,3 +177,12 @@ def test_deep_resource_round_trips():
     for t in terms:
         assert parse_resource_term(pretty_resource(t)) is t
     assert parse_resource_term("(" * N + "x" + ")" * N) is x
+
+
+def test_deep_resource_height():
+    x = rfvar("x")
+    t = x
+    for _ in range(N):
+        t = rapp(x, monomial([t]))  # <x>[<x>[... x ...]]
+    assert r_height(t) == N
+    assert r_height(t.mono) == N

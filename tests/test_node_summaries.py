@@ -5,8 +5,11 @@ rebuilt once per distinct ordering, no pruning, no cache), ``_summary``
 recomputes a node's ``loose`` and ``redex`` from scratch, and
 ``_recursive_step`` and ``_leftmost_outermost_nf`` are the step (one sum
 per context level) and the normalizer (every step from the root) that
-``r_step`` and ``r_normalize`` replaced."""
+``r_step`` and ``r_normalize`` replaced. The frozen ``old_skey`` and
+``old_height`` check the flat order keys and the height walk, and one test
+pins the size of the interned nodes."""
 
+import sys
 from itertools import combinations_with_replacement, permutations
 from math import factorial
 from random import Random
@@ -14,6 +17,7 @@ from random import Random
 import pytest
 
 from taylorlab.beta import NotARedexError
+from taylorlab.gen import random_resource_term
 from taylorlab.resource import (
     HOLE_R,
     ZERO,
@@ -34,6 +38,7 @@ from taylorlab.resource import (
     parse_resource_term,
     pretty_resource,
     r_context_fill,
+    r_height,
     r_subst,
     rapp,
     rfvar,
@@ -53,7 +58,7 @@ from taylorlab.resource_reduction import (
 )
 
 from support import site_from_str
-from walk_oracles import old_unshift
+from walk_oracles import old_height, old_skey, old_unshift
 
 # ---------------------------------------------------------------------------
 # Slow references
@@ -398,6 +403,58 @@ def test_unshift_agrees_with_the_frozen_walk():
                 _assert_summaries(got)
                 assert _rshift(got, c) is t
     assert outcomes == {True, False}
+
+
+def test_flat_order_keys_sort_as_the_nested_keys():
+    """An application's key splices in its elements' keys, where the frozen
+    key nests them as one tuple: the order is the same."""
+    rng = Random(21)
+    terms = {random_resource_term(rng, rng.randint(6, 30)) for _ in range(5000)}
+    assert len(terms) >= 2000
+    terms.update(t for _, t in _random_terms(22, 500))
+    assert sorted(terms, key=lambda t: t.skey) == sorted(terms, key=old_skey)
+    assert len({t.skey for t in terms}) == len(terms)
+    # equal functions, then monomials of equal prefix and different length
+    ladder = [
+        "<f>1",
+        "<f>[a]",
+        "<f>[a, a]",
+        "<f>[a, a, a]",
+        "<f>[a, b]",
+        "<f>[a, b, <f>1]",
+        "<f>[a, <f>1]",
+        "<f>[a, <f>[a]]",
+        "<f>[a, <f>[a, b]]",
+        "<f>[b]",
+        "<g>1",
+    ]
+    ladder = [parse_resource_term(text) for text in ladder]
+    for key in (lambda t: t.skey, old_skey):
+        keys = [key(t) for t in ladder]
+        assert all(lo < hi for lo, hi in zip(keys, keys[1:]))
+
+
+def test_height_walk_agrees_with_the_recursive_height():
+    rng = Random(23)
+    cases = [t for _, t in _random_terms(23, 400)]
+    cases += [random_resource_term(rng, rng.randint(1, 20)) for _ in range(400)]
+    for t in cases:
+        mono = _mono(rng, rng.randint(0, 3), 1)
+        for x in (t, mono, rapp(t, mono), FiniteSum((t, rapp(t, mono)))):
+            assert r_height(x) == old_height(x), pretty_resource(t)
+    assert r_height(ZERO) == old_height(ZERO) == 0
+
+
+@pytest.mark.skipif(
+    sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11), reason="sizes measured on CPython 3.11"
+)
+def test_interned_nodes_stay_small():
+    """Interned nodes hold most of a check's memory, so a new per-node field
+    is measured before it lands."""
+    t = parse_resource_term("<\\a. a>[x]")
+    assert sys.getsizeof(t) <= 96  # RApp
+    assert sys.getsizeof(t.fn) <= 80  # RLam
+    assert sys.getsizeof(t.mono) <= 64  # Monomial
 
 
 def test_occurrence_counters_agree_with_the_reference_count():

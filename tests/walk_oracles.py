@@ -13,6 +13,13 @@ replaced it with the occurrence counter and ``_rshift``, and
 ``test_node_summaries`` checks the two against each other on random open
 terms.
 
+``old_skey`` is the nested order key that resource nodes stored before an
+application spliced its elements' keys into its own, ``(3, fn key, monomial
+key)`` with a monomial keyed by the tuple of its elements' keys, and
+``old_height`` the height that nodes stored before ``resource.r_height``
+walked for it. ``test_node_summaries`` checks the flat keys and the walk
+against them.
+
 ``old_pretty``, ``old_pretty_resource`` and ``old_bohm_dot`` are the
 recursive printers that the explicit-stack loops of ``syntax.pretty``,
 ``resource.pretty_resource`` and ``cli._bohm_dot`` replaced; the λ printer
@@ -28,7 +35,20 @@ import itertools
 from typing import Optional
 
 from taylorlab.lab import ApproximantMismatchError
-from taylorlab.resource import Monomial, ResourceTerm, RApp, RFreeVar, RHole, RLam, RVar, monomial, rapp, rlam, rvar
+from taylorlab.resource import (
+    FiniteSum,
+    Monomial,
+    ResourceTerm,
+    RApp,
+    RFreeVar,
+    RHole,
+    RLam,
+    RVar,
+    monomial,
+    rapp,
+    rlam,
+    rvar,
+)
 from taylorlab.syntax import (
     HOLE,
     App,
@@ -312,6 +332,35 @@ def _shifted_down(t: ResourceTerm, c: int, depth: int) -> ResourceTerm:
     if isinstance(t, RLam):
         return rlam(_shifted_down(t.body, c, depth + 1))
     return rapp(_shifted_down(t.fn, c, depth), monomial(_shifted_down(e, c, depth) for e in t.mono))
+
+
+def old_skey(x: ResourceTerm | Monomial) -> tuple:
+    """The nested order key: an application's monomial is one tuple in it."""
+    if isinstance(x, Monomial):
+        return tuple(old_skey(e) for e in x)
+    if isinstance(x, RVar):
+        return (0, x.index)
+    if isinstance(x, RFreeVar):
+        return (1, x.name)
+    if isinstance(x, RLam):
+        return (2, old_skey(x.body))
+    if isinstance(x, RApp):
+        return (3, old_skey(x.fn), old_skey(x.mono))
+    assert isinstance(x, RHole)
+    return (4,)
+
+
+def old_height(x: ResourceTerm | Monomial | FiniteSum) -> int:
+    """Monomial-nesting depth, as the constructors computed it."""
+    if isinstance(x, FiniteSum):
+        return max((old_height(t) for t in x), default=0)
+    if isinstance(x, Monomial):
+        return 1 + max((old_height(e) for e in x), default=0)
+    if isinstance(x, RLam):
+        return old_height(x.body)
+    if isinstance(x, RApp):
+        return max(old_height(x.fn), old_height(x.mono))
+    return 0
 
 
 # ---------------------------------------------------------------------------
