@@ -30,7 +30,9 @@ class ResourceTerm:
     is below it), and ``redex``, whether it contains a redex; ``r_height``
     walks for the height. Identity ``__eq__``/``__hash__`` are correct thanks
     to interning. Abstractions and applications also keep their normal form
-    in ``nf`` (None until ``resource_reduction.r_normalize`` first needs it).
+    in ``nf``: None until ``resource_reduction.r_normalize`` first needs it,
+    then the addends as a bare tuple sorted by ``skey`` (``()`` for 0), which
+    ``r_normalize`` wraps in a ``FiniteSum`` without sorting again.
     """
 
     __slots__ = ("skey", "size", "loose", "redex")
@@ -58,7 +60,10 @@ class RLam(ResourceTerm):
 
 
 class RApp(ResourceTerm):
-    """``fired`` caches ``open_redex``: None until a redex is first opened."""
+    """``fired`` caches ``open_redex``: None until a redex is first opened,
+    then the addends as a bare sorted tuple, like ``nf``. An application is
+    interned in ``_FIRST`` if it was its function's first, else in the
+    function's row in ``_APPS``."""
 
     __slots__ = ("fn", "mono", "fired", "nf")
 
@@ -92,12 +97,17 @@ class Monomial:
 # One intern table per kind, keyed by the children themselves. A node is
 # built outside the table and inserted with ``setdefault``, which is atomic,
 # so threads racing on the same key all return the node that got in first.
-# Applications are interned per function, in a row ``{mono: node}`` that is
-# inserted with ``setdefault`` too: no key tuple per application, and a
-# function has several applications (ROADMAP item 3 gives the fan-out).
+# Applications are interned per function, with no key tuple: a function's
+# first application goes in the flat ``_FIRST`` ``{fn: node}``, and only a
+# second one opens the function's row ``{mono: node}`` in ``_APPS``, both
+# levels inserted with ``setdefault`` too. Most functions have one
+# application (ROADMAP item 3 gives the row sizes), so most own no row. An
+# entry of ``_FIRST`` never changes once set, so each (fn, mono) pair lives
+# in exactly one of the two tables, and racing threads still get one node.
 _VARS: dict[int, "RVar"] = {}
 _FREE: dict[str, "RFreeVar"] = {}
 _LAMS: dict[ResourceTerm, "RLam"] = {}
+_FIRST: dict[ResourceTerm, "RApp"] = {}
 _APPS: dict[ResourceTerm, dict[Monomial, "RApp"]] = {}
 _MONOS: dict[tuple, Monomial] = {}
 
@@ -143,19 +153,29 @@ def rlam(body: ResourceTerm) -> RLam:
 
 
 def rapp(fn: ResourceTerm, mono: Monomial) -> RApp:
-    row = _APPS.get(fn) or _APPS.setdefault(fn, {})
-    node = row.get(mono)
-    if node is None:
-        node = RApp()
-        node.fn = fn
-        node.mono = mono
-        node.skey = (3, fn.skey, *map(_skey, mono.elems))
-        node.size = fn.size + mono.size
-        node.loose = fn.loose if fn.loose > mono.loose else mono.loose
-        node.redex = fn.redex or mono.redex or isinstance(fn, RLam)
-        node.fired = node.nf = None
-        node = row.setdefault(mono, node)
-    return node
+    # most applications sit in rows, so a hit there costs two lookups
+    row = _APPS.get(fn)
+    if row is not None:
+        node = row.get(mono)
+        if node is not None:
+            return node
+    node = _FIRST.get(fn)
+    if node is not None and node.mono is mono:
+        return node
+    node = RApp()
+    node.fn = fn
+    node.mono = mono
+    node.skey = (3, fn.skey, *map(_skey, mono.elems))
+    node.size = fn.size + mono.size
+    node.loose = fn.loose if fn.loose > mono.loose else mono.loose
+    node.redex = fn.redex or mono.redex or isinstance(fn, RLam)
+    node.fired = node.nf = None
+    first = _FIRST.setdefault(fn, node)
+    if first is node or first.mono is mono:
+        return first
+    if row is None:
+        row = _APPS.setdefault(fn, {})
+    return row.setdefault(mono, node)
 
 
 HOLE_R = _leaf(RHole(), (4,), 0)
@@ -191,8 +211,7 @@ class FiniteSum:
     __slots__ = ("terms", "_set")
 
     def __init__(self, terms: Iterable[ResourceTerm] = ()):
-        terms = set(terms)
-        self.terms = tuple(sorted(terms, key=_skey)) if len(terms) > 1 else tuple(terms)
+        self.terms = _canonical(set(terms))
         self._set: Optional[frozenset] = None
 
     def __iter__(self) -> Iterator[ResourceTerm]:
@@ -223,6 +242,20 @@ class FiniteSum:
 
     def __repr__(self) -> str:
         return f"FiniteSum({pretty_sum(self)!r})"
+
+
+def _canonical(terms: set[ResourceTerm]) -> tuple[ResourceTerm, ...]:
+    """The addends of a sum as ``FiniteSum.terms`` keeps them."""
+    return tuple(sorted(terms, key=_skey)) if len(terms) > 1 else tuple(terms)
+
+
+def _wrap(terms: tuple[ResourceTerm, ...]) -> FiniteSum:
+    """The sum of ``terms``, already canonical (a cached ``fired`` or
+    ``nf``): no set and no sort."""
+    out = object.__new__(FiniteSum)
+    out.terms = terms
+    out._set = None
+    return out
 
 
 ZERO = FiniteSum()
@@ -426,9 +459,14 @@ def _fill_bound(u: ResourceTerm, c: int, it: Iterator[ResourceTerm]) -> Resource
 def open_redex(r: RApp) -> FiniteSum:
     """Fire the redex ``r``: ``open_binder`` of its binder's body and its
     monomial, computed once per node and kept in ``r.fired``."""
+    return _wrap(_fired(r))
+
+
+def _fired(r: RApp) -> tuple[ResourceTerm, ...]:
+    """The addends of ``open_redex(r)``, cached in ``r.fired``."""
     out = r.fired
     if out is None:
-        out = r.fired = open_binder(r.fn.body, r.mono)
+        out = r.fired = open_binder(r.fn.body, r.mono).terms
     return out
 
 

@@ -23,6 +23,9 @@ from .resource import (
     ResourceTerm,
     RApp,
     RLam,
+    _canonical,
+    _fired,
+    _wrap,
     monomial,
     open_redex,
     rapp,
@@ -92,8 +95,8 @@ def r_step(t: ResourceTerm, site: RedexSite) -> FiniteSum:
             raise NotARedexError(f"site {site_to_str(site[k:])} does not resolve in {u}")
     if not (isinstance(u, RApp) and isinstance(u.fn, RLam)):
         raise NotARedexError(f"no redex at site: {u}")
-    fired = open_redex(u)
-    return FiniteSum([_plug(v, frames) for v in fired.terms]) if frames else fired
+    fired = _fired(u)
+    return FiniteSum([_plug(v, frames) for v in fired]) if frames else _wrap(fired)
 
 
 def _plug(u: ResourceTerm, frames: list) -> ResourceTerm:
@@ -116,28 +119,29 @@ def valid_min_depth_sites(t: ResourceTerm, d: int) -> list[RedexSite]:
 # ---------------------------------------------------------------------------
 # Normalization
 
-def _nf(t: ResourceTerm) -> FiniteSum:
+def _nf(t: ResourceTerm) -> tuple[ResourceTerm, ...]:
+    """The addends of ``t``'s normal form as a canonical tuple."""
     if not t.redex:
-        return FiniteSum((t,))
+        return (t,)
     cached = t.nf
     if cached is not None:
         return cached
     acc: set[ResourceTerm] = set()
     if isinstance(t, RLam):
-        acc.update(map(rlam, _nf(t.body).terms))
+        acc.update(map(rlam, _nf(t.body)))
     elif isinstance(t.fn, RLam):
-        for u in open_redex(t).terms:
-            acc.update(_nf(u).terms)
+        for u in _fired(t):
+            acc.update(_nf(u))
     else:
         args = None  # the elements' normal forms multiplied out, once needed
-        for f in _nf(t.fn).terms:
+        for f in _nf(t.fn):
             if isinstance(f, RLam):
-                acc.update(_nf(rapp(f, t.mono)).terms)
+                acc.update(_nf(rapp(f, t.mono)))
                 continue
             if args is None:
                 args = list(itertools.product(*map(_nf, t.mono.elems)))
             acc.update(rapp(f, monomial(a)) for a in args)
-    out = t.nf = FiniteSum(acc)
+    out = t.nf = _canonical(acc)
     return out
 
 
@@ -150,8 +154,8 @@ def r_normalize(x: ResourceTerm | FiniteSum) -> FiniteSum:
     the result the one any strategy reaches (``normalize_with`` cross-checks
     this)."""
     if isinstance(x, FiniteSum):
-        return union_all(_nf(t) for t in x)
-    return _nf(x)
+        return FiniteSum(u for t in x for u in _nf(t))
+    return _wrap(_nf(x))
 
 
 def normalize_with(

@@ -110,3 +110,26 @@ def test_commutation_on_systems_never_fails_nor_misses_a_lift():
             report = check_commutation(m, SIZE, fuel)
             assert report.verdict != "fail", (str(m), fuel, report.witness)
             assert not (report.reason or "").startswith("no ancestor"), (str(m), fuel, report.reason)
+
+
+UNIQUE_SIZE = 14
+
+
+def test_a_target_that_is_a_normal_addend_lifts_to_its_forward_owner():
+    """Uniformity (ROADMAP item 8): distinct approximants have disjoint
+    normal forms, so a tree target that is also a forward normal addend has
+    one ancestor, the approximant it came from, and the lifter must find
+    exactly that one."""
+    checked = 0
+    for src in [*_CORPUS.values(), *SYSTEMS]:
+        target = parse_term(src)
+        owner = {}
+        for s in enumerate_taylor(target, UNIQUE_SIZE):
+            for t in r_normalize(s):
+                assert owner.setdefault(t, s) is s, (src, str(t), str(owner[t]), str(s))
+        session = LiftSession()
+        for t in enumerate_taylor(bohm_tree(target, UNIQUE_SIZE + 1, 1000), UNIQUE_SIZE):
+            if t in owner:
+                assert lift_to_source(t, target, 1000, session) is owner[t], (src, str(t))
+                checked += 1
+    assert checked >= 170

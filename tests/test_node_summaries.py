@@ -6,8 +6,9 @@ recomputes a node's ``loose`` and ``redex`` from scratch, and
 ``_recursive_step`` and ``_leftmost_outermost_nf`` are the step (one sum
 per context level) and the normalizer (every step from the root) that
 ``r_step`` and ``r_normalize`` replaced. The frozen ``old_skey`` and
-``old_height`` check the flat order keys and the height walk, and one test
-pins the size of the interned nodes."""
+``old_height`` check the flat order keys and the height walk, one test
+pins the size of the interned nodes, and one checks the application tables
+and the tuple caches after a seeded workload."""
 
 import sys
 from itertools import combinations_with_replacement, permutations
@@ -16,6 +17,7 @@ from random import Random
 
 import pytest
 
+from taylorlab import resource
 from taylorlab.beta import NotARedexError
 from taylorlab.gen import random_resource_term
 from taylorlab.resource import (
@@ -358,7 +360,9 @@ def test_open_redex_fills_its_cache_once():
     t = parse_resource_term("<\\a. <a>[a]>[x, <\\b. b>[y]]")
     _cool(t)
     first = open_redex(t)
-    assert t.fired is first and open_redex(t) is first
+    cached = t.fired
+    assert cached == first.terms and open_redex(t) == first
+    assert t.fired is cached  # a second call leaves the cached tuple in place
     assert first == open_binder(t.fn.body, t.mono) == _reference_open(t.fn.body, t.mono)
     mismatch = parse_resource_term("<\\a. a>1")
     _cool(mismatch)
@@ -497,7 +501,10 @@ def _check_against_the_replaced_path(t):
     assert r_normalize(t) == expected, pretty_resource(t)
     assert r_normalize(t) == expected
     # a term holding a redex keeps its normal form; a redex-free one is its own and keeps none
-    assert not t.redex or t.nf is r_normalize(t)
+    if t.redex:
+        cached = t.nf
+        assert cached == r_normalize(t).terms
+        assert t.nf is cached  # a second call leaves the cached tuple in place
     assert all(u.redex for u in _nodes(t) if getattr(u, "nf", None) is not None)
     return expected
 
@@ -521,6 +528,34 @@ def test_steps_and_normal_forms_agree_with_the_replaced_path(seed):
     for _, t in _random_terms(seed, 250):
         _check_against_the_replaced_path(t)
         _check_against_the_replaced_path(rapp(rlam(rvar(0)), monomial([t])))
+
+
+def test_intern_tables_and_caches_hold_after_the_random_workload():
+    """Every interned application is found again by ``rapp``, in one table
+    only; a function owns a row only from its second application on; and
+    each cached opening and normal form is the canonical tuple of its sum,
+    equal to what a cold opening and another strategy give."""
+    for _, t in _random_terms(15, 1000):
+        for site in redex_sites(t):
+            r_step(t, site)
+        r_normalize(t)
+    first, rows = resource._FIRST, resource._APPS
+    for fn, row in rows.items():
+        assert row and first[fn].mono not in row
+    apps = [*first.values(), *(a for row in rows.values() for a in row.values())]
+    assert len({(a.fn, a.mono) for a in apps}) == len(apps)
+    assert all(rapp(a.fn, a.mono) is a for a in apps)
+    cached = 0
+    for u in [*apps, *resource._LAMS.values()]:
+        if isinstance(u, RApp) and u.fired is not None:
+            assert type(u.fired) is tuple and FiniteSum(u.fired).terms == u.fired
+            assert u.fired == open_redex(u).terms == open_binder(u.fn.body, u.mono).terms
+            cached += 1
+        if u.nf is not None:
+            assert type(u.nf) is tuple and FiniteSum(u.nf).terms == u.nf
+            assert u.nf == r_normalize(u).terms == normalize_with(u, lambda sites: sites[0]).terms
+            cached += 1
+    assert cached > 1500
 
 
 def test_unresolvable_and_redex_free_sites_keep_their_messages():

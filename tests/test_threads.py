@@ -1,13 +1,16 @@
 """Interning and the lazily filled caches from several threads: threads that
-parse the same text, resource term or λ-term, get the same node, and
-normalizing a resource term gives all of them the same sum. A 1 µs switch
-interval makes the threads interleave inside the constructors."""
+parse the same text, resource term or λ-term, get the same node,
+normalizing a resource term gives all of them the same sum, and threads
+that apply the same functions to the same monomials in different orders
+get one node per application. A 1 µs switch interval makes the threads
+interleave inside the constructors."""
 
 import sys
 import threading
 from random import Random
 
-from taylorlab.resource import parse_resource_term
+from taylorlab import resource
+from taylorlab.resource import monomial, parse_resource_term, rapp, rfvar
 from taylorlab.resource_reduction import r_normalize
 from taylorlab.syntax import parse_term
 
@@ -46,25 +49,18 @@ def _lambda_text(rng, size, depth):
     return f"({_lambda_text(rng, share, depth)} {_lambda_text(rng, size - 1 - share, depth)})"
 
 
-def test_threads_get_the_same_nodes_and_normal_forms():
-    rng = Random(31)
-    texts = [_text(rng, 6 + i % 11, 0) for i in range(3000)]
-    lambda_texts = [_lambda_text(rng, 6 + i % 11, 0) for i in range(3000)]
-    parsed: list = [None] * THREADS
-    normal: list = [None] * THREADS
-    lambdas: list = [None] * THREADS
+def _race(work):
+    """Run ``work(k)`` on ``THREADS`` threads that start together."""
     start = threading.Barrier(THREADS)
 
-    def work(k):
+    def run(k):
         start.wait()
-        parsed[k] = [parse_resource_term(text) for text in texts]
-        lambdas[k] = [parse_term(text) for text in lambda_texts]
-        normal[k] = [r_normalize(t) for t in parsed[k]]
+        work(k)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=work, args=(k,)) for k in range(THREADS)]
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(THREADS)]
         for thread in threads:
             thread.start()
         for thread in threads:
@@ -72,6 +68,22 @@ def test_threads_get_the_same_nodes_and_normal_forms():
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
+
+
+def test_threads_get_the_same_nodes_and_normal_forms():
+    rng = Random(31)
+    texts = [_text(rng, 6 + i % 11, 0) for i in range(3000)]
+    lambda_texts = [_lambda_text(rng, 6 + i % 11, 0) for i in range(3000)]
+    parsed: list = [None] * THREADS
+    normal: list = [None] * THREADS
+    lambdas: list = [None] * THREADS
+
+    def work(k):
+        parsed[k] = [parse_resource_term(text) for text in texts]
+        lambdas[k] = [parse_term(text) for text in lambda_texts]
+        normal[k] = [r_normalize(t) for t in parsed[k]]
+
+    _race(work)
     assert all(p is not None for p in normal)  # no thread died
     mismatches = sum(
         parsed[k][i] is not parsed[0][i] or normal[k][i] != normal[0][i] or lambdas[k][i] is not lambdas[0][i]
@@ -79,3 +91,25 @@ def test_threads_get_the_same_nodes_and_normal_forms():
         for i in range(len(texts))
     )
     assert mismatches == 0
+
+
+def test_threads_racing_on_first_and_later_applications_get_one_node():
+    """Each thread applies the same fresh functions to the same monomials,
+    the list rotated by the thread index, so the threads race both for a
+    function's first application and for the row its second one opens."""
+    fns = [rfvar(f"race{i}") for i in range(400)]
+    monos = [monomial([rfvar(x) for x in elems]) for elems in ("", "a", "ab", "aa", "b", "abb")]
+    built: list = [None] * THREADS
+
+    def work(k):
+        order = monos[k:] + monos[:k]
+        built[k] = {(fn, m): rapp(fn, m) for fn in fns for m in order}
+
+    _race(work)
+    assert all(b is not None for b in built)  # no thread died
+    for key, node in built[0].items():
+        assert all(b[key] is node for b in built[1:])
+        assert (node.fn, node.mono) == key
+    for fn in fns:
+        first, row = resource._FIRST[fn], resource._APPS[fn]
+        assert first.mono not in row and len(row) == len(monos) - 1
