@@ -17,7 +17,7 @@ load ``inspect``, ``ast``, ``dis`` and ``tokenize`` into every CLI process.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Union
 
 from .syntax import (
     BOTTOM,
@@ -393,39 +393,52 @@ def solvable(m: Term, fuel: int, system: Optional[RationalSystem] = None) -> Ver
 # Boehm approximants
 
 
-def bohm_tree(target: TermLike, depth: int, fuel: int) -> Term:
-    """Depth-bounded Boehm approximant.
-
-    Each level head-normalizes with its own fuel budget; a solvable level
-    contributes its head form with the spine arguments expanded one
-    applicative level deeper, certified divergence contributes bottom, and
-    anything inconclusive (or past the depth budget) contributes a cut.
-    A (subterm, stack) met again at another level is head-normalized once.
+class BohmPrefix:
+    """The Boehm tree of one target at one fuel. Each node is one
+    ``head_normalize`` run of a subterm under the hints of the binders above
+    it, innermost first, kept in ``runs`` by ``(m, stack)``: every reader of
+    the tree, truncated (``tree``) or node by node (``taylor.member_of_bohm``,
+    ``lab.LiftSession``), meets the same runs, and none is run twice.
     """
-    term, system = split_target(target)
-    runs: dict = {}
 
-    def rec(t: Term, budget: int, stack: tuple[str, ...]) -> Term:
-        if budget <= 0:
-            return HOLE
-        key = (t, stack)
-        run = runs.get(key)
+    __slots__ = ("term", "system", "fuel", "runs")
+
+    def __init__(self, target: TermLike, fuel: int):
+        self.term, self.system = split_target(target)
+        self.fuel = fuel
+        self.runs: dict[tuple[Term, tuple[str, ...]], HeadRun] = {}
+
+    def run(self, m: Term, stack: tuple[str, ...]) -> HeadRun:
+        key = (m, stack)
+        run = self.runs.get(key)
         if run is None:
-            run = runs[key] = head_normalize(t, fuel, system, stack)
-        v = run.verdict
-        if v.certified_unsolvable:
-            return BOTTOM
-        if v.kind == "unknown":
-            return HOLE
-        hf = head_form(run.term)
-        inner = tuple(reversed(hf.binders)) + stack
-        children = tuple(rec(q, budget - 1, inner) for q in hf.spine)
-        return HeadForm(hf.binders, hf.head, children).rebuild()
+            run = self.runs[key] = head_normalize(m, self.fuel, self.system, stack)
+        return run
 
-    try:
-        return rec(term, depth, ())
-    finally:
-        del rec  # its closure holds it: emptying the cell leaves no cycle behind
+    def tree(self, depth: int) -> Term:
+        """Depth-bounded Boehm approximant: a solvable node contributes its
+        head normal form, whose spine arguments are nodes one applicative
+        level deeper; certified divergence contributes bottom, and anything
+        inconclusive, or at depth ``depth`` or below, contributes a cut."""
+
+        def node(u: Term, _d: int, hints: Linked, argdepth: int, path: Linked) -> Union[Term, tuple, None]:
+            if path is not None and path[0] != "arg":
+                return None  # inside a node's head normal form
+            if argdepth >= depth:
+                return HOLE
+            if head_form(u).is_head_normal:
+                return None  # handed back below, or one already: no run needed
+            run = self.run(u, unlink(hints))
+            if run.verdict.certified_unsolvable:
+                return BOTTOM
+            return (run.term,) if run.verdict.is_solvable else HOLE
+
+        return rebuild(self.term, node)
+
+
+def bohm_tree(target: TermLike, depth: int, fuel: int) -> Term:
+    """Depth-bounded Boehm approximant, ``BohmPrefix.tree``."""
+    return BohmPrefix(target, fuel).tree(depth)
 
 
 def is_bohm_normal(t: Term) -> bool:

@@ -15,11 +15,8 @@ inverting one step at a time by un-substituting through the approximant
 
 The construction is complete, so nothing else is tried:
 
-* Every node of the Boehm prefix comes from a ``head_normalize`` run that
-  ``bohm_tree`` finished, on the same subterm with the same fuel and the
-  same binder stack that ``lift_to_source`` runs it with. The lift meets
-  the same steps and the same head normal form, and a target that
-  approximates the prefix matches that form node by node.
+* The lift reads the runs of the very ``BohmPrefix`` that the targets
+  come from, so a target matches each run's head normal form node by node.
 * ``_anti_subst`` inverts any head step ``(\\z. p) q -> p[q/z]``: the
   approximants of ``p[q/z]`` are exactly the linear substitutions of
   approximants of ``q`` into approximants of ``p`` (the uniformity of the
@@ -67,12 +64,12 @@ import json
 from typing import Iterable, Optional, Sequence
 
 from .beta import (
+    BohmPrefix,
     NotARedexError,
     Position,
     beta_step,
     bohm_tree,
     head_form,
-    head_normalize,
     head_step,
     position_to_str,
     solvable,
@@ -115,7 +112,6 @@ from .syntax import (
     pretty,
     pretty_target,
     resolve_ref,
-    split_target,
     subterms,
 )
 from .taylor import _approx, approximates, enumerate_taylor, enumerate_taylor_context, member_of_bohm
@@ -347,15 +343,15 @@ def _link_holds(w: ResourceTerm, elems: Sequence[ResourceTerm], u: ResourceTerm,
 
 
 class LiftSession:
-    """Lifting work shared by the tree targets of one commutation check.
+    """Lifting work shared by the tree targets of one check, on the runs of
+    its ``prefix``.
 
-    ``runs`` keeps step tables by ``(m, stack)`` (``head_run``) and
-    ``lifts`` sub-lifts by ``(u, m, stack)``: the node built, whose checks
-    all held, or None. Three more memos serve the walks over subterms:
-    ``unsubst`` for ``_anti_subst``, ``rebuilt`` for the link check
-    (``open_along``) and ``approx`` for the graft check (``taylor._approx``,
-    by element, argument and stack). A session serves one target at one
-    fuel, which the methods take as arguments, for one check. ``shared``
+    ``tables`` keeps the step tables of the runs by ``(m, stack)``
+    (``head_run``) and ``lifts`` sub-lifts by ``(u, m, stack)``: the node
+    built, whose checks all held, or None. Three more memos serve the walks
+    over subterms: ``unsubst`` for ``_anti_subst``, ``rebuilt`` for the
+    link check (``open_along``) and ``approx`` for the graft check
+    (``taylor._approx``, by element, argument and stack). ``shared``
     counts the sub-lifts served instead of built, ``checked_links`` the
     links checked (one per inverted step of a sub-lift built) and
     ``checked_grafts`` the graft checks that ``approx`` did not answer.
@@ -363,10 +359,11 @@ class LiftSession:
     before it and why.
     """
 
-    __slots__ = ("runs", "lifts", "shared", "unsubst", "rebuilt", "approx", "checked_links", "checked_grafts", "failed")
+    __slots__ = ("prefix", "tables", "lifts", "shared", "unsubst", "rebuilt", "approx", "checked_links", "checked_grafts", "failed")
 
-    def __init__(self) -> None:
-        self.runs: dict = {}
+    def __init__(self, prefix: BohmPrefix) -> None:
+        self.prefix = prefix
+        self.tables: dict = {}
         self.lifts: dict = {}
         self.shared = 0
         self.unsubst: dict = {}
@@ -376,8 +373,8 @@ class LiftSession:
         self.checked_grafts = 0
         self.failed: Optional[tuple[Term, str]] = None
 
-    def head_run(self, m: Term, stack: tuple[str, ...], fuel: int, system: Optional[RationalSystem]):
-        """The step table of ``m``'s head-normalization run under ``stack``,
+    def head_run(self, m: Term, stack: tuple[str, ...]):
+        """The step table of the prefix's run of ``m`` under ``stack``,
         built once; None without a head normal form. It is ``(steps, hnf)``:
         each step, last first, is ``(before, binders, frames, body, inner,
         arg, outer)`` for the head redex ``(\\z. body) arg`` of ``before``,
@@ -385,9 +382,9 @@ class LiftSession:
         ``hnf`` is ``(binders, spine, head, outer)``, ``head`` a resource leaf.
         """
         key = (m, stack)
-        if key in self.runs:
-            return self.runs[key]
-        run = head_normalize(m, fuel, system, stack)
+        if key in self.tables:
+            return self.tables[key]
+        run = self.prefix.run(m, stack)
         table = None
         if run.verdict.is_solvable:
             steps = []
@@ -399,25 +396,21 @@ class LiftSession:
             hf = head_form(run.term)
             head = rvar(hf.head.index) if isinstance(hf.head, Var) else rfvar(hf.head.name)
             table = tuple(steps), (len(hf.binders), hf.spine, head, tuple(reversed(hf.binders)) + stack)
-        self.runs[key] = table
+        self.tables[key] = table
         return table
 
-    def lift(
-        self, u: ResourceTerm, m: Term, stack: tuple[str, ...], fuel: int, system: Optional[RationalSystem]
-    ) -> Optional[ResourceTerm]:
+    def lift(self, u: ResourceTerm, m: Term, stack: tuple[str, ...]) -> Optional[ResourceTerm]:
         """The sub-lift of ``u`` against ``m`` under ``stack``, built once."""
         key = (u, m, stack)
         got = self.lifts.get(key, _UNSEEN)
         if got is _UNSEEN:
-            got = self.lifts[key] = self._build(u, m, stack, fuel, system)
+            got = self.lifts[key] = self._build(u, m, stack)
         else:
             self.shared += 1
         return got
 
-    def _build(
-        self, u: ResourceTerm, m: Term, stack: tuple[str, ...], fuel: int, system: Optional[RationalSystem]
-    ) -> Optional[ResourceTerm]:
-        run = self.head_run(m, stack, fuel, system)
+    def _build(self, u: ResourceTerm, m: Term, stack: tuple[str, ...]) -> Optional[ResourceTerm]:
+        run = self.head_run(m, stack)
         if run is None:
             return None
         steps, (binders, spine, head, outer) = run
@@ -428,23 +421,23 @@ class LiftSession:
         for q, mono in zip(spine, peeled[1]):
             elems = []
             for e in mono:
-                lifted = self.lift(e, q, outer, fuel, system)
+                lifted = self.lift(e, q, outer)
                 if lifted is None:
                     return None
                 elems.append(lifted)
             lifted_monos.append(monomial(elems))
         node = rewrap(head, binders, lifted_monos)
         for step in steps:
-            node = self._invert(node, step, system)
+            node = self._invert(node, step)
             if node is None:
                 return None
         return node
 
-    def _invert(self, after: ResourceTerm, step: tuple, system: Optional[RationalSystem]) -> Optional[ResourceTerm]:
+    def _invert(self, after: ResourceTerm, step: tuple) -> Optional[ResourceTerm]:
         """The approximant of the term before ``step`` that head-reduces
         onto ``after``, once its grafts and its link hold; else None, with
         the failure recorded."""
-        got = _lift_one_step(after, step, system, self.unsubst)
+        got = _lift_one_step(after, step, self.prefix.system, self.unsubst)
         if got is None:
             why = "could not be inverted"
         else:
@@ -455,7 +448,7 @@ class LiftSession:
                 held = approx.get((e, arg, outer))
                 if held is None:
                     self.checked_grafts += 1
-                    held = _approx(e, arg, outer, system, approx)
+                    held = _approx(e, arg, outer, self.prefix.system, approx)
                 if not held:
                     why = "grafted an element outside its argument's expansion"
                     break
@@ -491,13 +484,12 @@ def lift_to_source(
     every level of the construction, monomial elements included, held its
     graft and link checks when it was built, which makes the whole ancestor
     an approximant of ``target`` (see the module docstring). A ``session``
-    shares the lifting work between calls for the same target and fuel;
-    without one nothing is shared.
+    on the ``BohmPrefix`` of ``target`` at ``fuel`` shares the lifting work
+    and the runs between calls; without one nothing is shared.
     """
-    term, system = split_target(target)
     if session is None:
-        session = LiftSession()
-    return session.lift(t, term, (), fuel, system)
+        session = LiftSession(BohmPrefix(target, fuel))
+    return session.lift(t, session.prefix.term, ())
 
 
 # ---------------------------------------------------------------------------
@@ -507,21 +499,29 @@ def lift_to_source(
 def check_commutation(target: TermLike, size_bound: int, fuel: int) -> CheckReport:
     """Both directions of "normalizing the expansion = expanding the tree".
 
-    Forward: every normal addend of the slice approximates the Boehm tree.
+    Forward: every normal addend of the slice approximates the Boehm tree,
+    and comes from one approximant only (the uniformity of the expansion).
     Backward: every slice-sized approximant of the (sufficiently deep)
     Boehm prefix is recovered, from the forward normal forms or by
     constructive lifting. Exhaustion, and a target that neither recovers,
     are inconclusive, never a failure.
     """
     inputs = {"term": pretty_target(target), "size_bound": size_bound, "fuel": fuel}
+    prefix = BohmPrefix(target, fuel)
     sl = enumerate_taylor(target, size_bound)
-    nf_union: set[ResourceTerm] = set()
+    nf_union: dict[ResourceTerm, ResourceTerm] = {}  # normal addend -> the approximant it came from
     forward_unknown: list[ResourceTerm] = []
-    prefixes: dict[int, Term] = {}
     for s in sl:
         for t in r_normalize(s):
-            nf_union.add(t)
-            verdict = member_of_bohm(t, target, fuel, prefixes)
+            owner = nf_union.setdefault(t, s)
+            if owner is not s:  # uniformity: distinct approximants have disjoint normal forms
+                return CheckReport(
+                    "commutation",
+                    inputs,
+                    "fail",
+                    witness=f"nf addend {pretty_resource(t)} of both {pretty_resource(owner)} and {pretty_resource(s)}",
+                )
+            verdict = member_of_bohm(t, target, fuel, prefix)
             if verdict is False:
                 return CheckReport(
                     "commutation",
@@ -532,10 +532,9 @@ def check_commutation(target: TermLike, size_bound: int, fuel: int) -> CheckRepo
             if verdict is None:
                 forward_unknown.append(t)
 
-    prefix = prefixes.get(size_bound + 1) or bohm_tree(target, size_bound + 1, fuel)
-    targets = enumerate_taylor(prefix, size_bound)
+    targets = enumerate_taylor(prefix.tree(size_bound + 1), size_bound)
     constructed = 0
-    session = LiftSession()
+    session = LiftSession(prefix)
     unlifted: Optional[str] = None
     for t in targets:
         if t in nf_union:
@@ -575,8 +574,8 @@ def check_head_charac(target: TermLike, size_bound: int, fuel: int) -> CheckRepo
     """Head strategy vs Taylor witness: a conclusive head verdict must agree
     with the existence of an approximant with a nonzero normal form."""
     inputs = {"term": pretty_target(target), "size_bound": size_bound, "fuel": fuel}
-    term, system = split_target(target)
-    run = head_normalize(term, fuel, system)
+    prefix = BohmPrefix(target, fuel)
+    run = prefix.run(prefix.term, ())
     sl = enumerate_taylor(target, size_bound)
     witness = None
     for s in sl:
@@ -594,7 +593,7 @@ def check_head_charac(target: TermLike, size_bound: int, fuel: int) -> CheckRepo
                 stats=stats,
             )
         skeleton = _positive_skeleton(run.term, 0)
-        session = LiftSession()
+        session = LiftSession(prefix)
         s0 = lift_to_source(skeleton, target, fuel, session)
         if s0 is not None:
             stats["constructed"] = True
@@ -667,20 +666,20 @@ def check_norm_charac(
     """Per depth d: a d-positive addend in some normal form must exist
     exactly when the Boehm prefix is bottom-free down to depth d."""
     inputs = {"term": pretty_target(target), "d_max": d_max, "size_bound": size_bound, "fuel": fuel}
-    prefix = bohm_tree(target, d_max + 1, fuel)
+    session = LiftSession(BohmPrefix(target, fuel))
+    tree = session.prefix.tree(d_max + 1)
     sl = enumerate_taylor(target, size_bound)
     normal = r_normalize(sl)
     levels = []
     failed = None
     inconclusive = None
     for d in range(d_max + 1):
-        status = _prefix_status(prefix, d)
+        status = _prefix_status(tree, d)
         witness = next((t for t in normal if is_d_positive(t, d)), None)
         how = "slice" if witness is not None else None
         if witness is None and status == "ok":
             # a clean prefix has a head normal form at every node down to d
-            skeleton = _positive_skeleton(prefix, d)
-            session = LiftSession()
+            skeleton = _positive_skeleton(tree, d)
             if lift_to_source(skeleton, target, fuel, session) is not None:
                 witness = skeleton
                 how = "constructed"

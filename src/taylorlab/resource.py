@@ -159,9 +159,9 @@ def rapp(fn: ResourceTerm, mono: Monomial) -> RApp:
         node = row.get(mono)
         if node is not None:
             return node
-    node = _FIRST.get(fn)
-    if node is not None and node.mono is mono:
-        return node
+    first = _FIRST.get(fn)
+    if first is not None and first.mono is mono:
+        return first
     node = RApp()
     node.fn = fn
     node.mono = mono
@@ -170,9 +170,10 @@ def rapp(fn: ResourceTerm, mono: Monomial) -> RApp:
     node.loose = fn.loose if fn.loose > mono.loose else mono.loose
     node.redex = fn.redex or mono.redex or isinstance(fn, RLam)
     node.fired = node.nf = None
-    first = _FIRST.setdefault(fn, node)
-    if first is node or first.mono is mono:
-        return first
+    if first is None:  # an entry never changes once set, so with one, go to the row
+        first = _FIRST.setdefault(fn, node)
+        if first is node or first.mono is mono:
+            return first
     if row is None:
         row = _APPS.setdefault(fn, {})
     return row.setdefault(mono, node)

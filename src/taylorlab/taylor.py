@@ -31,7 +31,6 @@ from .resource import (
     RLam,
     RVar,
     monomial,
-    r_height,
     rapp,
     rfvar,
     rlam,
@@ -52,7 +51,8 @@ from .syntax import (
     resolve_ref,
     split_target,
 )
-from .beta import bohm_tree
+from .beta import BohmPrefix, head_form
+from .resource_reduction import peel
 
 def _resolve(m: RecRef, system: Optional[RationalSystem], stack: tuple[str, ...]) -> Term:
     if system is None:
@@ -191,47 +191,34 @@ def enumerate_taylor_context(c: Term, size_bound: int, depth_bound: Optional[int
 
 
 def member_of_bohm(
-    t: ResourceTerm, target: TermLike, fuel: int, prefixes: Optional[dict[int, Term]] = None
+    t: ResourceTerm, target: TermLike, fuel: int, prefix: Optional[BohmPrefix] = None
 ) -> Optional[bool]:
     """Three-valued: does ``t`` approximate the Boehm tree of the target?
 
-    A prefix of depth ``height(t) + 1`` decides the question unless the
-    prefix itself is fuel-truncated where structure is needed, in which
-    case the answer is ``None`` (unknown). Bottom nodes refute: nothing
-    approximates bottom. ``prefixes`` keeps the prefixes by depth between
-    calls for the same target and fuel.
+    ``t`` is read against the runs of ``prefix``, a ``BohmPrefix`` of the
+    target at ``fuel`` (a fresh one when not given), node by node: it must
+    peel to the node's head normal form, and each element of a peeled
+    monomial is read against its spine argument's node. Bottom refutes,
+    since nothing approximates it; a node without a verdict makes the
+    answer ``None`` (unknown) unless something else refutes.
     """
-    if prefixes is None:
-        prefixes = {}
-    depth = r_height(t) + 1
-    prefix = prefixes.get(depth)
     if prefix is None:
-        prefix = prefixes[depth] = bohm_tree(target, depth, fuel)
-
-    return _member(t, prefix)
-
-
-def _member(u: ResourceTerm, b: Term) -> Optional[bool]:
-    if isinstance(b, Hole):
-        return None
-    if isinstance(b, Bottom):
-        return False
-    if isinstance(u, RVar):
-        return isinstance(b, Var) and b.index == u.index
-    if isinstance(u, RFreeVar):
-        return isinstance(b, FreeVar) and b.name == u.name
-    if isinstance(u, RLam):
-        if not isinstance(b, Lam):
+        prefix = BohmPrefix(target, fuel)
+    unknown = False
+    todo = [(t, prefix.term, ())]
+    while todo:
+        u, m, stack = todo.pop()
+        run = prefix.run(m, stack)
+        if run.verdict.certified_unsolvable:
             return False
-        return _member(u.body, b.body)
-    if isinstance(u, RApp):
-        if not isinstance(b, App):
+        if not run.verdict.is_solvable:
+            unknown = True
+            continue
+        hf = head_form(run.term)
+        peeled = peel(u, len(hf.binders), len(hf.spine))
+        head = rvar(hf.head.index) if isinstance(hf.head, Var) else rfvar(hf.head.name)
+        if peeled is None or peeled[0] is not head:
             return False
-        verdicts = [_member(u.fn, b.fn)]
-        verdicts.extend(_member(e, b.arg) for e in u.mono)
-        if any(v is False for v in verdicts):
-            return False
-        if any(v is None for v in verdicts):
-            return None
-        return True
-    return False
+        inner = tuple(reversed(hf.binders)) + stack
+        todo += [(e, q, inner) for q, mono in zip(hf.spine, peeled[1]) for e in mono]
+    return None if unknown else True

@@ -9,7 +9,7 @@ search's normal addends."""
 
 from random import Random
 
-from taylorlab.beta import bohm_tree
+from taylorlab.beta import BohmPrefix, bohm_tree
 from taylorlab.gen import random_lambda_term
 from taylorlab.lab import LiftSession, check_commutation, lift_to_source
 from taylorlab.resource_reduction import r_normalize
@@ -49,7 +49,7 @@ def _lift_every_target(target, fuel, oracle):
     """Lift every approximant of the Boehm prefix within ``SIZE``, not only
     those the forward normal forms miss, and hold the lifts to the oracle."""
     targets = enumerate_taylor(bohm_tree(target, SIZE + 1, fuel), SIZE)
-    session = LiftSession()
+    session = LiftSession(BohmPrefix(target, fuel))
     wide = search_normal_forms(target, WIDER) if oracle else None
     for t in targets:
         s = lift_to_source(t, target, fuel, session)
@@ -127,7 +127,7 @@ def test_a_target_that_is_a_normal_addend_lifts_to_its_forward_owner():
         for s in enumerate_taylor(target, UNIQUE_SIZE):
             for t in r_normalize(s):
                 assert owner.setdefault(t, s) is s, (src, str(t), str(owner[t]), str(s))
-        session = LiftSession()
+        session = LiftSession(BohmPrefix(target, 1000))
         for t in enumerate_taylor(bohm_tree(target, UNIQUE_SIZE + 1, 1000), UNIQUE_SIZE):
             if t in owner:
                 assert lift_to_source(t, target, 1000, session) is owner[t], (src, str(t))

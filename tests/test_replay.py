@@ -4,16 +4,19 @@ addend, ``r_normalize`` computes the whole normal form, and unshared lifts
 are the reference for the lifts a commutation check shares."""
 
 import gc
+import re
 from itertools import permutations
 from random import Random
 
 import pytest
 
+import taylorlab.beta as beta
 import taylorlab.lab as lab
-from taylorlab.beta import bohm_tree
+from taylorlab.beta import BohmPrefix, bohm_tree
 from taylorlab.gen import random_resource_term
 from taylorlab.lab import LiftSession, check_commutation, check_head_charac, check_norm_charac, lift_to_source
 from taylorlab.resource import (
+    FiniteSum,
     RApp,
     RLam,
     RVar,
@@ -31,9 +34,10 @@ from taylorlab.resource import (
 from taylorlab.resource_reduction import head_split, hr_step, peel, r_normalize
 from taylorlab.selftest import _CORPUS
 from taylorlab.syntax import RationalSystem, parse_term
-from taylorlab.taylor import _approx, approximates, enumerate_taylor
+from taylorlab.taylor import _approx, approximates, enumerate_taylor, member_of_bohm
 
 from support import hr_step_along, is_head_normal
+from walk_oracles import old_member_of_bohm
 
 rp = parse_resource_term
 FUEL = 1000
@@ -184,7 +188,7 @@ def test_replay_implies_membership_in_the_normal_form():
     of what it built, the top-level ancestors included."""
     lifted = 0
     for term, targets in _corpus_targets():
-        session = LiftSession()
+        session = LiftSession(BohmPrefix(term, FUEL))
         for t in targets:
             if lift_to_source(t, term, FUEL, session) is not None:
                 lifted += 1
@@ -214,17 +218,17 @@ def test_shared_session_accepts_what_unshared_lifts_accept(src, size, monkeypatc
     reference = [lift_to_source(t, term, FUEL) for t in targets]
 
     runs = []
-    original = lab.head_normalize
+    original = beta.head_normalize
 
     def counting(m, fuel, system=None, stack=()):
         runs.append((m, stack))
         return original(m, fuel, system, stack)
 
-    monkeypatch.setattr(lab, "head_normalize", counting)
-    session = LiftSession()
+    monkeypatch.setattr(beta, "head_normalize", counting)
+    session = LiftSession(BohmPrefix(term, FUEL))
     shared = [lift_to_source(t, term, FUEL, session) for t in targets]
     assert all(a is b for a, b in zip(shared, reference))
-    assert len(runs) == len(set(runs)) == len(session.runs)
+    assert len(runs) == len(set(runs)) == len(session.prefix.runs)
 
 
 def _shared_run(src, size):
@@ -232,7 +236,7 @@ def _shared_run(src, size):
     session; returns the session's memos with what went through them."""
     term = parse_term(src)
     targets = list(enumerate_taylor(bohm_tree(term, size + 1, FUEL), size))
-    session = LiftSession()
+    session = LiftSession(BohmPrefix(term, FUEL))
     ancestors = [lift_to_source(t, term, FUEL, session) for t in targets]
     return term, targets, session, [s for s in ancestors if s is not None]
 
@@ -240,13 +244,13 @@ def _shared_run(src, size):
 def _inverts_steps(session):
     """Whether some head step was there to invert (a term already in head
     normal form lifts without one)."""
-    return any(run is not None and run[0] for run in session.runs.values())
+    return any(run is not None and run[0] for run in session.tables.values())
 
 
 def _inverted_steps(session):
     """What un-substitution gave for the head binder bodies of the session's
     step tables: ``(w, es)`` per inverted step."""
-    bodies = {step[3] for run in session.runs.values() if run for step in run[0]}
+    bodies = {step[3] for run in session.tables.values() if run for step in run[0]}
     return [got for (_, p, c, _), got in session.unsubst.items() if c == 0 and p in bodies and got is not None]
 
 
@@ -323,7 +327,7 @@ def _inside_elements(t, out=None, below=False):
 
 
 def _lift_of(t, term):
-    session = LiftSession()
+    session = LiftSession(BohmPrefix(term, FUEL))
     s = lift_to_source(t, term, FUEL, session)
     return s, session
 
@@ -355,7 +359,7 @@ def test_corrupted_shared_sub_lift_leaves_every_reuser_unlifted(monkeypatch):
     from the session, although their own links hold."""
     y = parse_term(_CORPUS["Y"])
     targets = [rp(src) for src in ("\\a. <a>[<a>[<a>1]]", "\\a. <a>[<a>[<a>[<a>1]]]", "\\a. <a>[<a>[<a>1], <a>[<a>1]]")]
-    clean_session = LiftSession()
+    clean_session = LiftSession(BohmPrefix(y, FUEL))
     reference = [lift_to_source(t, y, FUEL, clean_session) for t in targets]
     assert None not in reference and clean_session.shared > 0
 
@@ -367,7 +371,7 @@ def test_corrupted_shared_sub_lift_leaves_every_reuser_unlifted(monkeypatch):
         return len(checked) > 1 and original(w, elems, u, memo)
 
     monkeypatch.setattr(lab, "_link_holds", corrupting)
-    session = LiftSession()
+    session = LiftSession(BohmPrefix(y, FUEL))
     assert [lift_to_source(t, y, FUEL, session) for t in targets] == [None] * len(targets)
     # the failed sub-lift is built and checked once, then served to each
     # reuser; a lift stops at its first unlifted element, so the last
@@ -430,10 +434,10 @@ def test_every_link_and_lift_passes_the_whole_term_oracles(src, size, monkeypatc
     links = []
     original = LiftSession._invert
 
-    def recording(self, after, step, system):
-        before = original(self, after, step, system)
+    def recording(self, after, step):
+        before = original(self, after, step)
         if before is not None:
-            links.append((before, after, lab._lift_one_step(after, step, system, self.unsubst)[3]))
+            links.append((before, after, lab._lift_one_step(after, step, self.prefix.system, self.unsubst)[3]))
         return before
 
     monkeypatch.setattr(LiftSession, "_invert", recording)
@@ -480,13 +484,13 @@ def test_the_ancestor_is_the_targets_own_lift():
     t = rp("\\a. <a>[<a>1]")
     other = rp("\\a. <a>[<a>[<a>1]]")
     for order in ((t, other), (other, t)):
-        session = LiftSession()
+        session = LiftSession(BohmPrefix(y, FUEL))
         got = {u: lift_to_source(u, y, FUEL, session) for u in order}
         for u, s in got.items():
             assert s is not None and s is session.lifts[(u, y, ())]
         assert t not in r_normalize(got[other])
     for term, targets in _corpus_targets():
-        session = LiftSession()
+        session = LiftSession(BohmPrefix(term, FUEL))
         for t in targets:
             s = lift_to_source(t, term, FUEL, session)
             assert s is None or s is session.lifts[(t, term, ())]
@@ -547,3 +551,80 @@ def test_check_drops_its_session_and_memos():
     report = check_commutation(parse_term(_CORPUS["Yg"]), 14, FUEL)
     assert report.stats["shared_lifts"] > 0
     assert _live_sessions() <= before
+
+
+ALL_CASES = SESSION_CASES + [(src, size) for src, size, *_ in COMMUTE_COLD]
+
+
+@pytest.mark.parametrize("src,size", ALL_CASES)
+def test_each_check_runs_each_node_once(src, size, monkeypatch):
+    """One ``BohmPrefix`` per check feeds forward membership, the tree
+    targets and the lifter: no (subterm, stack) is head-normalized twice."""
+    runs = []
+    original = beta.head_normalize
+
+    def counting(m, fuel, system=None, stack=()):
+        runs.append((m, stack))
+        return original(m, fuel, system, stack)
+
+    monkeypatch.setattr(beta, "head_normalize", counting)
+    term = parse_term(src)
+    total = 0
+    # a size bound of 2 leaves the head and norm checks no slice witness, so they lift
+    for check in (
+        lambda: check_commutation(term, size, FUEL),
+        lambda: check_head_charac(term, 2, FUEL),
+        lambda: check_norm_charac(term, 3, 2, FUEL),
+    ):
+        runs.clear()
+        check()
+        assert len(runs) == len(set(runs))
+        total += len(runs)
+    assert total > 0
+
+
+def test_membership_agrees_with_the_truncated_tree():
+    """``member_of_bohm`` reads a prefix's runs node by node; the frozen path
+    built the tree to depth ``r_height(t) + 1`` and walked it. They give the
+    same verdict on the slice, its normal addends and the tree targets, at a
+    fuel that cuts some trees too."""
+    verdicts = {True: 0, False: 0, None: 0}
+    for src, size in ALL_CASES:
+        term = parse_term(src)
+        approximants = set(enumerate_taylor(term, size))
+        addends = {t for s in approximants for t in r_normalize(s)}
+        for fuel in (3, FUEL):
+            prefix = BohmPrefix(term, fuel)
+            targets = set(enumerate_taylor(prefix.tree(size + 1), size))
+            for t in approximants | addends | targets:
+                verdict = member_of_bohm(t, term, fuel, prefix)
+                assert verdict is old_member_of_bohm(t, term, fuel), (src, fuel, str(t))
+                verdicts[verdict] += 1
+    grower = parse_term("(\\x. x x x) (\\x. x x x)")
+    assert member_of_bohm(rp("x"), grower, 3) is old_member_of_bohm(rp("x"), grower, 3) is None
+    assert min(verdicts.values()) > 0, verdicts
+
+
+def test_commutation_fails_on_an_addend_with_two_approximants(monkeypatch):
+    """Uniformity: distinct approximants have disjoint normal forms. A
+    normal form that breaks it fails the check, and the witness names the
+    addend and both approximants, each of which ``rnf`` can replay."""
+    y = parse_term(_CORPUS["Y"])
+    original = lab.r_normalize
+    sl = list(enumerate_taylor(y, 12))
+    first = next(s for s in sl if original(s))
+    second = sl[-1]
+    shared = original(first).terms[0]
+    assert second is not first and shared not in original(second)
+
+    def merging(s):
+        nf = original(s)
+        return FiniteSum(nf.terms + (shared,)) if s is second else nf
+
+    monkeypatch.setattr(lab, "r_normalize", merging)
+    report = check_commutation(y, 12, FUEL)
+    assert report.verdict == "fail"
+    got = re.fullmatch(r"nf addend (.+) of both (.+) and (.+)", report.witness)
+    t, owner, other = (parse_resource_term(text) for text in got.groups())
+    assert (t, owner, other) == (shared, first, second)
+    assert t in original(owner) and t not in original(other)

@@ -15,7 +15,6 @@ import taylorlab
 
 # recursive function -> why it may recurse
 ALLOWED = {
-    "bohm_tree.rec": "one level per level of the tree, which its depth argument bounds",
     "is_d_positive": "reads approximants and their normal forms, kept small by a check's size bound",
     # the substitution engines are hot paths: rewriting them waits for both
     # benchmark workloads to be measured (ROADMAP item 7)

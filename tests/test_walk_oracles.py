@@ -11,6 +11,7 @@ from taylorlab.beta import (
     InvalidPositionError,
     _captures,
     _shift,
+    bohm_tree,
     head_form,
     is_bohm_normal,
     leftmost_redex,
@@ -44,6 +45,7 @@ from support import depth_positions
 from walk_oracles import (
     old_bind_free,
     old_bohm_dot,
+    old_bohm_tree,
     old_captures,
     old_context_fill,
     old_depth_positions,
@@ -161,6 +163,24 @@ def test_systems_match_the_recursive_walkers():
         for k in range(5):
             assert unfold(system, k) is old_unfold(system, k)
     assert built > 500 and rejected > 100
+
+
+def test_bohm_tree_matches_the_recursive_walker():
+    """On terms and on guarded systems, with bottoms, loops, fuel cuts and
+    captures, at every depth up to 4."""
+    rng = Random(1222)
+    inputs = [_term(rng, rng.randint(1, 14)) for _ in range(1500)]
+    while len(inputs) < 3000:
+        symbols = SYMBOLS[: rng.randint(1, 3)]
+        equations = {s: _term(rng, rng.randint(1, 10), symbols=symbols) for s in symbols}
+        try:
+            inputs.append(RationalSystem(equations, symbols[0]))
+        except LambdaError:
+            continue
+    for t in inputs:
+        for fuel in (2, 20):
+            for k in range(5):
+                assert bohm_tree(t, k, fuel) is old_bohm_tree(t, k, fuel)
 
 
 def test_capture_guard_matches_its_own_walk():

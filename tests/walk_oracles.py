@@ -20,6 +20,12 @@ key)`` with a monomial keyed by the tuple of its elements' keys, and
 walked for it. ``test_node_summaries`` checks the flat keys and the walk
 against them.
 
+``old_bohm_tree`` is the recursive truncation that ``beta.BohmPrefix.tree``
+replaced, with its own run memo per call, and ``old_member_of_bohm`` the
+membership test that built it to depth ``r_height(t) + 1`` and walked it
+against ``t``, where ``taylor.member_of_bohm`` reads the runs node by node.
+``test_walk_oracles`` and ``test_replay`` check the two against them.
+
 ``old_pretty``, ``old_pretty_resource`` and ``old_bohm_dot`` are the
 recursive printers that the explicit-stack loops of ``syntax.pretty``,
 ``resource.pretty_resource`` and ``cli._bohm_dot`` replaced; the λ printer
@@ -34,6 +40,7 @@ from __future__ import annotations
 import itertools
 from typing import Optional
 
+from taylorlab.beta import HeadForm, head_form, head_normalize
 from taylorlab.lab import ApproximantMismatchError
 from taylorlab.resource import (
     FiniteSum,
@@ -46,10 +53,12 @@ from taylorlab.resource import (
     RVar,
     monomial,
     rapp,
+    r_height,
     rlam,
     rvar,
 )
 from taylorlab.syntax import (
+    BOTTOM,
     HOLE,
     App,
     Bottom,
@@ -61,6 +70,7 @@ from taylorlab.syntax import (
     Term,
     UndefinedSymbolError,
     Var,
+    split_target,
 )
 
 Position = tuple[str, ...]
@@ -306,6 +316,60 @@ def _has_ref(t: Term) -> bool:
     if isinstance(t, App):
         return _has_ref(t.fn) or _has_ref(t.arg)
     return isinstance(t, RecRef)
+
+
+def old_bohm_tree(target, depth: int, fuel: int) -> Term:
+    term, system = split_target(target)
+    runs: dict = {}
+
+    def rec(t: Term, budget: int, stack: tuple[str, ...]) -> Term:
+        if budget <= 0:
+            return HOLE
+        key = (t, stack)
+        run = runs.get(key)
+        if run is None:
+            run = runs[key] = head_normalize(t, fuel, system, stack)
+        v = run.verdict
+        if v.certified_unsolvable:
+            return BOTTOM
+        if v.kind == "unknown":
+            return HOLE
+        hf = head_form(run.term)
+        inner = tuple(reversed(hf.binders)) + stack
+        children = tuple(rec(q, budget - 1, inner) for q in hf.spine)
+        return HeadForm(hf.binders, hf.head, children).rebuild()
+
+    return rec(term, depth, ())
+
+
+def old_member_of_bohm(t: ResourceTerm, target, fuel: int) -> Optional[bool]:
+    return _member(t, old_bohm_tree(target, r_height(t) + 1, fuel))
+
+
+def _member(u: ResourceTerm, b: Term) -> Optional[bool]:
+    if isinstance(b, Hole):
+        return None
+    if isinstance(b, Bottom):
+        return False
+    if isinstance(u, RVar):
+        return isinstance(b, Var) and b.index == u.index
+    if isinstance(u, RFreeVar):
+        return isinstance(b, FreeVar) and b.name == u.name
+    if isinstance(u, RLam):
+        if not isinstance(b, Lam):
+            return False
+        return _member(u.body, b.body)
+    if isinstance(u, RApp):
+        if not isinstance(b, App):
+            return False
+        verdicts = [_member(u.fn, b.fn)]
+        verdicts.extend(_member(e, b.arg) for e in u.mono)
+        if any(v is False for v in verdicts):
+            return False
+        if any(v is None for v in verdicts):
+            return None
+        return True
+    return False
 
 
 # ---------------------------------------------------------------------------
