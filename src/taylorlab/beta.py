@@ -33,7 +33,6 @@ from .syntax import (
     RecRef,
     Term,
     TermLike,
-    UndefinedSymbolError,
     Var,
     resolve_ref,
     rebuild,
@@ -245,21 +244,15 @@ def _resolve_at_head(
         hf = head_form(m)
         if not isinstance(hf.head, RecRef):
             return m
-        if system is None:
-            raise UndefinedSymbolError(f"unresolved symbol {hf.head.symbol!r}")
+        body = resolve_ref(hf.head, system, tuple(reversed(hf.binders)) + stack)
         guard += 1
         if guard > len(system.equations) + 1:
             raise LambdaError("resolution does not terminate (unguarded system?)")
-        body = resolve_ref(hf.head, system, tuple(reversed(hf.binders)) + stack)
         m = HeadForm(hf.binders, body, hf.spine).rebuild()
 
 
-def head_step(
-    m: Term, system: Optional[RationalSystem] = None, stack: tuple[str, ...] = ()
-) -> Term:
+def head_step(m: Term) -> Term:
     """One head step: fire the head redex if there is one, else identity."""
-    if system is not None:
-        m = _resolve_at_head(m, system, stack)
     hf = head_form(m)
     return _fire_head(hf) if hf.has_head_redex else m
 
@@ -385,8 +378,8 @@ def head_normalize(
         cur = nxt
 
 
-def solvable(m: Term, fuel: int, system: Optional[RationalSystem] = None) -> Verdict:
-    return head_normalize(m, fuel, system).verdict
+def solvable(m: Term, fuel: int) -> Verdict:
+    return head_normalize(m, fuel).verdict
 
 
 # ---------------------------------------------------------------------------

@@ -52,9 +52,10 @@ approximates the term, and the whole of it is never tested.
 A step that cannot be inverted, grafts an element outside its argument's
 expansion or fails its link is a defect: the lift stops there, and the
 check ends inconclusive with a reason that names the target and the term
-before that step (``LiftSession.failed``). The tree targets of one
-commutation check share a ``LiftSession``, which memoizes each piece of
-this work per subterm: every link is still checked, but no subterm twice.
+before that step (``LiftSession.failed``). A check lifts all its targets
+through one ``LiftSession`` on its ``BohmPrefix`` (the only way into
+``lift_to_source``); the session memoizes each piece of this work per
+subterm: every link is still checked, but no subterm twice.
 """
 
 from __future__ import annotations
@@ -471,24 +472,16 @@ def _unlifted(t: ResourceTerm, session: LiftSession) -> str:
     return reason
 
 
-def lift_to_source(
-    t: ResourceTerm,
-    target: TermLike,
-    fuel: int,
-    session: Optional[LiftSession] = None,
-) -> Optional[ResourceTerm]:
-    """An approximant of ``target`` whose normal form contains ``t``, or
-    None; ``t`` should approximate the target's Boehm tree.
+def lift_to_source(t: ResourceTerm, session: LiftSession) -> Optional[ResourceTerm]:
+    """An approximant of the session's target whose normal form contains
+    ``t``, or None; ``t`` should approximate the target's Boehm tree.
 
     The ancestor is ``t``'s own lift. Every inverted head step in it, at
     every level of the construction, monomial elements included, held its
     graft and link checks when it was built, which makes the whole ancestor
-    an approximant of ``target`` (see the module docstring). A ``session``
-    on the ``BohmPrefix`` of ``target`` at ``fuel`` shares the lifting work
-    and the runs between calls; without one nothing is shared.
+    an approximant of the target (see the module docstring). The session
+    shares the lifting work and the runs between calls.
     """
-    if session is None:
-        session = LiftSession(BohmPrefix(target, fuel))
     return session.lift(t, session.prefix.term, ())
 
 
@@ -521,7 +514,7 @@ def check_commutation(target: TermLike, size_bound: int, fuel: int) -> CheckRepo
                     "fail",
                     witness=f"nf addend {pretty_resource(t)} of both {pretty_resource(owner)} and {pretty_resource(s)}",
                 )
-            verdict = member_of_bohm(t, target, fuel, prefix)
+            verdict = member_of_bohm(t, prefix)
             if verdict is False:
                 return CheckReport(
                     "commutation",
@@ -539,7 +532,7 @@ def check_commutation(target: TermLike, size_bound: int, fuel: int) -> CheckRepo
     for t in targets:
         if t in nf_union:
             continue
-        if lift_to_source(t, target, fuel, session) is None:
+        if lift_to_source(t, session) is None:
             unlifted = _unlifted(t, session)
             break
         constructed += 1
@@ -594,7 +587,7 @@ def check_head_charac(target: TermLike, size_bound: int, fuel: int) -> CheckRepo
             )
         skeleton = _positive_skeleton(run.term, 0)
         session = LiftSession(prefix)
-        s0 = lift_to_source(skeleton, target, fuel, session)
+        s0 = lift_to_source(skeleton, session)
         if s0 is not None:
             stats["constructed"] = True
             return CheckReport("head-characterization", inputs, "pass", witness=pretty_resource(s0), stats=stats)
@@ -680,7 +673,7 @@ def check_norm_charac(
         if witness is None and status == "ok":
             # a clean prefix has a head normal form at every node down to d
             skeleton = _positive_skeleton(tree, d)
-            if lift_to_source(skeleton, target, fuel, session) is not None:
+            if lift_to_source(skeleton, session) is not None:
                 witness = skeleton
                 how = "constructed"
             elif inconclusive is None:

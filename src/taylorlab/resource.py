@@ -415,17 +415,18 @@ def r_context_fill(c: ResourceTerm, mono: Monomial) -> FiniteSum:
     return _linear_replace(c, lambda u: isinstance(u, RHole), mono)
 
 
-def open_binder(body: ResourceTerm, mono: Monomial) -> FiniteSum:
+def open_binder(body: ResourceTerm, mono: Monomial) -> tuple[ResourceTerm, ...]:
     """Open the binder a redex just peeled: distribute ``mono`` over the
-    occurrences of the bound variable, 0 on arity mismatch. Grafted elements
-    are shifted to the local binder depth, the other loose indices drop by
-    one, and subterms with no loose index at or above it are shared."""
+    occurrences of the bound variable, giving the addends as a canonical
+    tuple, ``()`` (0) on arity mismatch. Grafted elements are shifted to the
+    local binder depth, the other loose indices drop by one, and subterms
+    with no loose index at or above it are shared."""
     elems = mono.elems
     if _bound_count(body, 0) != len(elems):
-        return ZERO
+        return ()
     if len(elems) <= 1:
-        return FiniteSum((_fill_bound(body, 0, iter(elems)),))
-    return FiniteSum({_fill_bound(body, 0, iter(a)) for a in _distinct_assignments(elems)})
+        return (_fill_bound(body, 0, iter(elems)),)
+    return _canonical({_fill_bound(body, 0, iter(a)) for a in _distinct_assignments(elems)})
 
 
 def _bound_count(u: ResourceTerm, c: int) -> int:
@@ -467,7 +468,7 @@ def _fired(r: RApp) -> tuple[ResourceTerm, ...]:
     """The addends of ``open_redex(r)``, cached in ``r.fired``."""
     out = r.fired
     if out is None:
-        out = r.fired = open_binder(r.fn.body, r.mono).terms
+        out = r.fired = open_binder(r.fn.body, r.mono)
     return out
 
 

@@ -27,7 +27,6 @@ from .resource import (
     _fired,
     _wrap,
     monomial,
-    open_redex,
     rapp,
     rlam,
     union_all,
@@ -220,20 +219,17 @@ def rewrap(u: ResourceTerm, binders: int, rest: Sequence[Monomial]) -> ResourceT
     return u
 
 
-def _hr_term(t: ResourceTerm) -> Optional[FiniteSum]:
-    binders, head, monos = head_split(t)
-    if not (isinstance(head, RLam) and monos):
-        return None
-    opened = open_redex(rapp(head, monos[0]))
-    return opened.map(lambda u: rewrap(u, binders, monos[1:]))
-
-
 def hr_step(x: ResourceTerm | FiniteSum) -> FiniteSum:
-    """Fire the head redex; identity on head-normal terms; addend-wise on sums."""
-    if isinstance(x, FiniteSum):
-        return union_all(hr_step(t) for t in x)
-    fired = _hr_term(x)
-    return FiniteSum((x,)) if fired is None else fired
+    """Fire the head redex, at the site ``head_split`` finds; identity on
+    head-normal terms; addend-wise on sums."""
+    parts = []
+    for t in x if isinstance(x, FiniteSum) else (x,):
+        binders, head, monos = head_split(t)
+        if isinstance(head, RLam) and monos:
+            parts.append(r_step(t, ("body",) * binders + ("fun",) * (len(monos) - 1)))
+        else:
+            parts.append(FiniteSum((t,)))
+    return union_all(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -339,8 +339,11 @@ def bind_free(t: Term, hints: tuple[str, ...]) -> Term:
     return rebuild(t, bind)
 
 
-def resolve_ref(t: RecRef, system: RationalSystem, hints: tuple[str, ...]) -> Term:
-    """Graft the equation body for ``t`` at a point enclosed by ``hints``."""
+def resolve_ref(t: RecRef, system: RationalSystem | None, hints: tuple[str, ...]) -> Term:
+    """Graft the equation body for ``t`` at a point enclosed by ``hints``;
+    without a system the reference is unresolved."""
+    if system is None:
+        raise UndefinedSymbolError(f"unresolved symbol {t.symbol!r}")
     return bind_free(system.body(t.symbol), hints)
 
 
@@ -387,8 +390,6 @@ def unfold(target: TermLike, depth: int) -> Term:
         if argdepth >= depth:
             return HOLE
         if isinstance(u, RecRef):
-            if system is None:
-                raise UndefinedSymbolError(f"unresolved symbol {u.symbol!r}")
             return (resolve_ref(u, system, unlink(hints)),)
         return None
 
@@ -486,15 +487,15 @@ def pretty(t: Term, cut: str = "*", avoid: frozenset[str] = frozenset()) -> str:
     return "".join(out)
 
 
-def pretty_system(system: RationalSystem, cut: str = "*") -> str:
+def pretty_system(system: RationalSystem) -> str:
     syms = frozenset(system.equations)
     defs = [
-        f"{sym} = {pretty(body, cut=cut, avoid=syms)}"
+        f"{sym} = {pretty(body, avoid=syms)}"
         for sym, body in system.equations.items()
         if not (system._synthetic_root and sym == system.root)
     ]
     if system._synthetic_root:
-        tail = pretty(system.equations[system.root], cut=cut, avoid=syms)
+        tail = pretty(system.equations[system.root], avoid=syms)
     else:
         tail = system.root
     return "let rec " + " and ".join(defs) + " in " + tail

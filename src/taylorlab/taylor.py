@@ -12,7 +12,8 @@ Holes need a policy. In a context, a hole is approximated by exactly the
 resource hole; in a truncated tree, a hole means "structure unknown", so
 it contributes no approximants at all (and the three-valued
 ``member_of_bohm`` reports Unknown when a decision would need to look
-below one).
+below one). ``member_of_bohm`` reads a term against the runs of a check's
+``beta.BohmPrefix``, its only way in, so it answers about that tree.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .syntax import (
     RecRef,
     Term,
     TermLike,
-    UndefinedSymbolError,
     Var,
     resolve_ref,
     split_target,
@@ -54,21 +54,12 @@ from .syntax import (
 from .beta import BohmPrefix, head_form
 from .resource_reduction import peel
 
-def _resolve(m: RecRef, system: Optional[RationalSystem], stack: tuple[str, ...]) -> Term:
-    if system is None:
-        raise UndefinedSymbolError(f"unresolved symbol {m.symbol!r}")
-    return resolve_ref(m, system, stack)
 
-
-def approximates(s: ResourceTerm, target: TermLike, memo: Optional[dict] = None) -> bool:
+def approximates(s: ResourceTerm, target: TermLike) -> bool:
     """Decide the approximation relation between ``s`` and a (possibly
-    recursive) term.
-
-    ``memo`` may be shared between calls for the same target; it is keyed
-    by ``(u, t, stack)``.
-    """
+    recursive) term."""
     m, system = split_target(target)
-    return _approx(s, m, (), system, {} if memo is None else memo)
+    return _approx(s, m, (), system, {})
 
 
 def _approx(u: ResourceTerm, t: Term, stack: tuple[str, ...], system: Optional[RationalSystem], memo: dict) -> bool:
@@ -81,7 +72,7 @@ def _approx(u: ResourceTerm, t: Term, stack: tuple[str, ...], system: Optional[R
 
 def _holds(u: ResourceTerm, t: Term, stack: tuple[str, ...], system: Optional[RationalSystem], memo: dict) -> bool:
     while isinstance(t, RecRef):
-        t = _resolve(t, system, stack)
+        t = resolve_ref(t, system, stack)
     if isinstance(u, RVar):
         return isinstance(t, Var) and t.index == u.index
     if isinstance(u, RFreeVar):
@@ -118,7 +109,7 @@ class _Enumerator:
             rkey = (t.symbol, stack)
             body = self.resolved.get(rkey)
             if body is None:
-                body = _resolve(t, self.system, stack)
+                body = resolve_ref(t, self.system, stack)
                 self.resolved[rkey] = body
             out = self.terms(body, n, d, stack)
         elif isinstance(t, Var):
@@ -190,20 +181,15 @@ def enumerate_taylor_context(c: Term, size_bound: int, depth_bound: Optional[int
     return FiniteSum(enum.terms(c, size_bound, depth_bound, ()))
 
 
-def member_of_bohm(
-    t: ResourceTerm, target: TermLike, fuel: int, prefix: Optional[BohmPrefix] = None
-) -> Optional[bool]:
-    """Three-valued: does ``t`` approximate the Boehm tree of the target?
+def member_of_bohm(t: ResourceTerm, prefix: BohmPrefix) -> Optional[bool]:
+    """Three-valued: does ``t`` approximate the prefix's Boehm tree?
 
-    ``t`` is read against the runs of ``prefix``, a ``BohmPrefix`` of the
-    target at ``fuel`` (a fresh one when not given), node by node: it must
-    peel to the node's head normal form, and each element of a peeled
-    monomial is read against its spine argument's node. Bottom refutes,
-    since nothing approximates it; a node without a verdict makes the
-    answer ``None`` (unknown) unless something else refutes.
+    ``t`` is read against the runs of ``prefix`` node by node: it must peel
+    to the node's head normal form, and each element of a peeled monomial
+    is read against its spine argument's node. Bottom refutes, since
+    nothing approximates it; a node without a verdict makes the answer
+    ``None`` (unknown) unless something else refutes.
     """
-    if prefix is None:
-        prefix = BohmPrefix(target, fuel)
     unknown = False
     todo = [(t, prefix.term, ())]
     while todo:

@@ -11,7 +11,8 @@ arguments."""
 
 from typing import Optional, Sequence
 
-from taylorlab.beta import Position, StratifyResult, head_normalize, replace_at, solvable, subterm_at
+from taylorlab.beta import BohmPrefix, Position, StratifyResult, head_normalize, replace_at, solvable, subterm_at
+from taylorlab.lab import LiftSession
 from taylorlab.resource import RLam, ResourceTerm, open_along
 from taylorlab.resource_reduction import head_split, rewrap
 from taylorlab.syntax import App, LambdaError, Term, subterms, unlink
@@ -54,6 +55,12 @@ def site_from_str(text):
         else:
             raise LambdaError(f"bad site component {part!r}")
     return tuple(out)
+
+
+def fresh_session(target, fuel):
+    """A ``LiftSession`` on a new ``BohmPrefix`` of ``target`` at ``fuel``,
+    shared with no other call: the unshared reference for a lift."""
+    return LiftSession(BohmPrefix(target, fuel))
 
 
 def loop_certified_oracle(fuel):

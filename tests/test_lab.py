@@ -26,6 +26,8 @@ from taylorlab.resource_reduction import r_normalize
 from taylorlab.syntax import parse_term
 from taylorlab.taylor import approximates, enumerate_taylor
 
+from support import fresh_session
+
 rp = parse_resource_term
 I = parse_term("\\x. x")
 K = parse_term("\\x. \\y. x")
@@ -97,7 +99,7 @@ def test_check_simulation_negative_control(monkeypatch):
 
 def test_lift_to_source_y_chain():
     t3 = rp("\\f. <f>[<f>[<f>1]]")
-    s = lift_to_source(t3, Y, 100)
+    s = lift_to_source(t3, fresh_session(Y, 100))
     assert s is not None
     assert approximates(s, Y)
     assert t3 in r_normalize(s)

@@ -52,7 +52,7 @@ def _lift_every_target(target, fuel, oracle):
     session = LiftSession(BohmPrefix(target, fuel))
     wide = search_normal_forms(target, WIDER) if oracle else None
     for t in targets:
-        s = lift_to_source(t, target, fuel, session)
+        s = lift_to_source(t, session)
         assert s is not None, (str(target), fuel, str(t), session.failed)
         if wide is not None:
             assert t in r_normalize(s), (str(target), fuel, str(t), str(s))
@@ -130,6 +130,6 @@ def test_a_target_that_is_a_normal_addend_lifts_to_its_forward_owner():
         session = LiftSession(BohmPrefix(target, 1000))
         for t in enumerate_taylor(bohm_tree(target, UNIQUE_SIZE + 1, 1000), UNIQUE_SIZE):
             if t in owner:
-                assert lift_to_source(t, target, 1000, session) is owner[t], (src, str(t))
+                assert lift_to_source(t, session) is owner[t], (src, str(t))
                 checked += 1
     assert checked >= 170

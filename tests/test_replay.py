@@ -33,10 +33,10 @@ from taylorlab.resource import (
 )
 from taylorlab.resource_reduction import head_split, hr_step, peel, r_normalize
 from taylorlab.selftest import _CORPUS
-from taylorlab.syntax import RationalSystem, parse_term
+from taylorlab.syntax import RationalSystem, parse_term, split_target
 from taylorlab.taylor import _approx, approximates, enumerate_taylor, member_of_bohm
 
-from support import hr_step_along, is_head_normal
+from support import fresh_session, hr_step_along, is_head_normal
 from walk_oracles import old_member_of_bohm
 
 rp = parse_resource_term
@@ -190,7 +190,7 @@ def test_replay_implies_membership_in_the_normal_form():
     for term, targets in _corpus_targets():
         session = LiftSession(BohmPrefix(term, FUEL))
         for t in targets:
-            if lift_to_source(t, term, FUEL, session) is not None:
+            if lift_to_source(t, session) is not None:
                 lifted += 1
         for (u, _, _), node in session.lifts.items():
             if node is not None:
@@ -215,7 +215,7 @@ def test_shared_session_accepts_what_unshared_lifts_accept(src, size, monkeypatc
     (subterm, stack) once."""
     term = parse_term(src)
     targets = enumerate_taylor(bohm_tree(term, size + 1, FUEL), size)
-    reference = [lift_to_source(t, term, FUEL) for t in targets]
+    reference = [lift_to_source(t, fresh_session(term, FUEL)) for t in targets]
 
     runs = []
     original = beta.head_normalize
@@ -226,7 +226,7 @@ def test_shared_session_accepts_what_unshared_lifts_accept(src, size, monkeypatc
 
     monkeypatch.setattr(beta, "head_normalize", counting)
     session = LiftSession(BohmPrefix(term, FUEL))
-    shared = [lift_to_source(t, term, FUEL, session) for t in targets]
+    shared = [lift_to_source(t, session) for t in targets]
     assert all(a is b for a, b in zip(shared, reference))
     assert len(runs) == len(set(runs)) == len(session.prefix.runs)
 
@@ -237,7 +237,7 @@ def _shared_run(src, size):
     term = parse_term(src)
     targets = list(enumerate_taylor(bohm_tree(term, size + 1, FUEL), size))
     session = LiftSession(BohmPrefix(term, FUEL))
-    ancestors = [lift_to_source(t, term, FUEL, session) for t in targets]
+    ancestors = [lift_to_source(t, session) for t in targets]
     return term, targets, session, [s for s in ancestors if s is not None]
 
 
@@ -305,8 +305,9 @@ def test_memoized_approximation_agrees_with_a_fresh_test(src, size):
     term, targets, session, ancestors = _shared_run(src, size)
     assert bool(session.approx) == _grafts(session)
     verdicts = set()
+    m, system = split_target(term)
     for s in ancestors + list(enumerate_taylor(term, size)) + targets:
-        verdict = approximates(s, term, session.approx)
+        verdict = _approx(s, m, (), system, session.approx)
         assert verdict == approximates(s, term)
         verdicts.add(verdict)
     assert True in verdicts
@@ -328,7 +329,7 @@ def _inside_elements(t, out=None, below=False):
 
 def _lift_of(t, term):
     session = LiftSession(BohmPrefix(term, FUEL))
-    s = lift_to_source(t, term, FUEL, session)
+    s = lift_to_source(t, session)
     return s, session
 
 
@@ -360,7 +361,7 @@ def test_corrupted_shared_sub_lift_leaves_every_reuser_unlifted(monkeypatch):
     y = parse_term(_CORPUS["Y"])
     targets = [rp(src) for src in ("\\a. <a>[<a>[<a>1]]", "\\a. <a>[<a>[<a>[<a>1]]]", "\\a. <a>[<a>[<a>1], <a>[<a>1]]")]
     clean_session = LiftSession(BohmPrefix(y, FUEL))
-    reference = [lift_to_source(t, y, FUEL, clean_session) for t in targets]
+    reference = [lift_to_source(t, clean_session) for t in targets]
     assert None not in reference and clean_session.shared > 0
 
     original = lab._link_holds
@@ -372,7 +373,7 @@ def test_corrupted_shared_sub_lift_leaves_every_reuser_unlifted(monkeypatch):
 
     monkeypatch.setattr(lab, "_link_holds", corrupting)
     session = LiftSession(BohmPrefix(y, FUEL))
-    assert [lift_to_source(t, y, FUEL, session) for t in targets] == [None] * len(targets)
+    assert [lift_to_source(t, session) for t in targets] == [None] * len(targets)
     # the failed sub-lift is built and checked once, then served to each
     # reuser; a lift stops at its first unlifted element, so the last
     # target reads it once where the clean run reads both its elements
@@ -485,14 +486,14 @@ def test_the_ancestor_is_the_targets_own_lift():
     other = rp("\\a. <a>[<a>[<a>1]]")
     for order in ((t, other), (other, t)):
         session = LiftSession(BohmPrefix(y, FUEL))
-        got = {u: lift_to_source(u, y, FUEL, session) for u in order}
+        got = {u: lift_to_source(u, session) for u in order}
         for u, s in got.items():
             assert s is not None and s is session.lifts[(u, y, ())]
         assert t not in r_normalize(got[other])
     for term, targets in _corpus_targets():
         session = LiftSession(BohmPrefix(term, FUEL))
         for t in targets:
-            s = lift_to_source(t, term, FUEL, session)
+            s = lift_to_source(t, session)
             assert s is None or s is session.lifts[(t, term, ())]
 
 
@@ -597,11 +598,11 @@ def test_membership_agrees_with_the_truncated_tree():
             prefix = BohmPrefix(term, fuel)
             targets = set(enumerate_taylor(prefix.tree(size + 1), size))
             for t in approximants | addends | targets:
-                verdict = member_of_bohm(t, term, fuel, prefix)
+                verdict = member_of_bohm(t, prefix)
                 assert verdict is old_member_of_bohm(t, term, fuel), (src, fuel, str(t))
                 verdicts[verdict] += 1
     grower = parse_term("(\\x. x x x) (\\x. x x x)")
-    assert member_of_bohm(rp("x"), grower, 3) is old_member_of_bohm(rp("x"), grower, 3) is None
+    assert member_of_bohm(rp("x"), BohmPrefix(grower, 3)) is old_member_of_bohm(rp("x"), grower, 3) is None
     assert min(verdicts.values()) > 0, verdicts
 
 

@@ -114,7 +114,7 @@ def test_open_binder_shifts_correctly():
     body = p("\\b. <a>[b]")  # 'a' free here; rebuild with bound index
     t = rlam(rlam(rapp(rvar(1), monomial([rvar(0)]))))
     out = open_binder(t.body, parse_resource_monomial("[y]"))
-    assert out == parse_resource_sum("\\b. <y>[b]")
+    assert out == parse_resource_sum("\\b. <y>[b]").terms
 
 
 def test_is_d_positive():

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from taylorlab.beta import beta_step
+from taylorlab.beta import beta_step, head_normalize
 from taylorlab.syntax import (
     BOTTOM,
     HOLE,
@@ -12,6 +12,7 @@ from taylorlab.syntax import (
     ParseError,
     RationalSystem,
     RecRef,
+    UndefinedSymbolError,
     Var,
     alpha_eq,
     bind_free,
@@ -20,9 +21,11 @@ from taylorlab.syntax import (
     pretty,
     pretty_system,
     rebuild,
+    resolve_ref,
     subterms,
     unfold,
 )
+from taylorlab.taylor import enumerate_taylor
 
 from support import power_apply, power_tail
 
@@ -132,6 +135,19 @@ def test_unfold_plain_term_fixpoint():
     t = parse_term("\\x. x (y z)")
     assert unfold(t, 5) == t
     assert unfold(t, 1) == parse_term("\\x. x *")
+
+
+def test_a_reference_without_a_system_is_unresolved():
+    # one policy, in resolve_ref, for every reader of a reference
+    f = RecRef("F")
+    for read in (
+        lambda: resolve_ref(f, None, ()),
+        lambda: unfold(App(f, FreeVar("x")), 3),
+        lambda: head_normalize(Lam("x", App(f, Var(0))), 10),
+        lambda: enumerate_taylor(App(FreeVar("x"), f), 5),
+    ):
+        with pytest.raises(UndefinedSymbolError, match="unresolved symbol 'F'"):
+            read()
 
 
 def test_power_shapes():

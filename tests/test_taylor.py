@@ -2,7 +2,7 @@ import gc
 import itertools
 import random
 
-from taylorlab.beta import beta_step, bohm_tree
+from taylorlab.beta import BohmPrefix, beta_step, bohm_tree
 from taylorlab.cli import _bohm_dot
 from taylorlab.gen import random_lambda_term
 from taylorlab.lab import check_commutation, check_simulation
@@ -156,16 +156,16 @@ def test_taylor_zero():
 
 
 def test_member_of_bohm():
-    assert member_of_bohm(rp("\\f. <f>1"), Y, 50) is True
-    assert member_of_bohm(rp("\\f. <f>[<f>1]"), Y, 50) is True
-    assert member_of_bohm(rp("\\f. <f>[f]"), Y, 50) is False
-    assert member_of_bohm(rp("x"), OMEGA, 100) is False
-    assert member_of_bohm(rp("\\a. a"), I, 10) is True
+    assert member_of_bohm(rp("\\f. <f>1"), BohmPrefix(Y, 50)) is True
+    assert member_of_bohm(rp("\\f. <f>[<f>1]"), BohmPrefix(Y, 50)) is True
+    assert member_of_bohm(rp("\\f. <f>[f]"), BohmPrefix(Y, 50)) is False
+    assert member_of_bohm(rp("x"), BohmPrefix(OMEGA, 100)) is False
+    assert member_of_bohm(rp("\\a. a"), BohmPrefix(I, 10)) is True
 
 
 def test_member_of_bohm_fuel_unknown():
     grower = parse_term("(\\x. x x x) (\\x. x x x)")
-    assert member_of_bohm(rp("x"), grower, 3) is None
+    assert member_of_bohm(rp("x"), BohmPrefix(grower, 3)) is None
 
 
 def test_taylor_walks_leave_no_cyclic_garbage():
@@ -177,7 +177,7 @@ def test_taylor_walks_leave_no_cyclic_garbage():
     try:
         assert all(approximates(s, yg) for s in enumerate_taylor(yg, 12))
         targets = enumerate_taylor(bohm_tree(yg, 13, 100), 12)
-        assert targets and all(member_of_bohm(t, yg, 100) for t in targets)
+        assert targets and all(member_of_bohm(t, BohmPrefix(yg, 100)) for t in targets)
         assert gc.collect() == 0
     finally:
         gc.enable()
