@@ -119,12 +119,12 @@ def replace_at(t: Term, pos: Position, new: Term) -> Term:
 # Beta
 
 
-def _shift(t: Term, d: int, cutoff: int = 0) -> Term:
+def _shift(t: Term, d: int) -> Term:
     if d == 0:
         return t
 
     def shift(u: Term, c: int, *_) -> Optional[Term]:
-        return Var(u.index + d) if isinstance(u, Var) and u.index >= cutoff + c else None
+        return Var(u.index + d) if isinstance(u, Var) and u.index >= c else None
 
     return rebuild(t, shift)
 

@@ -34,13 +34,15 @@ A lifted ancestor ``s`` counts once ``t`` is in its normal form and ``s``
 approximates the term. Each inverted step is checked once, when it is
 built, on its core: ``before`` is ``<\\w>[es]`` and ``after`` is ``u``,
 both in the same binders and frames, so the link ``hr_step_along(before,
-es) is after`` is exactly ``open_along(w, es) is u``. ``es`` lists the
-grafted elements in the order of the bound occurrences they fill, and the
-rebuilt term is one addend of the linear substitution by definition, so
-nothing is searched. Resource reduction is confluent and terminating, so
-each link gives ``nf(before) ⊇ nf(after)``, and by induction over the
-steps and the monomial elements the links chain ``t``'s part of the
-head-normal node at the bottom of each level up to ``nf(s)``.
+es) is after`` is exactly ``open_along(w, es) is u``. So the chain of
+steps carries each core with its binders and frames, and wraps only the
+ancestor in them. ``es`` lists the grafted elements in the order of the
+bound occurrences they fill, and the rebuilt term is one addend of the
+linear substitution by definition, so nothing is searched. Resource
+reduction is confluent and terminating, so each link gives ``nf(before) ⊇
+nf(after)``, and by induction over the steps and the monomial elements the
+links chain ``t``'s part of the head-normal node at the bottom of each
+level up to ``nf(s)``.
 
 Approximation follows the same induction. The head-normal node matches its
 head form, with sub-lifts as elements. ``_un_substitute`` builds ``w``
@@ -95,7 +97,7 @@ from .resource import (
     rvar,
     unshift,
 )
-from .resource_reduction import hr_step, peel, r_normalize, rewrap
+from .resource_reduction import hr_step, peel, peel_wrapped, r_normalize, rewrap
 from .syntax import (
     App,
     Bottom,
@@ -321,14 +323,15 @@ def _un_substitute(
     return None
 
 
-def _lift_one_step(t: ResourceTerm, step: tuple, system: Optional[RationalSystem], memo: dict) -> Optional[tuple]:
-    """Read an approximant ``t`` of the head reduct of a step (a row of
+def _lift_one_step(chain: tuple, step: tuple, system: Optional[RationalSystem], memo: dict) -> Optional[tuple]:
+    """Read an approximant of the head reduct of a step (a row of
     ``LiftSession.head_run``'s table) back through it: the core ``u`` that
     the head redex reduced to, the monomials of the frames around it, and
     ``_anti_subst``'s ``(w, es)`` for ``u``, whose ``memo`` this is. None
-    when ``t`` lacks the step's shape or ``u`` cannot be read back."""
+    when the approximant, a chain standing for ``rewrap(*chain)``, lacks
+    the step's shape or ``u`` cannot be read back."""
     _, binders, frames, body, inner, _, _ = step
-    peeled = peel(t, binders, frames)
+    peeled = peel_wrapped(*chain, binders, frames)
     if peeled is None:
         return None
     u, rest = peeled
@@ -427,17 +430,19 @@ class LiftSession:
                     return None
                 elems.append(lifted)
             lifted_monos.append(monomial(elems))
-        node = rewrap(head, binders, lifted_monos)
+        chain = (head, binders, tuple(lifted_monos))
         for step in steps:
-            node = self._invert(node, step)
-            if node is None:
+            chain = self._invert(chain, step)
+            if chain is None:
                 return None
-        return node
+        return rewrap(*chain)
 
-    def _invert(self, after: ResourceTerm, step: tuple) -> Optional[ResourceTerm]:
+    def _invert(self, after: tuple, step: tuple) -> Optional[tuple]:
         """The approximant of the term before ``step`` that head-reduces
         onto ``after``, once its grafts and its link hold; else None, with
-        the failure recorded."""
+        the failure recorded. Both are chains ``(x, b, rest)``: the node
+        an inversion built (``<\\w>[es]``, or the head leaf) in ``b``
+        binders and the frames ``rest``, which only ``_build`` wraps."""
         got = _lift_one_step(after, step, self.prefix.system, self.unsubst)
         if got is None:
             why = "could not be inverted"
@@ -456,7 +461,7 @@ class LiftSession:
             else:
                 self.checked_links += 1
                 if _link_holds(w, es, u, self.rebuilt):
-                    return rewrap(rapp(rlam(w), monomial(es)), binders, rest)
+                    return rapp(rlam(w), monomial(es)), binders, rest
                 why = "failed its link check"
         if self.failed is None:
             self.failed = (step[0], why)

@@ -219,6 +219,20 @@ def rewrap(u: ResourceTerm, binders: int, rest: Sequence[Monomial]) -> ResourceT
     return u
 
 
+def peel_wrapped(x: ResourceTerm, b: int, rest: Sequence[Monomial], binders: int, frames: int) -> Optional[tuple]:
+    """``peel(rewrap(x, b, rest), binders, frames)``, interning only the
+    term inside: what lies outside it is never built."""
+    if b > binders:
+        return None if frames else (rewrap(x, b - binders, rest), ())
+    keep = len(rest) - frames
+    if b == binders and keep >= 0:
+        return rewrap(x, 0, rest[:keep]), tuple(rest[keep:])
+    if rest and b < binders:
+        return None
+    peeled = peel(x, binders - b, -keep)
+    return None if peeled is None else (peeled[0], peeled[1] + tuple(rest))
+
+
 def hr_step(x: ResourceTerm | FiniteSum) -> FiniteSum:
     """Fire the head redex, at the site ``head_split`` finds; identity on
     head-normal terms; addend-wise on sums."""

@@ -31,13 +31,13 @@ from taylorlab.resource import (
     rlam,
     rvar,
 )
-from taylorlab.resource_reduction import head_split, hr_step, peel, r_normalize
+from taylorlab.resource_reduction import head_split, hr_step, peel, r_normalize, rewrap
 from taylorlab.selftest import _CORPUS
 from taylorlab.syntax import RationalSystem, parse_term, split_target
 from taylorlab.taylor import _approx, approximates, enumerate_taylor, member_of_bohm
 
 from support import fresh_session, hr_step_along, is_head_normal
-from walk_oracles import old_member_of_bohm
+from walk_oracles import OldLiftSession, old_member_of_bohm
 
 rp = parse_resource_term
 FUEL = 1000
@@ -388,8 +388,8 @@ def test_corrupted_certificate_ends_the_lift(monkeypatch):
     original = lab._lift_one_step
     wrong = []
 
-    def reversing(node, step, system, memo):
-        u, rest, w, grafted = original(node, step, system, memo)
+    def reversing(chain, step, system, memo):
+        u, rest, w, grafted = original(chain, step, system, memo)
         bad = grafted[::-1]
         if not lab._link_holds(w, bad, u):
             wrong.append(bad)
@@ -409,8 +409,8 @@ def test_corrupted_graft_ends_the_lift(monkeypatch):
     original = lab._lift_one_step
     stranger = rfvar("zz")
 
-    def grafting_a_stranger(node, step, system, memo):
-        got = original(node, step, system, memo)
+    def grafting_a_stranger(chain, step, system, memo):
+        got = original(chain, step, system, memo)
         if got is None or not got[3]:
             return got
         u, rest, w, grafted = got
@@ -430,15 +430,17 @@ def test_corrupted_graft_ends_the_lift(monkeypatch):
 def test_every_link_and_lift_passes_the_whole_term_oracles(src, size, monkeypatch):
     """The slow oracles of the lifter's checks: each link checked on its
     core is a link on the whole terms (``hr_step_along(before, elems) is
-    after``), and each ancestor and stored sub-lift, whose grafts were
-    checked one by one, approximates its λ-term as a whole."""
+    after``, each rebuilt from its chain), and each ancestor and stored
+    sub-lift, whose grafts were checked one by one, approximates its λ-term
+    as a whole."""
     links = []
     original = LiftSession._invert
 
     def recording(self, after, step):
         before = original(self, after, step)
         if before is not None:
-            links.append((before, after, lab._lift_one_step(after, step, self.prefix.system, self.unsubst)[3]))
+            elems = lab._lift_one_step(after, step, self.prefix.system, self.unsubst)[3]
+            links.append((rewrap(*before), rewrap(*after), elems))
         return before
 
     monkeypatch.setattr(LiftSession, "_invert", recording)
@@ -582,6 +584,31 @@ def test_each_check_runs_each_node_once(src, size, monkeypatch):
         assert len(runs) == len(set(runs))
         total += len(runs)
     assert total > 0
+
+
+@pytest.mark.parametrize("src,size", ALL_CASES)
+def test_lean_chains_lift_what_wrapping_every_step_lifted(src, size, monkeypatch):
+    """The frozen lifter that wrapped each inverted step in its binders and
+    frames, for the next step to peel them off, is the reference: the lean
+    chains store the very same node for every sub-lift, and count the same
+    shared sub-lifts, links and grafts, over all the tree targets and in
+    the check's report."""
+    term = parse_term(src)
+    prefix = BohmPrefix(term, FUEL)
+    lean, frozen = LiftSession(prefix), OldLiftSession(prefix)
+    for t in enumerate_taylor(prefix.tree(size + 1), size):
+        assert lift_to_source(t, lean) is lift_to_source(t, frozen)
+    assert lean.lifts.keys() == frozen.lifts.keys()
+    assert all(node is frozen.lifts[key] for key, node in lean.lifts.items())
+    assert bool(lean.checked_links) == _inverts_steps(lean)
+
+    def counters(session):
+        return session.shared, session.checked_links, session.checked_grafts, session.failed
+
+    assert counters(lean) == counters(frozen)
+    report = check_commutation(term, size, FUEL).to_dict()
+    monkeypatch.setattr(lab, "LiftSession", OldLiftSession)
+    assert check_commutation(term, size, FUEL).to_dict() == report
 
 
 def test_membership_agrees_with_the_truncated_tree():

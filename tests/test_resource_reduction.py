@@ -7,6 +7,7 @@ from taylorlab.gen import random_resource_term
 from taylorlab.resource import (
     ZERO,
     FiniteSum,
+    monomial,
     parse_resource_sum,
     parse_resource_term,
     r_height,
@@ -21,9 +22,12 @@ from taylorlab.resource_reduction import (
     dm_measure,
     hr_step,
     normalize_with,
+    peel,
+    peel_wrapped,
     r_normalize,
     r_step,
     redex_sites,
+    rewrap,
     site_depth,
     site_to_str,
     valid_min_depth_sites,
@@ -193,6 +197,43 @@ def test_hr_to_hnf_terminates_on_looping_shape():
     # <\x. <x>[x]>[\x. <x>[x]] is the self-application; head iteration ends in 0
     s, k = _hr_to_hnf(ps("<\\x. <x>[x]>[\\x. <x>[x]]"))
     assert s == ZERO and k >= 1
+
+
+def test_peel_wrapped_is_peel_of_the_rewrap():
+    """The lifter's fused peel against the slow path that builds the whole
+    wrapped term: the same core node and frames, and None on each mismatch,
+    whether it falls on a binder of the wrapping (frames wanted), on one of
+    its frames (a binder wanted) or inside ``x``."""
+    rng = random.Random(2525)
+    seen = set()
+    for _ in range(1500):
+        x = random_resource_term(rng, rng.randint(1, 8))
+        b = rng.randint(0, 3)
+        rest = tuple(
+            monomial(random_resource_term(rng, rng.randint(1, 3)) for _ in range(rng.randint(0, 2)))
+            for _ in range(rng.randint(0, 3))
+        )
+        for binders in range(b + 3):
+            for frames in range(len(rest) + 4):
+                want = peel(rewrap(x, b, rest), binders, frames)
+                got = peel_wrapped(x, b, rest, binders, frames)
+                if want is None:
+                    assert got is None
+                else:
+                    assert got[0] is want[0] and got[1] == want[1]
+                if b > binders:
+                    where = "binders"
+                elif b < binders and rest:
+                    where = "frames"
+                elif b == binders and frames <= len(rest):
+                    where = "both"
+                else:
+                    where = "x"
+                seen.add((where, want is None))
+    assert seen == {
+        ("binders", True), ("binders", False), ("frames", True),
+        ("both", False), ("x", True), ("x", False),
+    }
 
 
 def test_dm_measure():

@@ -110,8 +110,8 @@ def test_maps_match_the_recursive_walkers():
         n = _term(rng, rng.randint(1, 5))
         hints = tuple(rng.sample(NAMES, rng.randint(0, 3)))
         assert bind_free(t, hints) is old_bind_free(t, hints)
-        d, cutoff = rng.randint(0, 3), rng.randint(0, 2)
-        assert _shift(t, d, cutoff) is old_shift(t, d, cutoff)
+        d = rng.randint(0, 3)
+        assert _shift(t, d) is old_shift(t, d, 0)
         assert open_bound(t, n) is old_open_bound(t, n)
         for k in range(5):
             assert unfold(t, k) is old_unfold(t, k)

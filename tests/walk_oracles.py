@@ -31,7 +31,12 @@ recursive printers that the explicit-stack loops of ``syntax.pretty``,
 ``resource.pretty_resource`` and ``cli._bohm_dot`` replaced; the λ printer
 kept two memoized walks for the free names and the dangling indices of each
 node, and the dot printer labelled binders with their raw hints.
-``test_walk_oracles`` checks the loops against them. Do not import these
+``test_walk_oracles`` checks the loops against them.
+
+``OldLiftSession`` is the lifter before its chains carried each inverted
+step's binders and frames apart from the node built: ``_invert`` wrapped
+its result in all of them, and the next step peeled them off again.
+``test_replay`` checks the lean chains against it. Do not import these
 oracles elsewhere.
 """
 
@@ -41,7 +46,8 @@ import itertools
 from typing import Optional
 
 from taylorlab.beta import HeadForm, head_form, head_normalize
-from taylorlab.lab import ApproximantMismatchError
+from taylorlab.lab import ApproximantMismatchError, LiftSession, _anti_subst, _link_holds
+from taylorlab.taylor import _approx
 from taylorlab.resource import (
     FiniteSum,
     Monomial,
@@ -57,6 +63,7 @@ from taylorlab.resource import (
     rlam,
     rvar,
 )
+from taylorlab.resource_reduction import peel, rewrap
 from taylorlab.syntax import (
     BOTTOM,
     HOLE,
@@ -370,6 +377,71 @@ def _member(u: ResourceTerm, b: Term) -> Optional[bool]:
             return None
         return True
     return False
+
+
+class OldLiftSession(LiftSession):
+    """``LiftSession`` with the wrap-every-step ``_build`` and ``_invert``."""
+
+    __slots__ = ()
+
+    def _build(self, u: ResourceTerm, m: Term, stack: tuple[str, ...]) -> Optional[ResourceTerm]:
+        run = self.head_run(m, stack)
+        if run is None:
+            return None
+        steps, (binders, spine, head, outer) = run
+        peeled = peel(u, binders, len(spine))
+        if peeled is None or peeled[0] is not head:
+            return None
+        lifted_monos = []
+        for q, mono in zip(spine, peeled[1]):
+            elems = []
+            for e in mono:
+                lifted = self.lift(e, q, outer)
+                if lifted is None:
+                    return None
+                elems.append(lifted)
+            lifted_monos.append(monomial(elems))
+        node = rewrap(head, binders, lifted_monos)
+        for step in steps:
+            node = self._invert(node, step)
+            if node is None:
+                return None
+        return node
+
+    def _invert(self, after: ResourceTerm, step: tuple) -> Optional[ResourceTerm]:
+        got = _old_lift_one_step(after, step, self.prefix.system, self.unsubst)
+        if got is None:
+            why = "could not be inverted"
+        else:
+            u, rest, w, es = got
+            _, binders, _, _, _, arg, outer = step
+            approx = self.approx
+            for e in es:
+                held = approx.get((e, arg, outer))
+                if held is None:
+                    self.checked_grafts += 1
+                    held = _approx(e, arg, outer, self.prefix.system, approx)
+                if not held:
+                    why = "grafted an element outside its argument's expansion"
+                    break
+            else:
+                self.checked_links += 1
+                if _link_holds(w, es, u, self.rebuilt):
+                    return rewrap(rapp(rlam(w), monomial(es)), binders, rest)
+                why = "failed its link check"
+        if self.failed is None:
+            self.failed = (step[0], why)
+        return None
+
+
+def _old_lift_one_step(t: ResourceTerm, step: tuple, system: Optional[RationalSystem], memo: dict) -> Optional[tuple]:
+    _, binders, frames, body, inner, _, _ = step
+    peeled = peel(t, binders, frames)
+    if peeled is None:
+        return None
+    u, rest = peeled
+    got = _anti_subst(u, body, 0, inner, system, memo)
+    return None if got is None else (u, rest, got[0], got[1])
 
 
 # ---------------------------------------------------------------------------
