@@ -84,6 +84,7 @@ from .resource import (
     RLam,
     RVar,
     RFreeVar,
+    _ordered_monomial,
     deg_hole,
     is_d_positive,
     monomial,
@@ -259,10 +260,16 @@ def _anti_subst(
     Returns None when ``u`` cannot be read back against ``p``.
 
     ``memo`` may be shared between calls with the same ``system``; it is
-    keyed by ``(u, p, c, stack)``.
+    keyed by ``(u, p, c, stack)`` at applications and leaves: an
+    abstraction goes straight to its body, whose ``w`` it closes again.
     """
     if memo is None:
         memo = {}
+    if isinstance(p, Lam):
+        if not isinstance(u, RLam):
+            return None
+        got = _anti_subst(u.body, p.body, c + 1, (p.hint,) + stack, system, memo)
+        return None if got is None else (rlam(got[0]), got[1])
     key = (u, p, c, stack)
     got = memo.get(key, _UNSEEN)
     if got is _UNSEEN:
@@ -294,13 +301,8 @@ def _un_substitute(
         if isinstance(u, RFreeVar) and u.name == p.name:
             return (u, ())
         return None
-    if isinstance(p, Lam):
-        if not isinstance(u, RLam):
-            return None
-        got = _anti_subst(u.body, p.body, c + 1, (p.hint,) + stack, system, memo)
-        if got is None:
-            return None
-        return (rlam(got[0]), got[1])
+    if isinstance(p, Lam):  # a reference resolved to an abstraction
+        return _anti_subst(u, p, c, stack, system, memo)
     if isinstance(p, App):
         if not isinstance(u, RApp):
             return None
@@ -318,8 +320,8 @@ def _un_substitute(
         # traversal of the recovered term: graft lists follow that order
         parts.sort(key=lambda part: part[0].skey)
         for _, more in parts:
-            es += more
-        return (rapp(wf, monomial(we for we, _ in parts)), es)
+            es += more  # shares ``more`` itself while ``es`` is empty
+        return (rapp(wf, _ordered_monomial(tuple([we for we, _ in parts]))), es)
     return None
 
 
@@ -355,7 +357,8 @@ class LiftSession:
     built, whose checks all held, or None. Three more memos serve the walks
     over subterms: ``unsubst`` for ``_anti_subst``, ``rebuilt`` for the
     link check (``open_along``) and ``approx`` for the graft check
-    (``taylor._approx``, by element, argument and stack). ``shared``
+    (``taylor._approx``, by element, argument and stack). The walks pass
+    abstractions through: no key holds one but the graft keys. ``shared``
     counts the sub-lifts served instead of built, ``checked_links`` the
     links checked (one per inverted step of a sub-lift built) and
     ``checked_grafts`` the graft checks that ``approx`` did not answer.

@@ -184,8 +184,11 @@ HOLE_R = _leaf(RHole(), (4,), 0)
 
 def monomial(elems: Iterable[ResourceTerm]) -> Monomial:
     elems = tuple(elems)
-    if len(elems) > 1:
-        elems = tuple(sorted(elems, key=_skey))
+    return _ordered_monomial(tuple(sorted(elems, key=_skey)) if len(elems) > 1 else elems)
+
+
+def _ordered_monomial(elems: tuple[ResourceTerm, ...]) -> Monomial:
+    """The monomial of ``elems``, a tuple already in ``skey`` order."""
     node = _MONOS.get(elems)
     if node is None:
         node = Monomial()
@@ -483,7 +486,8 @@ def open_along(
     enumerated: each subterm takes the next run of elements, as many as it
     has occurrences. ``memo`` may be shared between calls; it keeps
     occurrence counts by ``(u, c)`` and rebuilt subterms by ``(u, c,
-    elems)``, all interned nodes, so identity keys are stable.
+    elems)``, all interned nodes, so identity keys are stable, at
+    applications and leaves: an abstraction goes straight to its body.
     """
     if memo is None:
         memo = {}
@@ -496,14 +500,14 @@ def open_along(
 def _occurrences(u: ResourceTerm, c: int, memo: dict) -> int:
     if u.loose <= c:
         return 0
+    while isinstance(u, RLam):  # its body's loose bound stays above c + 1
+        u, c = u.body, c + 1
     key = (u, c)
     n = memo.get(key)
     if n is None:
-        # a loose index at or above c makes u a variable, an abstraction or an application
+        # a loose index at or above c makes u a variable or an application
         if isinstance(u, RVar):
             n = int(u.index == c)
-        elif isinstance(u, RLam):
-            n = _occurrences(u.body, c + 1, memo)
         else:
             n = _occurrences(u.fn, c, memo)
             for e in u.mono:
@@ -517,13 +521,13 @@ def _open_run(u: ResourceTerm, c: int, elems: tuple[ResourceTerm, ...], memo: di
     is their number."""
     if u.loose <= c:
         return u
+    if isinstance(u, RLam):
+        return rlam(_open_run(u.body, c + 1, elems, memo))
     key = (u, c, elems)
     out = memo.get(key)
     if out is None:
         if isinstance(u, RVar):
             out = _rshift(elems[0], c) if u.index == c else rvar(u.index - 1)
-        elif isinstance(u, RLam):
-            out = rlam(_open_run(u.body, c + 1, elems, memo))
         else:
             k = _occurrences(u.fn, c, memo)
             fn = _open_run(u.fn, c, elems[:k], memo)

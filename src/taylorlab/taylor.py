@@ -71,21 +71,29 @@ def _approx(u: ResourceTerm, t: Term, stack: tuple[str, ...], system: Optional[R
 
 
 def _holds(u: ResourceTerm, t: Term, stack: tuple[str, ...], system: Optional[RationalSystem], memo: dict) -> bool:
-    while isinstance(t, RecRef):
-        t = resolve_ref(t, system, stack)
+    """``_approx`` without an entry of its own. Matching binders are passed
+    in a loop, so below the first key ``memo`` keys no abstraction."""
+    while True:
+        while isinstance(t, RecRef):
+            t = resolve_ref(t, system, stack)
+        if not isinstance(u, RLam):
+            break
+        if not isinstance(t, Lam):
+            return False
+        u, t, stack = u.body, t.body, (t.hint,) + stack
+        if not isinstance(u, RLam):
+            return _approx(u, t, stack, system, memo)
     if isinstance(u, RVar):
         return isinstance(t, Var) and t.index == u.index
     if isinstance(u, RFreeVar):
         return isinstance(t, FreeVar) and t.name == u.name
     if isinstance(u, RHole):
         return isinstance(t, Hole)
-    if isinstance(u, RLam):
-        return isinstance(t, Lam) and _approx(u.body, t.body, (t.hint,) + stack, system, memo)
     if isinstance(u, RApp):
         return (
             isinstance(t, App)
-            and _approx(u.fn, t.fn, stack, system, memo)
-            and all(_approx(e, t.arg, stack, system, memo) for e in u.mono)
+            and (_holds if isinstance(u.fn, RLam) else _approx)(u.fn, t.fn, stack, system, memo)
+            and all((_holds if isinstance(e, RLam) else _approx)(e, t.arg, stack, system, memo) for e in u.mono)
         )
     raise TypeError(f"not a resource term: {u!r}")
 

@@ -18,6 +18,8 @@ from taylorlab.lab import LiftSession, check_commutation, check_head_charac, che
 from taylorlab.resource import (
     FiniteSum,
     RApp,
+    RFreeVar,
+    RHole,
     RLam,
     RVar,
     _rshift,
@@ -30,13 +32,15 @@ from taylorlab.resource import (
     rfvar,
     rlam,
     rvar,
+    unshift,
 )
 from taylorlab.resource_reduction import head_split, hr_step, peel, r_normalize, rewrap
 from taylorlab.selftest import _CORPUS
-from taylorlab.syntax import RationalSystem, parse_term, split_target
+from taylorlab.syntax import App, FreeVar, Hole, Lam, RationalSystem, RecRef, Var, parse_term, resolve_ref, split_target
 from taylorlab.taylor import _approx, approximates, enumerate_taylor, member_of_bohm
 
 from support import fresh_session, hr_step_along, is_head_normal
+from test_lift_oracle import SYSTEMS as LIFT_SYSTEMS
 from walk_oracles import OldLiftSession, old_member_of_bohm
 
 rp = parse_resource_term
@@ -249,9 +253,21 @@ def _inverts_steps(session):
 
 def _inverted_steps(session):
     """What un-substitution gave for the head binder bodies of the session's
-    step tables: ``(w, es)`` per inverted step."""
-    bodies = {step[3] for run in session.tables.values() if run for step in run[0]}
-    return [got for (_, p, c, _), got in session.unsubst.items() if c == 0 and p in bodies and got is not None]
+    step tables: ``(w, es)`` per inverted step. A body's leading
+    abstractions have no entry of their own, so its entry sits below them,
+    at a bound index one higher per binder, and ``w`` gets them back."""
+    bodies = {}
+    for run in session.tables.values():
+        for step in run[0] if run else ():
+            p, binders = step[3], 0
+            while isinstance(p, Lam):
+                p, binders = p.body, binders + 1
+            bodies[p] = binders
+    return [
+        (rewrap(got[0], c, ()), got[1])
+        for (_, p, c, _), got in session.unsubst.items()
+        if bodies.get(p) == c and got is not None
+    ]
 
 
 def _opens_a_loose_body(session):
@@ -311,6 +327,119 @@ def test_memoized_approximation_agrees_with_a_fresh_test(src, size):
         assert verdict == approximates(s, term)
         verdicts.add(verdict)
     assert True in verdicts
+
+
+def _anti_subst_reference(u, p, c, stack, system):
+    """Un-substitution as one plain recursion, each binder its own frame,
+    nothing memoized and every monomial sorted by ``monomial``."""
+    while isinstance(p, RecRef):
+        if system is None:
+            return None
+        p = resolve_ref(p, system, stack)
+    if isinstance(p, Var):
+        if p.index == c:
+            e = unshift(u, c)
+            return None if e is None else (rvar(c), (e,))
+        expect = p.index - 1 if p.index > c else p.index
+        return (rvar(p.index), ()) if isinstance(u, RVar) and u.index == expect else None
+    if isinstance(p, FreeVar):
+        return (u, ()) if isinstance(u, RFreeVar) and u.name == p.name else None
+    if isinstance(p, Lam):
+        if not isinstance(u, RLam):
+            return None
+        got = _anti_subst_reference(u.body, p.body, c + 1, (p.hint,) + stack, system)
+        return None if got is None else (rlam(got[0]), got[1])
+    if not (isinstance(p, App) and isinstance(u, RApp)):
+        return None
+    fn = _anti_subst_reference(u.fn, p.fn, c, stack, system)
+    parts = [_anti_subst_reference(e, p.arg, c, stack, system) for e in u.mono]
+    if fn is None or None in parts:
+        return None
+    parts.sort(key=lambda part: part[0].skey)
+    grafts = fn[1] + tuple(e for _, more in parts for e in more)
+    return rapp(fn[0], monomial(w for w, _ in parts)), grafts
+
+
+def _approx_reference(u, t, stack, system):
+    """The approximation relation as one plain recursion, nothing memoized."""
+    while isinstance(t, RecRef):
+        t = resolve_ref(t, system, stack)
+    if isinstance(u, RLam):
+        return isinstance(t, Lam) and _approx_reference(u.body, t.body, (t.hint,) + stack, system)
+    if isinstance(u, RApp):
+        return (
+            isinstance(t, App)
+            and _approx_reference(u.fn, t.fn, stack, system)
+            and all(_approx_reference(e, t.arg, stack, system) for e in u.mono)
+        )
+    if isinstance(u, RVar):
+        return isinstance(t, Var) and t.index == u.index
+    if isinstance(u, RFreeVar):
+        return isinstance(t, FreeVar) and t.name == u.name
+    return isinstance(u, RHole) and isinstance(t, Hole)
+
+
+MEMO_CASES = SESSION_CASES + [(src, 12) for src in LIFT_SYSTEMS if src not in LETREC]
+
+
+@pytest.mark.parametrize("src,size", MEMO_CASES)
+def test_branch_only_memos_agree_with_unmemoized_walks(src, size, monkeypatch):
+    """Every entry of the three walk memos is what a plain recursion over
+    its key gives. The walks pass abstractions through, so no key holds one
+    at the walked position: only the graft keys that ``_invert`` looks up
+    may have an abstraction as their element."""
+    grafts = set()
+    original = lab._lift_one_step
+
+    def recording(chain, step, system, memo):
+        got = original(chain, step, system, memo)
+        if got is not None:
+            grafts.update((e, step[5], step[6]) for e in got[3])
+        return got
+
+    monkeypatch.setattr(lab, "_lift_one_step", recording)
+    term, _, session, _ = _shared_run(src, size)
+    system = term if isinstance(term, RationalSystem) else None
+    assert bool(session.unsubst) == _inverts_steps(session)
+    for (u, p, c, stack), got in session.unsubst.items():
+        assert not isinstance(p, Lam)
+        assert got == _anti_subst_reference(u, p, c, stack, system)
+    for key, got in session.rebuilt.items():
+        assert not isinstance(key[0], RLam)
+        if len(key) == 2:
+            assert got == _bound_occurrences(*key)
+        else:
+            u, c, elems = key
+            assert got is _open_along_reference(u, elems, c)
+    for key, got in session.approx.items():
+        assert got == _approx_reference(*key, system)
+        assert not isinstance(key[0], RLam) or key in grafts
+
+
+# entries of the check's session at the two checks of commute-cold whose
+# redex bodies and arguments are abstractions: at most this many
+SESSION_ENTRIES = [
+    (f"{C2} {C2}", 18, {"unsubst": 1173, "rebuilt": 1326, "approx": 366}),
+    (f"(\\m. \\n. \\f. m (n f)) {C2} {C2}", 18, {"unsubst": 1378, "rebuilt": 1615, "approx": 364}),
+]
+
+
+@pytest.mark.parametrize("src,size,bounds", SESSION_ENTRIES)
+def test_session_memos_stay_within_their_entry_counts(src, size, bounds, monkeypatch):
+    sessions = []
+
+    class Recording(LiftSession):
+        __slots__ = ()
+
+        def __init__(self, prefix):
+            super().__init__(prefix)
+            sessions.append(self)
+
+    monkeypatch.setattr(lab, "LiftSession", Recording)
+    assert check_commutation(parse_term(src), size, FUEL).verdict == "pass"
+    (session,) = sessions
+    counts = {name: len(getattr(session, name)) for name in bounds}
+    assert all(counts[name] <= bound for name, bound in bounds.items()), counts
 
 
 def _inside_elements(t, out=None, below=False):
