@@ -1,13 +1,14 @@
-"""Golden commutation reports: the five checks of the ``commute-cold``
-benchmark workload must print exactly what ``tests/golden/commute_cold.json``
-holds, every ``stats`` key included. ``tests/make_commute_golden.py``
-regenerates the file after an intended change of output."""
+"""Golden reports: the five checks of the ``commute-cold`` benchmark
+workload must print exactly what ``tests/golden/commute_cold.json`` holds,
+every ``stats`` key included, and the head, norm and genericity checks what
+``tests/golden/checks.json`` holds. ``tests/make_commute_golden.py``
+regenerates the files after an intended change of output."""
 
 import json
 import runpy
 from pathlib import Path
 
-from make_commute_golden import GOLDEN, INSTANCES, argv, run
+from make_commute_golden import CHECKS_GOLDEN, GOLDEN, INSTANCES, argv, check_argvs, run
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
@@ -17,12 +18,13 @@ def _first_difference(expected: str, got: str) -> str:
     try:
         want, have = json.loads(expected), json.loads(got)
     except ValueError:
-        return "the output is not JSON"
+        return f"{expected!r} -> {got!r}"
     for field in sorted(set(want) | set(have)):
         if field == "stats":
-            for key in sorted(set(want["stats"]) | set(have.get("stats", {}))):
-                if want["stats"].get(key) != have.get("stats", {}).get(key):
-                    return f"stats.{key}: {want['stats'].get(key)!r} -> {have.get('stats', {}).get(key)!r}"
+            was, now = want.get("stats", {}), have.get("stats", {})
+            for key in sorted(set(was) | set(now)):
+                if was.get(key) != now.get(key):
+                    return f"stats.{key}: {was.get(key)!r} -> {now.get(key)!r}"
         elif want.get(field) != have.get(field):
             return f"{field}: {want.get(field)!r} -> {have.get(field)!r}"
     return "the same fields, printed differently"
@@ -35,6 +37,16 @@ def test_commute_cold_reports_match_the_golden_file():
         code, stdout = run(entry["argv"])
         assert (code, stdout) == (entry["exit_code"], entry["stdout"]), (
             f"{entry['name']} differs from the golden report: {_first_difference(entry['stdout'], stdout)}"
+        )
+
+
+def test_check_reports_match_the_golden_file():
+    golden = json.loads(CHECKS_GOLDEN.read_text(encoding="utf-8"))
+    assert [entry["argv"] for entry in golden] == check_argvs()
+    for entry in golden:
+        code, stdout = run(entry["argv"])
+        assert (code, stdout) == (entry["exit_code"], entry["stdout"]), (
+            f"{' '.join(entry['argv'])} differs from the golden report: {_first_difference(entry['stdout'], stdout)}"
         )
 
 
