@@ -73,8 +73,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _non_negative(text: str) -> int:
     """Type of the budget and bound flags; argparse reports a rejection
-    through ``parser.error``, so a negative value exits 3."""
-    value = int(text)
+    through ``parser.error``, so a negative value or a non-integer exits 3."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"must not be negative: {value}")
     return value
@@ -188,6 +191,8 @@ def _bohm_dot(t: Term) -> str:
 
 
 def _cmd_bohm(args) -> int:
+    if args.dot and args.json:
+        raise LambdaError("bohm prints either --dot or --json, not both")
     target = parse_term(_read_term_arg(args.term))
     tree = bohm_tree(target, args.depth, args.fuel)
     if args.dot:

@@ -64,7 +64,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
 from .beta import (
     BohmPrefix,
@@ -101,9 +101,7 @@ from .resource import (
 from .resource_reduction import hr_step, peel, peel_wrapped, r_normalize, rewrap
 from .syntax import (
     App,
-    Bottom,
     FreeVar,
-    Hole,
     Lam,
     LambdaError,
     RationalSystem,
@@ -116,7 +114,6 @@ from .syntax import (
     pretty,
     pretty_target,
     resolve_ref,
-    subterms,
 )
 from .taylor import _approx, approximates, enumerate_taylor, enumerate_taylor_context, member_of_bohm
 
@@ -593,7 +590,7 @@ def check_head_charac(target: TermLike, size_bound: int, fuel: int) -> CheckRepo
                 witness=pretty_resource(witness),
                 stats=stats,
             )
-        skeleton = _positive_skeleton(run.term, 0)
+        skeleton = _positive_skeleton(prefix, 0)
         session = LiftSession(prefix)
         s0 = lift_to_source(skeleton, session)
         if s0 is not None:
@@ -625,40 +622,38 @@ def check_head_charac(target: TermLike, size_bound: int, fuel: int) -> CheckRepo
 # Normalizability characterization (positive approximants)
 
 
-def _prefix_status(prefix: Term, d: int) -> str:
-    """Scan a Boehm prefix down to applicative depth ``d``:
-    "ok", "bottom", or "cut"."""
-    status = "ok"
-    for u, _, _, argdepth, _ in subterms(prefix):
-        if argdepth <= d:
-            if isinstance(u, Bottom):
-                return "bottom"
-            if isinstance(u, Hole):
-                status = "cut"
-    return status
-
-
-def _positive_skeleton(prefix: Term, d: int) -> Optional[ResourceTerm]:
-    """A d-positive approximant of the prefix: one element per argument
-    above depth ``d``, empty monomials below."""
-    hf = head_form(prefix)
-    if isinstance(hf.head, Var):
-        node: ResourceTerm = rvar(hf.head.index)
-    elif isinstance(hf.head, FreeVar):
-        node = rfvar(hf.head.name)
-    else:
-        return None
-    for q in hf.spine:
-        if d == 0:
-            node = rapp(node, monomial(()))
-        else:
-            e = _positive_skeleton(q, d - 1)
-            if e is None:
-                return None
-            node = rapp(node, monomial((e,)))
-    for _ in hf.binders:
-        node = rlam(node)
-    return node
+def _positive_skeleton(prefix: BohmPrefix, d: int) -> Union[ResourceTerm, str]:
+    """The d-positive approximant of the prefix's tree, one element per spine
+    argument above applicative depth ``d`` and empty monomials at it, or why
+    there is none: "bottom" if a node down to ``d`` is certified unsolvable,
+    else "cut". The nodes are read from the runs as ``member_of_bohm`` reads
+    them, in pre-order, and the approximant is built from the last one up."""
+    nodes = []  # (head form, depth) of each solvable node, None for a cut
+    todo = [(prefix.term, (), 0)]
+    while todo:
+        m, stack, k = todo.pop()
+        run = prefix.run(m, stack)
+        if run.verdict.certified_unsolvable:
+            return "bottom"
+        if not run.verdict.is_solvable:
+            nodes.append(None)  # a bottom may still come
+            continue
+        hf = head_form(run.term)
+        nodes.append((hf, k))
+        if k < d:
+            inner = tuple(reversed(hf.binders)) + stack
+            todo += [(q, inner, k + 1) for q in reversed(hf.spine)]
+    if None in nodes:
+        return "cut"
+    built: list[ResourceTerm] = []  # the last node's approximant on top
+    for hf, k in reversed(nodes):
+        node = rvar(hf.head.index) if isinstance(hf.head, Var) else rfvar(hf.head.name)
+        for _ in hf.spine:
+            node = rapp(node, monomial((built.pop(),) if k < d else ()))
+        for _ in hf.binders:
+            node = rlam(node)
+        built.append(node)
+    return built[0]
 
 
 def check_norm_charac(
@@ -668,19 +663,17 @@ def check_norm_charac(
     exactly when the Boehm prefix is bottom-free down to depth d."""
     inputs = {"term": pretty_target(target), "d_max": d_max, "size_bound": size_bound, "fuel": fuel}
     session = LiftSession(BohmPrefix(target, fuel))
-    tree = session.prefix.tree(d_max + 1)
     sl = enumerate_taylor(target, size_bound)
     normal = r_normalize(sl)
     levels = []
     failed = None
     inconclusive = None
     for d in range(d_max + 1):
-        status = _prefix_status(tree, d)
+        skeleton = _positive_skeleton(session.prefix, d)
+        status = skeleton if isinstance(skeleton, str) else "ok"
         witness = next((t for t in normal if is_d_positive(t, d)), None)
         how = "slice" if witness is not None else None
         if witness is None and status == "ok":
-            # a clean prefix has a head normal form at every node down to d
-            skeleton = _positive_skeleton(tree, d)
             if lift_to_source(skeleton, session) is not None:
                 witness = skeleton
                 how = "constructed"
@@ -783,16 +776,12 @@ def check_genericity(
             "inconclusive",
             reason=f"no unsolvability certificate for the filling ({cert.describe()})",
         )
-    filled = context_fill(c, m_unsolvable)
-    prefix = bohm_tree(filled, depth, fuel)
-    status = _prefix_status(prefix, depth - 1)
-    if status != "ok":
-        return CheckReport(
-            "genericity",
-            inputs,
-            "inconclusive",
-            reason=f"hypothesis unmet: filled context has no normal-form prefix ({status})",
-        )
+    prefix = BohmPrefix(context_fill(c, m_unsolvable), fuel)
+    status = _positive_skeleton(prefix, depth - 1) if depth > 0 else None
+    if isinstance(status, str):
+        reason = f"hypothesis unmet: filled context has no normal-form prefix ({status})"
+        return CheckReport("genericity", inputs, "inconclusive", reason=reason)
+    tree = prefix.tree(depth)
 
     slice_m = list(enumerate_taylor(m_unsolvable, size_bound))
     for s in slice_m:
@@ -823,20 +812,20 @@ def check_genericity(
 
     for n in ns:
         other = bohm_tree(context_fill(c, n), depth, fuel)
-        if not alpha_eq(other, prefix):
+        if not alpha_eq(other, tree):
             return CheckReport(
                 "genericity",
                 inputs,
                 "fail",
                 witness=pretty(n),
-                reason=f"prefix changed: {pretty(other, cut=chr(0x25FB))} vs {pretty(prefix, cut=chr(0x25FB))}",
+                reason=f"prefix changed: {pretty(other, cut=chr(0x25FB))} vs {pretty(tree, cut=chr(0x25FB))}",
             )
     return CheckReport(
         "genericity",
         inputs,
         "pass",
         stats={
-            "prefix": pretty(prefix, cut=chr(0x25FB)),
+            "prefix": pretty(tree, cut=chr(0x25FB)),
             "holey_approximants_annihilated": holey_checked,
             "replacements": len(ns),
         },

@@ -6,6 +6,9 @@ the printer invents names. Monomials keep their elements sorted under a
 total structural order, which makes multiset equality plain equality and
 printing deterministic. Sums are qualitative: a finite *set* of terms,
 ``0`` being the empty one.
+
+The node class names are an interface: ``from_taylorlab`` in
+``bench/workloads.py`` reads ``type(node).__name__`` and rejects any other.
 """
 
 from __future__ import annotations

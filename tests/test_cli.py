@@ -61,6 +61,12 @@ def test_bohm_dot(capsys):
     assert '  n0 [label="\\\\x\'"];' in out.splitlines() and '  n1 [label="x"];' in out.splitlines()
 
 
+def test_bohm_dot_and_json_exit_3(capsys):
+    code, out, err = run(capsys, "bohm", "\\x. x y", "--dot", "--json")
+    assert code == 3 and out == ""
+    assert err == "error: bohm prints either --dot or --json, not both\n"
+
+
 def test_taylor_listing(capsys):
     code, out, _ = run(capsys, "taylor", "(\\x.x) (\\x.x)", "--size", "6")
     assert code == 0
@@ -325,6 +331,24 @@ def test_negative_budget_exit_3(capsys, argv):
         main(argv)
     assert exc.value.code == 3
     assert "must not be negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["head", "x", "--fuel", "abc"],
+        ["check", "commutation", "x", "--size", "1.5"],
+        ["bohm", "x", "--depth", ""],
+        ["reduce", "x", "--max-steps", "ten"],
+    ],
+)
+def test_non_integer_budget_exit_3(capsys, argv):
+    """The rejection names the flag and the value, not the converter."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 3
+    err = capsys.readouterr().err
+    assert f"argument {argv[-2]}: not an integer: {argv[-1]!r}" in err and "_non_negative" not in err
 
 
 def test_backstop_is_an_unknown_flag(capsys):

@@ -7,6 +7,7 @@ term. Results are checked by walking them with loops or by identity, since
 nodes are hash-consed."""
 
 from taylorlab.beta import (
+    BohmPrefix,
     _shift,
     beta_step,
     head_normalize,
@@ -15,7 +16,7 @@ from taylorlab.beta import (
     open_bound,
     replace_at,
 )
-from taylorlab.lab import _prefix_status
+from taylorlab.lab import _positive_skeleton, check_genericity
 from taylorlab.resource import ONE, monomial, parse_resource_term, pretty_resource, r_height, rapp, rfvar, rlam, rvar
 from taylorlab.syntax import (
     BOTTOM,
@@ -106,9 +107,41 @@ def test_deep_folds():
     assert not is_bohm_normal(binders(Lam("z", BOTTOM)))
     assert depth_positions(power_tail(X, N), N - 1) == [("arg",) * (N - 1)]
     assert len(depth_positions(power_apply(X, X, N), 1)) == N
-    assert _prefix_status(power_tail(BOTTOM, N), N) == "bottom"
-    assert _prefix_status(power_tail(HOLE, N), N - 1) == "cut"
-    assert _prefix_status(binders(HOLE), 0) == "cut"
+
+
+def tower(leaf, n=N):
+    """``x (x (... (x leaf)))`` with ``n`` copies of ``x``: ``leaf`` is a
+    node at applicative depth ``n`` of the Boehm tree."""
+    for _ in range(n):
+        leaf = App(X, leaf)
+    return leaf
+
+
+def test_deep_tree_reader():
+    """The tree reader loops over the nodes of a prefix as deep as its
+    depth, and builds the approximant from the deepest node up."""
+    assert _positive_skeleton(BohmPrefix(tower(BOTTOM), 10), N) == "bottom"
+    cut = BohmPrefix(tower(HOLE), 10)
+    assert _positive_skeleton(cut, N) == "cut"
+    assert _positive_skeleton(BohmPrefix(binders(tower(HOLE, 3)), 10), 3) == "cut"
+    node = _positive_skeleton(cut, N - 1)
+    for _ in range(N - 1):
+        assert node.fn is rfvar("x") and len(node.mono) == 1
+        (node,) = node.mono
+    assert node is rapp(rfvar("x"), ONE)
+
+
+def test_deep_genericity():
+    """Genericity on a context whose hole is 3,000 levels deep: the filled
+    context's tree is clean above the hole and has bottom there."""
+    n = 3000
+    context = parse_term("\\z. " + "z (" * n + "*" + ")" * n)
+    omega, ident = parse_term("(\\x. x x) (\\x. x x)"), parse_term("\\x. x")
+    report = check_genericity(context, omega, [ident], 4, 1000, depth=n - 1)
+    assert report.verdict == "pass"
+    assert report.stats["prefix"] == "\\z. " + "z (" * (n - 2) + "z \u25fb" + ")" * (n - 2)
+    report = check_genericity(context, omega, [ident], 4, 1000, depth=n + 1)
+    assert report.verdict == "inconclusive" and report.reason.endswith("(bottom)")
 
 
 def test_deep_systems():

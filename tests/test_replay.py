@@ -14,7 +14,14 @@ import taylorlab.beta as beta
 import taylorlab.lab as lab
 from taylorlab.beta import BohmPrefix, bohm_tree
 from taylorlab.gen import random_resource_term
-from taylorlab.lab import LiftSession, check_commutation, check_head_charac, check_norm_charac, lift_to_source
+from taylorlab.lab import (
+    LiftSession,
+    check_commutation,
+    check_genericity,
+    check_head_charac,
+    check_norm_charac,
+    lift_to_source,
+)
 from taylorlab.resource import (
     FiniteSum,
     RApp,
@@ -36,15 +43,29 @@ from taylorlab.resource import (
 )
 from taylorlab.resource_reduction import head_split, hr_step, peel, r_normalize, rewrap
 from taylorlab.selftest import _CORPUS
-from taylorlab.syntax import App, FreeVar, Hole, Lam, RationalSystem, RecRef, Var, parse_term, resolve_ref, split_target
+from taylorlab.syntax import (
+    HOLE,
+    App,
+    FreeVar,
+    Hole,
+    Lam,
+    RationalSystem,
+    RecRef,
+    Var,
+    parse_term,
+    resolve_ref,
+    split_target,
+)
 from taylorlab.taylor import _approx, approximates, enumerate_taylor, member_of_bohm
 
+from make_commute_golden import TREES
 from support import fresh_session, hr_step_along, is_head_normal
 from test_lift_oracle import SYSTEMS as LIFT_SYSTEMS
 from walk_oracles import OldLiftSession, old_member_of_bohm
 
 rp = parse_resource_term
 FUEL = 1000
+OMEGA = parse_term(_CORPUS["Omega"])
 
 
 def _bound_occurrences(t, c=0):
@@ -691,7 +712,8 @@ ALL_CASES = SESSION_CASES + [(src, size) for src, size, *_ in COMMUTE_COLD]
 @pytest.mark.parametrize("src,size", ALL_CASES)
 def test_each_check_runs_each_node_once(src, size, monkeypatch):
     """One ``BohmPrefix`` per check feeds forward membership, the tree
-    targets and the lifter: no (subterm, stack) is head-normalized twice."""
+    targets and the lifter, and the tree reader and the truncation of the
+    genericity check: no (subterm, stack) is head-normalized twice."""
     runs = []
     original = beta.head_normalize
 
@@ -700,19 +722,43 @@ def test_each_check_runs_each_node_once(src, size, monkeypatch):
         return original(m, fuel, system, stack)
 
     monkeypatch.setattr(beta, "head_normalize", counting)
+    # the certificate of the filling is no run of the filled context's tree
+    monkeypatch.setattr(lab, "solvable", lambda m, fuel: original(m, fuel).verdict)
     term = parse_term(src)
-    total = 0
-    # a size bound of 2 leaves the head and norm checks no slice witness, so they lift
-    for check in (
+    checks = [
         lambda: check_commutation(term, size, FUEL),
+        # a size bound of 2 leaves the head and norm checks no slice witness, so they lift
         lambda: check_head_charac(term, 2, FUEL),
         lambda: check_norm_charac(term, 3, 2, FUEL),
-    ):
+    ]
+    if not isinstance(term, RationalSystem):
+        # the filled context head-reduces to the term; no replacement builds a tree
+        context = App(Lam("h", term), HOLE)
+        checks.append(lambda: check_genericity(context, OMEGA, [], 2, FUEL, depth=4))
+    total = 0
+    for check in checks:
         runs.clear()
         check()
         assert len(runs) == len(set(runs))
         total += len(runs)
     assert total > 0
+
+
+@pytest.mark.parametrize("src", [*_CORPUS.values(), *LIFT_SYSTEMS, *(src for src, *_ in COMMUTE_COLD), *TREES])
+def test_head_and_norm_read_no_truncated_tree(src, monkeypatch):
+    """The head and norm checks read the prefix's runs node by node; neither
+    builds a truncated tree, at any tested depth."""
+
+    def refuse(prefix, depth):
+        raise AssertionError(f"tree({depth}) built")
+
+    monkeypatch.setattr(BohmPrefix, "tree", refuse)
+    term = parse_term(src)
+    for fuel in (3, FUEL):
+        check_head_charac(term, 2, fuel)
+        check_head_charac(term, 8, fuel)
+        check_norm_charac(term, 4, 2, fuel)
+        check_norm_charac(term, 4, 8, fuel)
 
 
 @pytest.mark.parametrize("src,size", ALL_CASES)

@@ -38,7 +38,6 @@ ALLOWED = {
     "_Enumerator.terms": "the slice enumerator, as deep as the size bound",
     "_Enumerator.monomials": "the slice enumerator, with _Enumerator.terms",
     "_extend": "the multisets of one monomial, as deep as the size bound",
-    "_positive_skeleton": "one level per tested depth, at most check norm's --dmax",
     "_push": "one level per component of a simulation step's position",
     "random_lambda_term": "the test generator, as deep as its size bound",
     "random_resource_term": "the test generator, as deep as its size bound",

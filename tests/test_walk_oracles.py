@@ -8,6 +8,7 @@ import re
 from random import Random
 
 from taylorlab.beta import (
+    BohmPrefix,
     InvalidPositionError,
     _captures,
     _shift,
@@ -19,7 +20,7 @@ from taylorlab.beta import (
     replace_at,
 )
 from taylorlab.cli import _bohm_dot
-from taylorlab.lab import _prefix_status
+from taylorlab.lab import _positive_skeleton
 from taylorlab.resource import HOLE_R, monomial, pretty_resource, rapp, rfvar, rlam, rvar
 from taylorlab.syntax import (
     BOTTOM,
@@ -52,6 +53,7 @@ from walk_oracles import (
     old_is_bohm_normal,
     old_leftmost_redex,
     old_open_bound,
+    old_positive_skeleton,
     old_prefix_status,
     old_pretty,
     old_pretty_resource,
@@ -140,7 +142,6 @@ def test_folds_match_the_recursive_walkers():
         assert is_bohm_normal(t) == old_is_bohm_normal(t)
         for d in range(4):
             assert depth_positions(t, d) == old_depth_positions(t, d)
-            assert _prefix_status(t, d) == old_prefix_status(t, d)
 
 
 def test_systems_match_the_recursive_walkers():
@@ -181,6 +182,34 @@ def test_bohm_tree_matches_the_recursive_walker():
         for fuel in (2, 20):
             for k in range(5):
                 assert bohm_tree(t, k, fuel) is old_bohm_tree(t, k, fuel)
+
+
+def test_tree_reader_matches_the_truncated_tree_scanners():
+    """``_positive_skeleton`` reads a prefix's runs down to a depth: where
+    the frozen scanners find the truncation one level deeper clean, it
+    builds the same approximant, and elsewhere it names the same status. On
+    terms with bottoms and holes and on guarded systems, with loops, fuel
+    cuts and captures."""
+    rng = Random(1223)
+    inputs = [_term(rng, rng.randint(1, 14), holes=True) for _ in range(1500)]
+    while len(inputs) < 3000:
+        symbols = SYMBOLS[: rng.randint(1, 3)]
+        equations = {s: _term(rng, rng.randint(1, 10), symbols=symbols) for s in symbols}
+        try:
+            inputs.append(RationalSystem(equations, symbols[0]))
+        except LambdaError:
+            continue
+    seen = set()
+    for t in inputs:
+        for fuel in (2, 20):
+            prefix = BohmPrefix(t, fuel)
+            for d in range(4):
+                tree = prefix.tree(d + 1)
+                status = old_prefix_status(tree, d)
+                want = old_positive_skeleton(tree, d) if status == "ok" else status
+                assert _positive_skeleton(prefix, d) == want
+                seen.add(status)
+    assert seen == {"ok", "bottom", "cut"}
 
 
 def test_capture_guard_matches_its_own_walk():

@@ -26,6 +26,12 @@ membership test that built it to depth ``r_height(t) + 1`` and walked it
 against ``t``, where ``taylor.member_of_bohm`` reads the runs node by node.
 ``test_walk_oracles`` and ``test_replay`` check the two against them.
 
+``old_prefix_status`` and ``old_positive_skeleton`` scanned a truncated tree
+for ``check norm`` and ``check genericity``: its status down to an
+applicative depth, and its d-positive approximant. ``lab._positive_skeleton``
+reads both from the runs instead; ``test_walk_oracles`` checks it against
+them on ``old_bohm_tree``.
+
 ``old_pretty``, ``old_pretty_resource`` and ``old_bohm_dot`` are the
 recursive printers that the explicit-stack loops of ``syntax.pretty``,
 ``resource.pretty_resource`` and ``cli._bohm_dot`` replaced; the λ printer
@@ -60,6 +66,7 @@ from taylorlab.resource import (
     monomial,
     rapp,
     r_height,
+    rfvar,
     rlam,
     rvar,
 )
@@ -299,6 +306,27 @@ def old_prefix_status(prefix: Term, d: int) -> str:
 
     walk(prefix, 0)
     return status[0]
+
+
+def old_positive_skeleton(prefix: Term, d: int) -> Optional[ResourceTerm]:
+    hf = head_form(prefix)
+    if isinstance(hf.head, Var):
+        node: ResourceTerm = rvar(hf.head.index)
+    elif isinstance(hf.head, FreeVar):
+        node = rfvar(hf.head.name)
+    else:
+        return None
+    for q in hf.spine:
+        if d == 0:
+            node = rapp(node, monomial(()))
+        else:
+            e = old_positive_skeleton(q, d - 1)
+            if e is None:
+                return None
+            node = rapp(node, monomial((e,)))
+    for _ in hf.binders:
+        node = rlam(node)
+    return node
 
 
 def old_captures(lam: Lam, arg: Term, names: frozenset[str]) -> bool:
