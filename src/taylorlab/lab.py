@@ -823,7 +823,8 @@ def check_genericity(
     return CheckReport(
         "genericity",
         inputs,
-        "pass",
+        "pass" if depth else "inconclusive",
+        reason=None if depth else "depth 0 compares no node of the prefixes",
         stats={
             "prefix": pretty(tree, cut=chr(0x25FB)),
             "holey_approximants_annihilated": holey_checked,

@@ -13,6 +13,8 @@ The node class names are an interface: ``from_taylorlab`` in
 
 from __future__ import annotations
 
+import sys
+from itertools import count
 from operator import attrgetter
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -65,8 +67,8 @@ class RLam(ResourceTerm):
 class RApp(ResourceTerm):
     """``fired`` caches ``open_redex``: None until a redex is first opened,
     then the addends as a bare sorted tuple, like ``nf``. An application is
-    interned in ``_FIRST`` if it was its function's first, else in the
-    function's row in ``_APPS``."""
+    in ``_FIRST`` if it was its function's first (or a sweep moved it
+    there), else in the function's row in ``_APPS``."""
 
     __slots__ = ("fn", "mono", "fired", "nf")
 
@@ -105,14 +107,18 @@ class Monomial:
 # second one opens the function's row ``{mono: node}`` in ``_APPS``, both
 # levels inserted with ``setdefault`` too. Most functions have one
 # application (ROADMAP item 3 gives the row sizes), so most own no row. An
-# entry of ``_FIRST`` never changes once set, so each (fn, mono) pair lives
-# in exactly one of the two tables, and racing threads still get one node.
+# entry of ``_FIRST`` changes only in ``_sweep``, which runs while no other
+# thread exists, so each (fn, mono) pair lives in exactly one of the two
+# tables, and racing threads still get one node.
 _VARS: dict[int, "RVar"] = {}
 _FREE: dict[str, "RFreeVar"] = {}
 _LAMS: dict[ResourceTerm, "RLam"] = {}
 _FIRST: dict[ResourceTerm, "RApp"] = {}
 _APPS: dict[ResourceTerm, dict[Monomial, "RApp"]] = {}
 _MONOS: dict[tuple, Monomial] = {}
+_BIRTHS = count()
+_FLOOR = 1 << 14  # the fewest births between two sweeps
+_due = _FLOOR  # the birth after which the next sweep runs
 
 
 def _leaf(node, skey: tuple, loose: int):
@@ -152,6 +158,8 @@ def rlam(body: ResourceTerm) -> RLam:
         node.redex = body.redex
         node.nf = None
         node = _LAMS.setdefault(body, node)
+        if next(_BIRTHS) > _due:
+            _sweep()
     return node
 
 
@@ -173,13 +181,15 @@ def rapp(fn: ResourceTerm, mono: Monomial) -> RApp:
     node.loose = fn.loose if fn.loose > mono.loose else mono.loose
     node.redex = fn.redex or mono.redex or isinstance(fn, RLam)
     node.fired = node.nf = None
-    if first is None:  # an entry never changes once set, so with one, go to the row
-        first = _FIRST.setdefault(fn, node)
-        if first is node or first.mono is mono:
-            return first
-    if row is None:
-        row = _APPS.setdefault(fn, {})
-    return row.setdefault(mono, node)
+    if first is None:  # an entry changes only in a sweep, so with one, go to the row
+        node = first = _FIRST.setdefault(fn, node)
+    if first.mono is not mono:
+        if row is None:
+            row = _APPS.setdefault(fn, {})
+        node = row.setdefault(mono, node)
+    if next(_BIRTHS) > _due:
+        _sweep()
+    return node
 
 
 HOLE_R = _leaf(RHole(), (4,), 0)
@@ -200,10 +210,57 @@ def _ordered_monomial(elems: tuple[ResourceTerm, ...]) -> Monomial:
         node.loose = max(map(_loose, elems), default=0)
         node.redex = any(map(_redex, elems))
         node = _MONOS.setdefault(elems, node)
+        if next(_BIRTHS) > _due:
+            _sweep()
     return node
 
 
 ONE = monomial(())
+
+
+def _alone(table: dict) -> int:
+    """``getrefcount`` of a node that only ``table`` holds, read as ``_sweep`` does."""
+    todo = [*table.values()]
+    node = todo.pop()
+    return sys.getrefcount(node)
+
+
+_ALONE = _alone({(): Monomial()})
+
+
+def _sweep() -> None:
+    """Return the nodes that only the intern tables hold, largest first: a
+    child or cached addend is smaller than its holder, so a dead chain of any
+    depth goes in one sweep. A dropped first application hands its entry to
+    one of its row's. Skipped while another thread exists, which may hold a
+    row between two lookups. The next sweep waits for as many births as
+    entries survive, at least ``_FLOOR``."""
+    global _due
+    if len(sys._current_frames()) == 1:
+        todo: list = [*_MONOS.values(), *_LAMS.values(), *_FIRST.values()]
+        for row in _APPS.values():
+            todo += row.values()
+        todo.sort(key=_size)
+        getrefcount, alone = sys.getrefcount, _ALONE
+        while todo:
+            node = todo.pop()  # the one local that holds a node: another would count
+            if getrefcount(node) != alone:
+                continue
+            if type(node) is RApp:
+                row = _APPS.get(node.fn)
+                if row is None:
+                    del _FIRST[node.fn]
+                elif _FIRST[node.fn] is node:
+                    _FIRST[node.fn] = row.popitem()[1]
+                else:
+                    del row[node.mono]
+                if row == {}:  # emptied
+                    del _APPS[node.fn]
+            elif type(node) is Monomial:
+                del _MONOS[node.elems]
+            else:
+                del _LAMS[node.body]
+    _due = next(_BIRTHS) + max(_FLOOR, len(_MONOS) + len(_LAMS) + len(_FIRST) + sum(map(len, _APPS.values())))
 
 
 # ---------------------------------------------------------------------------

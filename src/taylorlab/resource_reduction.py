@@ -77,7 +77,8 @@ def redex_sites(t: ResourceTerm) -> list[RedexSite]:
 def r_step(t: ResourceTerm, site: RedexSite) -> FiniteSum:
     """Fire the redex at ``site``; the surrounding context maps linearly, so
     an empty substitution result wipes out everything. The site is walked
-    once, and each addend is plugged back through the frames it crossed."""
+    once, and each addend is plugged back through the frames it crossed,
+    which keeps the addends distinct and in ``skey`` order."""
     frames: list = []  # (node, None) for 'body' and 'fun', (node, i) for ('arg', i)
     u = t
     for k, head in enumerate(site):
@@ -95,7 +96,7 @@ def r_step(t: ResourceTerm, site: RedexSite) -> FiniteSum:
     if not (isinstance(u, RApp) and isinstance(u.fn, RLam)):
         raise NotARedexError(f"no redex at site: {u}")
     fired = _fired(u)
-    return FiniteSum([_plug(v, frames) for v in fired]) if frames else _wrap(fired)
+    return _wrap(tuple([_plug(v, frames) for v in fired]) if frames else fired)
 
 
 def _plug(u: ResourceTerm, frames: list) -> ResourceTerm:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -36,6 +37,7 @@ from taylorlab.syntax import (
     parse_term,
     pretty,
     rebuild,
+    subterms,
     unfold,
 )
 
@@ -45,6 +47,7 @@ I = parse_term("\\x. x")
 K = parse_term("\\x. \\y. x")
 OMEGA = parse_term("(\\x. x x) (\\x. x x)")
 Y = parse_term("\\f. (\\x. f (x x)) (\\x. f (x x))")
+OMEGA3 = parse_term("(\\x. x x x) (\\x. x x x)")
 Y_SYS = parse_term("let rec F = f F in \\f. F")
 
 
@@ -286,23 +289,38 @@ def _cut_level(level, depth, fuel):
     return rebuild(level, node)
 
 
+def _plant(rng, t):
+    """``t`` with a leaf drawn at random replaced by a closed unsolvable
+    term, so that its Boehm tree may hold a bottom."""
+    leaves = sum(not isinstance(u, (Lam, App)) for u, *_ in subterms(t))
+    k, seen = rng.randrange(leaves), itertools.count()
+    bad = rng.choice((OMEGA, OMEGA3))
+    return rebuild(t, lambda u, *_: None if isinstance(u, (Lam, App)) or next(seen) != k else bad)
+
+
 def test_stratify_reaches_the_boehm_tree():
     """Stage ``d`` head-normalizes the nodes at depth ``d``, so a level
     ``D`` without a diagnostic, cut at depth ``D``, is the Boehm prefix of
-    that depth: on the corpus and on seeded random terms, at every ``D`` up
-    to 3."""
+    that depth: on the corpus and on seeded random terms, some with an
+    unsolvable leaf planted, at every ``D`` up to 3. At least a tenth of
+    the random terms' trees hold a bottom."""
     rng = random.Random(67)
-    terms = [parse_term(src) for src in _CORPUS.values()]
-    terms += [Y, OMEGA, parse_term("x ((\\y. y) z) ((\\y. y y) (\\y. y y))")]
-    terms += [random_lambda_term(rng, 12) for _ in range(400)]
-    compared = 0
-    for t in terms:
+    corpus = [parse_term(src) for src in _CORPUS.values()]
+    corpus += [Y, OMEGA, parse_term("x ((\\y. y) z) ((\\y. y y) (\\y. y y))")]
+    randoms = [random_lambda_term(rng, 12) for _ in range(400)]
+    randoms += [_plant(rng, random_lambda_term(rng, 12)) for _ in range(400)]
+    compared = random_trees = bottoms = 0
+    for k, t in enumerate(corpus + randoms):
         for depth in range(4):
             res = stratify(t, depth, 60)
             if res.diagnostic is None:
-                assert alpha_eq(_cut_level(res.levels[depth], depth, 60), bohm_tree(t, depth, 60)), (pretty(t), depth)
+                tree = bohm_tree(t, depth, 60)
+                assert alpha_eq(_cut_level(res.levels[depth], depth, 60), tree), (pretty(t), depth)
                 compared += 1
-    assert compared > 1500
+                if k >= len(corpus):
+                    random_trees += 1
+                    bottoms += any(u is BOTTOM for u, *_ in subterms(tree))
+    assert compared > 2500 and bottoms >= random_trees / 10
 
 
 def test_stratify_takes_ten_thousand_arguments():

@@ -200,6 +200,12 @@ def test_genericity_pass():
     assert r.stats["prefix"] == "\\y. y"
 
 
+def test_genericity_at_depth_0_compares_nothing():
+    r = check_genericity(parse_term("(\\x. \\y. y) *"), OMEGA, [I, K, Y], 8, 100, depth=0)
+    assert (r.verdict, r.exit_code, r.reason) == ("inconclusive", 2, "depth 0 compares no node of the prefixes")
+    assert check_genericity(parse_term("(\\x. \\y. y) *"), OMEGA, [I], 8, 100, depth=1).verdict == "pass"
+
+
 def test_genericity_hypothesis_unmet():
     r = check_genericity(parse_term("*"), OMEGA, [I], 8, 100, depth=4)
     assert r.verdict == "inconclusive"
