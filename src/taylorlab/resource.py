@@ -182,11 +182,11 @@ def rapp(fn: ResourceTerm, mono: Monomial) -> RApp:
     node.redex = fn.redex or mono.redex or isinstance(fn, RLam)
     node.fired = node.nf = None
     if first is None:  # an entry changes only in a sweep, so with one, go to the row
-        node = first = _FIRST.setdefault(fn, node)
-    if first.mono is not mono:
-        if row is None:
-            row = _APPS.setdefault(fn, {})
-        node = row.setdefault(mono, node)
+        first = _FIRST.setdefault(fn, node)
+    if first.mono is mono:  # this call's node, or a racing thread's for the same pair
+        node = first
+    else:  # file this call's node: a racing thread's first may hold another monomial
+        node = (row if row is not None else _APPS.setdefault(fn, {})).setdefault(mono, node)
     if next(_BIRTHS) > _due:
         _sweep()
     return node

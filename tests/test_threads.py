@@ -113,3 +113,36 @@ def test_threads_racing_on_first_and_later_applications_get_one_node():
     for fn in fns:
         first, row = resource._FIRST[fn], resource._APPS[fn]
         assert first.mono not in row and len(row) == len(monos) - 1
+
+
+def test_a_lost_race_for_the_first_application_keeps_the_callers_node():
+    """Another thread puts a function's first application in between this
+    call's lookup of ``_FIRST`` and its insertion: the call must file its
+    own node in the row, not the other thread's under its monomial. The
+    switch is forced with a ``_FIRST`` whose ``get`` lets the other
+    application in once, then misses."""
+    fn = rfvar("lost_fn")
+    m0, m1 = monomial([rfvar("lost0")]), monomial([rfvar("lost1")])
+
+    class Raced(dict):
+        armed = True
+
+        def get(self, key, default=None):
+            if self.armed and key is fn:
+                self.armed = False
+                rapp(fn, m0)  # the other thread, in the window
+                return default
+            return super().get(key, default)
+
+    saved = resource._FIRST
+    resource._FIRST = raced = Raced(saved)
+    try:
+        node = rapp(fn, m1)
+    finally:  # the raced table is the true one now
+        saved.clear()
+        saved.update(raced)
+        resource._FIRST = saved
+    assert resource._FIRST[fn].mono is m0
+    assert node.fn is fn and node.mono is m1
+    assert rapp(fn, m1) is node and rapp(fn, m0) is resource._FIRST[fn]
+    assert resource._APPS[fn] == {m1: node}
