@@ -21,29 +21,11 @@ import json
 from pathlib import Path
 
 from taylorlab import cli
-from taylorlab.selftest import _CORPUS
 
-from test_lift_oracle import SYSTEMS
+from corpus import COMMUTE_COLD, CORPUS, GENERICITY, SYSTEMS, TREES
 
 GOLDEN = Path(__file__).parent / "golden" / "commute_cold.json"
 CHECKS_GOLDEN = Path(__file__).parent / "golden" / "checks.json"
-
-Y = r"\f. (\x. f (x x)) (\x. f (x x))"
-C2 = r"(\f. \x. f (f x))"
-# (name, term, size) in the benchmark's order; tests/test_golden.py holds
-# them to bench/workloads.py
-INSTANCES = [
-    ("Y", Y, 18),
-    ("Yg", f"({Y}) g", 17),
-    ("Theta", r"(\x. \y. y (x x y)) (\x. \y. y (x x y))", 16),
-    ("c2c2", f"{C2} {C2}", 18),
-    ("mulc2c2", rf"(\m. \n. \f. m (n f)) {C2} {C2}", 18),
-]
-
-# bottom at depth 1; a fuel cut at depth 2; bottom and a cut at depth 1
-TREES = [r"\x. x (\y. _|_)", r"\f. f (f ((\x. x x x) (\x. x x x)))", r"x * ((\x. x x) (\x. x x))"]
-# selftest's genericity spot check
-GENERICITY = [r"(\x. \y. y) *", _CORPUS["Omega"], _CORPUS["I"], _CORPUS["K"], _CORPUS["Y"], "--size", "8"]
 
 
 def argv(term: str, size: int) -> list[str]:
@@ -53,7 +35,7 @@ def argv(term: str, size: int) -> list[str]:
 def check_argvs() -> list[list[str]]:
     """The command lines of ``checks.json``, in its order."""
     out = []
-    for term in [*_CORPUS.values(), *SYSTEMS, *TREES]:
+    for term in [*CORPUS.values(), *SYSTEMS, *TREES]:
         for fuel in ("1000", "3"):
             for opts in (["head"], ["norm", "--dmax", "4"], ["norm", "--dmax", "0"]):
                 base = ["check", opts[0], term, *opts[1:], "--fuel", fuel]
@@ -74,7 +56,7 @@ def run(args: list[str]) -> tuple[int, str]:
 
 def reports() -> list[dict]:
     entries = []
-    for name, term, size in INSTANCES:
+    for name, term, size, *_ in COMMUTE_COLD:
         code, stdout = run(argv(term, size))
         entries.append({"name": name, "argv": argv(term, size), "exit_code": code, "stdout": stdout})
     return entries

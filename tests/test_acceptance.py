@@ -23,12 +23,10 @@ from taylorlab.resource_reduction import (
     redex_sites,
     valid_min_depth_sites,
 )
-from taylorlab.selftest import _CORPUS as CORPUS
 from taylorlab.syntax import parse_term, unfold
 from taylorlab.taylor import enumerate_taylor
 
-Y = parse_term(CORPUS["Y"])
-Y_SYS = parse_term("let rec F = f F in \\f. F")
+from corpus import CORPUS, I, K, OMEGA, XOMEGA, Y, Y_SYS
 
 
 def _report(num, name, detail, started, budget):
@@ -130,14 +128,8 @@ def test_criterion_07_stratification_coherence():
 def test_criterion_08_genericity():
     started = time.time()
     c = parse_term("(\\x. \\y. y) *")
-    omega = parse_term(CORPUS["Omega"])
-    ns = [
-        parse_term(CORPUS["I"]),
-        parse_term(CORPUS["K"]),
-        Y,
-        parse_term("\\z. z z"),
-    ]
-    report = check_genericity(c, omega, ns, 10, 1000, depth=4)
+    ns = [I, K, Y, parse_term("\\z. z z")]
+    report = check_genericity(c, OMEGA, ns, 10, 1000, depth=4)
     assert report.verdict == "pass"
     assert report.stats["prefix"] == "\\y. y"
     _report(8, "genericity-experiment", f"{len(ns)} replacements at depth 4", started, 10)
@@ -145,7 +137,7 @@ def test_criterion_08_genericity():
 
 def test_criterion_09_d_positivity():
     started = time.time()
-    r = check_norm_charac(parse_term(CORPUS["xOmega"]), 5, 12, 1000)
+    r = check_norm_charac(XOMEGA, 5, 12, 1000)
     assert r.verdict == "pass"
     levels = {lvl["d"]: lvl for lvl in r.stats["levels"]}
     assert levels[0]["witness"] is not None

@@ -25,7 +25,6 @@ from taylorlab.beta import (
     subterm_at,
 )
 from taylorlab.gen import random_lambda_term
-from taylorlab.selftest import _CORPUS
 from taylorlab.syntax import (
     BOTTOM,
     HOLE,
@@ -41,14 +40,8 @@ from taylorlab.syntax import (
     unfold,
 )
 
+from corpus import CORPUS, I, K, OMEGA, OMEGA3, Y, Y_SYS
 from support import depth_positions, loop_certified_oracle, stratify_per_position
-
-I = parse_term("\\x. x")
-K = parse_term("\\x. \\y. x")
-OMEGA = parse_term("(\\x. x x) (\\x. x x)")
-Y = parse_term("\\f. (\\x. f (x x)) (\\x. f (x x))")
-OMEGA3 = parse_term("(\\x. x x x) (\\x. x x x)")
-Y_SYS = parse_term("let rec F = f F in \\f. F")
 
 
 def test_beta_step_root():
@@ -152,9 +145,8 @@ def test_bot_step():
     with pytest.raises(NotARedexError):
         bot_step(I, (), oracle)
     # a fuel-starved oracle refuses rather than guesses
-    grower = parse_term("(\\x. x x x) (\\x. x x x)")
     with pytest.raises(OracleUndecidedError):
-        bot_step(grower, (), loop_certified_oracle(3))
+        bot_step(OMEGA3, (), loop_certified_oracle(3))
 
 
 def test_solvable_examples():
@@ -180,8 +172,7 @@ def test_bohm_tree_unsolvable_and_nf():
 
 
 def test_bohm_tree_fuel_cut_not_bottom():
-    grower = parse_term("(\\x. x x x) (\\x. x x x)")
-    assert bohm_tree(grower, 3, 5) == HOLE
+    assert bohm_tree(OMEGA3, 3, 5) == HOLE
 
 
 def test_bohm_tree_prefix_stability():
@@ -235,10 +226,9 @@ def test_stratify_leaves_divergent_subterms():
 
 
 def test_stratify_fuel_exhaustion_diagnostic():
-    grower = parse_term("(\\x. x x x) (\\x. x x x)")
-    res = stratify(grower, 2, 4)
+    res = stratify(OMEGA3, 2, 4)
     assert res.diagnostic is not None and "fuel" in res.diagnostic
-    assert res.levels == (grower,)
+    assert res.levels == (OMEGA3,)
 
 
 def _spine(n, redex_every):
@@ -263,8 +253,8 @@ def test_stratify_agrees_with_the_per_position_oracle():
     per-position walk it replaced: on the corpus, on seeded random terms,
     at a fuel that runs out, and on long spines."""
     rng = random.Random(61)
-    terms = [parse_term(src) for src in _CORPUS.values()]
-    terms += [Y, OMEGA, parse_term("(\\x. x x x) (\\x. x x x)"), parse_term("x ((\\y. y) z) ((\\y. y y) (\\y. y y))")]
+    terms = [parse_term(src) for src in CORPUS.values()]
+    terms += [Y, OMEGA, OMEGA3, parse_term("x ((\\y. y) z) ((\\y. y y) (\\y. y y))")]
     terms += [random_lambda_term(rng, 12) for _ in range(200)]
     terms += [_spine(300, 7)[0], _spine(300, 1)[0]]
     for t in terms:
@@ -305,7 +295,7 @@ def test_stratify_reaches_the_boehm_tree():
     unsolvable leaf planted, at every ``D`` up to 3. At least a tenth of
     the random terms' trees hold a bottom."""
     rng = random.Random(67)
-    corpus = [parse_term(src) for src in _CORPUS.values()]
+    corpus = [parse_term(src) for src in CORPUS.values()]
     corpus += [Y, OMEGA, parse_term("x ((\\y. y) z) ((\\y. y y) (\\y. y y))")]
     randoms = [random_lambda_term(rng, 12) for _ in range(400)]
     randoms += [_plant(rng, random_lambda_term(rng, 12)) for _ in range(400)]

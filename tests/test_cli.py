@@ -13,7 +13,8 @@ from taylorlab.gen import random_resource_term
 from taylorlab.resource import FiniteSum, parse_resource_term, pretty_sum
 from taylorlab.resource_reduction import r_normalize
 
-YSRC = "let rec F = f F in \\f. F"
+from corpus import DEEP, DEEP_TERMS, Y_SYS_SRC
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -26,7 +27,7 @@ def run(capsys, *argv):
 def test_parse(capsys):
     code, out, _ = run(capsys, "parse", "\\x. x")
     assert code == 0 and out.strip() == "term: \\x. x"
-    code, out, _ = run(capsys, "parse", YSRC, "--json")
+    code, out, _ = run(capsys, "parse", Y_SYS_SRC, "--json")
     payload = json.loads(out)
     assert code == 0 and payload["kind"] == "system"
     code, out, _ = run(capsys, "parse", "(\\y. y) *")
@@ -45,7 +46,7 @@ def test_usage_error_exit_3(capsys):
 
 
 def test_bohm_spec_example(capsys):
-    code, out, _ = run(capsys, "bohm", YSRC, "--depth", "3")
+    code, out, _ = run(capsys, "bohm", Y_SYS_SRC, "--depth", "3")
     assert code == 0 and out.strip() == "\\f. f (f (f ◻))"
 
 
@@ -291,7 +292,7 @@ def test_first_term_from_stdin(capsys, monkeypatch, argv):
     "golden, argv",
     [
         ("taylor_term.json", ["(\\x. x) (\\y. y)", "--size", "6"]),
-        ("taylor_system.json", [YSRC, "--size", "9", "--depth", "3"]),
+        ("taylor_system.json", [Y_SYS_SRC, "--size", "9", "--depth", "3"]),
         ("taylor_context.json", ["\\x. * x", "--size", "6"]),
     ],
 )
@@ -386,14 +387,6 @@ def test_internal_error_exit_4(capsys):
     code, out, err = run(capsys, "rsubst", deep, "x", "[y]")
     assert code == 4 and out == ""
     assert err.startswith("internal error: RecursionError") and err.count("\n") == 1
-
-
-DEEP = 10_000
-DEEP_TERMS = {
-    "parentheses": "(" * DEEP + "x" + ")" * DEEP,
-    "binders": "\\x. " * DEEP + "x",
-    "arguments": "f" + " x" * DEEP,
-}
 
 
 @pytest.mark.parametrize("shape", sorted(DEEP_TERMS))

@@ -8,7 +8,8 @@ import json
 import runpy
 from pathlib import Path
 
-from make_commute_golden import CHECKS_GOLDEN, GOLDEN, INSTANCES, argv, check_argvs, run
+from corpus import COMMUTE_COLD
+from make_commute_golden import CHECKS_GOLDEN, GOLDEN, argv, check_argvs, run
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
@@ -32,7 +33,7 @@ def _first_difference(expected: str, got: str) -> str:
 
 def test_commute_cold_reports_match_the_golden_file():
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    assert [entry["argv"] for entry in golden] == [argv(term, size) for _, term, size in INSTANCES]
+    assert [entry["argv"] for entry in golden] == [argv(term, size) for _, term, size, *_ in COMMUTE_COLD]
     for entry in golden:
         code, stdout = run(entry["argv"])
         assert (code, stdout) == (entry["exit_code"], entry["stdout"]), (
@@ -54,7 +55,7 @@ def test_golden_instances_are_the_benchmarks_cold_checks():
     """The golden file covers what ``commute-cold`` runs. The benchmark keeps
     its own copy of the terms; its module is only read here."""
     bench = runpy.run_path(str(WORKLOADS))
-    assert [(name, size) for name, _, size in INSTANCES] == bench["COLD_CHECKS"]
-    for name, term, size in INSTANCES:
+    assert [(name, size) for name, _, size, *_ in COMMUTE_COLD] == bench["COLD_CHECKS"]
+    for name, term, size, *_ in COMMUTE_COLD:
         assert term == bench["COMMUTE_TERMS"][name]
         assert argv(term, size) == bench["cli_argv"](name, size)

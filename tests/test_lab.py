@@ -26,17 +26,10 @@ from taylorlab.resource_reduction import r_normalize
 from taylorlab.syntax import parse_term
 from taylorlab.taylor import approximates, enumerate_taylor
 
+from corpus import I, II, K, KOMEGA, OMEGA, OMEGA3, XOMEGA, Y, Y_SYS
 from support import fresh_session
 
 rp = parse_resource_term
-I = parse_term("\\x. x")
-K = parse_term("\\x. \\y. x")
-S = parse_term("\\x. \\y. \\z. (x z) (y z)")
-II = parse_term("(\\x. x) (\\x. x)")
-OMEGA = parse_term("(\\x. x x) (\\x. x x)")
-Y = parse_term("\\f. (\\x. f (x x)) (\\x. f (x x))")
-KO = parse_term("(\\x. \\y. y) ((\\x. x x) (\\x. x x))")
-XO = parse_term("\\x. x ((\\y. y y) (\\y. y y))")
 
 
 def test_push_forward_redex():
@@ -107,7 +100,7 @@ def test_lift_to_source_y_chain():
 
 
 def test_check_commutation_small():
-    for m, bound in [(I, 6), (II, 6), (K, 6), (KO, 8)]:
+    for m, bound in [(I, 6), (II, 6), (K, 6), (KOMEGA, 8)]:
         report = check_commutation(m, bound, 200)
         assert report.verdict == "pass", (m, report.reason)
 
@@ -126,10 +119,9 @@ def test_check_commutation_y():
 
 
 def test_checks_on_rational_system():
-    y_sys = parse_term("let rec F = f F in \\f. F")
-    assert check_commutation(y_sys, 8, 200).verdict == "pass"
-    assert check_head_charac(y_sys, 8, 200).verdict == "pass"
-    r = check_norm_charac(y_sys, 3, 8, 200)
+    assert check_commutation(Y_SYS, 8, 200).verdict == "pass"
+    assert check_head_charac(Y_SYS, 8, 200).verdict == "pass"
+    r = check_norm_charac(Y_SYS, 3, 8, 200)
     assert r.verdict == "pass"
     assert [lvl["how"] for lvl in r.stats["levels"]] == [
         "slice",
@@ -140,15 +132,14 @@ def test_checks_on_rational_system():
 
 
 def test_check_head_charac():
-    r = check_head_charac(XO, 8, 100)
+    r = check_head_charac(XOMEGA, 8, 100)
     assert r.verdict == "pass"
     assert r.witness == "\\a. <a>1"
     r = check_head_charac(OMEGA, 10, 100)
     assert r.verdict == "pass"
     r = check_head_charac(I, 6, 100)
     assert r.verdict == "pass"
-    grower = parse_term("(\\x. x x x) (\\x. x x x)")
-    assert check_head_charac(grower, 6, 5).verdict == "inconclusive"
+    assert check_head_charac(OMEGA3, 6, 5).verdict == "inconclusive"
 
 
 def test_check_norm_charac_identity():
@@ -158,7 +149,7 @@ def test_check_norm_charac_identity():
 
 
 def test_check_norm_charac_head_normal_only():
-    r = check_norm_charac(XO, 3, 10, 100)
+    r = check_norm_charac(XOMEGA, 3, 10, 100)
     assert r.verdict == "pass"
     levels = r.stats["levels"]
     assert levels[0]["prefix"] == "ok" and levels[0]["witness"] is not None
@@ -180,8 +171,7 @@ def test_check_norm_charac_reports_the_shallowest_cut():
 
 
 def test_equal_via_taylor():
-    y_sys = parse_term("let rec F = f F in \\f. F")
-    r = terms_equal_via_taylor(y_sys, y_sys, 3, 10)
+    r = terms_equal_via_taylor(Y_SYS, Y_SYS, 3, 10)
     assert r.verdict == "pass"
     # a missing common approximant is a size bound that ran out, not a
     # witness of a difference: never a fail, even on beta-equal terms
@@ -214,8 +204,7 @@ def test_genericity_hypothesis_unmet():
 
 
 def test_genericity_requires_certificate():
-    grower = parse_term("(\\x. x x x) (\\x. x x x)")
-    r = check_genericity(parse_term("(\\x. \\y. y) *"), grower, [I], 8, 5, depth=3)
+    r = check_genericity(parse_term("(\\x. \\y. y) *"), OMEGA3, [I], 8, 5, depth=3)
     assert r.verdict == "inconclusive"
     assert "certificate" in r.reason
 

@@ -13,27 +13,14 @@ from taylorlab.beta import BohmPrefix, bohm_tree
 from taylorlab.gen import random_lambda_term
 from taylorlab.lab import LiftSession, check_commutation, lift_to_source
 from taylorlab.resource_reduction import r_normalize
-from taylorlab.selftest import _CORPUS
 from taylorlab.syntax import LambdaError, parse_term
 from taylorlab.taylor import enumerate_taylor
+
+from corpus import CORPUS, SYSTEMS
 
 SIZE = 8
 WIDER = SIZE + 4
 ORACLE_EVERY = 10
-
-# let rec systems: a fixed point, a redex around a reference, references
-# under binders, mutual recursion, and a redex whose body resolves a free
-# name of an equation against the head binder's own hint
-SYSTEMS = [
-    "let rec F = f F in \\f. F",
-    "let rec F = (\\x. f x) F in F",
-    "let rec F = (\\x. \\y. y (x y)) F in F",
-    "let rec F = x F in \\x. (\\y. F) a",
-    "let rec F = x F in (\\z. \\y. z y) F",
-    "let rec F = \\x. x (G x) and G = \\y. y F in F",
-    "let rec F = \\f. f (F f) in F g",
-    "let rec F = (\\x. x x) (\\y. f (y G)) and G = g F in \\g. F",
-]
 
 
 def search_normal_forms(target, bound):
@@ -93,7 +80,7 @@ def _random_systems():
 def test_every_target_lifts_and_the_search_oracle_agrees():
     rng = Random(RNG_SEED)
     inputs = [random_lambda_term(rng, rng.randint(1, 9)) for _ in range(10_000)]
-    inputs += [parse_term(src) for src in _CORPUS.values()] + _random_systems()
+    inputs += [parse_term(src) for src in CORPUS.values()] + _random_systems()
     targets = 0
     for i, m in enumerate(inputs):
         for fuel in (3, 10):
@@ -121,7 +108,7 @@ def test_a_target_that_is_a_normal_addend_lifts_to_its_forward_owner():
     one ancestor, the approximant it came from, and the lifter must find
     exactly that one."""
     checked = 0
-    for src in [*_CORPUS.values(), *SYSTEMS]:
+    for src in [*CORPUS.values(), *SYSTEMS]:
         target = parse_term(src)
         owner = {}
         for s in enumerate_taylor(target, UNIQUE_SIZE):

@@ -42,7 +42,6 @@ from taylorlab.resource import (
     unshift,
 )
 from taylorlab.resource_reduction import head_split, hr_step, peel, r_normalize, rewrap
-from taylorlab.selftest import _CORPUS
 from taylorlab.syntax import (
     HOLE,
     App,
@@ -58,14 +57,12 @@ from taylorlab.syntax import (
 )
 from taylorlab.taylor import _approx, approximates, enumerate_taylor, member_of_bohm
 
-from make_commute_golden import TREES
+from corpus import C2C2, COMMUTE_COLD, CORPUS, LETREC, MUL_C2C2, OMEGA, OMEGA3, SESSION_CASES, SYSTEMS, TREES, Y, YG
 from support import fresh_session, hr_step_along, is_head_normal
-from test_lift_oracle import SYSTEMS as LIFT_SYSTEMS
 from walk_oracles import OldLiftSession, old_member_of_bohm
 
 rp = parse_resource_term
 FUEL = 1000
-OMEGA = parse_term(_CORPUS["Omega"])
 
 
 def _bound_occurrences(t, c=0):
@@ -201,7 +198,7 @@ def test_certificate_check_agrees_with_hr_step():
 
 
 def _corpus_targets(size=10):
-    for src in _CORPUS.values():
+    for src in CORPUS.values():
         term = parse_term(src)
         prefix = bohm_tree(term, size + 1, FUEL)
         yield term, list(enumerate_taylor(prefix, size))
@@ -221,16 +218,6 @@ def test_replay_implies_membership_in_the_normal_form():
             if node is not None:
                 assert u in r_normalize(node)
     assert lifted >= 40
-
-
-C2 = "(\\f. \\x. f (f x))"
-# recursive targets that lift: their references resolve to fresh terms
-LETREC = ["let rec F = (\\x. f x) F in F", "let rec F = (\\x. \\y. y (x y)) F in F"]
-SESSION_CASES = (
-    [(src, 10) for src in _CORPUS.values()]
-    + [(_CORPUS["Y"], 14), (_CORPUS["Yg"], 14), (f"{C2} {C2}", 14)]
-    + [(src, 14) for src in LETREC]
-)
 
 
 @pytest.mark.parametrize("src,size", SESSION_CASES)
@@ -400,7 +387,7 @@ def _approx_reference(u, t, stack, system):
     return isinstance(u, RHole) and isinstance(t, Hole)
 
 
-MEMO_CASES = SESSION_CASES + [(src, 12) for src in LIFT_SYSTEMS if src not in LETREC]
+MEMO_CASES = SESSION_CASES + [(src, 12) for src in SYSTEMS if src not in LETREC]
 
 
 @pytest.mark.parametrize("src,size", MEMO_CASES)
@@ -440,8 +427,8 @@ def test_branch_only_memos_agree_with_unmemoized_walks(src, size, monkeypatch):
 # entries of the check's session at the two checks of commute-cold whose
 # redex bodies and arguments are abstractions: at most this many
 SESSION_ENTRIES = [
-    (f"{C2} {C2}", 18, {"unsubst": 1173, "rebuilt": 1326, "approx": 366}),
-    (f"(\\m. \\n. \\f. m (n f)) {C2} {C2}", 18, {"unsubst": 1378, "rebuilt": 1615, "approx": 364}),
+    (C2C2, 18, {"unsubst": 1173, "rebuilt": 1326, "approx": 366}),
+    (MUL_C2C2, 18, {"unsubst": 1378, "rebuilt": 1615, "approx": 364}),
 ]
 
 
@@ -484,10 +471,9 @@ def _lift_of(t, term):
 
 
 def test_corrupted_link_ends_the_lift(monkeypatch):
-    y = parse_term(_CORPUS["Y"])
     t = rp("\\a. <a>[<a>[<a>1]]")
-    s, session = _lift_of(t, y)
-    assert s is not None and session.lifts[(t, y, ())] is s and session.failed is None
+    s, session = _lift_of(t, Y)
+    assert s is not None and session.lifts[(t, Y, ())] is s and session.failed is None
 
     # links are checked children first: corrupting only the first one
     # breaks a monomial element's lift, which the ancestor must inherit
@@ -499,8 +485,8 @@ def test_corrupted_link_ends_the_lift(monkeypatch):
         return original(w, elems, _padding(u.size) if len(checked) == 1 else u, memo)
 
     monkeypatch.setattr(lab, "_link_holds", corrupting)
-    broken, session = _lift_of(t, y)
-    assert broken is None and session.lifts[(t, y, ())] is None
+    broken, session = _lift_of(t, Y)
+    assert broken is None and session.lifts[(t, Y, ())] is None
     assert len(checked) == 1 and checked[0] in _inside_elements(s)
     assert session.failed[1] == "failed its link check"
 
@@ -508,9 +494,8 @@ def test_corrupted_link_ends_the_lift(monkeypatch):
 def test_corrupted_shared_sub_lift_leaves_every_reuser_unlifted(monkeypatch):
     """Targets that reuse a sub-lift whose link failed inherit the failure
     from the session, although their own links hold."""
-    y = parse_term(_CORPUS["Y"])
     targets = [rp(src) for src in ("\\a. <a>[<a>[<a>1]]", "\\a. <a>[<a>[<a>[<a>1]]]", "\\a. <a>[<a>[<a>1], <a>[<a>1]]")]
-    clean_session = LiftSession(BohmPrefix(y, FUEL))
+    clean_session = LiftSession(BohmPrefix(Y, FUEL))
     reference = [lift_to_source(t, clean_session) for t in targets]
     assert None not in reference and clean_session.shared > 0
 
@@ -522,7 +507,7 @@ def test_corrupted_shared_sub_lift_leaves_every_reuser_unlifted(monkeypatch):
         return len(checked) > 1 and original(w, elems, u, memo)
 
     monkeypatch.setattr(lab, "_link_holds", corrupting)
-    session = LiftSession(BohmPrefix(y, FUEL))
+    session = LiftSession(BohmPrefix(Y, FUEL))
     assert [lift_to_source(t, session) for t in targets] == [None] * len(targets)
     # the failed sub-lift is built and checked once, then served to each
     # reuser; a lift stops at its first unlifted element, so the last
@@ -533,7 +518,6 @@ def test_corrupted_shared_sub_lift_leaves_every_reuser_unlifted(monkeypatch):
 
 
 def test_corrupted_certificate_ends_the_lift(monkeypatch):
-    y = parse_term(_CORPUS["Y"])
     t = rp("\\a. <a>[<a>[<a>1]]")
     original = lab._lift_one_step
     wrong = []
@@ -546,7 +530,7 @@ def test_corrupted_certificate_ends_the_lift(monkeypatch):
         return u, rest, w, bad
 
     monkeypatch.setattr(lab, "_lift_one_step", reversing)
-    s, session = _lift_of(t, y)
+    s, session = _lift_of(t, Y)
     assert s is None and wrong
     assert session.failed[1] == "failed its link check"
 
@@ -555,7 +539,6 @@ def test_corrupted_graft_ends_the_lift(monkeypatch):
     """A grafted element that does not approximate the redex's argument
     ends the lift before its link is checked, and the check names the head
     step with that reason."""
-    y = parse_term(_CORPUS["Y"])
     original = lab._lift_one_step
     stranger = rfvar("zz")
 
@@ -567,10 +550,10 @@ def test_corrupted_graft_ends_the_lift(monkeypatch):
         return u, rest, w, (stranger,) + grafted[1:]
 
     monkeypatch.setattr(lab, "_lift_one_step", grafting_a_stranger)
-    s, session = _lift_of(rp("\\a. <a>[<a>[<a>1]]"), y)
+    s, session = _lift_of(rp("\\a. <a>[<a>[<a>1]]"), Y)
     assert s is None and session.checked_grafts == 1
     assert session.failed[1] == "grafted an element outside its argument's expansion"
-    report = check_commutation(y, 14, FUEL)
+    report = check_commutation(Y, 14, FUEL)
     assert report.verdict == "inconclusive"
     assert ": the head step from " in report.reason
     assert report.reason.endswith(" grafted an element outside its argument's expansion")
@@ -623,7 +606,7 @@ def test_a_failed_link_is_inconclusive_naming_the_step(check, monkeypatch):
     """A link that does not hold is a defect of the construction, never a
     refutation and never a pass."""
     monkeypatch.setattr(lab, "_link_holds", lambda *args: False)
-    report = check(parse_term(_CORPUS["Y"]))
+    report = check(Y)
     assert report.verdict == "inconclusive"
     assert "no ancestor lifted for" in report.reason
     assert ": the head step from " in report.reason and report.reason.endswith(" failed its link check")
@@ -633,14 +616,13 @@ def test_the_ancestor_is_the_targets_own_lift():
     """The ancestor returned for ``t`` is the lift the session stores for
     ``t`` itself, never one built for another target of the same session,
     whose normal form may miss ``t``."""
-    y = parse_term(_CORPUS["Y"])
     t = rp("\\a. <a>[<a>1]")
     other = rp("\\a. <a>[<a>[<a>1]]")
     for order in ((t, other), (other, t)):
-        session = LiftSession(BohmPrefix(y, FUEL))
+        session = LiftSession(BohmPrefix(Y, FUEL))
         got = {u: lift_to_source(u, session) for u in order}
         for u, s in got.items():
-            assert s is not None and s is session.lifts[(u, y, ())]
+            assert s is not None and s is session.lifts[(u, Y, ())]
         assert t not in r_normalize(got[other])
     for term, targets in _corpus_targets():
         session = LiftSession(BohmPrefix(term, FUEL))
@@ -652,10 +634,10 @@ def test_the_ancestor_is_the_targets_own_lift():
 @pytest.mark.parametrize(
     "src,size,constructed",
     [
-        (_CORPUS["Y"], 14, 35),
-        (_CORPUS["Yg"], 14, 83),
-        (f"{C2} {C2}", 14, 42),
-        (f"(\\m. \\n. \\f. m (n f)) {C2} {C2}", 14, 42),
+        (CORPUS["Y"], 14, 35),
+        (CORPUS["Yg"], 14, 83),
+        (C2C2, 14, 42),
+        (MUL_C2C2, 14, 42),
     ],
 )
 def test_commutation_reports_where_verification_went(src, size, constructed):
@@ -670,17 +652,9 @@ def test_commutation_reports_where_verification_went(src, size, constructed):
     assert check_commutation(parse_term(src), size, FUEL).stats == stats
 
 
-# the checks of the commute-cold benchmark workload, with their pinned sizes
-COMMUTE_COLD = [
-    (_CORPUS["Y"], 18, 351, 4, 200, 196),
-    (_CORPUS["Yg"], 17, 424, 2, 200, 198),
-    ("(\\x. \\y. y (x x y)) (\\x. \\y. y (x x y))", 16, 166, 2, 85, 83),
-    (f"{C2} {C2}", 18, 235, 1, 248, 247),
-    (f"(\\m. \\n. \\f. m (n f)) {C2} {C2}", 18, 163, 1, 248, 247),
-]
-
-
-@pytest.mark.parametrize("src,size,approximants,normal_addends,tree_targets,constructed", COMMUTE_COLD)
+@pytest.mark.parametrize(
+    "src,size,approximants,normal_addends,tree_targets,constructed", [case[1:] for case in COMMUTE_COLD]
+)
 def test_commute_cold_instances(src, size, approximants, normal_addends, tree_targets, constructed):
     report = check_commutation(parse_term(src), size, FUEL)
     stats = report.stats
@@ -701,12 +675,12 @@ def _live_sessions():
 
 def test_check_drops_its_session_and_memos():
     before = _live_sessions()
-    report = check_commutation(parse_term(_CORPUS["Yg"]), 14, FUEL)
+    report = check_commutation(YG, 14, FUEL)
     assert report.stats["shared_lifts"] > 0
     assert _live_sessions() <= before
 
 
-ALL_CASES = SESSION_CASES + [(src, size) for src, size, *_ in COMMUTE_COLD]
+ALL_CASES = SESSION_CASES + [(src, size) for _, src, size, *_ in COMMUTE_COLD]
 
 
 @pytest.mark.parametrize("src,size", ALL_CASES)
@@ -744,7 +718,7 @@ def test_each_check_runs_each_node_once(src, size, monkeypatch):
     assert total > 0
 
 
-@pytest.mark.parametrize("src", [*_CORPUS.values(), *LIFT_SYSTEMS, *(src for src, *_ in COMMUTE_COLD), *TREES])
+@pytest.mark.parametrize("src", [*CORPUS.values(), *SYSTEMS, *(src for _, src, *_ in COMMUTE_COLD), *TREES])
 def test_head_and_norm_read_no_truncated_tree(src, monkeypatch):
     """The head and norm checks read the prefix's runs node by node; neither
     builds a truncated tree, at any tested depth."""
@@ -803,8 +777,7 @@ def test_membership_agrees_with_the_truncated_tree():
                 verdict = member_of_bohm(t, prefix)
                 assert verdict is old_member_of_bohm(t, term, fuel), (src, fuel, str(t))
                 verdicts[verdict] += 1
-    grower = parse_term("(\\x. x x x) (\\x. x x x)")
-    assert member_of_bohm(rp("x"), BohmPrefix(grower, 3)) is old_member_of_bohm(rp("x"), grower, 3) is None
+    assert member_of_bohm(rp("x"), BohmPrefix(OMEGA3, 3)) is old_member_of_bohm(rp("x"), OMEGA3, 3) is None
     assert min(verdicts.values()) > 0, verdicts
 
 
@@ -812,9 +785,8 @@ def test_commutation_fails_on_an_addend_with_two_approximants(monkeypatch):
     """Uniformity: distinct approximants have disjoint normal forms. A
     normal form that breaks it fails the check, and the witness names the
     addend and both approximants, each of which ``rnf`` can replay."""
-    y = parse_term(_CORPUS["Y"])
     original = lab.r_normalize
-    sl = list(enumerate_taylor(y, 12))
+    sl = list(enumerate_taylor(Y, 12))
     first = next(s for s in sl if original(s))
     second = sl[-1]
     shared = original(first).terms[0]
@@ -825,7 +797,7 @@ def test_commutation_fails_on_an_addend_with_two_approximants(monkeypatch):
         return FiniteSum(nf.terms + (shared,)) if s is second else nf
 
     monkeypatch.setattr(lab, "r_normalize", merging)
-    report = check_commutation(y, 12, FUEL)
+    report = check_commutation(Y, 12, FUEL)
     assert report.verdict == "fail"
     got = re.fullmatch(r"nf addend (.+) of both (.+) and (.+)", report.witness)
     t, owner, other = (parse_resource_term(text) for text in got.groups())

@@ -27,11 +27,8 @@ from taylorlab.syntax import (
 )
 from taylorlab.taylor import enumerate_taylor
 
+from corpus import I, OMEGA, Y_SYS
 from support import power_apply, power_tail
-
-I = parse_term("\\x. x")
-OMEGA = parse_term("(\\x. x x) (\\x. x x)")
-Y_SYS = parse_term("let rec F = f F in \\f. F")
 
 
 def test_parse_identity():

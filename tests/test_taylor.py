@@ -16,7 +16,6 @@ from taylorlab.resource import (
     r_size,
     r_subst,
 )
-from taylorlab.selftest import _CORPUS
 from taylorlab.syntax import BOTTOM, FreeVar, RationalSystem, contains_hole, parse_term, pretty, rebuild
 from taylorlab.taylor import (
     _Enumerator,
@@ -26,12 +25,9 @@ from taylorlab.taylor import (
     member_of_bohm,
 )
 
+from corpus import CORPUS, I, II, OMEGA, OMEGA3, SLICE_SYSTEMS, Y, Y_SYS, YG
+
 rp = parse_resource_term
-I = parse_term("\\x. x")
-II = parse_term("(\\x. x) (\\x. x)")
-OMEGA = parse_term("(\\x. x x) (\\x. x x)")
-Y = parse_term("\\f. (\\x. f (x x)) (\\x. f (x x))")
-Y_SYS = parse_term("let rec F = f F in \\f. F")
 
 
 def test_approximates_basics():
@@ -164,20 +160,18 @@ def test_member_of_bohm():
 
 
 def test_member_of_bohm_fuel_unknown():
-    grower = parse_term("(\\x. x x x) (\\x. x x x)")
-    assert member_of_bohm(rp("x"), BohmPrefix(grower, 3)) is None
+    assert member_of_bohm(rp("x"), BohmPrefix(OMEGA3, 3)) is None
 
 
 def test_taylor_walks_leave_no_cyclic_garbage():
     """Enumeration, approximation and Boehm membership free everything they
     build by reference counting: no recursive closure is left in a cycle."""
-    yg = parse_term(_CORPUS["Yg"])
     gc.collect()
     gc.disable()
     try:
-        assert all(approximates(s, yg) for s in enumerate_taylor(yg, 12))
-        targets = enumerate_taylor(bohm_tree(yg, 13, 100), 12)
-        assert targets and all(member_of_bohm(t, BohmPrefix(yg, 100)) for t in targets)
+        assert all(approximates(s, YG) for s in enumerate_taylor(YG, 12))
+        targets = enumerate_taylor(bohm_tree(YG, 13, 100), 12)
+        assert targets and all(member_of_bohm(t, BohmPrefix(YG, 100)) for t in targets)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -187,18 +181,17 @@ def test_checks_and_printers_leave_no_cyclic_garbage():
     """The commutation and simulation checks, lifting included, the term
     printers, the Boehm-tree dot printer and the marked-leaf substitutions
     free everything they build by reference counting."""
-    yg = parse_term(_CORPUS["Yg"])
     gc.collect()
     gc.disable()
     try:
-        report = check_commutation(yg, 17, 1000)
+        report = check_commutation(YG, 17, 1000)
         assert report.verdict == "pass" and report.stats["constructed_ancestors"] > 0
-        assert check_simulation(yg, [()], 12).verdict == "pass"
+        assert check_simulation(YG, [()], 12).verdict == "pass"
         assert gc.collect() == 0
-        printed = [pretty(bohm_tree(yg, 4, 1000)), pretty(beta_step(yg, ()))]
-        printed += [pretty_resource(t) for t in enumerate_taylor(yg, 12)]
+        printed = [pretty(bohm_tree(YG, 4, 1000)), pretty(beta_step(YG, ()))]
+        printed += [pretty_resource(t) for t in enumerate_taylor(YG, 12)]
         assert all(printed) and gc.collect() == 0
-        assert _bohm_dot(bohm_tree(yg, 4, 1000)).startswith("digraph") and gc.collect() == 0
+        assert _bohm_dot(bohm_tree(YG, 4, 1000)).startswith("digraph") and gc.collect() == 0
         assert len(r_subst(rp("<x>[x, \\a. <a>[x]]"), "x", monomial([rp("y"), rp("z"), rp("\\b. b")]))) == 6
         assert gc.collect() == 0
         assert len(r_context_fill(rp("<*>[*, y]"), monomial([rp("x"), rp("\\b. b")]))) == 2
@@ -270,16 +263,8 @@ class _ScanningEnumerator(_Enumerator):
         return out
 
 
-SYSTEMS = (
-    "let rec F = f F in \\f. F",
-    "let rec F = \\G. G f F in \\f. F G",
-    "let rec A = x (B A) and B = \\u. u A in A",
-    "let rec T = \\x. \\y. y (T x y) in T",
-)
-
-
 def test_size_sorted_pools_give_the_slices_of_the_scanning_enumerator():
-    targets = [parse_term(src) for src in list(_CORPUS.values()) + list(SYSTEMS)]
+    targets = [parse_term(src) for src in [*CORPUS.values(), *SLICE_SYSTEMS]]
     targets += [parse_term(src) for src in ("\\x. * (x x)", "(\\y. y) *", "x * *")]
     for target in targets:
         root, system = (target.root_term(), target) if isinstance(target, RationalSystem) else (target, None)
