@@ -10,8 +10,8 @@ from taylorlab.selftest import _CORPUS as CORPUS
 from taylorlab.syntax import parse_term
 
 # selftest's corpus, by name
-I, K, S, II, KOMEGA, XOMEGA, OMEGA, Y, YG = (
-    parse_term(CORPUS[name]) for name in ("I", "K", "S", "II", "KOmega", "xOmega", "Omega", "Y", "Yg")
+I, K, II, KOMEGA, XOMEGA, OMEGA, Y, YG = (
+    parse_term(CORPUS[name]) for name in ("I", "K", "II", "KOmega", "xOmega", "Omega", "Y", "Yg")
 )
 OMEGA3 = parse_term(r"(\x. x x x) (\x. x x x)")
 Y_SYS_SRC = r"let rec F = f F in \f. F"
@@ -65,6 +65,13 @@ COMMUTE_COLD = [
     ("c2c2", C2C2, 18, 235, 1, 248, 247),
     ("mulc2c2", MUL_C2C2, 18, 163, 1, 248, 247),
 ]
+
+# every term and system above, once each
+TERMS = list(
+    dict.fromkeys(
+        [*CORPUS.values(), str(OMEGA3), *(src for _, src, *_ in COMMUTE_COLD), *SYSTEMS, *SLICE_SYSTEMS, *TREES]
+    )
+)
 
 DEEP = 10_000
 DEEP_TERMS = {

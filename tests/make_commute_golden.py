@@ -6,8 +6,11 @@
   workload;
 * ``checks.json``: ``check head`` and ``check norm``, text and ``--json``,
   at fuel 1000 and 3, on the selftest corpus, the ``let rec`` systems of
-  ``tests/test_lift_oracle.py`` and three trees with bottom or cut nodes,
-  and ``check genericity`` on selftest's spot-check instance.
+  the lifting oracle and three trees with bottom or cut nodes, and ``check
+  genericity`` on selftest's spot-check instance;
+* ``commands.json``: ``parse``, ``head``, ``bohm`` (text, ``--dot`` and
+  ``--json``) and ``check commutation --size 10`` (text and ``--json``),
+  at fuel 1000 and 3, on every term and system of ``tests/corpus.py``.
 
     PYTHONPATH=src python3 tests/make_commute_golden.py
 
@@ -22,10 +25,11 @@ from pathlib import Path
 
 from taylorlab import cli
 
-from corpus import COMMUTE_COLD, CORPUS, GENERICITY, SYSTEMS, TREES
+from corpus import COMMUTE_COLD, CORPUS, GENERICITY, SYSTEMS, TERMS, TREES
 
 GOLDEN = Path(__file__).parent / "golden" / "commute_cold.json"
 CHECKS_GOLDEN = Path(__file__).parent / "golden" / "checks.json"
+COMMANDS_GOLDEN = Path(__file__).parent / "golden" / "commands.json"
 
 
 def argv(term: str, size: int) -> list[str]:
@@ -46,6 +50,19 @@ def check_argvs() -> list[list[str]]:
     return out
 
 
+def command_argvs() -> list[list[str]]:
+    """The command lines of ``commands.json``, in its order."""
+    out = []
+    for term in TERMS:
+        out += [["parse", term], ["parse", term, "--json"]]
+        for fuel in ("1000", "3"):
+            for cmd in (["head", term], ["bohm", term], ["check", "commutation", term, "--size", "10"]):
+                base = [*cmd, "--fuel", fuel]
+                out += [base, base + ["--json"]]
+            out.append(["bohm", term, "--dot", "--fuel", fuel])
+    return out
+
+
 def run(args: list[str]) -> tuple[int, str]:
     """The exit code and standard output of ``taylorlab`` on ``args``."""
     out = io.StringIO()
@@ -62,11 +79,15 @@ def reports() -> list[dict]:
     return entries
 
 
-def check_reports() -> list[dict]:
-    return [dict(zip(("argv", "exit_code", "stdout"), (args, *run(args)))) for args in check_argvs()]
+def replay(argvs: list[list[str]]) -> list[dict]:
+    return [dict(zip(("argv", "exit_code", "stdout"), (args, *run(args)))) for args in argvs]
 
 
 if __name__ == "__main__":
-    for path, entries in ((GOLDEN, reports()), (CHECKS_GOLDEN, check_reports())):
+    for path, entries in (
+        (GOLDEN, reports()),
+        (CHECKS_GOLDEN, replay(check_argvs())),
+        (COMMANDS_GOLDEN, replay(command_argvs())),
+    ):
         path.write_text(json.dumps(entries, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
         print(f"wrote {path}")

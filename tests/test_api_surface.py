@@ -7,11 +7,15 @@ a caller, and neither is an import or a function's mention of itself.
 Classes and their methods are exempt."""
 
 import ast
+import importlib
+import runpy
 from pathlib import Path
+from types import FunctionType
 
 import taylorlab
 
 PACKAGE = Path(taylorlab.__file__).parent
+SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
 # public function -> why it stays without a caller in the package
 ALLOWED = {
@@ -55,3 +59,13 @@ def test_every_public_function_has_a_caller_in_the_package():
 def test_the_check_ignores_docstrings_and_self_calls():
     tree = ast.parse('def f(n):\n    """calls g"""\n    return f(n - 1)\n')
     assert _names_read(tree.body[0], "f") == {"n"}
+
+
+def test_every_traced_name_is_a_function_of_its_module():
+    """The benchmark's tracer wraps each ``(module, function)`` of its
+    ``TARGETS``, where that module defines it. A rename or a deletion fails
+    here, not only in a traced benchmark run. The tracer's module is only
+    read."""
+    for mod, name, _ in runpy.run_path(str(SPANS))["TARGETS"]:
+        fn = getattr(importlib.import_module(f"taylorlab.{mod}"), name, None)
+        assert isinstance(fn, FunctionType) and fn.__module__ == f"taylorlab.{mod}", f"{mod}.{name}"

@@ -8,6 +8,7 @@ from random import Random
 import pytest
 
 import taylorlab
+from taylorlab import cli
 from taylorlab.cli import main
 from taylorlab.gen import random_resource_term
 from taylorlab.resource import FiniteSum, parse_resource_term, pretty_sum
@@ -379,14 +380,17 @@ def test_commutation_json_counts_verification(capsys):
     assert "replayed_ancestors" not in stats and "verify_fallbacks" not in stats
 
 
-def test_internal_error_exit_4(capsys):
-    """A term nested deeper than the recursive engines reach is an internal
-    error: one line on stderr and exit 4, never a traceback with exit 1.
-    The resource substitution engines still recurse."""
-    deep = "\\a. " * 1500 + "x"
-    code, out, err = run(capsys, "rsubst", deep, "x", "[y]")
+def test_internal_error_exit_4(capsys, monkeypatch):
+    """An engine that raises is an internal error: one line on stderr and
+    exit 4, never a traceback with exit 1."""
+
+    def overflowing(*args):
+        raise RecursionError("maximum recursion depth exceeded\nwhile substituting")
+
+    monkeypatch.setattr(cli, "r_subst", overflowing)
+    code, out, err = run(capsys, "rsubst", "\\a. x", "x", "[y]")
     assert code == 4 and out == ""
-    assert err.startswith("internal error: RecursionError") and err.count("\n") == 1
+    assert err == "internal error: RecursionError: maximum recursion depth exceeded while substituting\n"
 
 
 @pytest.mark.parametrize("shape", sorted(DEEP_TERMS))

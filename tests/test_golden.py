@@ -1,7 +1,9 @@
 """Golden reports: the five checks of the ``commute-cold`` benchmark
 workload must print exactly what ``tests/golden/commute_cold.json`` holds,
-every ``stats`` key included, and the head, norm and genericity checks what
-``tests/golden/checks.json`` holds. ``tests/make_commute_golden.py``
+every ``stats`` key included, the head, norm and genericity checks what
+``tests/golden/checks.json`` holds, and ``parse``, ``head``, ``bohm`` and
+``check commutation`` on every term of ``tests/corpus.py`` what
+``tests/golden/commands.json`` holds. ``tests/make_commute_golden.py``
 regenerates the files after an intended change of output."""
 
 import json
@@ -9,7 +11,7 @@ import runpy
 from pathlib import Path
 
 from corpus import COMMUTE_COLD
-from make_commute_golden import CHECKS_GOLDEN, GOLDEN, argv, check_argvs, run
+from make_commute_golden import CHECKS_GOLDEN, COMMANDS_GOLDEN, GOLDEN, argv, check_argvs, command_argvs, run
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
@@ -31,24 +33,26 @@ def _first_difference(expected: str, got: str) -> str:
     return "the same fields, printed differently"
 
 
-def test_commute_cold_reports_match_the_golden_file():
-    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    assert [entry["argv"] for entry in golden] == [argv(term, size) for _, term, size, *_ in COMMUTE_COLD]
-    for entry in golden:
-        code, stdout = run(entry["argv"])
-        assert (code, stdout) == (entry["exit_code"], entry["stdout"]), (
-            f"{entry['name']} differs from the golden report: {_first_difference(entry['stdout'], stdout)}"
-        )
-
-
-def test_check_reports_match_the_golden_file():
-    golden = json.loads(CHECKS_GOLDEN.read_text(encoding="utf-8"))
-    assert [entry["argv"] for entry in golden] == check_argvs()
+def _replays(path, argvs):
+    golden = json.loads(path.read_text(encoding="utf-8"))
+    assert [entry["argv"] for entry in golden] == argvs
     for entry in golden:
         code, stdout = run(entry["argv"])
         assert (code, stdout) == (entry["exit_code"], entry["stdout"]), (
             f"{' '.join(entry['argv'])} differs from the golden report: {_first_difference(entry['stdout'], stdout)}"
         )
+
+
+def test_commute_cold_reports_match_the_golden_file():
+    _replays(GOLDEN, [argv(term, size) for _, term, size, *_ in COMMUTE_COLD])
+
+
+def test_check_reports_match_the_golden_file():
+    _replays(CHECKS_GOLDEN, check_argvs())
+
+
+def test_command_outputs_match_the_golden_file():
+    _replays(COMMANDS_GOLDEN, command_argvs())
 
 
 def test_golden_instances_are_the_benchmarks_cold_checks():
