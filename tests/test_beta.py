@@ -40,7 +40,7 @@ from taylorlab.syntax import (
     unfold,
 )
 
-from corpus import CORPUS, I, K, OMEGA, OMEGA3, Y, Y_SYS
+from corpus import CORPUS, I, OMEGA, OMEGA3, Y, Y_SYS
 from support import depth_positions, loop_certified_oracle, stratify_per_position
 
 
