@@ -73,6 +73,21 @@ TERMS = list(
     )
 )
 
+# resource terms and one sum for rnf and rsubst: redexes that fire, nest,
+# duplicate and fail on a degree mismatch, a free x under binders and in a
+# monomial, and a sum with a shared addend
+RESOURCE_TERMS = [
+    r"<\a. a>[<\b. b>[z]]",
+    r"<\a. <a>[a, a]>[<\b. b>[x], y, <\c. <c>[c]>[z, w]]",
+    r"<\a. \b. <b>[a]>[<x>1]",
+    r"<\a. <a>[a]>[y]",
+    r"<x>[x]",
+    r"\a. <x>[<x>[a], \b. <b>[x]]",
+    r"<\x. x>[<\y. y>[z]] + <\y. y>[z]",
+]
+# (variable, monomial) pairs that rsubst substitutes in each of them
+RSUBST = [("x", "[y]"), ("x", r"[\y. y, z]"), ("x", "[y, z, z]"), ("x", "1")]
+
 DEEP = 10_000
 DEEP_TERMS = {
     "parentheses": "(" * DEEP + "x" + ")" * DEEP,

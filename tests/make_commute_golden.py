@@ -10,13 +10,18 @@
   genericity`` on selftest's spot-check instance;
 * ``commands.json``: ``parse``, ``head``, ``bohm`` (text, ``--dot`` and
   ``--json``) and ``check commutation --size 10`` (text and ``--json``),
-  at fuel 1000 and 3, on every term and system of ``tests/corpus.py``.
+  at fuel 1000 and 3, on every term and system of ``tests/corpus.py``;
+  then ``reduce --max-steps 5``, ``stratify --depth 3`` (fuel 1000 and 3),
+  ``taylor --size 6`` and ``nf-taylor --size 6`` on the same terms, and
+  ``rnf`` and ``rsubst`` on the corpus's resource terms, each as text and
+  ``--json``.
 
     PYTHONPATH=src python3 tests/make_commute_golden.py
 
-Regenerate them only for a change that alters a report on purpose, and name
-the changed entries in CHANGES.md; ``tests/test_golden.py`` compares every
-report with the files."""
+The script prints the command line of each entry whose output differs from
+the file it replaces. Regenerate the files only for a change that alters a
+report on purpose, and name the changed entries in CHANGES.md;
+``tests/test_golden.py`` compares every report with the files."""
 
 import contextlib
 import io
@@ -25,7 +30,7 @@ from pathlib import Path
 
 from taylorlab import cli
 
-from corpus import COMMUTE_COLD, CORPUS, GENERICITY, SYSTEMS, TERMS, TREES
+from corpus import COMMUTE_COLD, CORPUS, GENERICITY, RESOURCE_TERMS, RSUBST, SYSTEMS, TERMS, TREES
 
 GOLDEN = Path(__file__).parent / "golden" / "commute_cold.json"
 CHECKS_GOLDEN = Path(__file__).parent / "golden" / "checks.json"
@@ -63,6 +68,20 @@ def command_argvs() -> list[list[str]]:
     return out
 
 
+def reduction_argvs() -> list[list[str]]:
+    """The command lines that follow ``command_argvs()`` in ``commands.json``."""
+    out = []
+    for term in TERMS:
+        cmds = [["reduce", term, "--max-steps", "5"]]
+        cmds += [["stratify", term, "--depth", "3", "--fuel", fuel] for fuel in ("1000", "3")]
+        cmds += [["taylor", term, "--size", "6"], ["nf-taylor", term, "--size", "6"]]
+        out += [line for cmd in cmds for line in (cmd, cmd + ["--json"])]
+    for term in RESOURCE_TERMS:
+        cmds = [["rnf", term]] + [["rsubst", term, var, mono] for var, mono in RSUBST]
+        out += [line for cmd in cmds for line in (cmd, cmd + ["--json"])]
+    return out
+
+
 def run(args: list[str]) -> tuple[int, str]:
     """The exit code and standard output of ``taylorlab`` on ``args``."""
     out = io.StringIO()
@@ -83,11 +102,20 @@ def replay(argvs: list[list[str]]) -> list[dict]:
     return [dict(zip(("argv", "exit_code", "stdout"), (args, *run(args)))) for args in argvs]
 
 
+def changed(path: Path, entries: list[dict]) -> list[str]:
+    """The command lines of ``entries`` that ``path`` does not hold as they are."""
+    old = json.loads(path.read_text(encoding="utf-8")) if path.exists() else []
+    kept = {json.dumps(entry, sort_keys=True) for entry in old}
+    return [" ".join(entry["argv"]) for entry in entries if json.dumps(entry, sort_keys=True) not in kept]
+
+
 if __name__ == "__main__":
     for path, entries in (
         (GOLDEN, reports()),
         (CHECKS_GOLDEN, replay(check_argvs())),
-        (COMMANDS_GOLDEN, replay(command_argvs())),
+        (COMMANDS_GOLDEN, replay(command_argvs() + reduction_argvs())),
     ):
+        for line in changed(path, entries):
+            print(f"changed: {line}")
         path.write_text(json.dumps(entries, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
         print(f"wrote {path}")

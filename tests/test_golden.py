@@ -1,8 +1,8 @@
 """Golden reports: the five checks of the ``commute-cold`` benchmark
 workload must print exactly what ``tests/golden/commute_cold.json`` holds,
 every ``stats`` key included, the head, norm and genericity checks what
-``tests/golden/checks.json`` holds, and ``parse``, ``head``, ``bohm`` and
-``check commutation`` on every term of ``tests/corpus.py`` what
+``tests/golden/checks.json`` holds, and every other command but
+``selftest`` on the terms of ``tests/corpus.py`` what
 ``tests/golden/commands.json`` holds. ``tests/make_commute_golden.py``
 regenerates the files after an intended change of output."""
 
@@ -11,7 +11,16 @@ import runpy
 from pathlib import Path
 
 from corpus import COMMUTE_COLD
-from make_commute_golden import CHECKS_GOLDEN, COMMANDS_GOLDEN, GOLDEN, argv, check_argvs, command_argvs, run
+from make_commute_golden import (
+    CHECKS_GOLDEN,
+    COMMANDS_GOLDEN,
+    GOLDEN,
+    argv,
+    check_argvs,
+    command_argvs,
+    reduction_argvs,
+    run,
+)
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
@@ -33,8 +42,9 @@ def _first_difference(expected: str, got: str) -> str:
     return "the same fields, printed differently"
 
 
-def _replays(path, argvs):
-    golden = json.loads(path.read_text(encoding="utf-8"))
+def _replays(path, argvs, start=0):
+    """Run the entries of ``path`` from ``start`` on, which must be ``argvs``."""
+    golden = json.loads(path.read_text(encoding="utf-8"))[start : start + len(argvs)]
     assert [entry["argv"] for entry in golden] == argvs
     for entry in golden:
         code, stdout = run(entry["argv"])
@@ -53,6 +63,14 @@ def test_check_reports_match_the_golden_file():
 
 def test_command_outputs_match_the_golden_file():
     _replays(COMMANDS_GOLDEN, command_argvs())
+
+
+def test_reduction_outputs_match_the_golden_file():
+    """``reduce``, ``stratify``, ``taylor``, ``nf-taylor``, ``rnf`` and
+    ``rsubst``, which follow the other commands in the file and end it."""
+    argvs = command_argvs()
+    assert len(json.loads(COMMANDS_GOLDEN.read_text(encoding="utf-8"))) == len(argvs) + len(reduction_argvs())
+    _replays(COMMANDS_GOLDEN, reduction_argvs(), start=len(argvs))
 
 
 def test_golden_instances_are_the_benchmarks_cold_checks():
