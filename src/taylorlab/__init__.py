@@ -1,89 +1,4 @@
 """Lambda-calculus workbench: finite and rational terms, resource reduction,
 Taylor slices, Boehm approximants, and desk-scale theorem checks."""
 
-from .syntax import (
-    App,
-    Bottom,
-    FreeVar,
-    GuardednessError,
-    Hole,
-    Lam,
-    LambdaError,
-    ParseError,
-    RationalSystem,
-    RecRef,
-    Term,
-    Var,
-    alpha_eq,
-    context_fill,
-    parse_term,
-    pretty,
-    pretty_system,
-    unfold,
-)
-from .beta import (
-    HeadForm,
-    HeadRun,
-    StratifyResult,
-    Verdict,
-    applicative_depth,
-    beta_step,
-    bohm_tree,
-    bot_step,
-    head_form,
-    head_normalize,
-    head_step,
-    is_bohm_normal,
-    leftmost_redex,
-    min_depth_step,
-    position_from_str,
-    position_to_str,
-    solvable,
-    stratify,
-)
-from .resource import (
-    FiniteSum,
-    Monomial,
-    ResourceTerm,
-    deg_hole,
-    is_d_positive,
-    monomial,
-    parse_resource_monomial,
-    parse_resource_sum,
-    parse_resource_term,
-    pretty_resource,
-    pretty_sum,
-    r_context_fill,
-    r_height,
-    r_size,
-    r_subst,
-)
-from .resource_reduction import (
-    check_diamond,
-    dm_less,
-    dm_measure,
-    hr_step,
-    r_normalize,
-    r_step,
-    redex_sites,
-    site_to_str,
-)
-from .taylor import (
-    approximates,
-    enumerate_taylor,
-    enumerate_taylor_context,
-    member_of_bohm,
-)
-from .lab import (
-    CheckReport,
-    check_commutation,
-    check_genericity,
-    check_head_charac,
-    check_norm_charac,
-    check_simulation,
-    lift_to_source,
-    push_forward,
-    terms_equal_via_taylor,
-)
-
 __version__ = "0.1.0"

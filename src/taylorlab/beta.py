@@ -71,7 +71,7 @@ def position_from_str(text: str) -> Position:
     parts = tuple(text.split("."))
     for p in parts:
         if p not in ("body", "fun", "arg"):
-            raise LambdaError(f"bad position component {p!r}")
+            raise InvalidPositionError(f"bad position component {p!r}")
     return parts
 
 
@@ -282,10 +282,6 @@ class Verdict(NamedTuple):
     @property
     def certified_unsolvable(self) -> bool:
         return self.kind == "unknown" and self.reason in ("loop", "bottom")
-
-    @property
-    def loop(self) -> bool:
-        return self.reason == "loop"
 
     @staticmethod
     def solvable(steps: int) -> "Verdict":

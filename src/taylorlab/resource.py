@@ -411,18 +411,20 @@ def _distinct_assignments(elems: tuple[ResourceTerm, ...]) -> Iterator[tuple[Res
 
 
 def _count_marks(x: ResourceTerm | Monomial, match) -> int:
-    """Number of leaves of ``x`` that satisfy ``match``."""
-    if isinstance(x, Monomial):
-        children = x.elems
-    elif isinstance(x, RLam):
-        children = (x.body,)
-    elif isinstance(x, RApp):
-        children = (x.fn,) + x.mono.elems
-    else:
-        return int(match(x))
+    """Number of leaves of ``x`` that satisfy ``match``. One loop on a stack
+    of subterms."""
     n = 0
-    for u in children:
-        n += _count_marks(u, match)
+    todo = [x]
+    while todo:
+        u = todo.pop()
+        if isinstance(u, Monomial):
+            todo += u.elems
+        elif isinstance(u, RLam):
+            todo.append(u.body)
+        elif isinstance(u, RApp):
+            todo += (u.fn, *u.mono.elems)
+        elif match(u):
+            n += 1
     return n
 
 
@@ -435,15 +437,30 @@ def _linear_replace(t: ResourceTerm, match, mono: Monomial) -> FiniteSum:
     return FiniteSum({_replace_marks(t, match, iter(a)) for a in _distinct_assignments(mono.elems)})
 
 
-def _replace_marks(u: ResourceTerm, match, it: Iterator[ResourceTerm]) -> ResourceTerm:
-    """``u`` with its leaves that satisfy ``match`` taking the next elements
-    of ``it``, left to right."""
-    if isinstance(u, RLam):
-        return rlam(_replace_marks(u.body, match, it))
-    if isinstance(u, RApp):
-        fn = _replace_marks(u.fn, match, it)
-        return rapp(fn, monomial([_replace_marks(e, match, it) for e in u.mono.elems]))
-    return next(it) if match(u) else u
+def _replace_marks(t: ResourceTerm, match, it: Iterator[ResourceTerm]) -> ResourceTerm:
+    """``t`` with its leaves that satisfy ``match`` taking the next elements
+    of ``it``, left to right. One loop on a stack of subterms to visit and of
+    nodes, each in a 1-tuple, to rebuild from the last results in ``done``."""
+    done: list[ResourceTerm] = []
+    todo: list = [t]
+    while todo:
+        u = todo.pop()
+        if type(u) is tuple:
+            u = u[0]
+            if isinstance(u, RLam):
+                done.append(rlam(done.pop()))
+            else:
+                k = len(done) - len(u.mono.elems)
+                mono = monomial(done[k:])
+                del done[k:]
+                done.append(rapp(done.pop(), mono))
+        elif isinstance(u, RLam):
+            todo += ((u,), u.body)
+        elif isinstance(u, RApp):
+            todo += ((u,), *reversed(u.mono.elems), u.fn)
+        else:
+            done.append(next(it) if match(u) else u)
+    return done[0]
 
 
 def _rshift(t: ResourceTerm, d: int, cutoff: int = 0) -> ResourceTerm:

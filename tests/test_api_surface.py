@@ -1,10 +1,12 @@
 """Every public module-level function of ``taylorlab`` has a caller in the
-package.
+package, every public method or property a reader, and the package root
+binds no public name: each name is imported from its own module.
 
-A public function that only tests call belongs in ``tests/``. The check
-reads the modules with ``ast``, so a name in a docstring or a comment is not
-a caller, and neither is an import or a function's mention of itself.
-Classes and their methods are exempt."""
+A public function or member that only tests call belongs in ``tests/``. The
+check reads the modules with ``ast``, so a name in a docstring or a comment
+is not a caller, and neither is an import or a function's mention of itself.
+A member is read by any ``x.name`` in the package; dunders and overrides of
+a base class outside the package are exempt."""
 
 import ast
 import importlib
@@ -51,14 +53,85 @@ def _referenced():
     return out
 
 
+def _attributes_read(node):
+    """The ``x.name`` reads under ``node``; a function's reads of its own
+    name, such as a method's recursive call, do not count."""
+    out = set()
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+            out.add(child.attr)
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            out |= _attributes_read(child) - {child.name}
+        else:
+            out |= _attributes_read(child)
+    return out
+
+
+def _public_members():
+    """``Class.member`` for each public method and property that does not
+    override a member of a base class outside the package."""
+    out = set()
+    for path in PACKAGE.glob("*.py"):
+        module = importlib.import_module(f"taylorlab.{path.stem}")
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            bases = getattr(module, node.name).__mro__[1:]
+            outside = [base for base in bases if base.__module__.split(".")[0] != "taylorlab"]
+            for member in node.body:
+                if (
+                    isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not member.name.startswith("_")
+                    and not any(hasattr(base, member.name) for base in outside)
+                ):
+                    out.add(f"{node.name}.{member.name}")
+    return out
+
+
+def _root_names(source):
+    """The public names that a module's source binds at its top level."""
+    out = set()
+    todo = list(ast.parse(source).body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, ast.alias):
+            out.add((node.asname or node.name).split(".")[0])
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        else:
+            todo += ast.iter_child_nodes(node)
+    return {name for name in out if not name.startswith("_")}
+
+
 def test_every_public_function_has_a_caller_in_the_package():
     uncalled = _public_functions() - _referenced()
     assert sorted(uncalled) == sorted(ALLOWED)
 
 
+def test_every_public_member_has_a_reader_in_the_package():
+    read = set()
+    for path in PACKAGE.glob("*.py"):
+        read |= _attributes_read(ast.parse(path.read_text(encoding="utf-8")))
+    assert sorted(m for m in _public_members() if m.split(".")[1] not in read) == []
+
+
+def test_the_package_root_binds_no_public_name():
+    assert _root_names((PACKAGE / "__init__.py").read_text(encoding="utf-8")) == set()
+
+
 def test_the_check_ignores_docstrings_and_self_calls():
     tree = ast.parse('def f(n):\n    """calls g"""\n    return f(n - 1)\n')
     assert _names_read(tree.body[0], "f") == {"n"}
+    tree = ast.parse("class C:\n    def walk(self, n):\n        self.size = n\n        return self.walk(n.prev)\n")
+    assert _attributes_read(tree) == {"prev"}
+
+
+def test_the_root_check_sees_imports_and_assignments():
+    source = "from .syntax import Term as T, parse_term\nimport os.path\n__version__ = '0'\nx, _y = 1, 2\n"
+    source += "def f():\n    local = 1\n"
+    assert _root_names(source) == {"T", "parse_term", "os", "x", "f"}
 
 
 def test_every_traced_name_is_a_function_of_its_module():

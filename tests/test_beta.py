@@ -5,6 +5,7 @@ import pytest
 
 from taylorlab.beta import (
     DepthTooShallowError,
+    InvalidPositionError,
     NotARedexError,
     OracleUndecidedError,
     Verdict,
@@ -65,6 +66,15 @@ def test_positions():
     assert applicative_depth(("body", "arg", "fun", "arg")) == 2
 
 
+def test_a_bad_position_is_an_invalid_position():
+    """An unknown component and a path that does not resolve raise the same
+    class."""
+    with pytest.raises(InvalidPositionError, match="bad position component 'up'"):
+        position_from_str("body.up")
+    with pytest.raises(InvalidPositionError, match="position body does not resolve"):
+        subterm_at(parse_term("x y"), ("body",))
+
+
 def test_head_form_examples():
     hf = head_form(parse_term("\\x. y x"))
     assert hf.binders == ("x",) and hf.head == FreeVar("y") and hf.spine == (Var(0),)
@@ -112,7 +122,7 @@ def test_head_normalize_two_steps():
 
 def test_head_normalize_loop():
     run = head_normalize(OMEGA, 100)
-    assert run.verdict.kind == "unknown" and run.verdict.loop
+    assert run.verdict.kind == "unknown" and run.verdict.reason == "loop"
     assert run.verdict.certified_unsolvable
 
 
@@ -151,7 +161,7 @@ def test_bot_step():
 
 def test_solvable_examples():
     assert solvable(I, 10) == Verdict.solvable(0)
-    assert solvable(OMEGA, 100).loop
+    assert solvable(OMEGA, 100).reason == "loop"
     assert solvable(parse_term("(\\x. \\y. y) ((\\x. x x) (\\x. x x))"), 10) == Verdict.solvable(1)
 
 

@@ -418,6 +418,24 @@ def test_deep_resource_input_normalizes(capsys, text):
     assert parse_resource_term(out.removeprefix("normal form: ")) is parse_resource_term(text)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["reduce", "(\\x. x) y", "--at", "body.up"], ["check", "simulation", "(\\x. x) y", "--steps", "root,up"]],
+    ids=["reduce", "simulation"],
+)
+def test_bad_position_exit_3(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (3, "", "error: bad position component 'up'\n")
+
+
+def test_deep_rsubst_exits_0(capsys):
+    """Linear substitution loops on explicit stacks: under 10,000 binders the
+    two occurrences of ``x`` take the monomial's two equal elements."""
+    code, out, err = run(capsys, "rsubst", "\\a. " * DEEP + "<x>[x, a]", "x", "[y, y]")
+    assert code == 0 and err == ""
+    assert parse_resource_term(out) is parse_resource_term("\\a. " * DEEP + "<y>[y, a]")
+
+
 # Runs the CLI after allocating, and partly freeing, ``argv[1]`` junk lists,
 # so that interned nodes land at other addresses than in a clean run.
 _RUN_AFTER_JUNK = """

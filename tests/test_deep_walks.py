@@ -1,7 +1,7 @@
 """Every λ-side map and fold on terms 10,000 deep: binder chains, argument
 lists and nested arguments, and ``beta_step`` and ``head_normalize`` on top of
-them, and ``alpha_eq``; parse→print round trips of both grammars as deep, and
-the height of resource terms.
+them, and ``alpha_eq``; parse→print round trips of both grammars as deep, the
+height of resource terms and linear substitution into them.
 Python's recursion limit is about 1,000, so none of these may recurse on the
 term. Results are checked by walking them with loops or by identity, since
 nodes are hash-consed."""
@@ -17,7 +17,21 @@ from taylorlab.beta import (
     replace_at,
 )
 from taylorlab.lab import _positive_skeleton, check_genericity
-from taylorlab.resource import ONE, monomial, parse_resource_term, pretty_resource, r_height, rapp, rfvar, rlam, rvar
+from taylorlab.resource import (
+    HOLE_R,
+    ONE,
+    deg_hole,
+    monomial,
+    parse_resource_term,
+    pretty_resource,
+    r_context_fill,
+    r_height,
+    r_subst,
+    rapp,
+    rfvar,
+    rlam,
+    rvar,
+)
 from taylorlab.syntax import (
     BOTTOM,
     HOLE,
@@ -219,3 +233,19 @@ def test_deep_resource_height():
         t = rapp(x, monomial([t]))  # <x>[<x>[... x ...]]
     assert r_height(t) == N
     assert r_height(t.mono) == N
+
+
+def test_deep_linear_substitution():
+    """``r_subst`` and ``r_context_fill`` through 10,000 binders and 10,000
+    monomial levels, each filling every mark with one of equal elements."""
+    x, y = rfvar("x"), rfvar("y")
+    for mark, fill in ((x, lambda t, mono: r_subst(t, "x", mono)), (HOLE_R, r_context_fill)):
+        under, want_under = rapp(mark, monomial([mark, rvar(0)])), rapp(y, monomial([y, rvar(0)]))
+        nest, want_nest = mark, y
+        for _ in range(N):
+            under, want_under = rlam(under), rlam(want_under)
+            nest, want_nest = rapp(mark, monomial([nest])), rapp(y, monomial([want_nest]))
+        assert fill(under, monomial([y, y])).terms == (want_under,)
+        assert fill(nest, monomial([y] * (N + 1))).terms == (want_nest,)
+        assert fill(nest, monomial([y] * N)).terms == ()  # one mark too many
+    assert deg_hole(nest) == N + 1 and deg_hole(monomial([nest, under])) == N + 3

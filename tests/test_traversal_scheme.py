@@ -23,8 +23,6 @@ ALLOWED = {
     "_fill_bound": "open_binder's walk",
     "_occurrences": "open_along's memoized walk, the hot path of lifting",
     "_open_run": "open_along's memoized walk",
-    "_count_marks": "the walk of r_subst and r_context_fill; a deep rsubst input exits 4",
-    "_replace_marks": "the walk of r_subst and r_context_fill",
     "_nf": "r_normalize's structural walk, the hot path of rnf-random",
     # the lifter recurses once per level of a tree target, so a Y g target
     # of height 600 raises RecursionError (ROADMAP items 7 and 10)
