@@ -72,12 +72,11 @@ def _public_members():
     override a member of a base class outside the package."""
     out = set()
     for path in PACKAGE.glob("*.py"):
-        module = importlib.import_module(f"taylorlab.{path.stem}")
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if not isinstance(node, ast.ClassDef):
                 continue
-            bases = getattr(module, node.name).__mro__[1:]
-            outside = [base for base in bases if base.__module__.split(".")[0] != "taylorlab"]
+            cls = getattr(importlib.import_module(f"taylorlab.{path.stem}"), node.name)
+            outside = [base for base in cls.__mro__[1:] if not base.__module__.startswith("taylorlab.")]
             for member in node.body:
                 if (
                     isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))

@@ -1,8 +1,9 @@
 """Golden reports: the five checks of the ``commute-cold`` benchmark
 workload must print exactly what ``tests/golden/commute_cold.json`` holds,
 every ``stats`` key included, the head, norm and genericity checks what
-``tests/golden/checks.json`` holds, and every other command but
-``selftest`` on the terms of ``tests/corpus.py`` what
+``tests/golden/checks.json`` holds, and ``parse``, ``head``, ``bohm``,
+``check commutation``, ``reduce``, ``stratify``, ``taylor``, ``nf-taylor``,
+``rnf`` and ``rsubst`` on the terms of ``tests/corpus.py`` what
 ``tests/golden/commands.json`` holds. ``tests/make_commute_golden.py``
 regenerates the files after an intended change of output."""
 
