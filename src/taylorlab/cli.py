@@ -117,7 +117,7 @@ def _cmd_reduce(args) -> int:
     if args.at is not None:
         pos = position_from_str(args.at)
         result = beta_step(target, pos)
-        trace = [{"position": args.at, "term": pretty(result)}]
+        trace = [{"position": position_to_str(pos), "term": pretty(result)}]
         cur = result
     else:
         trace = []

@@ -256,21 +256,24 @@ def _anti_subst(
     in the order ``open_along`` meets the occurrences of ``c`` in ``w``.
     Returns None when ``u`` cannot be read back against ``p``.
 
-    ``memo`` may be shared between calls with the same ``system``; it is
-    keyed by ``(u, p, c, stack)`` at applications and leaves: an
-    abstraction goes straight to its body, whose ``w`` it closes again.
+    ``memo`` is the table of the scope ``c`` and ``stack``, and may be
+    shared between calls with the same ``system``. It keeps ``{u: (w,
+    es)}`` under each application or leaf ``p``; under an abstraction it
+    keeps the table of the scope of its body, whose ``w`` it closes again.
     """
     if memo is None:
         memo = {}
+    entry = memo.get(p)
+    if entry is None:
+        entry = memo[p] = {}
     if isinstance(p, Lam):
         if not isinstance(u, RLam):
             return None
-        got = _anti_subst(u.body, p.body, c + 1, (p.hint,) + stack, system, memo)
+        got = _anti_subst(u.body, p.body, c + 1, (p.hint,) + stack, system, entry)
         return None if got is None else (rlam(got[0]), got[1])
-    key = (u, p, c, stack)
-    got = memo.get(key, _UNSEEN)
+    got = entry.get(u, _UNSEEN)
     if got is _UNSEEN:
-        got = memo[key] = _un_substitute(u, p, c, stack, system, memo)
+        got = entry[u] = _un_substitute(u, p, c, stack, system, memo)
     return got
 
 
@@ -326,15 +329,19 @@ def _lift_one_step(chain: tuple, step: tuple, system: Optional[RationalSystem], 
     """Read an approximant of the head reduct of a step (a row of
     ``LiftSession.head_run``'s table) back through it: the core ``u`` that
     the head redex reduced to, the monomials of the frames around it, and
-    ``_anti_subst``'s ``(w, es)`` for ``u``, whose ``memo`` this is. None
-    when the approximant, a chain standing for ``rewrap(*chain)``, lacks
-    the step's shape or ``u`` cannot be read back."""
+    ``_anti_subst``'s ``(w, es)`` for ``u``, in the table that ``memo``
+    keeps for the step's inner stack. None when the approximant, a chain
+    standing for ``rewrap(*chain)``, lacks the step's shape or ``u`` cannot
+    be read back."""
     _, binders, frames, body, inner, _, _ = step
     peeled = peel_wrapped(*chain, binders, frames)
     if peeled is None:
         return None
     u, rest = peeled
-    got = _anti_subst(u, body, 0, inner, system, memo)
+    table = memo.get(inner)
+    if table is None:
+        table = memo[inner] = {}
+    got = _anti_subst(u, body, 0, inner, system, table)
     return None if got is None else (u, rest, got[0], got[1])
 
 
@@ -350,17 +357,18 @@ class LiftSession:
     its ``prefix``.
 
     ``tables`` keeps the step tables of the runs by ``(m, stack)``
-    (``head_run``) and ``lifts`` sub-lifts by ``(u, m, stack)``: the node
-    built, whose checks all held, or None. Three more memos serve the walks
-    over subterms: ``unsubst`` for ``_anti_subst``, ``rebuilt`` for the
-    link check (``open_along``) and ``approx`` for the graft check
+    (``head_run``), and ``lifts`` one table of sub-lifts per run, by ``u``:
+    the node built, whose checks all held, or None. Three more memos serve
+    the walks over subterms: ``unsubst`` for ``_anti_subst``, one table per
+    inner stack of a step; ``rebuilt`` for the link check (``open_along``),
+    one table per bound index; and ``approx`` for the graft check
     (``taylor._approx``, by element, argument and stack). The walks pass
-    abstractions through: no key holds one but the graft keys. ``shared``
-    counts the sub-lifts served instead of built, ``checked_links`` the
-    links checked (one per inverted step of a sub-lift built) and
-    ``checked_grafts`` the graft checks that ``approx`` did not answer.
-    ``failed`` is the first head step that ended a lift, if any: the term
-    before it and why.
+    abstractions through: only the graft checks keep an entry at one.
+    ``shared`` counts the sub-lifts served instead of built,
+    ``checked_links`` the links checked (one per inverted step of a
+    sub-lift built) and ``checked_grafts`` the graft checks that ``approx``
+    did not answer. ``failed`` is the first head step that ended a lift, if
+    any: the term before it and why.
     """
 
     __slots__ = ("prefix", "tables", "lifts", "shared", "unsubst", "rebuilt", "approx", "checked_links", "checked_grafts", "failed")
@@ -405,10 +413,12 @@ class LiftSession:
 
     def lift(self, u: ResourceTerm, m: Term, stack: tuple[str, ...]) -> Optional[ResourceTerm]:
         """The sub-lift of ``u`` against ``m`` under ``stack``, built once."""
-        key = (u, m, stack)
-        got = self.lifts.get(key, _UNSEEN)
+        table = self.lifts.get((m, stack))
+        if table is None:
+            table = self.lifts[m, stack] = {}
+        got = table.get(u, _UNSEEN)
         if got is _UNSEEN:
-            got = self.lifts[key] = self._build(u, m, stack)
+            got = table[u] = self._build(u, m, stack)
         else:
             self.shared += 1
         return got

@@ -561,10 +561,11 @@ def open_along(
 
     One compositional walk, shifting like ``open_binder`` does, nothing
     enumerated: each subterm takes the next run of elements, as many as it
-    has occurrences. ``memo`` may be shared between calls; it keeps
-    occurrence counts by ``(u, c)`` and rebuilt subterms by ``(u, c,
-    elems)``, all interned nodes, so identity keys are stable, at
-    applications and leaves: an abstraction goes straight to its body.
+    has occurrences. ``memo`` may be shared between calls; it keeps one
+    table per bound index ``c``, holding occurrence counts by ``u`` and
+    rebuilt subterms by ``(u, elems)``, all interned nodes, so identity keys
+    are stable, at applications and leaves: an abstraction goes straight to
+    its body.
     """
     if memo is None:
         memo = {}
@@ -579,8 +580,10 @@ def _occurrences(u: ResourceTerm, c: int, memo: dict) -> int:
         return 0
     while isinstance(u, RLam):  # its body's loose bound stays above c + 1
         u, c = u.body, c + 1
-    key = (u, c)
-    n = memo.get(key)
+    table = memo.get(c)
+    if table is None:
+        table = memo[c] = {}
+    n = table.get(u)
     if n is None:
         # a loose index at or above c makes u a variable or an application
         if isinstance(u, RVar):
@@ -589,7 +592,7 @@ def _occurrences(u: ResourceTerm, c: int, memo: dict) -> int:
             n = _occurrences(u.fn, c, memo)
             for e in u.mono:
                 n += _occurrences(e, c, memo)
-        memo[key] = n
+        table[u] = n
     return n
 
 
@@ -600,8 +603,11 @@ def _open_run(u: ResourceTerm, c: int, elems: tuple[ResourceTerm, ...], memo: di
         return u
     if isinstance(u, RLam):
         return rlam(_open_run(u.body, c + 1, elems, memo))
-    key = (u, c, elems)
-    out = memo.get(key)
+    table = memo.get(c)
+    if table is None:
+        table = memo[c] = {}
+    key = (u, elems)
+    out = table.get(key)
     if out is None:
         if isinstance(u, RVar):
             out = _rshift(elems[0], c) if u.index == c else rvar(u.index - 1)
@@ -614,7 +620,7 @@ def _open_run(u: ResourceTerm, c: int, elems: tuple[ResourceTerm, ...], memo: di
                 opened.append(_open_run(e, c, elems[k : k + n], memo))
                 k += n
             out = rapp(fn, monomial(opened))
-        memo[key] = out
+        table[key] = out
     return out
 
 

@@ -1,6 +1,7 @@
 """Helpers that several test modules share: builders of long application
 chains, a reader for printed resource sites, a head-normality test for
-resource terms, and an oracle for ``bot_step``.
+resource terms, an oracle for ``bot_step``, and a reader of the lifter's
+memos by their flat keys.
 
 Two slow oracles live here too. ``hr_step_along`` is the link check on the
 whole term that the lifter's check on the opened core replaced, and
@@ -15,7 +16,7 @@ from taylorlab.beta import BohmPrefix, Position, StratifyResult, head_normalize,
 from taylorlab.lab import LiftSession
 from taylorlab.resource import RLam, ResourceTerm, open_along
 from taylorlab.resource_reduction import head_split, rewrap
-from taylorlab.syntax import App, LambdaError, Term, subterms, unlink
+from taylorlab.syntax import App, Lam, LambdaError, Term, subterms, unlink
 
 
 def power_apply(m, n, k):
@@ -61,6 +62,49 @@ def fresh_session(target, fuel):
     """A ``LiftSession`` on a new ``BohmPrefix`` of ``target`` at ``fuel``,
     shared with no other call: the unshared reference for a lift."""
     return LiftSession(BohmPrefix(target, fuel))
+
+
+def memo_entries(session: LiftSession, name: str):
+    """Every entry of the session's memo ``name`` as ``(key, value,
+    table)``, ``key`` being the flat key the entry had before the memos
+    were kept by scope, and ``table`` the scope's table that holds it:
+
+    * ``unsubst``: ``(u, p, c, stack)``, ``table`` the table of ``c`` and
+      ``stack`` that ``lab._anti_subst`` takes, holding ``p``;
+    * ``rebuilt``: ``(u, c)`` for an occurrence count and ``(u, c, elems)``
+      for a rebuilt subterm, ``table`` the table of the bound index ``c``;
+    * ``lifts``: ``(u, m, stack)``, ``table`` the table of the run of ``m``
+      under ``stack``."""
+    if name == "unsubst":
+        scopes = [(table, 0, inner) for inner, table in session.unsubst.items()]
+        while scopes:
+            table, c, stack = scopes.pop()
+            for p, entry in table.items():
+                if isinstance(p, Lam):
+                    scopes.append((entry, c + 1, (p.hint,) + stack))
+                else:
+                    for u, got in entry.items():
+                        yield (u, p, c, stack), got, table
+    elif name == "rebuilt":
+        for c, table in session.rebuilt.items():
+            for key, got in table.items():
+                yield ((key[0], c, key[1]) if isinstance(key, tuple) else (key, c)), got, table
+    elif name == "lifts":
+        for (m, stack), table in session.lifts.items():
+            for u, node in table.items():
+                yield (u, m, stack), node, table
+    else:
+        raise ValueError(f"no memo {name!r}")
+
+
+def flat_memo(session: LiftSession, name: str) -> dict:
+    """The session's memo ``name`` as one dict by flat key (``memo_entries``);
+    a key met twice is a duplicated entry and fails."""
+    out = {}
+    for key, value, _ in memo_entries(session, name):
+        assert key not in out, key
+        out[key] = value
+    return out
 
 
 def loop_certified_oracle(fuel):

@@ -107,6 +107,22 @@ def test_reduce_at(capsys):
     assert code == 0 and payload["result"] == "\\z. z"
 
 
+def test_reduce_at_the_root_prints_root(capsys):
+    """``--at ''`` and ``--at root`` name the same step, print it as
+    ``root``, and print what the normal-order run prints for that step."""
+    printed = []
+    for json_flag in ([], ["--json"]):
+        outs = [
+            run(capsys, "reduce", "(\\x. x y) z", *flags, *json_flag)
+            for flags in (["--at", ""], ["--at", "root"], ["--max-steps", "1"])
+        ]
+        assert outs[0] == outs[1] == outs[2] and outs[0][0] == 0 and outs[0][2] == ""
+        printed.append(outs[0][1])
+    text, payload = printed
+    assert text.splitlines()[0] == "  0 [root] z y"
+    assert json.loads(payload)["trace"] == [{"position": "root", "term": "z y"}]
+
+
 def test_head(capsys):
     code, out, _ = run(capsys, "head", "(\\x. x x) (\\x. x x)", "--fuel", "50")
     assert code == 0 and "unknown(loop" in out

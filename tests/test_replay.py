@@ -58,7 +58,7 @@ from taylorlab.syntax import (
 from taylorlab.taylor import _approx, approximates, enumerate_taylor, member_of_bohm
 
 from corpus import C2C2, COMMUTE_COLD, CORPUS, LETREC, MUL_C2C2, OMEGA, OMEGA3, SESSION_CASES, SYSTEMS, TREES, Y, YG
-from support import fresh_session, hr_step_along, is_head_normal
+from support import flat_memo, fresh_session, hr_step_along, is_head_normal, memo_entries
 from walk_oracles import OldLiftSession, old_member_of_bohm
 
 rp = parse_resource_term
@@ -214,7 +214,7 @@ def test_replay_implies_membership_in_the_normal_form():
         for t in targets:
             if lift_to_source(t, session) is not None:
                 lifted += 1
-        for (u, _, _), node in session.lifts.items():
+        for (u, _, _), node, _ in memo_entries(session, "lifts"):
             if node is not None:
                 assert u in r_normalize(node)
     assert lifted >= 40
@@ -273,7 +273,7 @@ def _inverted_steps(session):
             bodies[p] = binders
     return [
         (rewrap(got[0], c, ()), got[1])
-        for (_, p, c, _), got in session.unsubst.items()
+        for (_, p, c, _), got, _ in memo_entries(session, "unsubst")
         if bodies.get(p) == c and got is not None
     ]
 
@@ -294,9 +294,9 @@ def _grafts(session):
 def test_memoized_anti_subst_agrees_with_a_fresh_call(src, size):
     term, _, session, _ = _shared_run(src, size)
     system = term if isinstance(term, RationalSystem) else None
-    assert bool(session.unsubst) == _inverts_steps(session)
-    for (u, p, c, stack), got in session.unsubst.items():
-        assert lab._anti_subst(u, p, c, stack, system, session.unsubst) is got
+    assert bool(flat_memo(session, "unsubst")) == _inverts_steps(session)
+    for (u, p, c, stack), got, table in memo_entries(session, "unsubst"):
+        assert lab._anti_subst(u, p, c, stack, system, table) is got
         assert lab._anti_subst(u, p, c, stack, system) == got
 
 
@@ -306,7 +306,7 @@ def test_memoized_rebuild_agrees_with_open_along(src, size):
     ``open_along`` and the sequential walk it replaced rebuild."""
     _, _, session, ancestors = _shared_run(src, size)
     rebuilds = 0
-    for key, got in session.rebuilt.items():
+    for key, got, _ in memo_entries(session, "rebuilt"):
         if len(key) == 2:  # an occurrence count
             u, c = key
             assert got == _bound_occurrences(u, c)
@@ -408,11 +408,11 @@ def test_branch_only_memos_agree_with_unmemoized_walks(src, size, monkeypatch):
     monkeypatch.setattr(lab, "_lift_one_step", recording)
     term, _, session, _ = _shared_run(src, size)
     system = term if isinstance(term, RationalSystem) else None
-    assert bool(session.unsubst) == _inverts_steps(session)
-    for (u, p, c, stack), got in session.unsubst.items():
+    assert bool(flat_memo(session, "unsubst")) == _inverts_steps(session)
+    for (u, p, c, stack), got, _ in memo_entries(session, "unsubst"):
         assert not isinstance(p, Lam)
         assert got == _anti_subst_reference(u, p, c, stack, system)
-    for key, got in session.rebuilt.items():
+    for key, got, _ in memo_entries(session, "rebuilt"):
         assert not isinstance(key[0], RLam)
         if len(key) == 2:
             assert got == _bound_occurrences(*key)
@@ -432,8 +432,8 @@ SESSION_ENTRIES = [
 ]
 
 
-@pytest.mark.parametrize("src,size,bounds", SESSION_ENTRIES)
-def test_session_memos_stay_within_their_entry_counts(src, size, bounds, monkeypatch):
+def _checked_session(src, size, monkeypatch):
+    """The session of a passing ``check_commutation`` of ``src`` at ``size``."""
     sessions = []
 
     class Recording(LiftSession):
@@ -446,8 +446,30 @@ def test_session_memos_stay_within_their_entry_counts(src, size, bounds, monkeyp
     monkeypatch.setattr(lab, "LiftSession", Recording)
     assert check_commutation(parse_term(src), size, FUEL).verdict == "pass"
     (session,) = sessions
-    counts = {name: len(getattr(session, name)) for name in bounds}
+    return session
+
+
+def _entries(session, name):
+    """How many entries the session's memo ``name`` holds, each counted
+    once under its flat key."""
+    return len(session.approx) if name == "approx" else len(flat_memo(session, name))
+
+
+@pytest.mark.parametrize("src,size,bounds", SESSION_ENTRIES)
+def test_session_memos_stay_within_their_entry_counts(src, size, bounds, monkeypatch):
+    session = _checked_session(src, size, monkeypatch)
+    counts = {name: _entries(session, name) for name in bounds}
     assert all(counts[name] <= bound for name, bound in bounds.items()), counts
+
+
+def test_scoped_memos_hold_what_the_flat_memos_held(monkeypatch):
+    """The memos kept by scope hold as many entries as the flat memos keyed
+    by tuples held at the same check, each under its own flat key
+    (``flat_memo`` fails on a key met twice): the scopes lose and duplicate
+    nothing."""
+    session = _checked_session(MUL_C2C2, 18, monkeypatch)
+    counts = {name: _entries(session, name) for name in ("unsubst", "rebuilt", "lifts")}
+    assert counts == {"unsubst": 1378, "rebuilt": 1615, "lifts": 408}
 
 
 def _inside_elements(t, out=None, below=False):
@@ -473,7 +495,7 @@ def _lift_of(t, term):
 def test_corrupted_link_ends_the_lift(monkeypatch):
     t = rp("\\a. <a>[<a>[<a>1]]")
     s, session = _lift_of(t, Y)
-    assert s is not None and session.lifts[(t, Y, ())] is s and session.failed is None
+    assert s is not None and session.lifts[Y, ()][t] is s and session.failed is None
 
     # links are checked children first: corrupting only the first one
     # breaks a monomial element's lift, which the ancestor must inherit
@@ -486,7 +508,7 @@ def test_corrupted_link_ends_the_lift(monkeypatch):
 
     monkeypatch.setattr(lab, "_link_holds", corrupting)
     broken, session = _lift_of(t, Y)
-    assert broken is None and session.lifts[(t, Y, ())] is None
+    assert broken is None and session.lifts[Y, ()][t] is None
     assert len(checked) == 1 and checked[0] in _inside_elements(s)
     assert session.failed[1] == "failed its link check"
 
@@ -586,7 +608,7 @@ def test_every_link_and_lift_passes_the_whole_term_oracles(src, size, monkeypatc
     for s in ancestors:
         assert approximates(s, term)
     lifted = 0
-    for (_, m, stack), node in session.lifts.items():
+    for (_, m, stack), node, _ in memo_entries(session, "lifts"):
         if node is not None:
             assert _approx(node, m, stack, system, {})
             lifted += 1
@@ -622,13 +644,13 @@ def test_the_ancestor_is_the_targets_own_lift():
         session = LiftSession(BohmPrefix(Y, FUEL))
         got = {u: lift_to_source(u, session) for u in order}
         for u, s in got.items():
-            assert s is not None and s is session.lifts[(u, Y, ())]
+            assert s is not None and s is session.lifts[Y, ()][u]
         assert t not in r_normalize(got[other])
     for term, targets in _corpus_targets():
         session = LiftSession(BohmPrefix(term, FUEL))
         for t in targets:
             s = lift_to_source(t, session)
-            assert s is None or s is session.lifts[(t, term, ())]
+            assert s is None or s is session.lifts[term, ()][t]
 
 
 @pytest.mark.parametrize(
@@ -747,8 +769,9 @@ def test_lean_chains_lift_what_wrapping_every_step_lifted(src, size, monkeypatch
     lean, frozen = LiftSession(prefix), OldLiftSession(prefix)
     for t in enumerate_taylor(prefix.tree(size + 1), size):
         assert lift_to_source(t, lean) is lift_to_source(t, frozen)
-    assert lean.lifts.keys() == frozen.lifts.keys()
-    assert all(node is frozen.lifts[key] for key, node in lean.lifts.items())
+    lean_lifts, frozen_lifts = flat_memo(lean, "lifts"), flat_memo(frozen, "lifts")
+    assert lean_lifts.keys() == frozen_lifts.keys()
+    assert all(node is frozen_lifts[key] for key, node in lean_lifts.items())
     assert bool(lean.checked_links) == _inverts_steps(lean)
 
     def counters(session):

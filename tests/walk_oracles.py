@@ -468,7 +468,10 @@ def _old_lift_one_step(t: ResourceTerm, step: tuple, system: Optional[RationalSy
     if peeled is None:
         return None
     u, rest = peeled
-    got = _anti_subst(u, body, 0, inner, system, memo)
+    table = memo.get(inner)
+    if table is None:
+        table = memo[inner] = {}
+    got = _anti_subst(u, body, 0, inner, system, table)
     return None if got is None else (u, rest, got[0], got[1])
 
 
