@@ -202,6 +202,11 @@ class HeadForm(NamedTuple):
     def has_head_redex(self) -> bool:
         return isinstance(self.head, Lam) and bool(self.spine)
 
+    def spine_stack(self, stack: tuple[str, ...]) -> tuple[str, ...]:
+        """The stack of the head and spine: the hints of the binders, innermost
+        first, pushed on ``stack``, the one of the whole term."""
+        return self.binders[::-1] + stack
+
     def rebuild(self) -> Term:
         t = self.head
         for q in self.spine:
@@ -244,7 +249,7 @@ def _resolve_at_head(
         hf = head_form(m)
         if not isinstance(hf.head, RecRef):
             return m
-        body = resolve_ref(hf.head, system, tuple(reversed(hf.binders)) + stack)
+        body = resolve_ref(hf.head, system, hf.spine_stack(stack))
         guard += 1
         if guard > len(system.equations) + 1:
             raise LambdaError("resolution does not terminate (unguarded system?)")
@@ -298,14 +303,16 @@ class Verdict(NamedTuple):
 
 
 class HeadRun(NamedTuple):
-    """Result of ``head_normalize``: the final term, the verdict, the list of
-    pre-step terms (resolved, so each one exhibits its head redex), and the
-    redex position inside each of them."""
+    """Result of ``head_normalize``: the final term, the verdict, the head
+    form of each state before a step (resolved, so each one exhibits its
+    head redex; ``head_redex_position`` gives the redex's position), one per
+    step, and ``hnf``, the head form of the final term when it is head
+    normal."""
 
     term: Term
     verdict: Verdict
-    trace: tuple[Term, ...] = ()
-    step_positions: tuple[Position, ...] = ()
+    trace: tuple[HeadForm, ...] = ()
+    hnf: Optional[HeadForm] = None
 
 
 def _captures(hf: HeadForm, names: frozenset[str]) -> bool:
@@ -344,32 +351,28 @@ def head_normalize(
         names = frozenset(u.name for b in bodies for u, *_ in subterms(b) if isinstance(u, FreeVar))
     cur = m
     seen = {cur}
-    pre_steps: list[Term] = []
-    positions: list[Position] = []
-    k = 0
+    trace: list[HeadForm] = []
     while True:
         hf = head_form(cur)
         if hf.is_head_normal:
-            return HeadRun(cur, Verdict.solvable(k), tuple(pre_steps), tuple(positions))
+            return HeadRun(cur, Verdict.solvable(len(trace)), tuple(trace), hf)
         if isinstance(hf.head, Bottom):
-            return HeadRun(cur, Verdict.unknown(k, "bottom"), tuple(pre_steps), tuple(positions))
+            return HeadRun(cur, Verdict.unknown(len(trace), "bottom"), tuple(trace))
         if isinstance(hf.head, Hole):
-            return HeadRun(cur, Verdict.unknown(k, "hole"), tuple(pre_steps), tuple(positions))
+            return HeadRun(cur, Verdict.unknown(len(trace), "hole"), tuple(trace))
         if isinstance(hf.head, RecRef):
             cur = _resolve_at_head(cur, system, stack)
             continue
-        if k >= fuel:
-            return HeadRun(cur, Verdict.unknown(k, "fuel"), tuple(pre_steps), tuple(positions))
+        if len(trace) >= fuel:
+            return HeadRun(cur, Verdict.unknown(len(trace), "fuel"), tuple(trace))
         if names and _captures(hf, names):
-            return HeadRun(cur, Verdict.unknown(k, "capture"), tuple(pre_steps), tuple(positions))
-        pre_steps.append(cur)
-        positions.append(head_redex_position(hf))
+            return HeadRun(cur, Verdict.unknown(len(trace), "capture"), tuple(trace))
+        trace.append(hf)
         nxt = _fire_head(hf)
         if system is not None:
             nxt = _resolve_at_head(nxt, system, stack)
-        k += 1
         if nxt in seen:
-            return HeadRun(nxt, Verdict.unknown(k, "loop"), tuple(pre_steps), tuple(positions))
+            return HeadRun(nxt, Verdict.unknown(len(trace), "loop"), tuple(trace))
         seen.add(nxt)
         cur = nxt
 
@@ -477,7 +480,7 @@ def stratify(m: Term, depth: int, fuel: int) -> StratifyResult:
                 return u
             run = head_normalize(u, fuel)
             if run.verdict.is_solvable:
-                steps_d.extend(_position(path) + rel for rel in run.step_positions)
+                steps_d.extend(_position(path) + head_redex_position(hf) for hf in run.trace)
                 return run.term
             if not run.verdict.certified_unsolvable:
                 stuck.append(run.verdict)

@@ -334,7 +334,7 @@ def _cmd_check(args) -> int:
             raise LambdaError("genericity needs CONTEXT UNSOLVABLE [REPLACEMENT...]")
         hole_filler = parse_term(args.terms[1])
         repl = [parse_term(t) for t in args.terms[2:]]
-        if isinstance(target, RationalSystem) or isinstance(hole_filler, RationalSystem):
+        if any(isinstance(t, RationalSystem) for t in (target, hole_filler, *repl)):
             raise LambdaError("genericity expects finite terms")
         report = check_genericity(target, hole_filler, repl, args.size, args.fuel, depth=args.dmax)
     elif kind == "equal":

@@ -68,11 +68,11 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .beta import (
     BohmPrefix,
+    HeadForm,
     NotARedexError,
     Position,
     beta_step,
     bohm_tree,
-    head_form,
     head_step,
     position_to_str,
     solvable,
@@ -93,7 +93,6 @@ from .resource import (
     pretty_resource,
     r_context_fill,
     rapp,
-    rfvar,
     rlam,
     rvar,
     unshift,
@@ -102,6 +101,7 @@ from .resource_reduction import hr_step, peel, peel_wrapped, r_normalize, rewrap
 from .syntax import (
     App,
     FreeVar,
+    Hole,
     Lam,
     LambdaError,
     RationalSystem,
@@ -114,8 +114,9 @@ from .syntax import (
     pretty,
     pretty_target,
     resolve_ref,
+    subterms,
 )
-from .taylor import _approx, approximates, enumerate_taylor, enumerate_taylor_context, member_of_bohm
+from .taylor import _approx, _head_leaf, approximates, enumerate_taylor, enumerate_taylor_context, member_of_bohm
 
 
 class ApproximantMismatchError(LambdaError):
@@ -325,23 +326,27 @@ def _un_substitute(
     return None
 
 
-def _lift_one_step(chain: tuple, step: tuple, system: Optional[RationalSystem], memo: dict) -> Optional[tuple]:
-    """Read an approximant of the head reduct of a step (a row of
-    ``LiftSession.head_run``'s table) back through it: the core ``u`` that
-    the head redex reduced to, the monomials of the frames around it, and
-    ``_anti_subst``'s ``(w, es)`` for ``u``, in the table that ``memo``
-    keeps for the step's inner stack. None when the approximant, a chain
-    standing for ``rewrap(*chain)``, lacks the step's shape or ``u`` cannot
-    be read back."""
-    _, binders, frames, body, inner, _, _ = step
-    peeled = peel_wrapped(*chain, binders, frames)
+def _lift_one_step(
+    chain: tuple, before: HeadForm, outer: tuple[str, ...], system: Optional[RationalSystem], memo: dict
+) -> Optional[tuple]:
+    """Read an approximant of the head reduct of ``before``, a run's head
+    form before a step whose head and spine sit under ``outer``, back
+    through the step: the core ``u`` that the head redex reduced to, the
+    monomials of the frames around it, and ``_anti_subst``'s ``(w, es)``
+    for ``u``, in the table that ``memo`` keeps for the stack of the redex
+    body. None when the approximant, a chain standing for
+    ``rewrap(*chain)``, lacks the step's shape or ``u`` cannot be read
+    back."""
+    peeled = peel_wrapped(*chain, len(before.binders), len(before.spine) - 1)
     if peeled is None:
         return None
     u, rest = peeled
+    lam = before.head
+    inner = (lam.hint,) + outer
     table = memo.get(inner)
     if table is None:
         table = memo[inner] = {}
-    got = _anti_subst(u, body, 0, inner, system, table)
+    got = _anti_subst(u, lam.body, 0, inner, system, table)
     return None if got is None else (u, rest, got[0], got[1])
 
 
@@ -354,13 +359,13 @@ def _link_holds(w: ResourceTerm, elems: Sequence[ResourceTerm], u: ResourceTerm,
 
 class LiftSession:
     """Lifting work shared by the tree targets of one check, on the runs of
-    its ``prefix``.
+    its ``prefix``: a sub-lift against a run inverts the steps of its trace,
+    last first, from its head normal form.
 
-    ``tables`` keeps the step tables of the runs by ``(m, stack)``
-    (``head_run``), and ``lifts`` one table of sub-lifts per run, by ``u``:
-    the node built, whose checks all held, or None. Three more memos serve
-    the walks over subterms: ``unsubst`` for ``_anti_subst``, one table per
-    inner stack of a step; ``rebuilt`` for the link check (``open_along``),
+    ``lifts`` keeps one table of sub-lifts per run, by ``u``: the node
+    built, whose checks all held, or None. Three more memos serve the walks
+    over subterms: ``unsubst`` for ``_anti_subst``, one table per stack of
+    a redex body; ``rebuilt`` for the link check (``open_along``),
     one table per bound index; and ``approx`` for the graft check
     (``taylor._approx``, by element, argument and stack). The walks pass
     abstractions through: only the graft checks keep an entry at one.
@@ -371,11 +376,10 @@ class LiftSession:
     any: the term before it and why.
     """
 
-    __slots__ = ("prefix", "tables", "lifts", "shared", "unsubst", "rebuilt", "approx", "checked_links", "checked_grafts", "failed")
+    __slots__ = ("prefix", "lifts", "shared", "unsubst", "rebuilt", "approx", "checked_links", "checked_grafts", "failed")
 
     def __init__(self, prefix: BohmPrefix) -> None:
         self.prefix = prefix
-        self.tables: dict = {}
         self.lifts: dict = {}
         self.shared = 0
         self.unsubst: dict = {}
@@ -384,32 +388,6 @@ class LiftSession:
         self.checked_links = 0
         self.checked_grafts = 0
         self.failed: Optional[tuple[Term, str]] = None
-
-    def head_run(self, m: Term, stack: tuple[str, ...]):
-        """The step table of the prefix's run of ``m`` under ``stack``,
-        built once; None without a head normal form. It is ``(steps, hnf)``:
-        each step, last first, is ``(before, binders, frames, body, inner,
-        arg, outer)`` for the head redex ``(\\z. body) arg`` of ``before``,
-        with the stacks of ``body`` (``inner``) and ``arg`` (``outer``), and
-        ``hnf`` is ``(binders, spine, head, outer)``, ``head`` a resource leaf.
-        """
-        key = (m, stack)
-        if key in self.tables:
-            return self.tables[key]
-        run = self.prefix.run(m, stack)
-        table = None
-        if run.verdict.is_solvable:
-            steps = []
-            for before in reversed(run.trace):
-                hf = head_form(before)
-                outer = tuple(reversed(hf.binders)) + stack
-                lam = hf.head
-                steps.append((before, len(hf.binders), len(hf.spine) - 1, lam.body, (lam.hint,) + outer, hf.spine[0], outer))
-            hf = head_form(run.term)
-            head = rvar(hf.head.index) if isinstance(hf.head, Var) else rfvar(hf.head.name)
-            table = tuple(steps), (len(hf.binders), hf.spine, head, tuple(reversed(hf.binders)) + stack)
-        self.tables[key] = table
-        return table
 
     def lift(self, u: ResourceTerm, m: Term, stack: tuple[str, ...]) -> Optional[ResourceTerm]:
         """The sub-lift of ``u`` against ``m`` under ``stack``, built once."""
@@ -424,15 +402,17 @@ class LiftSession:
         return got
 
     def _build(self, u: ResourceTerm, m: Term, stack: tuple[str, ...]) -> Optional[ResourceTerm]:
-        run = self.head_run(m, stack)
-        if run is None:
+        run = self.prefix.run(m, stack)
+        hf = run.hnf
+        if hf is None:
             return None
-        steps, (binders, spine, head, outer) = run
-        peeled = peel(u, binders, len(spine))
+        head = _head_leaf(hf)
+        peeled = peel(u, len(hf.binders), len(hf.spine))
         if peeled is None or peeled[0] is not head:
             return None
+        outer = hf.spine_stack(stack)
         lifted_monos = []
-        for q, mono in zip(spine, peeled[1]):
+        for q, mono in zip(hf.spine, peeled[1]):
             elems = []
             for e in mono:
                 lifted = self.lift(e, q, outer)
@@ -440,25 +420,27 @@ class LiftSession:
                     return None
                 elems.append(lifted)
             lifted_monos.append(monomial(elems))
-        chain = (head, binders, tuple(lifted_monos))
-        for step in steps:
-            chain = self._invert(chain, step)
+        chain = (head, len(hf.binders), tuple(lifted_monos))
+        for before in reversed(run.trace):
+            chain = self._invert(chain, before, stack)
             if chain is None:
                 return None
         return rewrap(*chain)
 
-    def _invert(self, after: tuple, step: tuple) -> Optional[tuple]:
-        """The approximant of the term before ``step`` that head-reduces
-        onto ``after``, once its grafts and its link hold; else None, with
-        the failure recorded. Both are chains ``(x, b, rest)``: the node
-        an inversion built (``<\\w>[es]``, or the head leaf) in ``b``
-        binders and the frames ``rest``, which only ``_build`` wraps."""
-        got = _lift_one_step(after, step, self.prefix.system, self.unsubst)
+    def _invert(self, after: tuple, before: HeadForm, stack: tuple[str, ...]) -> Optional[tuple]:
+        """The approximant of ``before``, a trace form of a run under
+        ``stack``, that head-reduces onto ``after``, once its grafts and its
+        link hold; else None, with the failure recorded. Both are chains
+        ``(x, b, rest)``: the node an inversion built (``<\\w>[es]``, or the
+        head leaf) in ``b`` binders and the frames ``rest``, which only
+        ``_build`` wraps."""
+        outer = before.spine_stack(stack)
+        got = _lift_one_step(after, before, outer, self.prefix.system, self.unsubst)
         if got is None:
             why = "could not be inverted"
         else:
             u, rest, w, es = got
-            _, binders, _, _, _, arg, outer = step
+            arg = before.spine[0]
             approx = self.approx
             for e in es:
                 held = approx.get((e, arg, outer))
@@ -471,10 +453,10 @@ class LiftSession:
             else:
                 self.checked_links += 1
                 if _link_holds(w, es, u, self.rebuilt):
-                    return rapp(rlam(w), monomial(es)), binders, rest
+                    return rapp(rlam(w), monomial(es)), len(before.binders), rest
                 why = "failed its link check"
         if self.failed is None:
-            self.failed = (step[0], why)
+            self.failed = (before.rebuild(), why)
         return None
 
 
@@ -540,7 +522,8 @@ def check_commutation(target: TermLike, size_bound: int, fuel: int) -> CheckRepo
             if verdict is None:
                 forward_unknown.append(t)
 
-    targets = enumerate_taylor(prefix.tree(size_bound + 1), size_bound)
+    tree = prefix.tree(size_bound + 1)
+    targets = enumerate_taylor(tree, size_bound)
     constructed = 0
     session = LiftSession(prefix)
     unlifted: Optional[str] = None
@@ -571,6 +554,13 @@ def check_commutation(target: TermLike, size_bound: int, fuel: int) -> CheckRepo
         )
     if unlifted is not None:
         return CheckReport("commutation", inputs, "inconclusive", reason=unlifted, stats=stats)
+    # a cut hides the targets through it, and the least approximant reaching it is named; the
+    # truncation's own cuts lie at applicative depth size_bound + 1, beyond every target
+    if any(isinstance(u, Hole) and k <= size_bound for u, _, _, k, _ in subterms(tree)):
+        hidden = next((t for t in enumerate_taylor_context(tree, size_bound) if deg_hole(t)), None)
+        if hidden is not None:
+            reason = f"a cut may hide targets within the size bound: {pretty_resource(hidden)}, where * marks the cut"
+            return CheckReport("commutation", inputs, "inconclusive", reason=reason, stats=stats)
     return CheckReport("commutation", inputs, "pass", stats=stats)
 
 
@@ -645,19 +635,19 @@ def _positive_skeleton(prefix: BohmPrefix, d: int) -> Union[ResourceTerm, str]:
         run = prefix.run(m, stack)
         if run.verdict.certified_unsolvable:
             return "bottom"
-        if not run.verdict.is_solvable:
+        hf = run.hnf
+        if hf is None:
             nodes.append(None)  # a bottom may still come
             continue
-        hf = head_form(run.term)
         nodes.append((hf, k))
         if k < d:
-            inner = tuple(reversed(hf.binders)) + stack
+            inner = hf.spine_stack(stack)
             todo += [(q, inner, k + 1) for q in reversed(hf.spine)]
     if None in nodes:
         return "cut"
     built: list[ResourceTerm] = []  # the last node's approximant on top
     for hf, k in reversed(nodes):
-        node = rvar(hf.head.index) if isinstance(hf.head, Var) else rfvar(hf.head.name)
+        node = _head_leaf(hf)
         for _ in hf.spine:
             node = rapp(node, monomial((built.pop(),) if k < d else ()))
         for _ in hf.binders:

@@ -51,7 +51,7 @@ from .syntax import (
     resolve_ref,
     split_target,
 )
-from .beta import BohmPrefix, head_form
+from .beta import BohmPrefix, HeadForm
 from .resource_reduction import peel
 
 
@@ -189,6 +189,11 @@ def enumerate_taylor_context(c: Term, size_bound: int, depth_bound: Optional[int
     return FiniteSum(enum.terms(c, size_bound, depth_bound, ()))
 
 
+def _head_leaf(hf: HeadForm) -> ResourceTerm:
+    """The resource leaf of a head normal form's head variable."""
+    return rvar(hf.head.index) if isinstance(hf.head, Var) else rfvar(hf.head.name)
+
+
 def member_of_bohm(t: ResourceTerm, prefix: BohmPrefix) -> Optional[bool]:
     """Three-valued: does ``t`` approximate the prefix's Boehm tree?
 
@@ -205,14 +210,13 @@ def member_of_bohm(t: ResourceTerm, prefix: BohmPrefix) -> Optional[bool]:
         run = prefix.run(m, stack)
         if run.verdict.certified_unsolvable:
             return False
-        if not run.verdict.is_solvable:
+        hf = run.hnf
+        if hf is None:
             unknown = True
             continue
-        hf = head_form(run.term)
         peeled = peel(u, len(hf.binders), len(hf.spine))
-        head = rvar(hf.head.index) if isinstance(hf.head, Var) else rfvar(hf.head.name)
-        if peeled is None or peeled[0] is not head:
+        if peeled is None or peeled[0] is not _head_leaf(hf):
             return False
-        inner = tuple(reversed(hf.binders)) + stack
+        inner = hf.spine_stack(stack)
         todo += [(e, q, inner) for q, mono in zip(hf.spine, peeled[1]) for e in mono]
     return None if unknown else True

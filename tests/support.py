@@ -12,7 +12,16 @@ arguments."""
 
 from typing import Optional, Sequence
 
-from taylorlab.beta import BohmPrefix, Position, StratifyResult, head_normalize, replace_at, solvable, subterm_at
+from taylorlab.beta import (
+    BohmPrefix,
+    Position,
+    StratifyResult,
+    head_normalize,
+    head_redex_position,
+    replace_at,
+    solvable,
+    subterm_at,
+)
 from taylorlab.lab import LiftSession
 from taylorlab.resource import RLam, ResourceTerm, open_along
 from taylorlab.resource_reduction import head_split, rewrap
@@ -149,7 +158,7 @@ def stratify_per_position(m: Term, depth: int, fuel: int) -> StratifyResult:
             sub = subterm_at(cur, pos)
             run = head_normalize(sub, fuel)
             if run.verdict.is_solvable:
-                steps_d.extend(pos + rel for rel in run.step_positions)
+                steps_d.extend(pos + head_redex_position(hf) for hf in run.trace)
                 cur = replace_at(cur, pos, run.term)
             elif run.verdict.certified_unsolvable:
                 continue

@@ -1,6 +1,7 @@
 """Every public module-level function of ``taylorlab`` has a caller in the
-package, every public method or property a reader, and the package root
-binds no public name: each name is imported from its own module.
+package, every public method, property, ``NamedTuple`` field and
+``__slots__`` entry a reader, and the package root binds no public name:
+each name is imported from its own module.
 
 A public function or member that only tests call belongs in ``tests/``. The
 check reads the modules with ``ast``, so a name in a docstring or a comment
@@ -67,9 +68,24 @@ def _attributes_read(node):
     return out
 
 
+def _member_names(node):
+    """The names a class body defines as methods and properties, as fields
+    of a ``NamedTuple`` and as ``__slots__`` entries."""
+    named_tuple = any(isinstance(base, ast.Name) and base.id == "NamedTuple" for base in node.bases)
+    for member in node.body:
+        if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield member.name
+        elif named_tuple and isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name):
+            yield member.target.id
+        elif isinstance(member, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__slots__" for target in member.targets
+        ):
+            yield from ast.literal_eval(member.value)
+
+
 def _public_members():
-    """``Class.member`` for each public method and property that does not
-    override a member of a base class outside the package."""
+    """``Class.member`` for each public method, property, field and slot
+    that does not override a member of a base class outside the package."""
     out = set()
     for path in PACKAGE.glob("*.py"):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -77,13 +93,9 @@ def _public_members():
                 continue
             cls = getattr(importlib.import_module(f"taylorlab.{path.stem}"), node.name)
             outside = [base for base in cls.__mro__[1:] if not base.__module__.startswith("taylorlab.")]
-            for member in node.body:
-                if (
-                    isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and not member.name.startswith("_")
-                    and not any(hasattr(base, member.name) for base in outside)
-                ):
-                    out.add(f"{node.name}.{member.name}")
+            for name in _member_names(node):
+                if not name.startswith("_") and not any(hasattr(base, name) for base in outside):
+                    out.add(f"{node.name}.{name}")
     return out
 
 
@@ -125,6 +137,12 @@ def test_the_check_ignores_docstrings_and_self_calls():
     assert _names_read(tree.body[0], "f") == {"n"}
     tree = ast.parse("class C:\n    def walk(self, n):\n        self.size = n\n        return self.walk(n.prev)\n")
     assert _attributes_read(tree) == {"prev"}
+
+
+def test_the_member_check_sees_fields_and_slots():
+    source = "class R(NamedTuple):\n    kind: str\n    _hidden: int = 0\n    def f(self):\n        pass\n"
+    source += "class S:\n    __slots__ = ('a', '_b')\n    x: int = 0\n"
+    assert [list(_member_names(node)) for node in ast.parse(source).body] == [["kind", "_hidden", "f"], ["a", "_b"]]
 
 
 def test_the_root_check_sees_imports_and_assignments():

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from taylorlab.beta import (
+    BohmPrefix,
     DepthTooShallowError,
     InvalidPositionError,
     NotARedexError,
@@ -21,6 +22,7 @@ from taylorlab.beta import (
     min_depth_step,
     position_from_str,
     position_to_str,
+    _resolve_at_head,
     solvable,
     stratify,
     subterm_at,
@@ -41,7 +43,7 @@ from taylorlab.syntax import (
     unfold,
 )
 
-from corpus import CORPUS, I, OMEGA, OMEGA3, Y, Y_SYS
+from corpus import CORPUS, I, OMEGA, OMEGA3, TERMS, Y, Y_SYS
 from support import depth_positions, loop_certified_oracle, stratify_per_position
 
 
@@ -117,7 +119,34 @@ def test_head_normalize_two_steps():
     run = head_normalize(parse_term("((\\x. \\y. x) a) b"), 10)
     assert run.term == FreeVar("a")
     assert run.verdict == Verdict.solvable(2)
-    assert len(run.trace) == 2 and len(run.step_positions) == 2
+    assert len(run.trace) == 2 and run.hnf == head_form(run.term)
+
+
+@pytest.mark.parametrize("fuel", [1000, 3])
+def test_every_run_records_the_head_forms_of_its_states(fuel):
+    """Each run of a prefix keeps the head form of each state before a step,
+    one per step of its verdict (``bench/spans.py`` counts them). Each
+    rebuilds to a term whose head step, followed on a system by resolution
+    at the head, reaches the next form, or the run's term after the last
+    one. A solvable run also keeps the head form of its term."""
+    rng = random.Random(31)
+    targets = [parse_term(src) for src in TERMS] + [random_lambda_term(rng, 10) for _ in range(60)]
+    steps = 0
+    for target in targets:
+        prefix = BohmPrefix(target, fuel)
+        prefix.tree(4)
+        for (_, stack), run in prefix.runs.items():
+            assert len(run.trace) == run.verdict.steps
+            assert all(hf.has_head_redex for hf in run.trace)
+            states = [hf.rebuild() for hf in run.trace] + [run.term]
+            for before, after in zip(states, states[1:]):
+                reduct = head_step(before)
+                if prefix.system is not None:
+                    reduct = _resolve_at_head(reduct, prefix.system, stack)
+                assert reduct is after
+            assert run.hnf == (head_form(run.term) if run.verdict.is_solvable else None)
+            steps += len(run.trace)
+    assert steps > len(targets)
 
 
 def test_head_normalize_loop():

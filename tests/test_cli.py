@@ -270,6 +270,16 @@ def test_check_exit_codes(capsys):
     assert code == 2 and "inconclusive" in out and "size bound ran out" in out
 
 
+@pytest.mark.parametrize(
+    "terms",
+    [["\\x. *", "let rec F = f F in F"], ["\\x. *", "(\\x. x x) (\\x. x x)", "let rec F = f F in F"]],
+    ids=["filling", "replacement"],
+)
+def test_genericity_refuses_a_system(capsys, terms):
+    code, _, err = run(capsys, "check", "genericity", *terms)
+    assert code == 3 and "genericity expects finite terms" in err
+
+
 def test_check_simulation_cli(capsys):
     code, out, _ = run(
         capsys, "check", "simulation", "(\\x.x) (\\x.x)", "--steps", "root", "--size", "6", "--json"

@@ -23,10 +23,10 @@ from taylorlab.resource import (
     r_size,
 )
 from taylorlab.resource_reduction import r_normalize
-from taylorlab.syntax import parse_term
+from taylorlab.syntax import App, FreeVar, parse_term
 from taylorlab.taylor import approximates, enumerate_taylor
 
-from corpus import I, II, K, KOMEGA, OMEGA, OMEGA3, XOMEGA, Y, Y_SYS
+from corpus import I, II, K, KOMEGA, OMEGA, OMEGA3, XOMEGA, Y, Y_SYS, YG
 from support import fresh_session
 
 rp = parse_resource_term
@@ -110,6 +110,20 @@ def test_check_commutation_omega():
     assert report.verdict == "pass"
     assert report.stats["normal_addends"] == 0
     assert report.stats["tree_targets"] == 0
+
+
+def test_a_cut_that_may_hide_a_target_is_inconclusive():
+    """A fuel cut above the truncation depth enumerates to nothing, so the
+    check must not pass on the targets it has: it names the least
+    approximant that reaches the cut within the size bound. A cut that only
+    larger approximants reach hides nothing."""
+    report = check_commutation(YG, 6, 1)
+    assert report.verdict == "inconclusive" and report.stats["tree_targets"] == 0
+    assert report.reason == "a cut may hide targets within the size bound: *, where * marks the cut"
+    report = check_commutation(parse_term(r"\f. f (f ((\x. x x x) (\x. x x x)))"), 10, 3)
+    assert report.verdict == "inconclusive"
+    assert report.reason.endswith(": \\a. <a>[<a>1, <a>1, <a>[*]], where * marks the cut")
+    assert check_commutation(App(FreeVar("x"), OMEGA3), 2, 1000).verdict == "pass"
 
 
 def test_check_commutation_y():

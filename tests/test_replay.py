@@ -256,18 +256,18 @@ def _shared_run(src, size):
 def _inverts_steps(session):
     """Whether some head step was there to invert (a term already in head
     normal form lifts without one)."""
-    return any(run is not None and run[0] for run in session.tables.values())
+    return any(run.hnf is not None and run.trace for run in session.prefix.runs.values())
 
 
 def _inverted_steps(session):
-    """What un-substitution gave for the head binder bodies of the session's
-    step tables: ``(w, es)`` per inverted step. A body's leading
+    """What un-substitution gave for the head binder bodies of the traces
+    of the session's runs: ``(w, es)`` per inverted step. A body's leading
     abstractions have no entry of their own, so its entry sits below them,
     at a bound index one higher per binder, and ``w`` gets them back."""
     bodies = {}
-    for run in session.tables.values():
-        for step in run[0] if run else ():
-            p, binders = step[3], 0
+    for run in session.prefix.runs.values():
+        for before in run.trace if run.hnf is not None else ():
+            p, binders = before.head.body, 0
             while isinstance(p, Lam):
                 p, binders = p.body, binders + 1
             bodies[p] = binders
@@ -399,10 +399,10 @@ def test_branch_only_memos_agree_with_unmemoized_walks(src, size, monkeypatch):
     grafts = set()
     original = lab._lift_one_step
 
-    def recording(chain, step, system, memo):
-        got = original(chain, step, system, memo)
+    def recording(chain, before, outer, system, memo):
+        got = original(chain, before, outer, system, memo)
         if got is not None:
-            grafts.update((e, step[5], step[6]) for e in got[3])
+            grafts.update((e, before.spine[0], outer) for e in got[3])
         return got
 
     monkeypatch.setattr(lab, "_lift_one_step", recording)
@@ -544,8 +544,8 @@ def test_corrupted_certificate_ends_the_lift(monkeypatch):
     original = lab._lift_one_step
     wrong = []
 
-    def reversing(chain, step, system, memo):
-        u, rest, w, grafted = original(chain, step, system, memo)
+    def reversing(*args):
+        u, rest, w, grafted = original(*args)
         bad = grafted[::-1]
         if not lab._link_holds(w, bad, u):
             wrong.append(bad)
@@ -564,8 +564,8 @@ def test_corrupted_graft_ends_the_lift(monkeypatch):
     original = lab._lift_one_step
     stranger = rfvar("zz")
 
-    def grafting_a_stranger(chain, step, system, memo):
-        got = original(chain, step, system, memo)
+    def grafting_a_stranger(*args):
+        got = original(*args)
         if got is None or not got[3]:
             return got
         u, rest, w, grafted = got
@@ -591,10 +591,10 @@ def test_every_link_and_lift_passes_the_whole_term_oracles(src, size, monkeypatc
     links = []
     original = LiftSession._invert
 
-    def recording(self, after, step):
-        before = original(self, after, step)
+    def recording(self, after, hf, stack):
+        before = original(self, after, hf, stack)
         if before is not None:
-            elems = lab._lift_one_step(after, step, self.prefix.system, self.unsubst)[3]
+            elems = lab._lift_one_step(after, hf, hf.spine_stack(stack), self.prefix.system, self.unsubst)[3]
             links.append((rewrap(*before), rewrap(*after), elems))
         return before
 

@@ -53,7 +53,7 @@ from typing import Optional
 
 from taylorlab.beta import HeadForm, head_form, head_normalize
 from taylorlab.lab import ApproximantMismatchError, LiftSession, _anti_subst, _link_holds
-from taylorlab.taylor import _approx
+from taylorlab.taylor import _approx, _head_leaf
 from taylorlab.resource import (
     FiniteSum,
     Monomial,
@@ -413,15 +413,18 @@ class OldLiftSession(LiftSession):
     __slots__ = ()
 
     def _build(self, u: ResourceTerm, m: Term, stack: tuple[str, ...]) -> Optional[ResourceTerm]:
-        run = self.head_run(m, stack)
-        if run is None:
+        run = self.prefix.run(m, stack)
+        hf = run.hnf
+        if hf is None:
             return None
-        steps, (binders, spine, head, outer) = run
-        peeled = peel(u, binders, len(spine))
+        head = _head_leaf(hf)
+        binders = len(hf.binders)
+        peeled = peel(u, binders, len(hf.spine))
         if peeled is None or peeled[0] is not head:
             return None
+        outer = hf.spine_stack(stack)
         lifted_monos = []
-        for q, mono in zip(spine, peeled[1]):
+        for q, mono in zip(hf.spine, peeled[1]):
             elems = []
             for e in mono:
                 lifted = self.lift(e, q, outer)
@@ -430,19 +433,20 @@ class OldLiftSession(LiftSession):
                 elems.append(lifted)
             lifted_monos.append(monomial(elems))
         node = rewrap(head, binders, lifted_monos)
-        for step in steps:
-            node = self._invert(node, step)
+        for before in reversed(run.trace):
+            node = self._invert(node, before, stack)
             if node is None:
                 return None
         return node
 
-    def _invert(self, after: ResourceTerm, step: tuple) -> Optional[ResourceTerm]:
-        got = _old_lift_one_step(after, step, self.prefix.system, self.unsubst)
+    def _invert(self, after: ResourceTerm, before: HeadForm, stack: tuple[str, ...]) -> Optional[ResourceTerm]:
+        outer = before.spine_stack(stack)
+        got = _old_lift_one_step(after, before, outer, self.prefix.system, self.unsubst)
         if got is None:
             why = "could not be inverted"
         else:
             u, rest, w, es = got
-            _, binders, _, _, _, arg, outer = step
+            arg = before.spine[0]
             approx = self.approx
             for e in es:
                 held = approx.get((e, arg, outer))
@@ -455,23 +459,26 @@ class OldLiftSession(LiftSession):
             else:
                 self.checked_links += 1
                 if _link_holds(w, es, u, self.rebuilt):
-                    return rewrap(rapp(rlam(w), monomial(es)), binders, rest)
+                    return rewrap(rapp(rlam(w), monomial(es)), len(before.binders), rest)
                 why = "failed its link check"
         if self.failed is None:
-            self.failed = (step[0], why)
+            self.failed = (before.rebuild(), why)
         return None
 
 
-def _old_lift_one_step(t: ResourceTerm, step: tuple, system: Optional[RationalSystem], memo: dict) -> Optional[tuple]:
-    _, binders, frames, body, inner, _, _ = step
-    peeled = peel(t, binders, frames)
+def _old_lift_one_step(
+    t: ResourceTerm, before: HeadForm, outer: tuple[str, ...], system: Optional[RationalSystem], memo: dict
+) -> Optional[tuple]:
+    peeled = peel(t, len(before.binders), len(before.spine) - 1)
     if peeled is None:
         return None
     u, rest = peeled
+    lam = before.head
+    inner = (lam.hint,) + outer
     table = memo.get(inner)
     if table is None:
         table = memo[inner] = {}
-    got = _anti_subst(u, body, 0, inner, system, table)
+    got = _anti_subst(u, lam.body, 0, inner, system, table)
     return None if got is None else (u, rest, got[0], got[1])
 
 
