@@ -10,7 +10,7 @@ self-application loop) or a bottom constant in head position. Plain fuel
 exhaustion stays inconclusive, and truncated trees mark it with the cut
 marker rather than bottom.
 
-The records (``HeadForm``, ``Verdict``, ``HeadRun``, ``StratifyResult``) are
+The records (``HeadForm``, ``HeadRun``, ``StratifyResult``) are
 ``NamedTuple``s, read by attribute and never unpacked: ``dataclasses`` would
 load ``inspect``, ``ast``, ``dis`` and ``tokenize`` into every CLI process.
 """
@@ -163,7 +163,7 @@ def min_depth_step(m: Term, d: int, at: Position) -> Term:
     return beta_step(m, at)
 
 
-def bot_step(m: Term, at: Position, oracle: Callable[[Term], "Verdict"]) -> Term:
+def bot_step(m: Term, at: Position, oracle: Callable[[Term], "HeadRun"]) -> Term:
     """Collapse the subterm at ``at`` to bottom.
 
     Fires on ``\\x. _|_`` and ``(_|_) n`` outright; any other subterm needs
@@ -175,10 +175,10 @@ def bot_step(m: Term, at: Position, oracle: Callable[[Term], "Verdict"]) -> Term
         return replace_at(m, at, BOTTOM)
     if isinstance(target, App) and isinstance(target.fn, Bottom):
         return replace_at(m, at, BOTTOM)
-    verdict = oracle(target)
-    if verdict.certified_unsolvable:
+    run = oracle(target)
+    if run.certified_unsolvable:
         return replace_at(m, at, BOTTOM)
-    if verdict.is_solvable:
+    if run.is_solvable:
         raise NotARedexError(f"subterm is solvable, not a bottom redex: {target}")
     raise OracleUndecidedError(f"oracle could not certify unsolvability of: {target}")
 
@@ -263,56 +263,38 @@ def head_step(m: Term) -> Term:
 
 
 # ---------------------------------------------------------------------------
-# Verdicts and the head normalizer
-
-
-class Verdict(NamedTuple):
-    """Outcome of a head-reduction run.
-
-    ``solvable(k)`` promises that ``k`` head steps reach a head normal
-    form. ``unknown`` carries the fuel spent plus the reason; reasons
-    "loop" (exact state repetition) and "bottom" (bottom in head position)
-    are certificates of unsolvability, "fuel", "hole" and "capture" (see
-    ``_captures``) are not.
-    """
-
-    kind: str  # "solvable" | "unknown"
-    steps: int
-    reason: str = ""
-
-    @property
-    def is_solvable(self) -> bool:
-        return self.kind == "solvable"
-
-    @property
-    def certified_unsolvable(self) -> bool:
-        return self.kind == "unknown" and self.reason in ("loop", "bottom")
-
-    @staticmethod
-    def solvable(steps: int) -> "Verdict":
-        return Verdict("solvable", steps)
-
-    @staticmethod
-    def unknown(steps: int, reason: str) -> "Verdict":
-        return Verdict("unknown", steps, reason)
-
-    def describe(self) -> str:
-        if self.is_solvable:
-            return f"solvable({self.steps})"
-        return f"unknown({self.reason}, {self.steps} steps)"
+# The head normalizer
 
 
 class HeadRun(NamedTuple):
-    """Result of ``head_normalize``: the final term, the verdict, the head
-    form of each state before a step (resolved, so each one exhibits its
-    head redex; ``head_redex_position`` gives the redex's position), one per
-    step, and ``hnf``, the head form of the final term when it is head
-    normal."""
+    """Result of ``head_normalize``: the final term; ``reason``, empty when
+    the run is solvable, else why it stopped; the head form of each state
+    before a step (resolved, so each one exhibits its head redex;
+    ``head_redex_position`` gives the redex's position), one per step; and
+    ``hnf``, the head form of the final term when it is head normal.
+
+    The reasons "loop" (exact state repetition) and "bottom" (bottom in
+    head position) certify unsolvability; "fuel", "hole" and "capture"
+    (see ``_captures``) do not.
+    """
 
     term: Term
-    verdict: Verdict
-    trace: tuple[HeadForm, ...] = ()
+    reason: str
+    trace: tuple[HeadForm, ...]
     hnf: Optional[HeadForm] = None
+
+    @property
+    def is_solvable(self) -> bool:
+        return self.hnf is not None
+
+    @property
+    def certified_unsolvable(self) -> bool:
+        return self.reason in ("loop", "bottom")
+
+    def describe(self) -> str:
+        if self.is_solvable:
+            return f"solvable({len(self.trace)})"
+        return f"unknown({self.reason}, {len(self.trace)} steps)"
 
 
 def _captures(hf: HeadForm, names: frozenset[str]) -> bool:
@@ -355,30 +337,26 @@ def head_normalize(
     while True:
         hf = head_form(cur)
         if hf.is_head_normal:
-            return HeadRun(cur, Verdict.solvable(len(trace)), tuple(trace), hf)
+            return HeadRun(cur, "", tuple(trace), hf)
         if isinstance(hf.head, Bottom):
-            return HeadRun(cur, Verdict.unknown(len(trace), "bottom"), tuple(trace))
+            return HeadRun(cur, "bottom", tuple(trace))
         if isinstance(hf.head, Hole):
-            return HeadRun(cur, Verdict.unknown(len(trace), "hole"), tuple(trace))
+            return HeadRun(cur, "hole", tuple(trace))
         if isinstance(hf.head, RecRef):
             cur = _resolve_at_head(cur, system, stack)
             continue
         if len(trace) >= fuel:
-            return HeadRun(cur, Verdict.unknown(len(trace), "fuel"), tuple(trace))
+            return HeadRun(cur, "fuel", tuple(trace))
         if names and _captures(hf, names):
-            return HeadRun(cur, Verdict.unknown(len(trace), "capture"), tuple(trace))
+            return HeadRun(cur, "capture", tuple(trace))
         trace.append(hf)
         nxt = _fire_head(hf)
         if system is not None:
             nxt = _resolve_at_head(nxt, system, stack)
         if nxt in seen:
-            return HeadRun(nxt, Verdict.unknown(len(trace), "loop"), tuple(trace))
+            return HeadRun(nxt, "loop", tuple(trace))
         seen.add(nxt)
         cur = nxt
-
-
-def solvable(m: Term, fuel: int) -> Verdict:
-    return head_normalize(m, fuel).verdict
 
 
 # ---------------------------------------------------------------------------
@@ -421,9 +399,9 @@ class BohmPrefix:
             if head_form(u).is_head_normal:
                 return None  # handed back below, or one already: no run needed
             run = self.run(u, unlink(hints))
-            if run.verdict.certified_unsolvable:
+            if run.certified_unsolvable:
                 return BOTTOM
-            return (run.term,) if run.verdict.is_solvable else HOLE
+            return (run.term,) if run.is_solvable else HOLE
 
         return rebuild(self.term, node)
 
@@ -470,7 +448,7 @@ def stratify(m: Term, depth: int, fuel: int) -> StratifyResult:
     cur = m
     for d in range(depth):
         steps_d: list[Position] = []
-        stuck: list[Verdict] = []
+        stuck: list[HeadRun] = []
 
         def normalize(u: Term, _d: int, _h: Linked, argdepth: int, path: Linked) -> Optional[Term]:
             if argdepth < d:
@@ -479,11 +457,11 @@ def stratify(m: Term, depth: int, fuel: int) -> StratifyResult:
             if stuck:
                 return u
             run = head_normalize(u, fuel)
-            if run.verdict.is_solvable:
+            if run.is_solvable:
                 steps_d.extend(_position(path) + head_redex_position(hf) for hf in run.trace)
                 return run.term
-            if not run.verdict.certified_unsolvable:
-                stuck.append(run.verdict)
+            if not run.certified_unsolvable:
+                stuck.append(run)
             return u
 
         cur = rebuild(cur, normalize)

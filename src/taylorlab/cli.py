@@ -149,8 +149,8 @@ def _cmd_head(args) -> int:
     payload = {
         "input": pretty_target(target),
         "result": pretty(run.term),
-        "verdict": run.verdict.describe(),
-        "steps": run.verdict.steps,
+        "verdict": run.describe(),
+        "steps": len(run.trace),
     }
     _emit(payload, args.json, [f"{payload['verdict']}: {payload['result']}"])
     return 0

@@ -73,9 +73,9 @@ from .beta import (
     Position,
     beta_step,
     bohm_tree,
+    head_normalize,
     head_step,
     position_to_str,
-    solvable,
 )
 from .resource import (
     FiniteSum,
@@ -580,8 +580,8 @@ def check_head_charac(target: TermLike, size_bound: int, fuel: int) -> CheckRepo
         if r_normalize(s):
             witness = s
             break
-    stats = {"approximants": len(sl), "head": run.verdict.describe()}
-    if run.verdict.is_solvable:
+    stats = {"approximants": len(sl), "head": run.describe()}
+    if run.is_solvable:
         if witness is not None:
             return CheckReport(
                 "head-characterization",
@@ -598,7 +598,7 @@ def check_head_charac(target: TermLike, size_bound: int, fuel: int) -> CheckRepo
             return CheckReport("head-characterization", inputs, "pass", witness=pretty_resource(s0), stats=stats)
         reason = f"solvable, but no witness in the slice and {_unlifted(skeleton, session)}"
         return CheckReport("head-characterization", inputs, "inconclusive", reason=reason, stats=stats)
-    if run.verdict.certified_unsolvable:
+    if run.certified_unsolvable:
         if witness is not None:
             return CheckReport(
                 "head-characterization",
@@ -613,7 +613,7 @@ def check_head_charac(target: TermLike, size_bound: int, fuel: int) -> CheckRepo
         "head-characterization",
         inputs,
         "inconclusive",
-        reason=f"head reduction gave no verdict: {run.verdict.describe()}",
+        reason=f"head reduction gave no verdict: {run.describe()}",
         stats=stats,
     )
 
@@ -633,7 +633,7 @@ def _positive_skeleton(prefix: BohmPrefix, d: int) -> Union[ResourceTerm, str]:
     while todo:
         m, stack, k = todo.pop()
         run = prefix.run(m, stack)
-        if run.verdict.certified_unsolvable:
+        if run.certified_unsolvable:
             return "bottom"
         hf = run.hnf
         if hf is None:
@@ -768,7 +768,7 @@ def check_genericity(
         "fuel": fuel,
         "depth": depth,
     }
-    cert = solvable(m_unsolvable, fuel)
+    cert = head_normalize(m_unsolvable, fuel)
     if not cert.certified_unsolvable:
         return CheckReport(
             "genericity",

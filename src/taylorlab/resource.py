@@ -626,14 +626,17 @@ def _open_run(u: ResourceTerm, c: int, elems: tuple[ResourceTerm, ...], memo: di
 
 def is_d_positive(t: ResourceTerm, d: int) -> bool:
     """No empty monomial occurs at monomial depth below ``d``."""
-    if d <= 0:
-        return True
-    if isinstance(t, RLam):
-        return is_d_positive(t.body, d)
-    if isinstance(t, RApp):
-        if len(t.mono) == 0:
-            return False
-        return is_d_positive(t.fn, d) and all(is_d_positive(e, d - 1) for e in t.mono)
+    todo = [(t, d)]
+    while todo:
+        u, k = todo.pop()
+        if k <= 0:
+            continue
+        if isinstance(u, RLam):
+            todo.append((u.body, k))
+        elif isinstance(u, RApp):
+            if not u.mono.elems:
+                return False
+            todo += [(u.fn, k), *((e, k - 1) for e in u.mono.elems)]
     return True
 
 

@@ -208,7 +208,7 @@ def member_of_bohm(t: ResourceTerm, prefix: BohmPrefix) -> Optional[bool]:
     while todo:
         u, m, stack = todo.pop()
         run = prefix.run(m, stack)
-        if run.verdict.certified_unsolvable:
+        if run.certified_unsolvable:
             return False
         hf = run.hnf
         if hf is None:

@@ -19,7 +19,8 @@
     PYTHONPATH=src python3 tests/make_commute_golden.py
 
 The script prints the command line of each entry whose output differs from
-the file it replaces. Regenerate the files only for a change that alters a
+the file it replaces, and of each entry that the file held and the new list
+lacks. Regenerate the files only for a change that alters a
 report on purpose, and name the changed entries in CHANGES.md;
 ``tests/test_golden.py`` compares every report with the files."""
 
@@ -102,11 +103,15 @@ def replay(argvs: list[list[str]]) -> list[dict]:
     return [dict(zip(("argv", "exit_code", "stdout"), (args, *run(args)))) for args in argvs]
 
 
-def changed(path: Path, entries: list[dict]) -> list[str]:
-    """The command lines of ``entries`` that ``path`` does not hold as they are."""
+def differences(path: Path, entries: list[dict]) -> list[str]:
+    """``changed: <command line>`` for each entry of ``entries`` that ``path``
+    does not hold as it is, then ``removed: <command line>`` for each entry
+    of ``path`` whose command line no entry of ``entries`` has."""
     old = json.loads(path.read_text(encoding="utf-8")) if path.exists() else []
     kept = {json.dumps(entry, sort_keys=True) for entry in old}
-    return [" ".join(entry["argv"]) for entry in entries if json.dumps(entry, sort_keys=True) not in kept]
+    argvs = {tuple(entry["argv"]) for entry in entries}
+    out = [f"changed: {' '.join(e['argv'])}" for e in entries if json.dumps(e, sort_keys=True) not in kept]
+    return out + [f"removed: {' '.join(e['argv'])}" for e in old if tuple(e["argv"]) not in argvs]
 
 
 if __name__ == "__main__":
@@ -115,7 +120,7 @@ if __name__ == "__main__":
         (CHECKS_GOLDEN, replay(check_argvs())),
         (COMMANDS_GOLDEN, replay(command_argvs() + reduction_argvs())),
     ):
-        for line in changed(path, entries):
-            print(f"changed: {line}")
+        for line in differences(path, entries):
+            print(line)
         path.write_text(json.dumps(entries, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
         print(f"wrote {path}")

@@ -19,7 +19,6 @@ from taylorlab.beta import (
     head_normalize,
     head_redex_position,
     replace_at,
-    solvable,
     subterm_at,
 )
 from taylorlab.lab import LiftSession
@@ -118,7 +117,7 @@ def flat_memo(session: LiftSession, name: str) -> dict:
 
 def loop_certified_oracle(fuel):
     """Oracle for ``bot_step``: certifies exactly what head-cycle detection can."""
-    return lambda t: solvable(t, fuel)
+    return lambda t: head_normalize(t, fuel)
 
 
 def hr_step_along(
@@ -157,16 +156,16 @@ def stratify_per_position(m: Term, depth: int, fuel: int) -> StratifyResult:
         for pos in depth_positions(cur, d):
             sub = subterm_at(cur, pos)
             run = head_normalize(sub, fuel)
-            if run.verdict.is_solvable:
+            if run.is_solvable:
                 steps_d.extend(pos + head_redex_position(hf) for hf in run.trace)
                 cur = replace_at(cur, pos, run.term)
-            elif run.verdict.certified_unsolvable:
+            elif run.certified_unsolvable:
                 continue
             else:
                 return StratifyResult(
                     tuple(levels),
                     tuple(all_steps),
-                    diagnostic=f"fuel exhausted at depth {d} ({run.verdict.describe()})",
+                    diagnostic=f"fuel exhausted at depth {d} ({run.describe()})",
                 )
         levels.append(cur)
         all_steps.append(tuple(steps_d))

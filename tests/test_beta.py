@@ -9,7 +9,6 @@ from taylorlab.beta import (
     InvalidPositionError,
     NotARedexError,
     OracleUndecidedError,
-    Verdict,
     applicative_depth,
     beta_step,
     bohm_tree,
@@ -23,7 +22,6 @@ from taylorlab.beta import (
     position_from_str,
     position_to_str,
     _resolve_at_head,
-    solvable,
     stratify,
     subterm_at,
 )
@@ -118,17 +116,19 @@ def test_head_step_is_beta_step_at_the_head_redex():
 def test_head_normalize_two_steps():
     run = head_normalize(parse_term("((\\x. \\y. x) a) b"), 10)
     assert run.term == FreeVar("a")
-    assert run.verdict == Verdict.solvable(2)
+    assert run.is_solvable and run.reason == "" and run.describe() == "solvable(2)"
     assert len(run.trace) == 2 and run.hnf == head_form(run.term)
 
 
 @pytest.mark.parametrize("fuel", [1000, 3])
 def test_every_run_records_the_head_forms_of_its_states(fuel):
     """Each run of a prefix keeps the head form of each state before a step,
-    one per step of its verdict (``bench/spans.py`` counts them). Each
-    rebuilds to a term whose head step, followed on a system by resolution
-    at the head, reaches the next form, or the run's term after the last
-    one. A solvable run also keeps the head form of its term."""
+    one per step (``bench/spans.py`` counts them, and ``describe`` names
+    their number). Each rebuilds to a term whose head step, followed on a
+    system by resolution at the head, reaches the next form, or the run's
+    term after the last one. A run keeps the head form of its term exactly
+    when that term is head normal, and then its reason is empty; otherwise
+    the reason says why it stopped, and only a loop or bottom certifies."""
     rng = random.Random(31)
     targets = [parse_term(src) for src in TERMS] + [random_lambda_term(rng, 10) for _ in range(60)]
     steps = 0
@@ -136,7 +136,13 @@ def test_every_run_records_the_head_forms_of_its_states(fuel):
         prefix = BohmPrefix(target, fuel)
         prefix.tree(4)
         for (_, stack), run in prefix.runs.items():
-            assert len(run.trace) == run.verdict.steps
+            n = len(run.trace)
+            if run.hnf is not None:
+                assert run.reason == "" and run.describe() == f"solvable({n})"
+            else:
+                assert run.reason in ("loop", "bottom", "fuel", "hole", "capture")
+                assert run.describe() == f"unknown({run.reason}, {n} steps)"
+            assert run.certified_unsolvable == (run.reason in ("loop", "bottom"))
             assert all(hf.has_head_redex for hf in run.trace)
             states = [hf.rebuild() for hf in run.trace] + [run.term]
             for before, after in zip(states, states[1:]):
@@ -144,26 +150,27 @@ def test_every_run_records_the_head_forms_of_its_states(fuel):
                 if prefix.system is not None:
                     reduct = _resolve_at_head(reduct, prefix.system, stack)
                 assert reduct is after
-            assert run.hnf == (head_form(run.term) if run.verdict.is_solvable else None)
+            final = head_form(run.term)
+            assert run.hnf == (final if final.is_head_normal else None)
             steps += len(run.trace)
     assert steps > len(targets)
 
 
 def test_head_normalize_loop():
     run = head_normalize(OMEGA, 100)
-    assert run.verdict.kind == "unknown" and run.verdict.reason == "loop"
-    assert run.verdict.certified_unsolvable
+    assert not run.is_solvable and run.reason == "loop"
+    assert run.certified_unsolvable
 
 
 def test_head_normalize_y():
     run = head_normalize(Y, 10)
-    assert run.verdict == Verdict.solvable(1)
+    assert run.is_solvable and run.reason == "" and len(run.trace) == 1
     assert alpha_eq(run.term, parse_term("\\f. f ((\\x. f (x x)) (\\x. f (x x)))"))
 
 
 def test_head_normalize_bottom_head():
     run = head_normalize(parse_term("\\x. _|_ y"), 5)
-    assert run.verdict.certified_unsolvable and run.verdict.reason == "bottom"
+    assert run.certified_unsolvable and run.reason == "bottom"
 
 
 def test_min_depth_step():
@@ -189,9 +196,11 @@ def test_bot_step():
 
 
 def test_solvable_examples():
-    assert solvable(I, 10) == Verdict.solvable(0)
-    assert solvable(OMEGA, 100).reason == "loop"
-    assert solvable(parse_term("(\\x. \\y. y) ((\\x. x x) (\\x. x x))"), 10) == Verdict.solvable(1)
+    run = head_normalize(I, 10)
+    assert run.is_solvable and run.reason == "" and len(run.trace) == 0
+    assert head_normalize(OMEGA, 100).reason == "loop"
+    run = head_normalize(parse_term("(\\x. \\y. y) ((\\x. x x) (\\x. x x))"), 10)
+    assert run.is_solvable and run.reason == "" and len(run.trace) == 1
 
 
 def test_bohm_tree_y():
@@ -313,7 +322,7 @@ def _cut_level(level, depth, fuel):
             return HOLE
         if head_form(u).is_head_normal:
             return None
-        return BOTTOM if head_normalize(u, fuel).verdict.certified_unsolvable else u
+        return BOTTOM if head_normalize(u, fuel).certified_unsolvable else u
 
     return rebuild(level, node)
 
@@ -372,9 +381,9 @@ def test_solvable_k_reaches_head_normal_form():
     for _ in range(300):
         t = random_lambda_term(rng, 10)
         run = head_normalize(t, 100)
-        if run.verdict.is_solvable:
+        if run.is_solvable:
             cur = t
-            for _ in range(run.verdict.steps):
+            for _ in range(len(run.trace)):
                 cur = head_step(cur)
             assert head_form(cur).is_head_normal
             assert cur == run.term

@@ -79,7 +79,7 @@ def test_head_normalize_agrees_with_normal_order_prefix():
     while checked < 100:
         t = random_lambda_term(rng, 9)
         run = head_normalize(t, 200)
-        if not run.verdict.is_solvable:
+        if not run.is_solvable:
             continue
         checked += 1
         nf = _normal_order_nf(t)

@@ -1,7 +1,7 @@
 """Every λ-side map and fold on terms 10,000 deep: binder chains, argument
 lists and nested arguments, and ``beta_step`` and ``head_normalize`` on top of
 them, and ``alpha_eq``; parse→print round trips of both grammars as deep, the
-height of resource terms and linear substitution into them.
+height and positivity of resource terms and linear substitution into them.
 Python's recursion limit is about 1,000, so none of these may recurse on the
 term. Results are checked by walking them with loops or by identity, since
 nodes are hash-consed."""
@@ -21,6 +21,7 @@ from taylorlab.resource import (
     HOLE_R,
     ONE,
     deg_hole,
+    is_d_positive,
     monomial,
     parse_resource_term,
     pretty_resource,
@@ -169,17 +170,17 @@ def test_deep_beta():
     out = beta_step(m, ("body",) * N)
     assert peel(peel(out)) is Y
     run = head_normalize(m, 5)
-    assert run.verdict.is_solvable and run.verdict.steps == 1
+    assert run.is_solvable and len(run.trace) == 1
     assert peel(peel(run.term)) is Y
     # a head redex whose argument list is N long
     run = head_normalize(power_apply(Lam("z", Var(0)), X, N), 5)
     head, args = spine(run.term)
-    assert run.verdict.is_solvable and head is X and len(args) == N - 1
+    assert run.is_solvable and head is X and len(args) == N - 1
 
 
 def test_deep_loop_detection():
     omega = App(Lam("x", App(Var(0), Var(0))), Lam("x", App(Var(0), Var(0))))
-    assert head_normalize(binders(omega), 5).verdict.describe() == "unknown(loop, 1 steps)"
+    assert head_normalize(binders(omega), 5).describe() == "unknown(loop, 1 steps)"
 
 
 def test_deep_alpha_eq():
@@ -233,6 +234,19 @@ def test_deep_resource_height():
         t = rapp(x, monomial([t]))  # <x>[<x>[... x ...]]
     assert r_height(t) == N
     assert r_height(t.mono) == N
+
+
+def test_deep_positivity():
+    """``is_d_positive`` through 10,000 monomial levels and 10,000 binders,
+    with and without an empty monomial at the bottom."""
+    f, y = rfvar("f"), rfvar("y")
+    apps, lams = [y, rapp(y, ONE)], [y, rapp(y, ONE)]
+    for _ in range(N):
+        apps = [rapp(f, monomial([t])) for t in apps]  # <f>[<f>[... y ...]]
+        lams = [rlam(t) for t in lams]  # \a. \a. ... y
+    assert is_d_positive(apps[0], N + 2)
+    assert is_d_positive(apps[1], N) and not is_d_positive(apps[1], N + 1)
+    assert is_d_positive(lams[0], N) and not is_d_positive(lams[1], 1)
 
 
 def test_deep_linear_substitution():

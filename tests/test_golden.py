@@ -19,6 +19,7 @@ from make_commute_golden import (
     argv,
     check_argvs,
     command_argvs,
+    differences,
     reduction_argvs,
     run,
 )
@@ -72,6 +73,20 @@ def test_reduction_outputs_match_the_golden_file():
     argvs = command_argvs()
     assert len(json.loads(COMMANDS_GOLDEN.read_text(encoding="utf-8"))) == len(argvs) + len(reduction_argvs())
     _replays(COMMANDS_GOLDEN, reduction_argvs(), start=len(argvs))
+
+
+def test_the_regenerator_reports_changed_and_removed_entries(tmp_path):
+    def entry(args, stdout):
+        return {"argv": args, "exit_code": 0, "stdout": stdout}
+
+    old = [entry(["parse", "x"], "x\n"), entry(["parse", "y"], "y\n"), entry(["parse", "z"], "z\n")]
+    new = [entry(["parse", "x"], "x\n"), entry(["parse", "y"], "y!\n"), entry(["parse", "w"], "w\n")]
+    before, after = tmp_path / "before.json", tmp_path / "after.json"
+    before.write_text(json.dumps(old), encoding="utf-8")
+    after.write_text(json.dumps(new), encoding="utf-8")
+    assert differences(before, new) == ["changed: parse y", "changed: parse w", "removed: parse z"]
+    assert differences(after, new) == []
+    assert differences(after, old) == ["changed: parse y", "changed: parse z", "removed: parse w"]
 
 
 def test_golden_instances_are_the_benchmarks_cold_checks():

@@ -299,7 +299,7 @@ def test_capture_on_a_system_is_inconclusive_not_a_failure(src):
     assert report.verdict == "inconclusive"
     assert "hit a cut" in report.reason
     run = head_normalize(m.root_term(), 1000, m)
-    assert run.verdict.describe() == "unknown(capture, 0 steps)"
+    assert run.describe() == "unknown(capture, 0 steps)"
 
 
 def test_capture_controls_with_a_fresh_hint_pass():

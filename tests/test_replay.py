@@ -717,9 +717,9 @@ def test_each_check_runs_each_node_once(src, size, monkeypatch):
         runs.append((m, stack))
         return original(m, fuel, system, stack)
 
+    # lab binds head_normalize at import, so the certificate of the filling,
+    # which is no run of the filled context's tree, is not counted
     monkeypatch.setattr(beta, "head_normalize", counting)
-    # the certificate of the filling is no run of the filled context's tree
-    monkeypatch.setattr(lab, "solvable", lambda m, fuel: original(m, fuel).verdict)
     term = parse_term(src)
     checks = [
         lambda: check_commutation(term, size, FUEL),

@@ -15,7 +15,6 @@ import taylorlab
 
 # recursive function -> why it may recurse
 ALLOWED = {
-    "is_d_positive": "reads approximants and their normal forms, kept small by a check's size bound",
     # the substitution engines are hot paths: rewriting them waits for both
     # benchmark workloads to be measured (ROADMAP item 7)
     "_rshift": "open_binder's walk, the hot path of rnf-random",
@@ -60,31 +59,58 @@ def _is_super(node):
     return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "super"
 
 
+def _data_attributes(cls):
+    """The names that instances of the class ``cls`` hold as data: its
+    ``__slots__`` entries, its class-level annotated fields and the targets
+    of ``self.name = ...`` in its methods."""
+    out = set()
+    for member in cls.body:
+        if isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name):
+            out.add(member.target.id)
+        elif isinstance(member, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__slots__" for target in member.targets
+        ):
+            out |= set(ast.literal_eval(member.value))
+        elif isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)) and member.args.args:
+            me = member.args.args[0].arg
+            out |= {
+                u.attr
+                for u in ast.walk(member)
+                if isinstance(u, ast.Attribute) and isinstance(u.ctx, ast.Store)
+                and isinstance(u.value, ast.Name) and u.value.id == me
+            }
+    return out
+
+
 def _call_graph(sources):
     """Qualified function name -> qualified names it refers to, over the
     modules in ``sources`` taken as one. A bare name resolves through the
     enclosing functions to a module-level function; ``x.name`` resolves to
-    every method called ``name``, unless ``x`` is ``super()``."""
+    every method called ``name``, unless ``x`` is ``super()``, or ``x`` is
+    the first parameter of a method of a class that holds ``name`` as data
+    (``_data_attributes``)."""
     trees = [ast.parse(source) for source in sources]
     module = _Scope("", None, None)
     methods = {}
     bodies = {}
 
-    def collect(node, scope, prefix):
+    def collect(node, scope, prefix, data=frozenset()):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
-                collect(child, scope, f"{child.name}.")
+                collect(child, scope, f"{child.name}.", _data_attributes(child))
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 qual = f"{scope.name + '.' if scope.name else ''}{prefix}{child.name}"
+                me = None
                 if prefix:
                     methods.setdefault(child.name, set()).add(qual)
+                    me = child.args.args[0].arg if child.args.args else None
                 else:
                     scope.defs[child.name] = qual
                 inner = _Scope(qual, child, scope)
-                bodies[qual] = (child, inner)
+                bodies[qual] = (child, inner, me, data)
                 collect(child, inner, "")
             else:
-                collect(child, scope, prefix)
+                collect(child, scope, prefix, data)
 
     for tree in trees:
         collect(tree, module, "")
@@ -99,7 +125,7 @@ def _call_graph(sources):
         return set()
 
     graph = {}
-    for qual, (node, scope) in bodies.items():
+    for qual, (node, scope, me, data) in bodies.items():
         refs = set()
         todo = list(ast.iter_child_nodes(node))
         while todo:
@@ -109,7 +135,9 @@ def _call_graph(sources):
             if isinstance(child, ast.Name):
                 refs |= resolve(child.id, scope)
             elif isinstance(child, ast.Attribute) and not _is_super(child.value):
-                refs |= methods.get(child.attr, set())
+                own = isinstance(child.value, ast.Name) and child.value.id == me
+                if not (own and child.attr in data):
+                    refs |= methods.get(child.attr, set())
             todo.extend(ast.iter_child_nodes(child))
         graph[qual] = refs
     return graph
@@ -157,3 +185,33 @@ class Node:
         return self
 '''
     assert _recursive(_call_graph([source])) == {"unfold", "unfold.cut"}
+
+
+def test_a_read_of_own_data_refers_to_no_method():
+    source = '''
+class Tokens:
+    def __init__(self):
+        self.scope = {}
+    def binders(self):
+        return self.scope
+
+class HeadForm(NamedTuple):
+    binders: tuple
+    def scope(self):
+        return self.binders
+
+class Slotted:
+    __slots__ = ("binders",)
+    def scope(self):
+        return self.binders
+
+class Method:
+    def binders(self):
+        return self.scope()
+'''
+    # a read of its own data attribute names no method; a read of a name
+    # that the class does not hold as data names every method so called
+    graph = _call_graph([source])
+    assert graph["Tokens.binders"] == graph["HeadForm.scope"] == graph["Slotted.scope"] == set()
+    assert graph["Method.binders"] == {"HeadForm.scope", "Slotted.scope"}
+    assert _recursive(graph) == set()

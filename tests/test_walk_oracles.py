@@ -1,5 +1,6 @@
 """The λ-side maps and folds, written as callbacks on ``syntax.subterms`` and
-``syntax.rebuild``, and the explicit-stack printers of both calculi, against
+``syntax.rebuild``, the explicit-stack printers of both calculi and the resource positivity
+test, against
 frozen copies of the recursive walkers they replaced (``walk_oracles``), on
 seeded random terms, contexts, ``let rec`` systems and resource terms. Terms
 are hash-consed and compared by identity, so binder hints must agree too."""
@@ -20,8 +21,9 @@ from taylorlab.beta import (
     replace_at,
 )
 from taylorlab.cli import _bohm_dot
+from taylorlab.gen import random_resource_term
 from taylorlab.lab import _positive_skeleton
-from taylorlab.resource import HOLE_R, monomial, pretty_resource, rapp, rfvar, rlam, rvar
+from taylorlab.resource import HOLE_R, is_d_positive, monomial, pretty_resource, rapp, rfvar, rlam, rvar
 from taylorlab.syntax import (
     BOTTOM,
     HOLE,
@@ -51,6 +53,7 @@ from walk_oracles import (
     old_context_fill,
     old_depth_positions,
     old_is_bohm_normal,
+    old_is_d_positive,
     old_leftmost_redex,
     old_open_bound,
     old_positive_skeleton,
@@ -294,6 +297,18 @@ def test_resource_printer_matches_the_recursive_printer():
     for _ in range(3000):
         t = _rterm(rng, rng.randint(1, 20))
         assert pretty_resource(t) == old_pretty_resource(t)
+
+
+def test_positivity_matches_the_recursive_walker():
+    rng = Random(1223)
+    seen = set()
+    for _ in range(2000):
+        t = random_resource_term(rng, rng.randint(1, 16))
+        for d in range(5):
+            got = is_d_positive(t, d)
+            assert got == old_is_d_positive(t, d), (str(t), d)
+            seen.add((d, got))
+    assert {(d, False) for d in range(1, 5)} <= seen and (4, True) in seen
 
 
 _DOT_NODE = re.compile(r'  n(\d+) \[label="(.*)"\];')

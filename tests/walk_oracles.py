@@ -39,6 +39,11 @@ kept two memoized walks for the free names and the dangling indices of each
 node, and the dot printer labelled binders with their raw hints.
 ``test_walk_oracles`` checks the loops against them.
 
+``old_is_d_positive`` is the recursive positivity test that
+``resource.is_d_positive`` replaced with a loop on an explicit stack;
+``test_walk_oracles`` checks the two against each other on seeded random
+resource terms.
+
 ``OldLiftSession`` is the lifter before its chains carried each inverted
 step's binders and frames apart from the node built: ``_invert`` wrapped
 its result in all of them, and the next step peeled them off again.
@@ -364,10 +369,9 @@ def old_bohm_tree(target, depth: int, fuel: int) -> Term:
         run = runs.get(key)
         if run is None:
             run = runs[key] = head_normalize(t, fuel, system, stack)
-        v = run.verdict
-        if v.certified_unsolvable:
+        if run.certified_unsolvable:
             return BOTTOM
-        if v.kind == "unknown":
+        if not run.is_solvable:
             return HOLE
         hf = head_form(run.term)
         inner = tuple(reversed(hf.binders)) + stack
@@ -650,6 +654,18 @@ def _render_resource(u: ResourceTerm, env: tuple[str, ...], taken: set[str]) -> 
             return f"<{fn}>1"
         return f"<{fn}>[" + ", ".join(_render_resource(e, env, taken) for e in u.mono) + "]"
     raise TypeError(f"not a resource term: {u!r}")
+
+
+def old_is_d_positive(t: ResourceTerm, d: int) -> bool:
+    if d <= 0:
+        return True
+    if isinstance(t, RLam):
+        return old_is_d_positive(t.body, d)
+    if isinstance(t, RApp):
+        if len(t.mono) == 0:
+            return False
+        return old_is_d_positive(t.fn, d) and all(old_is_d_positive(e, d - 1) for e in t.mono)
+    return True
 
 
 def old_bohm_dot(t: Term) -> str:
