@@ -79,7 +79,9 @@ def applicative_depth(pos: Position) -> int:
     return sum(1 for c in pos if c == "arg")
 
 
-def subterm_at(t: Term, pos: Position) -> Term:
+def _along(t: Term, pos: Position) -> list[Term]:
+    """The subterms on the way down ``pos``: ``t`` first, the one at ``pos`` last."""
+    out = [t]
     for c in pos:
         if c == "body" and isinstance(t, Lam):
             t = t.body
@@ -89,7 +91,12 @@ def subterm_at(t: Term, pos: Position) -> Term:
             t = t.arg
         else:
             raise InvalidPositionError(f"position {position_to_str(pos)} does not resolve")
-    return t
+        out.append(t)
+    return out
+
+
+def subterm_at(t: Term, pos: Position) -> Term:
+    return _along(t, pos)[-1]
 
 
 def _position(path: Linked) -> Position:
@@ -97,22 +104,9 @@ def _position(path: Linked) -> Position:
 
 
 def replace_at(t: Term, pos: Position, new: Term) -> Term:
-    # The walk goes down ``pos`` only: a subterm is kept as it is unless its
-    # parent is the deepest subterm met on ``pos`` and its step is the next one.
-    met, k = None, 0
-
-    def graft(u: Term, _d: int, _h: Linked, _a: int, path: Linked) -> Optional[Term]:
-        nonlocal met, k
-        if path is not None:
-            if path[1] is not met or path[0] != pos[k]:
-                return u
-            met, k = path, k + 1
-        return new if k == len(pos) else None
-
-    out = rebuild(t, graft)
-    if k < len(pos):
-        raise InvalidPositionError(f"position {position_to_str(pos)} does not resolve")
-    return out
+    for u, c in zip(_along(t, pos)[-2::-1], pos[::-1]):
+        new = Lam(u.hint, new) if c == "body" else App(new, u.arg) if c == "fun" else App(u.fn, new)
+    return new
 
 
 # ---------------------------------------------------------------------------

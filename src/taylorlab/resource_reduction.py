@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterator, Optional, Sequence
 
-from .beta import NotARedexError
+from .beta import InvalidPositionError, NotARedexError
 from .resource import (
     FiniteSum,
     Monomial,
@@ -92,7 +92,7 @@ def r_step(t: ResourceTerm, site: RedexSite) -> FiniteSum:
             frames.append((u, head[1]))
             u = u.mono.elems[head[1]]
         else:
-            raise NotARedexError(f"site {site_to_str(site[k:])} does not resolve in {u}")
+            raise InvalidPositionError(f"site {site_to_str(site[k:])} does not resolve in {u}")
     if not (isinstance(u, RApp) and isinstance(u.fn, RLam)):
         raise NotARedexError(f"no redex at site: {u}")
     fired = _fired(u)

@@ -241,32 +241,31 @@ def rec_symbols(t: Term) -> set[str]:
 
 
 class RationalSystem:
-    """A finite set of guarded recursive equations denoting an infinite term.
+    """A finite set of guarded recursive equations and a root term, which
+    denote an infinite term: ``let rec X = B in M`` has the equation ``X =
+    B`` and the root ``M``, whose references resolve against the equations.
 
     Guardedness: every cycle among the equations crosses at least one
     application-argument edge, so each lap around a cycle strictly deepens
-    the denoted tree. The root is a symbol; when the source is
-    ``let rec X = B in M`` with ``M`` not a bare reference, a synthetic root
-    equation is added (and elided again when printing).
+    the denoted tree.
     """
 
-    __slots__ = ("equations", "root", "_synthetic_root")
+    __slots__ = ("equations", "root")
 
-    def __init__(self, equations: dict[str, Term], root: str, _synthetic_root: bool = False):
+    def __init__(self, equations: dict[str, Term], root: Term):
         self.equations = dict(equations)
         self.root = root
-        self._synthetic_root = _synthetic_root
         self._validate()
 
     def _validate(self) -> None:
-        if self.root not in self.equations:
-            raise UndefinedSymbolError(f"root symbol {self.root!r} has no equation")
         for sym, body in self.equations.items():
             if isinstance(body, RecRef):
                 raise LambdaError(f"equation {sym} is a bare reference (trivial cycle)")
+        places = [(f"equation {sym}", body) for sym, body in self.equations.items()]
+        for place, body in places + [("the root", self.root)]:
             for ref in rec_symbols(body):
                 if ref not in self.equations:
-                    raise UndefinedSymbolError(f"undefined symbol {ref!r} in equation {sym}")
+                    raise UndefinedSymbolError(f"undefined symbol {ref!r} in {place}")
         self._check_guardedness()
 
     def _check_guardedness(self) -> None:
@@ -301,9 +300,6 @@ class RationalSystem:
             return self.equations[symbol]
         except KeyError:
             raise UndefinedSymbolError(f"undefined symbol {symbol!r}") from None
-
-    def root_term(self) -> Term:
-        return RecRef(self.root)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, RationalSystem) and self.root == other.root and self.equations == other.equations
@@ -351,7 +347,7 @@ def split_target(target: TermLike) -> tuple[Term, RationalSystem | None]:
     """The term to start from and the system resolving its references
     (None for a plain term)."""
     if isinstance(target, RationalSystem):
-        return target.root_term(), target
+        return target.root, target
     return target, None
 
 
@@ -489,16 +485,8 @@ def pretty(t: Term, cut: str = "*", avoid: frozenset[str] = frozenset()) -> str:
 
 def pretty_system(system: RationalSystem) -> str:
     syms = frozenset(system.equations)
-    defs = [
-        f"{sym} = {pretty(body, avoid=syms)}"
-        for sym, body in system.equations.items()
-        if not (system._synthetic_root and sym == system.root)
-    ]
-    if system._synthetic_root:
-        tail = pretty(system.equations[system.root], avoid=syms)
-    else:
-        tail = system.root
-    return "let rec " + " and ".join(defs) + " in " + tail
+    defs = " and ".join(f"{sym} = {pretty(body, avoid=syms)}" for sym, body in system.equations.items())
+    return f"let rec {defs} in {pretty(system.root, avoid=syms)}"
 
 
 def pretty_target(target: TermLike) -> str:
@@ -665,14 +653,7 @@ def _parse_letrec(toks: Tokens) -> RationalSystem:
             break
         toks.take()
     toks.expect("IN")
-    root_body = toks.end(_read_term(toks, rec))
-    if isinstance(root_body, RecRef):
-        return RationalSystem(equations, root_body.symbol)
-    root = "it"
-    while root in equations:
-        root += "'"
-    equations[root] = root_body
-    return RationalSystem(equations, root, _synthetic_root=True)
+    return RationalSystem(equations, toks.end(_read_term(toks, rec)))
 
 
 def _read_term(toks: Tokens, rec: frozenset[str]) -> Term:

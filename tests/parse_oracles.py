@@ -198,14 +198,7 @@ def _parse_letrec(toks: OldTokens) -> RationalSystem:
         equations[sym] = _parse_lam(sub, (), rec)
         if sub.peek()[0] != "EOF":
             raise ParseError("unexpected input in equation", sub.peek()[2], toks.text)
-    root_body = _parse_lam(toks, (), rec)
-    if isinstance(root_body, RecRef):
-        return RationalSystem(equations, root_body.symbol)
-    root = "it"
-    while root in equations:
-        root += "'"
-    equations[root] = root_body
-    return RationalSystem(equations, root, _synthetic_root=True)
+    return RationalSystem(equations, _parse_lam(toks, (), rec))
 
 
 def _parse_lam(toks: OldTokens, env: tuple[str, ...], rec: frozenset[str]) -> Term:

@@ -1,4 +1,5 @@
-"""Helpers that several test modules share: builders of long application
+"""Helpers that several test modules share: a seeded generator of λ-terms,
+contexts and ``let rec`` equation bodies, builders of long application
 chains, a reader for printed resource sites, a head-normality test for
 resource terms, an oracle for ``bot_step``, and a reader of the lifter's
 memos by their flat keys.
@@ -24,7 +25,47 @@ from taylorlab.beta import (
 from taylorlab.lab import LiftSession
 from taylorlab.resource import RLam, ResourceTerm, open_along
 from taylorlab.resource_reduction import head_split, rewrap
-from taylorlab.syntax import App, Lam, LambdaError, Term, subterms, unlink
+from taylorlab.syntax import (
+    BOTTOM,
+    HOLE,
+    App,
+    FreeVar,
+    Lam,
+    LambdaError,
+    RecRef,
+    Term,
+    Var,
+    subterms,
+    unlink,
+)
+
+NAMES = ("x", "y", "f")
+SYMBOLS = ("F", "G", "H")
+
+
+def random_term(rng, size, depth=0, symbols=(), holes=False, names=NAMES, loose=2):
+    """A random term whose binder hints and free names overlap, so that
+    grafting captures. It holds references to ``symbols`` and, with
+    ``holes``, holes; an index may point up to ``loose`` places past every
+    binder, so with ``loose=0`` the term prints as text that parses."""
+    roll = rng.random()
+    if size <= 1 or roll < 0.2:
+        leaf = rng.random()
+        if symbols and leaf < 0.25:
+            return RecRef(rng.choice(symbols))
+        if holes and leaf < 0.4:
+            return HOLE
+        if leaf < 0.5 or depth + loose == 0:
+            return BOTTOM if rng.random() < 0.3 else FreeVar(rng.choice(names + ("z",)))
+        return Var(rng.randrange(depth + loose))
+    args = (symbols, holes, names, loose)
+    if roll < 0.45:
+        return Lam(rng.choice(names), random_term(rng, size - 1, depth + 1, *args))
+    if roll < 0.6:
+        fn = Lam(rng.choice(names), random_term(rng, size // 2, depth + 1, *args))
+    else:
+        fn = random_term(rng, size // 2, depth, *args)
+    return App(fn, random_term(rng, size - 1 - size // 2, depth, *args))
 
 
 def power_apply(m, n, k):

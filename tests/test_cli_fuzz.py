@@ -1,8 +1,9 @@
 """Seeded CLI fuzz: small random λ-terms and resource terms from
-``taylorlab.gen`` go through every command but ``selftest``, in-process
-through ``cli.main``, at small budgets. No input may crash the tool: every
-run exits 0, 1, 2 or 3 with no traceback, ``--json`` parses, and the text and
-the JSON of one command line tell the same verdict."""
+``taylorlab.gen``, and small guarded ``let rec`` systems, go through every
+command but ``selftest``, in-process through ``cli.main``, at small budgets.
+No input may crash the tool: every run exits 0, 1, 2 or 3 with no traceback,
+``--json`` parses, the text and the JSON of one command line tell the same
+verdict, and ``parse`` reads its own output back to the same text."""
 
 import contextlib
 import io
@@ -13,12 +14,17 @@ from taylorlab import cli
 from taylorlab.beta import leftmost_redex, position_to_str
 from taylorlab.gen import random_lambda_term, random_resource_term
 from taylorlab.resource import pretty_resource
-from taylorlab.syntax import pretty
+from taylorlab.syntax import LambdaError, RationalSystem, RecRef, pretty, pretty_target
 
 from corpus import CORPUS
+from support import SYMBOLS, random_term
 
 SEED = 14
 DRAWS = 60
+SYSTEMS = 24
+# the commands that refuse a system with exit 3: genericity, because its
+# context ``(let rec ...) *`` does not parse
+FINITE_ONLY = {"reduce", "stratify", "simulation", "genericity"}
 SIZE, FUEL, DEPTH = "6", "20", "3"
 
 
@@ -92,6 +98,31 @@ def _agree(argv):
     return code
 
 
+def _reparse(src):
+    """``parse`` prints again what it printed for ``src``."""
+    printed = json.loads(_run(["parse", src, "--json"])[1])["pretty"]
+    assert json.loads(_run(["parse", printed, "--json"])[1])["pretty"] == printed, src
+
+
+def _systems(rng):
+    """Guarded systems of 1 to 3 equations, every other one rooted at a bare
+    reference, with binder hints that include ``it``."""
+
+    def body(symbols):
+        return random_term(rng, rng.randint(2, 7), symbols=symbols, names=("x", "f", "it"), loose=0)
+
+    out = []
+    while len(out) < SYSTEMS:
+        symbols = SYMBOLS[: rng.randint(1, 3)]
+        equations = {s: body(symbols) for s in symbols}
+        root = RecRef(symbols[0]) if len(out) % 2 else body(symbols)
+        try:
+            out.append(RationalSystem(equations, root))
+        except LambdaError:  # unguarded, or an equation that is a bare reference
+            continue
+    return out
+
+
 def test_seeded_cli_fuzz_exits_cleanly_and_text_agrees_with_json(monkeypatch):
     # main builds its parser on every call, which costs more than a small
     # command; building it once keeps the fuzz to a few seconds
@@ -109,6 +140,18 @@ def test_seeded_cli_fuzz_exits_cleanly_and_text_agrees_with_json(monkeypatch):
         codes += [_agree(argv) for argv in _lambda_argvs(pretty(m), pretty(other), steps)]
         code, out, err = _run(["bohm", pretty(m), "--dot", "--depth", DEPTH, "--fuel", FUEL])
         assert code == 0 and out.startswith("digraph bohm {") and err == "", pretty(m)
+        _reparse(pretty(m))
+    systems = _systems(rng)
+    assert SYSTEMS // 2 <= sum(isinstance(m.root, RecRef) for m in systems) < SYSTEMS
+    assert sum("\\it." in pretty_target(m) for m in systems) >= 5
+    for m, other in zip(systems, systems[1:] + systems[:1]):
+        src = pretty_target(m)
+        for argv in _lambda_argvs(src, pretty_target(other), ""):
+            code = _agree(argv)
+            assert (code == 3) == (argv[0] in FINITE_ONLY or argv[1] in FINITE_ONLY), (argv, code)
+        code, out, err = _run(["bohm", src, "--dot", "--depth", DEPTH, "--fuel", FUEL])
+        assert code == 0 and out.startswith("digraph bohm {") and err == "", src
+        _reparse(src)
     for s, other in zip(rterms, rterms[1:] + rterms[:1]):
         codes.append(_agree(["rsubst", pretty_resource(s), "x", f"[{pretty_resource(other)}]"]))
         codes.append(_agree(["rnf", pretty_resource(s)]))

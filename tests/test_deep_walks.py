@@ -104,7 +104,7 @@ def test_deep_maps():
     assert k == N - 1 and end is X
     k, end = nested(unfold(power_tail(X, N), N // 2))
     assert k == N // 2 and isinstance(end, Hole)
-    k, end = nested(unfold(RationalSystem({"F": App(X, RecRef("F"))}, "F"), N))
+    k, end = nested(unfold(RationalSystem({"F": App(X, RecRef("F"))}, RecRef("F")), N))
     assert k == N and isinstance(end, Hole)
 
     deep_arg = ("arg",) * (N - 1)
@@ -160,7 +160,7 @@ def test_deep_genericity():
 
 
 def test_deep_systems():
-    deep = RationalSystem({"F": binders(App(App(X, FreeVar("w")), RecRef("F")))}, "F")
+    deep = RationalSystem({"F": binders(App(App(X, FreeVar("w")), RecRef("F")))}, RecRef("F"))
     assert isinstance(peel(unfold(deep, 1)), App)
 
 

@@ -298,8 +298,17 @@ def test_capture_on_a_system_is_inconclusive_not_a_failure(src):
     report = check_commutation(m, 8, 1000)
     assert report.verdict == "inconclusive"
     assert "hit a cut" in report.reason
-    run = head_normalize(m.root_term(), 1000, m)
+    run = head_normalize(m.root, 1000, m)
     assert run.describe() == "unknown(capture, 0 steps)"
+
+
+def test_a_binder_of_the_root_captures_nothing():
+    """Only the free names of the equations can be captured: the root's
+    ``G`` is free in no equation, so firing ``\\G`` is a plain step."""
+    m = parse_term(r"let rec F = \G. G f F in \f. F G")
+    run = head_normalize(m.root, 1000, m)
+    assert run.describe() == "solvable(1)" and str(run.term) == r"\f. G f F"
+    assert check_commutation(m, 10, 1000).verdict == "pass"
 
 
 def test_capture_controls_with_a_fresh_hint_pass():

@@ -90,7 +90,7 @@ def _letrec_input(rng):
 def _shape(result):
     """Terms are hash-consed, so the parsed nodes compare by identity."""
     if isinstance(result, RationalSystem):
-        return result.root, result._synthetic_root, result.equations
+        return result.root, result.equations
     return result
 
 

@@ -37,9 +37,9 @@ def test_parse_identity():
 
 def test_parse_letrec_shape():
     assert isinstance(Y_SYS, RationalSystem)
-    assert set(Y_SYS.equations) == {"F", "it"}
+    assert set(Y_SYS.equations) == {"F"}
     assert Y_SYS.equations["F"] == parse_term("let rec F = f F in F").equations["F"]
-    assert Y_SYS.equations["it"] == Lam("f", RecRef("F"))
+    assert Y_SYS.root is Lam("f", RecRef("F"))
 
 
 def test_guardedness_rejected():
@@ -191,6 +191,19 @@ def test_system_roundtrip():
     again = parse_term(text)
     assert isinstance(again, RationalSystem)
     assert unfold(again, 4) == unfold(Y_SYS, 4)
+
+
+def test_a_binder_named_it_prints_as_it_in_a_system():
+    for text in (r"let rec F = \it. it F in \g. F g", r"let rec F = f F in \it. it F"):
+        assert pretty_system(parse_term(text)) == text
+
+
+def test_the_root_is_checked_like_an_equation():
+    eq = {"F": App(FreeVar("f"), RecRef("F"))}
+    with pytest.raises(UndefinedSymbolError, match="undefined symbol 'G' in the root"):
+        RationalSystem(eq, App(RecRef("F"), RecRef("G")))
+    # a bare reference is a root, not a trivial cycle
+    assert RationalSystem(eq, RecRef("F")).root is RecRef("F")
 
 
 def test_binder_shadowing_print():

@@ -267,7 +267,7 @@ def test_size_sorted_pools_give_the_slices_of_the_scanning_enumerator():
     targets = [parse_term(src) for src in [*CORPUS.values(), *SLICE_SYSTEMS]]
     targets += [parse_term(src) for src in ("\\x. * (x x)", "(\\y. y) *", "x * *")]
     for target in targets:
-        root, system = (target.root_term(), target) if isinstance(target, RationalSystem) else (target, None)
+        root, system = (target.root, target) if isinstance(target, RationalSystem) else (target, None)
         mode = "cut" if system is not None or not contains_hole(target) else "context"
         for size in (5, 11, 17):
             for depth in (None, 2, 3):

@@ -25,8 +25,6 @@ from taylorlab.gen import random_resource_term
 from taylorlab.lab import _positive_skeleton
 from taylorlab.resource import HOLE_R, is_d_positive, monomial, pretty_resource, rapp, rfvar, rlam, rvar
 from taylorlab.syntax import (
-    BOTTOM,
-    HOLE,
     App,
     FreeVar,
     GuardednessError,
@@ -44,7 +42,7 @@ from taylorlab.syntax import (
     unfold,
 )
 
-from support import depth_positions
+from support import NAMES, SYMBOLS, depth_positions, random_term
 from walk_oracles import (
     old_bind_free,
     old_bohm_dot,
@@ -66,32 +64,6 @@ from walk_oracles import (
     old_unguarded_cycle,
 )
 
-NAMES = ("x", "y", "f")
-SYMBOLS = ("F", "G", "H")
-
-
-def _term(rng, size, depth=0, symbols=(), holes=False, names=NAMES):
-    """A random term whose binder hints and free names overlap, so that
-    grafting captures; some indices point past every binder."""
-    roll = rng.random()
-    if size <= 1 or roll < 0.2:
-        leaf = rng.random()
-        if symbols and leaf < 0.25:
-            return RecRef(rng.choice(symbols))
-        if holes and leaf < 0.4:
-            return HOLE
-        if leaf < 0.5:
-            return BOTTOM if rng.random() < 0.3 else FreeVar(rng.choice(names + ("z",)))
-        return Var(rng.randrange(depth + 2))
-    if roll < 0.45:
-        return Lam(rng.choice(names), _term(rng, size - 1, depth + 1, symbols, holes, names))
-    if roll < 0.6:
-        fn = Lam(rng.choice(names), _term(rng, size // 2, depth + 1, symbols, holes, names))
-    else:
-        fn = _term(rng, size // 2, depth, symbols, holes, names)
-    return App(fn, _term(rng, size - 1 - size // 2, depth, symbols, holes, names))
-
-
 def _positions(t):
     out = [()]
     work = [(t, ())]
@@ -111,8 +83,8 @@ def _positions(t):
 def test_maps_match_the_recursive_walkers():
     rng = Random(1212)
     for _ in range(3000):
-        t = _term(rng, rng.randint(1, 14))
-        n = _term(rng, rng.randint(1, 5))
+        t = random_term(rng, rng.randint(1, 14))
+        n = random_term(rng, rng.randint(1, 5))
         hints = tuple(rng.sample(NAMES, rng.randint(0, 3)))
         assert bind_free(t, hints) is old_bind_free(t, hints)
         d = rng.randint(0, 3)
@@ -132,15 +104,15 @@ def test_maps_match_the_recursive_walkers():
 def test_context_fill_matches_the_recursive_walker():
     rng = Random(1213)
     for _ in range(3000):
-        c = _term(rng, rng.randint(1, 14), holes=True)
-        m = _term(rng, rng.randint(1, 6), holes=rng.random() < 0.2)
+        c = random_term(rng, rng.randint(1, 14), holes=True)
+        m = random_term(rng, rng.randint(1, 6), holes=rng.random() < 0.2)
         assert context_fill(c, m) is old_context_fill(c, m)
 
 
 def test_folds_match_the_recursive_walkers():
     rng = Random(1214)
     for _ in range(3000):
-        t = _term(rng, rng.randint(1, 16), holes=True)
+        t = random_term(rng, rng.randint(1, 16), holes=True)
         assert leftmost_redex(t) == old_leftmost_redex(t)
         assert is_bohm_normal(t) == old_is_bohm_normal(t)
         for d in range(4):
@@ -152,10 +124,10 @@ def test_systems_match_the_recursive_walkers():
     built = rejected = 0
     for _ in range(3000):
         symbols = SYMBOLS[: rng.randint(1, 3)]
-        equations = {s: _term(rng, rng.randint(1, 10), symbols=symbols) for s in symbols}
+        equations = {s: random_term(rng, rng.randint(1, 10), symbols=symbols) for s in symbols}
         cycle = old_unguarded_cycle(equations)
         try:
-            system = RationalSystem(equations, symbols[0])
+            system = RationalSystem(equations, RecRef(symbols[0]))
         except GuardednessError as err:
             assert err.cycle == cycle
             rejected += 1
@@ -173,12 +145,12 @@ def test_bohm_tree_matches_the_recursive_walker():
     """On terms and on guarded systems, with bottoms, loops, fuel cuts and
     captures, at every depth up to 4."""
     rng = Random(1222)
-    inputs = [_term(rng, rng.randint(1, 14)) for _ in range(1500)]
+    inputs = [random_term(rng, rng.randint(1, 14)) for _ in range(1500)]
     while len(inputs) < 3000:
         symbols = SYMBOLS[: rng.randint(1, 3)]
-        equations = {s: _term(rng, rng.randint(1, 10), symbols=symbols) for s in symbols}
+        equations = {s: random_term(rng, rng.randint(1, 10), symbols=symbols) for s in symbols}
         try:
-            inputs.append(RationalSystem(equations, symbols[0]))
+            inputs.append(RationalSystem(equations, RecRef(symbols[0])))
         except LambdaError:
             continue
     for t in inputs:
@@ -194,12 +166,12 @@ def test_tree_reader_matches_the_truncated_tree_scanners():
     terms with bottoms and holes and on guarded systems, with loops, fuel
     cuts and captures."""
     rng = Random(1223)
-    inputs = [_term(rng, rng.randint(1, 14), holes=True) for _ in range(1500)]
+    inputs = [random_term(rng, rng.randint(1, 14), holes=True) for _ in range(1500)]
     while len(inputs) < 3000:
         symbols = SYMBOLS[: rng.randint(1, 3)]
-        equations = {s: _term(rng, rng.randint(1, 10), symbols=symbols) for s in symbols}
+        equations = {s: random_term(rng, rng.randint(1, 10), symbols=symbols) for s in symbols}
         try:
-            inputs.append(RationalSystem(equations, symbols[0]))
+            inputs.append(RationalSystem(equations, RecRef(symbols[0])))
         except LambdaError:
             continue
     seen = set()
@@ -219,8 +191,8 @@ def test_capture_guard_matches_its_own_walk():
     rng = Random(1216)
     caught = 0
     for _ in range(3000):
-        lam = Lam(rng.choice(NAMES), _term(rng, rng.randint(1, 10), 1, symbols=SYMBOLS))
-        arg = _term(rng, rng.randint(1, 4), symbols=SYMBOLS)
+        lam = Lam(rng.choice(NAMES), random_term(rng, rng.randint(1, 10), 1, symbols=SYMBOLS))
+        arg = random_term(rng, rng.randint(1, 4), symbols=SYMBOLS)
         names = frozenset(rng.sample(NAMES, rng.randint(1, 2)))
         got = _captures(head_form(App(lam, arg)), names)
         assert got == old_captures(lam, arg, names)
@@ -231,7 +203,7 @@ def test_capture_guard_matches_its_own_walk():
 def test_printer_matches_the_recursive_printer():
     rng = Random(1217)
     for _ in range(3000):
-        t = _term(rng, rng.randint(1, 16), symbols=SYMBOLS, holes=True)
+        t = random_term(rng, rng.randint(1, 16), symbols=SYMBOLS, holes=True)
         cut = rng.choice(("*", "◻"))
         avoid = frozenset(rng.sample(NAMES + SYMBOLS, rng.randint(0, 2)))
         assert pretty(t, cut, avoid) == old_pretty(t, cut, avoid)
@@ -250,7 +222,7 @@ def test_printer_matches_the_recursive_printer_on_primed_names():
     rng = Random(1221)
     primed = ("x", "x'", "x''", "y'")
     for _ in range(2000):
-        t = _term(rng, rng.randint(1, 16), symbols=SYMBOLS, names=primed)
+        t = random_term(rng, rng.randint(1, 16), symbols=SYMBOLS, names=primed)
         avoid = frozenset(rng.sample(primed + SYMBOLS, rng.randint(0, 2)))
         assert pretty(t, "*", avoid) == old_pretty(t, "*", avoid)
 
@@ -260,9 +232,9 @@ def test_system_printer_matches_the_recursive_printer():
     printed = 0
     for _ in range(1000):
         symbols = SYMBOLS[: rng.randint(1, 3)]
-        equations = {s: _term(rng, rng.randint(1, 10), symbols=symbols) for s in symbols}
+        equations = {s: random_term(rng, rng.randint(1, 10), symbols=symbols) for s in symbols}
         try:
-            system = RationalSystem(equations, symbols[0])
+            system = RationalSystem(equations, RecRef(symbols[0]))
         except LambdaError:
             continue
         syms = frozenset(symbols)
@@ -340,7 +312,7 @@ def test_dot_printer_draws_the_printed_term():
     rng = Random(1220)
     misdrawn = 0
     for _ in range(3000):
-        t = _term(rng, rng.randint(1, 16), holes=True)
+        t = random_term(rng, rng.randint(1, 16), holes=True)
         if "#" in pretty(t):
             continue
         dot = _bohm_dot(t)

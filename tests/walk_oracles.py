@@ -133,7 +133,7 @@ def old_context_fill(c: Term, m: Term) -> Term:
 
 def old_unfold(target, depth: int) -> Term:
     if isinstance(target, RationalSystem):
-        t, system = target.root_term(), target
+        t, system = target.root, target
     else:
         t, system = target, None
 
