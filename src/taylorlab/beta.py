@@ -95,16 +95,14 @@ def _along(t: Term, pos: Position) -> list[Term]:
     return out
 
 
-def subterm_at(t: Term, pos: Position) -> Term:
-    return _along(t, pos)[-1]
-
-
 def _position(path: Linked) -> Position:
     return unlink(path)[::-1]
 
 
-def replace_at(t: Term, pos: Position, new: Term) -> Term:
-    for u, c in zip(_along(t, pos)[-2::-1], pos[::-1]):
+def _replace_along(path: list[Term], pos: Position, new: Term) -> Term:
+    """``path[0]`` with ``new`` in place of ``path[-1]``, where ``path`` is
+    ``_along(path[0], pos)``: the term is rebuilt up the same list."""
+    for u, c in zip(path[-2::-1], pos[::-1]):
         new = Lam(u.hint, new) if c == "body" else App(new, u.arg) if c == "fun" else App(u.fn, new)
     return new
 
@@ -135,10 +133,11 @@ def open_bound(body: Term, arg: Term) -> Term:
 
 
 def beta_step(m: Term, at: Position) -> Term:
-    target = subterm_at(m, at)
+    path = _along(m, at)
+    target = path[-1]
     if not (isinstance(target, App) and isinstance(target.fn, Lam)):
         raise NotARedexError(f"no beta redex at {position_to_str(at)}: {target}")
-    return replace_at(m, at, open_bound(target.fn.body, target.arg))
+    return _replace_along(path, at, open_bound(target.fn.body, target.arg))
 
 
 def leftmost_redex(t: Term) -> Optional[Position]:
@@ -164,14 +163,15 @@ def bot_step(m: Term, at: Position, oracle: Callable[[Term], "HeadRun"]) -> Term
     the caller's oracle to certify unsolvability, and an undecided oracle
     refuses the rewrite instead of guessing.
     """
-    target = subterm_at(m, at)
+    path = _along(m, at)
+    target = path[-1]
     if isinstance(target, Lam) and isinstance(target.body, Bottom):
-        return replace_at(m, at, BOTTOM)
+        return _replace_along(path, at, BOTTOM)
     if isinstance(target, App) and isinstance(target.fn, Bottom):
-        return replace_at(m, at, BOTTOM)
+        return _replace_along(path, at, BOTTOM)
     run = oracle(target)
     if run.certified_unsolvable:
-        return replace_at(m, at, BOTTOM)
+        return _replace_along(path, at, BOTTOM)
     if run.is_solvable:
         raise NotARedexError(f"subterm is solvable, not a bottom redex: {target}")
     raise OracleUndecidedError(f"oracle could not certify unsolvability of: {target}")

@@ -161,6 +161,54 @@ class CheckReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
+class _Check:
+    """The state of one check: its theorem, its inputs and the ``stats`` its
+    report carries; for a check of one target at one fuel (``of``), also the
+    target's ``BohmPrefix``, one ``LiftSession`` on it and the slice. A check
+    ends through ``fail``, ``inconclusive`` or ``passed``, and its report
+    keeps none of this state."""
+
+    __slots__ = ("theorem", "inputs", "stats", "prefix", "session", "slice")
+
+    def __init__(self, theorem: str, inputs: dict) -> None:
+        self.theorem = theorem
+        self.inputs = inputs
+        self.stats: dict = {}
+
+    @classmethod
+    def of(cls, theorem: str, target: TermLike, size_bound: int, fuel: int, **inputs) -> "_Check":
+        check = cls(theorem, {"term": pretty_target(target), **inputs, "size_bound": size_bound, "fuel": fuel})
+        check.prefix = BohmPrefix(target, fuel)
+        check.session = LiftSession(check.prefix)
+        check.slice = enumerate_taylor(target, size_bound)
+        return check
+
+    def ancestor(self, t: ResourceTerm) -> tuple[Optional[ResourceTerm], Optional[str]]:
+        """``t``'s lift through the session, or None and why there is none.
+        Once per target: the session serves a second call from its memo and
+        counts it in ``shared_lifts``."""
+        lifted = lift_to_source(t, self.session)
+        if lifted is not None:
+            return lifted, None
+        why = f"no ancestor lifted for {pretty_resource(t)}"
+        if self.session.failed is not None:
+            before, step = self.session.failed
+            why += f": the head step from {pretty(before)} {step}"
+        return None, why
+
+    def fail(self, witness: str, reason: Optional[str] = None) -> CheckReport:
+        return self._end("fail", witness, reason)
+
+    def inconclusive(self, reason: str) -> CheckReport:
+        return self._end("inconclusive", None, reason)
+
+    def passed(self, witness: Optional[str] = None) -> CheckReport:
+        return self._end("pass", witness, None)
+
+    def _end(self, verdict: str, witness: Optional[str], reason: Optional[str]) -> CheckReport:
+        return CheckReport(self.theorem, self.inputs, verdict, witness, reason, self.stats)
+
+
 # ---------------------------------------------------------------------------
 # Forward simulation: pushing approximants through a beta step
 
@@ -208,6 +256,7 @@ def check_simulation(m: Term, steps: Sequence[Position], size_bound: int) -> Che
     """Push the whole slice of ``m`` through the given beta steps and verify
     every resulting addend approximates the final reduct."""
     inputs = {"term": pretty_target(m), "steps": [position_to_str(p) for p in steps], "size_bound": size_bound}
+    check = _Check("simulation", inputs)
     stages = [m]
     for p in steps:
         stages.append(beta_step(stages[-1], p))
@@ -222,18 +271,9 @@ def check_simulation(m: Term, steps: Sequence[Position], size_bound: int) -> Che
         pushed_total += len(current)
         for u in current:
             if not approximates(u, final):
-                return CheckReport(
-                    "simulation",
-                    inputs,
-                    "fail",
-                    witness=f"{pretty_resource(s)} ~> {pretty_resource(u)} does not approximate {pretty(final)}",
-                )
-    return CheckReport(
-        "simulation",
-        inputs,
-        "pass",
-        stats={"approximants": len(sl), "pushed_addends": pushed_total, "target": pretty(final)},
-    )
+                return check.fail(f"{pretty_resource(s)} ~> {pretty_resource(u)} does not approximate {pretty(final)}")
+    check.stats.update(approximants=len(sl), pushed_addends=pushed_total, target=pretty(final))
+    return check.passed()
 
 
 # ---------------------------------------------------------------------------
@@ -460,15 +500,6 @@ class LiftSession:
         return None
 
 
-def _unlifted(t: ResourceTerm, session: LiftSession) -> str:
-    """Why no ancestor of ``t`` was found, for an inconclusive verdict."""
-    reason = f"no ancestor lifted for {pretty_resource(t)}"
-    if session.failed is not None:
-        before, why = session.failed
-        reason += f": the head step from {pretty(before)} {why}"
-    return reason
-
-
 def lift_to_source(t: ResourceTerm, session: LiftSession) -> Optional[ResourceTerm]:
     """An approximant of the session's target whose normal form contains
     ``t``, or None; ``t`` should approximate the target's Boehm tree.
@@ -496,72 +527,58 @@ def check_commutation(target: TermLike, size_bound: int, fuel: int) -> CheckRepo
     constructive lifting. Exhaustion, and a target that neither recovers,
     are inconclusive, never a failure.
     """
-    inputs = {"term": pretty_target(target), "size_bound": size_bound, "fuel": fuel}
-    prefix = BohmPrefix(target, fuel)
-    sl = enumerate_taylor(target, size_bound)
+    check = _Check.of("commutation", target, size_bound, fuel)
     nf_union: dict[ResourceTerm, ResourceTerm] = {}  # normal addend -> the approximant it came from
     forward_unknown: list[ResourceTerm] = []
-    for s in sl:
+    for s in check.slice:
         for t in r_normalize(s):
             owner = nf_union.setdefault(t, s)
             if owner is not s:  # uniformity: distinct approximants have disjoint normal forms
-                return CheckReport(
-                    "commutation",
-                    inputs,
-                    "fail",
-                    witness=f"nf addend {pretty_resource(t)} of both {pretty_resource(owner)} and {pretty_resource(s)}",
+                return check.fail(
+                    f"nf addend {pretty_resource(t)} of both {pretty_resource(owner)} and {pretty_resource(s)}"
                 )
-            verdict = member_of_bohm(t, prefix)
+            verdict = member_of_bohm(t, check.prefix)
             if verdict is False:
-                return CheckReport(
-                    "commutation",
-                    inputs,
-                    "fail",
-                    witness=f"nf addend {pretty_resource(t)} of {pretty_resource(s)} is not in the tree expansion",
+                return check.fail(
+                    f"nf addend {pretty_resource(t)} of {pretty_resource(s)} is not in the tree expansion"
                 )
             if verdict is None:
                 forward_unknown.append(t)
 
-    tree = prefix.tree(size_bound + 1)
+    tree = check.prefix.tree(size_bound + 1)
     targets = enumerate_taylor(tree, size_bound)
     constructed = 0
-    session = LiftSession(prefix)
     unlifted: Optional[str] = None
     for t in targets:
         if t in nf_union:
             continue
-        if lift_to_source(t, session) is None:
-            unlifted = _unlifted(t, session)
+        lifted, unlifted = check.ancestor(t)
+        if lifted is None:
             break
         constructed += 1
 
-    stats = {
-        "approximants": len(sl),
-        "normal_addends": len(nf_union),
-        "tree_targets": len(targets),
-        "constructed_ancestors": constructed,
-        "shared_lifts": session.shared,
-        "checked_links": session.checked_links,
-        "checked_grafts": session.checked_grafts,
-    }
+    check.stats.update(
+        approximants=len(check.slice),
+        normal_addends=len(nf_union),
+        tree_targets=len(targets),
+        constructed_ancestors=constructed,
+        shared_lifts=check.session.shared,
+        checked_links=check.session.checked_links,
+        checked_grafts=check.session.checked_grafts,
+    )
     if forward_unknown:
-        return CheckReport(
-            "commutation",
-            inputs,
-            "inconclusive",
-            reason=f"{len(forward_unknown)} forward membership check(s) hit a cut",
-            stats=stats,
-        )
+        return check.inconclusive(f"{len(forward_unknown)} forward membership check(s) hit a cut")
     if unlifted is not None:
-        return CheckReport("commutation", inputs, "inconclusive", reason=unlifted, stats=stats)
+        return check.inconclusive(unlifted)
     # a cut hides the targets through it, and the least approximant reaching it is named; the
     # truncation's own cuts lie at applicative depth size_bound + 1, beyond every target
     if any(isinstance(u, Hole) and k <= size_bound for u, _, _, k, _ in subterms(tree)):
         hidden = next((t for t in enumerate_taylor_context(tree, size_bound) if deg_hole(t)), None)
         if hidden is not None:
-            reason = f"a cut may hide targets within the size bound: {pretty_resource(hidden)}, where * marks the cut"
-            return CheckReport("commutation", inputs, "inconclusive", reason=reason, stats=stats)
-    return CheckReport("commutation", inputs, "pass", stats=stats)
+            return check.inconclusive(
+                f"a cut may hide targets within the size bound: {pretty_resource(hidden)}, where * marks the cut"
+            )
+    return check.passed()
 
 
 # ---------------------------------------------------------------------------
@@ -571,51 +588,25 @@ def check_commutation(target: TermLike, size_bound: int, fuel: int) -> CheckRepo
 def check_head_charac(target: TermLike, size_bound: int, fuel: int) -> CheckReport:
     """Head strategy vs Taylor witness: a conclusive head verdict must agree
     with the existence of an approximant with a nonzero normal form."""
-    inputs = {"term": pretty_target(target), "size_bound": size_bound, "fuel": fuel}
-    prefix = BohmPrefix(target, fuel)
-    run = prefix.run(prefix.term, ())
-    sl = enumerate_taylor(target, size_bound)
-    witness = None
-    for s in sl:
-        if r_normalize(s):
-            witness = s
-            break
-    stats = {"approximants": len(sl), "head": run.describe()}
+    check = _Check.of("head-characterization", target, size_bound, fuel)
+    run = check.prefix.run(check.prefix.term, ())
+    witness = next((s for s in check.slice if r_normalize(s)), None)
+    check.stats.update(approximants=len(check.slice), head=run.describe())
     if run.is_solvable:
         if witness is not None:
-            return CheckReport(
-                "head-characterization",
-                inputs,
-                "pass",
-                witness=pretty_resource(witness),
-                stats=stats,
-            )
-        skeleton = _positive_skeleton(prefix, 0)
-        session = LiftSession(prefix)
-        s0 = lift_to_source(skeleton, session)
-        if s0 is not None:
-            stats["constructed"] = True
-            return CheckReport("head-characterization", inputs, "pass", witness=pretty_resource(s0), stats=stats)
-        reason = f"solvable, but no witness in the slice and {_unlifted(skeleton, session)}"
-        return CheckReport("head-characterization", inputs, "inconclusive", reason=reason, stats=stats)
+            return check.passed(pretty_resource(witness))
+        s0, why = check.ancestor(_positive_skeleton(check.prefix, 0))
+        if s0 is None:
+            return check.inconclusive(f"solvable, but no witness in the slice and {why}")
+        check.stats["constructed"] = True
+        return check.passed(pretty_resource(s0))
     if run.certified_unsolvable:
         if witness is not None:
-            return CheckReport(
-                "head-characterization",
-                inputs,
-                "fail",
-                witness=pretty_resource(witness),
-                reason="certified unsolvable yet a slice approximant has a nonzero normal form",
-                stats=stats,
+            return check.fail(
+                pretty_resource(witness), "certified unsolvable yet a slice approximant has a nonzero normal form"
             )
-        return CheckReport("head-characterization", inputs, "pass", stats=stats)
-    return CheckReport(
-        "head-characterization",
-        inputs,
-        "inconclusive",
-        reason=f"head reduction gave no verdict: {run.describe()}",
-        stats=stats,
-    )
+        return check.passed()
+    return check.inconclusive(f"head reduction gave no verdict: {run.describe()}")
 
 
 # ---------------------------------------------------------------------------
@@ -661,24 +652,23 @@ def check_norm_charac(
 ) -> CheckReport:
     """Per depth d: a d-positive addend in some normal form must exist
     exactly when the Boehm prefix is bottom-free down to depth d."""
-    inputs = {"term": pretty_target(target), "d_max": d_max, "size_bound": size_bound, "fuel": fuel}
-    session = LiftSession(BohmPrefix(target, fuel))
-    sl = enumerate_taylor(target, size_bound)
-    normal = r_normalize(sl)
+    check = _Check.of("normalizability", target, size_bound, fuel, d_max=d_max)
+    normal = r_normalize(check.slice)
     levels = []
     failed = None
     inconclusive = None
     for d in range(d_max + 1):
-        skeleton = _positive_skeleton(session.prefix, d)
+        skeleton = _positive_skeleton(check.prefix, d)
         status = skeleton if isinstance(skeleton, str) else "ok"
         witness = next((t for t in normal if is_d_positive(t, d)), None)
         how = "slice" if witness is not None else None
         if witness is None and status == "ok":
-            if lift_to_source(skeleton, session) is not None:
+            lifted, why = check.ancestor(skeleton)
+            if lifted is not None:
                 witness = skeleton
                 how = "constructed"
             elif inconclusive is None:
-                inconclusive = f"no d-positive witness at d={d} despite a clean prefix: {_unlifted(skeleton, session)}"
+                inconclusive = f"no d-positive witness at d={d} despite a clean prefix: {why}"
         entry = {
             "d": d,
             "prefix": status,
@@ -690,19 +680,12 @@ def check_norm_charac(
             failed = entry
         elif status == "cut" and inconclusive is None:
             inconclusive = f"prefix cut at d={d}"
-    stats = {"levels": levels, "approximants": len(sl)}
+    check.stats.update(levels=levels, approximants=len(check.slice))
     if failed is not None:
-        return CheckReport(
-            "normalizability",
-            inputs,
-            "fail",
-            witness=failed["witness"],
-            reason=f"d-positive witness at d={failed['d']} but the prefix proves divergence",
-            stats=stats,
-        )
+        return check.fail(failed["witness"], f"d-positive witness at d={failed['d']} but the prefix proves divergence")
     if inconclusive is not None:
-        return CheckReport("normalizability", inputs, "inconclusive", reason=inconclusive, stats=stats)
-    return CheckReport("normalizability", inputs, "pass", stats=stats)
+        return check.inconclusive(inconclusive)
+    return check.passed()
 
 
 # ---------------------------------------------------------------------------
@@ -717,25 +700,18 @@ def terms_equal_via_taylor(
     Missing one is no witness of a difference, only a size bound that ran
     out, so it is inconclusive."""
     inputs = {"left": pretty_target(m), "right": pretty_target(n), "d_max": d_max, "size_bound": size_bound}
+    check = _Check("equality-via-expansion", inputs)
     common = sorted(set(enumerate_taylor(m, size_bound)) & set(enumerate_taylor(n, size_bound)))
     evidence = []
+    check.stats.update(common=len(common), evidence=evidence)
     for d in range(d_max + 1):
         witness = next((t for t in common if is_d_positive(t, d)), None)
         if witness is None:
-            return CheckReport(
-                "equality-via-expansion",
-                inputs,
-                "inconclusive",
-                reason=f"no common {d}-positive approximant within size {size_bound}: the size bound ran out",
-                stats={"common": len(common), "evidence": evidence},
+            return check.inconclusive(
+                f"no common {d}-positive approximant within size {size_bound}: the size bound ran out"
             )
         evidence.append({"d": d, "witness": pretty_resource(witness)})
-    return CheckReport(
-        "equality-via-expansion",
-        inputs,
-        "pass",
-        stats={"common": len(common), "evidence": evidence},
-    )
+    return check.passed()
 
 
 # ---------------------------------------------------------------------------
@@ -768,31 +744,21 @@ def check_genericity(
         "fuel": fuel,
         "depth": depth,
     }
+    check = _Check("genericity", inputs)
     cert = head_normalize(m_unsolvable, fuel)
     if not cert.certified_unsolvable:
-        return CheckReport(
-            "genericity",
-            inputs,
-            "inconclusive",
-            reason=f"no unsolvability certificate for the filling ({cert.describe()})",
-        )
+        return check.inconclusive(f"no unsolvability certificate for the filling ({cert.describe()})")
     prefix = BohmPrefix(context_fill(c, m_unsolvable), fuel)
     status = _positive_skeleton(prefix, depth - 1) if depth > 0 else None
     if isinstance(status, str):
-        reason = f"hypothesis unmet: filled context has no normal-form prefix ({status})"
-        return CheckReport("genericity", inputs, "inconclusive", reason=reason)
+        return check.inconclusive(f"hypothesis unmet: filled context has no normal-form prefix ({status})")
     tree = prefix.tree(depth)
 
     slice_m = list(enumerate_taylor(m_unsolvable, size_bound))
     for s in slice_m:
         if r_normalize(s):
-            return CheckReport(
-                "genericity",
-                inputs,
-                "fail",
-                witness=pretty_resource(s),
-                reason="approximant of the certified-unsolvable term has a nonzero normal form",
-            )
+            reason = "approximant of the certified-unsolvable term has a nonzero normal form"
+            return check.fail(pretty_resource(s), reason)
     holey_checked = 0
     for ctx_approx in enumerate_taylor_context(c, size_bound):
         k = deg_hole(ctx_approx)
@@ -801,36 +767,20 @@ def check_genericity(
         fill_elems = tuple(itertools.islice(itertools.cycle(slice_m), k))
         filled_sum = r_context_fill(ctx_approx, monomial(fill_elems))
         if r_normalize(filled_sum):
-            return CheckReport(
-                "genericity",
-                inputs,
-                "fail",
-                witness=pretty_resource(ctx_approx),
-                reason="a holey context approximant survived an unsolvable filling",
-            )
+            reason = "a holey context approximant survived an unsolvable filling"
+            return check.fail(pretty_resource(ctx_approx), reason)
         holey_checked += 1
 
     for n in ns:
         other = bohm_tree(context_fill(c, n), depth, fuel)
         if not alpha_eq(other, tree):
-            return CheckReport(
-                "genericity",
-                inputs,
-                "fail",
-                witness=pretty(n),
-                reason=f"prefix changed: {pretty(other, cut=chr(0x25FB))} vs {pretty(tree, cut=chr(0x25FB))}",
+            return check.fail(
+                pretty(n), f"prefix changed: {pretty(other, cut=chr(0x25FB))} vs {pretty(tree, cut=chr(0x25FB))}"
             )
-    return CheckReport(
-        "genericity",
-        inputs,
-        "pass" if depth else "inconclusive",
-        reason=None if depth else "depth 0 compares no node of the prefixes",
-        stats={
-            "prefix": pretty(tree, cut=chr(0x25FB)),
-            "holey_approximants_annihilated": holey_checked,
-            "replacements": len(ns),
-        },
+    check.stats.update(
+        prefix=pretty(tree, cut=chr(0x25FB)), holey_approximants_annihilated=holey_checked, replacements=len(ns)
     )
+    return check.passed() if depth else check.inconclusive("depth 0 compares no node of the prefixes")
 
 
 # ---------------------------------------------------------------------------

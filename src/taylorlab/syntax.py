@@ -263,6 +263,8 @@ class RationalSystem:
                 raise LambdaError(f"equation {sym} is a bare reference (trivial cycle)")
         places = [(f"equation {sym}", body) for sym, body in self.equations.items()]
         for place, body in places + [("the root", self.root)]:
+            if not isinstance(body, Term):
+                raise TypeError(f"{place} is not a term: {body!r}")
             for ref in rec_symbols(body):
                 if ref not in self.equations:
                     raise UndefinedSymbolError(f"undefined symbol {ref!r} in {place}")

@@ -1,8 +1,10 @@
 """Helpers that several test modules share: a seeded generator of λ-terms,
 contexts and ``let rec`` equation bodies, builders of long application
 chains, a reader for printed resource sites, a head-normality test for
-resource terms, an oracle for ``bot_step``, and a reader of the lifter's
-memos by their flat keys.
+resource terms, an oracle for ``bot_step``, a reader of the lifter's memos
+by their flat keys, and ``subterm_at`` and ``replace_at``, the lookup and
+the rewrite at a position that ``beta_step`` and ``bot_step`` do in one
+descent.
 
 Two slow oracles live here too. ``hr_step_along`` is the link check on the
 whole term that the lifter's check on the opened core replaced, and
@@ -17,10 +19,10 @@ from taylorlab.beta import (
     BohmPrefix,
     Position,
     StratifyResult,
+    _along,
+    _replace_along,
     head_normalize,
     head_redex_position,
-    replace_at,
-    subterm_at,
 )
 from taylorlab.lab import LiftSession
 from taylorlab.resource import RLam, ResourceTerm, open_along
@@ -185,6 +187,14 @@ def depth_positions(t: Term, d: int) -> list[Position]:
         for _, _, _, argdepth, path in subterms(t)
         if argdepth == d and (path is None or path[0] == "arg")
     ]
+
+
+def subterm_at(t: Term, pos: Position) -> Term:
+    return _along(t, pos)[-1]
+
+
+def replace_at(t: Term, pos: Position, new: Term) -> Term:
+    return _replace_along(_along(t, pos), pos, new)
 
 
 def stratify_per_position(m: Term, depth: int, fuel: int) -> StratifyResult:

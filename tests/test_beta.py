@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import taylorlab.beta as beta
 from taylorlab.beta import (
     BohmPrefix,
     DepthTooShallowError,
@@ -23,7 +24,6 @@ from taylorlab.beta import (
     position_to_str,
     _resolve_at_head,
     stratify,
-    subterm_at,
 )
 from taylorlab.gen import random_lambda_term
 from taylorlab.syntax import (
@@ -42,7 +42,7 @@ from taylorlab.syntax import (
 )
 
 from corpus import CORPUS, I, OMEGA, OMEGA3, TERMS, Y, Y_SYS
-from support import depth_positions, loop_certified_oracle, stratify_per_position
+from support import depth_positions, loop_certified_oracle, stratify_per_position, subterm_at
 
 
 def test_beta_step_root():
@@ -193,6 +193,33 @@ def test_bot_step():
     # a fuel-starved oracle refuses rather than guesses
     with pytest.raises(OracleUndecidedError):
         bot_step(OMEGA3, (), loop_certified_oracle(3))
+
+
+def test_beta_and_bottom_steps_descend_once(monkeypatch):
+    """Each step lists the subterms down its position once, and rebuilds the
+    term up that same list."""
+    walks = []
+    original = beta._along
+
+    def counting(t, pos):
+        walks.append(pos)
+        return original(t, pos)
+
+    monkeypatch.setattr(beta, "_along", counting)
+    oracle = loop_certified_oracle(50)
+    at = ("arg", "body")
+    collapsed = App(FreeVar("f"), Lam("y", BOTTOM))
+    steps = [
+        (lambda: beta_step(parse_term("f \\y. (\\x. x) y"), at), parse_term("f \\y. y")),
+        # the three ways to collapse: a binder over bottom, bottom applied, and the oracle's certificate
+        (lambda: bot_step(parse_term("f \\y. \\x. _|_"), at, oracle), collapsed),
+        (lambda: bot_step(parse_term("f \\y. _|_ y"), at, oracle), collapsed),
+        (lambda: bot_step(App(FreeVar("f"), Lam("y", OMEGA)), at, oracle), collapsed),
+    ]
+    for step, reduct in steps:
+        walks.clear()
+        assert step() is reduct
+        assert walks == [at]
 
 
 def test_solvable_examples():

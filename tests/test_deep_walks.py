@@ -14,7 +14,6 @@ from taylorlab.beta import (
     is_bohm_normal,
     leftmost_redex,
     open_bound,
-    replace_at,
 )
 from taylorlab.lab import _positive_skeleton, check_genericity
 from taylorlab.resource import (
@@ -51,7 +50,7 @@ from taylorlab.syntax import (
     unfold,
 )
 
-from support import depth_positions, power_apply, power_tail
+from support import depth_positions, power_apply, power_tail, replace_at
 
 N = 10_000
 X, Y = FreeVar("x"), FreeVar("y")

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import pytest
 
 import taylorlab.lab as lab
@@ -314,3 +317,14 @@ def test_a_binder_of_the_root_captures_nothing():
 def test_capture_controls_with_a_fresh_hint_pass():
     for src in ("let rec F = x F in (\\z. \\y. z y) F", "let rec F = x F in \\x. (\\y. F) a"):
         assert check_commutation(parse_term(src), 8, 1000).verdict == "pass", src
+
+
+def test_every_check_builds_its_report_in_one_place():
+    """Each check ends through ``_Check``'s ``fail``, ``inconclusive`` or
+    ``passed``, so a report is built in one place only."""
+    tree = ast.parse(Path(lab.__file__).read_text(encoding="utf-8"))
+    calls = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "CheckReport"
+    ]
+    assert len(calls) == 1

@@ -740,6 +740,38 @@ def test_each_check_runs_each_node_once(src, size, monkeypatch):
     assert total > 0
 
 
+@pytest.mark.parametrize("src,size", ALL_CASES)
+def test_each_check_normalizes_each_approximant_once(src, size, monkeypatch):
+    """No check normalizes an approximant twice, whether it comes from the
+    slice of its term or from a holey context approximant filled; an addend
+    of a normalized sum counts as one approximant."""
+    normalized = []
+    original = lab.r_normalize
+
+    def recording(x):
+        normalized.extend(x.terms if isinstance(x, FiniteSum) else (x,))
+        return original(x)
+
+    monkeypatch.setattr(lab, "r_normalize", recording)
+    term = parse_term(src)
+    checks = [
+        lambda: check_commutation(term, size, FUEL),
+        lambda: check_head_charac(term, size, FUEL),
+        lambda: check_norm_charac(term, 3, size, FUEL),
+    ]
+    if not isinstance(term, RationalSystem):
+        # the holey approximants of the context multiply with the size bound: 10 fills a few
+        checks.append(lambda: check_genericity(App(Lam("h", term), HOLE), OMEGA, [], 10, FUEL, depth=4))
+    counts = []
+    for check in checks:
+        normalized.clear()
+        check()
+        assert len(normalized) == len(set(normalized))
+        counts.append(len(normalized))
+    # only a genericity check whose hypothesis fails may normalize nothing
+    assert min(counts[:3]) > 0
+
+
 @pytest.mark.parametrize("src", [*CORPUS.values(), *SYSTEMS, *(src for _, src, *_ in COMMUTE_COLD), *TREES])
 def test_head_and_norm_read_no_truncated_tree(src, monkeypatch):
     """The head and norm checks read the prefix's runs node by node; neither

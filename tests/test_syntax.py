@@ -204,6 +204,11 @@ def test_the_root_is_checked_like_an_equation():
         RationalSystem(eq, App(RecRef("F"), RecRef("G")))
     # a bare reference is a root, not a trivial cycle
     assert RationalSystem(eq, RecRef("F")).root is RecRef("F")
+    # a symbol's name is no root: it fails here, not later at a head step
+    with pytest.raises(TypeError, match="the root is not a term: 'F'"):
+        RationalSystem(eq, "F")
+    with pytest.raises(TypeError, match="equation G is not a term: 'F'"):
+        RationalSystem({**eq, "G": "F"}, RecRef("F"))
 
 
 def test_binder_shadowing_print():

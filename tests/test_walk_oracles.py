@@ -18,7 +18,6 @@ from taylorlab.beta import (
     is_bohm_normal,
     leftmost_redex,
     open_bound,
-    replace_at,
 )
 from taylorlab.cli import _bohm_dot
 from taylorlab.gen import random_resource_term
@@ -42,7 +41,7 @@ from taylorlab.syntax import (
     unfold,
 )
 
-from support import NAMES, SYMBOLS, depth_positions, random_term
+from support import NAMES, SYMBOLS, depth_positions, random_term, replace_at
 from walk_oracles import (
     old_bind_free,
     old_bohm_dot,
