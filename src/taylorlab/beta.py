@@ -34,6 +34,7 @@ from .syntax import (
     Term,
     TermLike,
     Var,
+    rec_symbols,
     resolve_ref,
     rebuild,
     split_target,
@@ -111,25 +112,38 @@ def _replace_along(path: list[Term], pos: Position, new: Term) -> Term:
 # Beta
 
 
+def _map_loose(t: Term, var: Callable[[int, int], Term]) -> Term:
+    """``t`` with each variable ``#i`` under ``c`` binders of ``t``, where
+    ``i >= c``, replaced by ``var(i, c)``. One loop over the node graph: a
+    subterm whose ``loose`` is at most its binder depth comes back as it is,
+    and each (node, depth) pair is mapped once."""
+    done: dict[tuple[Term, int], Term] = {}
+    stack = [(t, 0)]
+    while stack:
+        u, c = key = stack.pop()
+        if key in done:
+            continue
+        if u.loose <= c:
+            done[key] = u
+        elif isinstance(u, Var):
+            done[key] = var(u.index, c)
+        else:
+            kids = [(u.body, c + 1)] if isinstance(u, Lam) else [(u.fn, c), (u.arg, c)]
+            new = [done.get(k) for k in kids]
+            if None in new:
+                stack += (key, *kids)
+            else:
+                done[key] = Lam(u.hint, *new) if isinstance(u, Lam) else App(*new)
+    return done[(t, 0)]
+
+
 def _shift(t: Term, d: int) -> Term:
-    if d == 0:
-        return t
-
-    def shift(u: Term, c: int, *_) -> Optional[Term]:
-        return Var(u.index + d) if isinstance(u, Var) and u.index >= c else None
-
-    return rebuild(t, shift)
+    return t if d == 0 else _map_loose(t, lambda i, c: Var(i + d))
 
 
 def open_bound(body: Term, arg: Term) -> Term:
     """Remove the binder just peeled: substitute ``arg`` for its variable."""
-
-    def fill(u: Term, c: int, *_) -> Optional[Term]:
-        if isinstance(u, Var) and u.index >= c:
-            return _shift(arg, c) if u.index == c else Var(u.index - 1)
-        return None
-
-    return rebuild(body, fill)
+    return _map_loose(body, lambda i, c: _shift(arg, c) if i == c else Var(i - 1))
 
 
 def beta_step(m: Term, at: Position) -> Term:
@@ -300,12 +314,21 @@ def _captures(hf: HeadForm, names: frozenset[str]) -> bool:
     a step would reduce another term than the one the source denotes."""
     lam = hf.head
     assert isinstance(lam, Lam)
-    if lam.hint in names and any(isinstance(u, RecRef) for u, *_ in subterms(lam.body)):
+    if lam.hint in names and rec_symbols(lam.body):
         return True
-    return any(isinstance(u, RecRef) for u, *_ in subterms(hf.spine[0])) and any(
-        isinstance(u, Var) and u.index == c and not names.isdisjoint(unlink(hints))
-        for u, c, hints, *_ in subterms(lam.body)
-    )
+    todo, seen = [(lam.body, 0, False)] if rec_symbols(hf.spine[0]) else [], set()
+    while todo:
+        u, c, under = key = todo.pop()
+        if u.loose <= c or key in seen:
+            continue
+        seen.add(key)
+        if isinstance(u, Lam):
+            todo.append((u.body, c + 1, under or u.hint in names))
+        elif isinstance(u, App):
+            todo += [(u.fn, c, under), (u.arg, c, under)]
+        elif under and u.index == c:  # a variable: its index is at least c
+            return True
+    return False
 
 
 def head_normalize(

@@ -60,9 +60,12 @@ class Term:
     Nodes are hash-consed: building a node that already exists returns the
     existing one, so ``==`` is identity, which is literal equality with
     binder hints included. ``alpha_eq`` is equality of alpha-classes.
+    Like a resource node, each node carries ``loose``, set once when it is
+    built: 1 + its largest loose de Bruijn index, 0 when it has none.
     """
 
     __slots__ = ()
+    loose = 0  # a leaf other than a variable
 
     def __str__(self) -> str:
         return pretty(self)
@@ -95,10 +98,10 @@ def _node(cls: type, **fields: object) -> Term:
 class Var(Term):
     """Bound variable (de Bruijn index, 0 = innermost binder)."""
 
-    __slots__ = ("index",)
+    __slots__ = ("index", "loose")
 
     def __new__(cls, index: int) -> "Var":
-        return _VARS.get(index) or _VARS.setdefault(index, _node(cls, index=index))
+        return _VARS.get(index) or _VARS.setdefault(index, _node(cls, index=index, loose=index + 1))
 
 
 class FreeVar(Term):
@@ -109,17 +112,19 @@ class FreeVar(Term):
 
 
 class Lam(Term):
-    __slots__ = ("hint", "body")
+    __slots__ = ("hint", "body", "loose")
 
     def __new__(cls, hint: str, body: Term) -> "Lam":
-        return _LAMS.get((hint, body)) or _LAMS.setdefault((hint, body), _node(cls, hint=hint, body=body))
+        key = (hint, body)
+        return _LAMS.get(key) or _LAMS.setdefault(key, _node(cls, hint=hint, body=body, loose=max(body.loose - 1, 0)))
 
 
 class App(Term):
-    __slots__ = ("fn", "arg")
+    __slots__ = ("fn", "arg", "loose")
 
     def __new__(cls, fn: Term, arg: Term) -> "App":
-        return _APPS.get((fn, arg)) or _APPS.setdefault((fn, arg), _node(cls, fn=fn, arg=arg))
+        key = (fn, arg)
+        return _APPS.get(key) or _APPS.setdefault(key, _node(cls, fn=fn, arg=arg, loose=max(fn.loose, arg.loose)))
 
 
 class Bottom(Term):
@@ -233,7 +238,14 @@ def contains_hole(t: Term) -> bool:
 
 
 def rec_symbols(t: Term) -> set[str]:
-    return {u.symbol for u, *_ in subterms(t) if isinstance(u, RecRef)}
+    """The symbols that ``t`` refers to; each distinct node is visited once."""
+    seen, todo = {t}, [t]
+    while todo:
+        u = todo.pop()
+        kids = {u.body} if isinstance(u, Lam) else {u.fn, u.arg} if isinstance(u, App) else set()
+        todo += kids - seen
+        seen |= kids
+    return {u.symbol for u in seen if isinstance(u, RecRef)}
 
 
 # ---------------------------------------------------------------------------

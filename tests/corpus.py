@@ -20,6 +20,12 @@ C2 = r"(\f. \x. f (f x))"
 C2C2 = f"{C2} {C2}"
 MUL_C2C2 = rf"(\m. \n. \f. m (n f)) {C2} {C2}"
 
+# a head run that shares one subterm in more and more places, so that each
+# state is a small graph but a tree exponential in the steps, on a term and
+# on a system; neither is certified, so each run ends on its fuel
+SHARING = r"(\x. x x) (\x. x ((\y. x) x))"
+SHARING_SYS = r"let rec F = f F in (\x. x x) (\x. x ((\y. x) x) F)"
+
 # let rec systems: a fixed point, a redex around a reference, references
 # under binders, mutual recursion, and a redex whose body resolves a free
 # name of an equation against the head binder's own hint

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -37,11 +38,12 @@ from taylorlab.syntax import (
     parse_term,
     pretty,
     rebuild,
+    split_target,
     subterms,
     unfold,
 )
 
-from corpus import CORPUS, I, OMEGA, OMEGA3, TERMS, Y, Y_SYS
+from corpus import CORPUS, I, OMEGA, OMEGA3, SHARING, SHARING_SYS, TERMS, Y, Y_SYS
 from support import depth_positions, loop_certified_oracle, stratify_per_position, subterm_at
 
 
@@ -171,6 +173,18 @@ def test_head_normalize_y():
 def test_head_normalize_bottom_head():
     run = head_normalize(parse_term("\\x. _|_ y"), 5)
     assert run.certified_unsolvable and run.reason == "bottom"
+
+
+@pytest.mark.parametrize("src", [SHARING, SHARING_SYS])
+def test_a_run_that_shares_costs_the_term_graph(src):
+    """Each state of the run is a graph of about a hundred nodes whose tree
+    grows exponentially with the steps: substitution and the capture check
+    walk the graph, so a thousand steps take well under a second."""
+    term, system = split_target(parse_term(src))
+    start = time.perf_counter()
+    run = head_normalize(term, 1000, system)
+    assert time.perf_counter() - start < 1.0
+    assert run.describe() == "unknown(fuel, 1000 steps)"
 
 
 def test_min_depth_step():

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 from random import Random
 
@@ -14,7 +15,7 @@ from taylorlab.gen import random_resource_term
 from taylorlab.resource import FiniteSum, parse_resource_term, pretty_sum
 from taylorlab.resource_reduction import r_normalize
 
-from corpus import DEEP, DEEP_TERMS, Y_SYS_SRC
+from corpus import DEEP, DEEP_TERMS, SHARING, Y_SYS_SRC
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -49,6 +50,17 @@ def test_usage_error_exit_3(capsys):
 def test_bohm_spec_example(capsys):
     code, out, _ = run(capsys, "bohm", Y_SYS_SRC, "--depth", "3")
     assert code == 0 and out.strip() == "\\f. f (f (f ◻))"
+
+
+def test_a_run_that_shares_ends_on_its_fuel(capsys):
+    """The root's head run is cut at the default fuel of 1000, so the tree is
+    a cut and the checks are inconclusive, each within a second."""
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "bohm", SHARING, "--depth", "3")
+    assert code == 0 and out.strip() == "◻"
+    assert run(capsys, "check", "commutation", SHARING, "--size", "10")[0] == 2
+    assert run(capsys, "check", "head", SHARING)[0] == 2
+    assert time.perf_counter() - start < 3.0
 
 
 def test_bohm_dot(capsys):

@@ -2,7 +2,8 @@
 cross-checked against slow references: ``_reference_replace`` is the linear
 substitution as it was before nodes carried summaries (every subterm
 rebuilt once per distinct ordering, no pruning, no cache), ``_summary``
-recomputes a node's ``loose`` and ``redex`` from scratch, and
+recomputes a resource node's ``loose`` and ``redex`` from scratch, the
+frozen ``walk_oracles._dangling`` a λ node's loose indices, and
 ``_recursive_step`` and ``_leftmost_outermost_nf`` are the step (one sum
 per context level) and the normalizer (every step from the root) that
 ``r_step`` and ``r_normalize`` replaced. The frozen ``old_skey`` and
@@ -59,8 +60,11 @@ from taylorlab.resource_reduction import (
     site_to_str,
 )
 
-from support import site_from_str
-from walk_oracles import old_height, old_skey, old_unshift
+from taylorlab.syntax import RationalSystem, parse_term, subterms
+
+from corpus import TERMS
+from support import SYMBOLS, random_term, site_from_str
+from walk_oracles import _dangling, old_height, old_skey, old_unshift
 
 # ---------------------------------------------------------------------------
 # Slow references
@@ -392,6 +396,24 @@ def test_summaries_of_parsed_and_shifted_terms():
     for text in ("\\a. \\b. <a>[b, <\\c. c>1]", "<\\a. <a>1>[<\\b. b>[x]]", "*", "<*>[x, x, y]"):
         _assert_summaries(parse_resource_term(text))
 
+
+
+def test_lambda_nodes_know_their_loose_indices():
+    """A λ node's ``loose`` is 1 + its largest loose index, 0 if it has none,
+    as on resource nodes: on the corpus terms, the system bodies and random
+    terms with references, holes and indices escaping by up to two."""
+    terms = []
+    for target in map(parse_term, TERMS):
+        if isinstance(target, RationalSystem):
+            terms += [target.root, *target.equations.values()]
+        else:
+            terms.append(target)
+    rng = Random(31)
+    terms += [random_term(rng, rng.randint(1, 16), symbols=SYMBOLS, holes=True) for _ in range(3000)]
+    memo = {}
+    for t in terms:
+        for u, *_ in subterms(t):
+            assert u.loose == 1 + max(_dangling(u, memo), default=-1), u
 
 
 def test_unshift_agrees_with_the_frozen_walk():

@@ -1,7 +1,8 @@
 """No recursive walker in any module of the package outside a short
-allowlist: λ-term maps go through ``syntax.rebuild`` and folds iterate
-``syntax.subterms``, and the parsers and printers of both calculi loop on
-explicit stacks, so they take terms of any depth.
+allowlist: λ-term maps go through ``syntax.rebuild`` or, for substitution,
+loop over the node graph (``beta._map_loose``), folds iterate
+``syntax.subterms`` or search the node graph, and the parsers and printers
+of both calculi loop on explicit stacks, so they take terms of any depth.
 
 The check reads the modules with ``ast`` and fails when a function can
 reach itself through the names it refers to: calls, but also functions

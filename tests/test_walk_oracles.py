@@ -1,11 +1,12 @@
 """The λ-side maps and folds, written as callbacks on ``syntax.subterms`` and
-``syntax.rebuild``, the explicit-stack printers of both calculi and the resource positivity
-test, against
-frozen copies of the recursive walkers they replaced (``walk_oracles``), on
+``syntax.rebuild`` or as loops over the node graph, the explicit-stack
+printers of both calculi and the resource positivity test, against frozen
+copies of the recursive walkers they replaced (``walk_oracles``), on
 seeded random terms, contexts, ``let rec`` systems and resource terms. Terms
 are hash-consed and compared by identity, so binder hints must agree too."""
 
 import re
+import time
 from random import Random
 
 from taylorlab.beta import (
@@ -98,6 +99,29 @@ def test_maps_match_the_recursive_walkers():
             except InvalidPositionError:
                 got = None
             assert (got is None and want is None) or got is want, pos
+
+
+def _doubling(leaf, k):
+    """M0 = ``leaf`` and M(j+1) = M(j) M(j): k + 1 nodes, 2^(k+1) - 1 in the tree."""
+    for _ in range(k):
+        leaf = App(leaf, leaf)
+    return leaf
+
+
+def test_maps_cost_the_term_graph():
+    """Under ``\\x``, the body M(k) of ``x``: at k = 60 its tree has 2^61
+    nodes, yet opening and shifting it walk its graph of 61; up to k = 10
+    they give what the tree walkers give."""
+    n = App(FreeVar("f"), Var(1))
+    for k in range(11):
+        body = _doubling(Var(0), k)
+        assert open_bound(body, n) is old_open_bound(body, n) is _doubling(n, k)
+        assert _shift(body, 2) is old_shift(body, 2, 0) is _doubling(Var(2), k)
+    body = _doubling(Var(0), 60)
+    start = time.perf_counter()
+    assert open_bound(body, n) is _doubling(n, 60)
+    assert _shift(body, 2) is _doubling(Var(2), 60)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_context_fill_matches_the_recursive_walker():
